@@ -32,14 +32,8 @@ from .graded_core import (
     GradedVariable,
     Series,
     Term,
-    add,
-    bigrade,
     format_series,
-    left_derivative,
-    mul,
     normalize_product,
-    substitute,
-    truncate,
 )
 from .homotopy import (
     BasisVector,

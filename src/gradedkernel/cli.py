@@ -425,9 +425,21 @@ def _decl_thick(problem: ProblemFile, lines: _Lines, number: int,
     problem.thicks[name] = ThickMorphism(source, target, shift, kind, series)
 
 
+# the positional arguments of the tasks that take a truncation order
+_ORDER_TASKS = {
+    "pullback": ("<thick>", "<g>"),
+    "check-hj": ("<thick>", "<H1>", "<H2>"),
+    "check-intertwining": ("<thick>", "<H1>", "<H2>", "<g>"),
+}
+
+
 def _decl_task(problem: ProblemFile, lines: _Lines, number: int,
                content: str, words: List[str]) -> None:
     _require(len(words) >= 2, "usage: task <command> [args...]", number)
+    positional = _ORDER_TASKS.get(words[1])
+    if positional is not None:
+        _require(len(words) - 2 >= len(positional),
+                 f"usage: task {words[1]} {' '.join(positional)} [order <n>]", number)
     problem.tasks.append(Task(number, words[1], words[2:]))
 
 
@@ -471,6 +483,23 @@ def _function_on_cotangent(problem: ProblemFile, name: str, line: int):
     return series, chart
 
 
+def _task_order(task: Task, flags: Flags) -> int:
+    """The truncation order of a pullback-type task: its ``order`` option, else ``--order``."""
+    options = _keyword_args(task.args[len(_ORDER_TASKS[task.command]):], task.line,
+                            order=flags.order)
+    if options["order"] < 0:
+        raise ProblemSyntaxError(f"order must be nonnegative, got {options['order']}",
+                                 task.line)
+    return options["order"]
+
+
+def check_task_orders(problem: ProblemFile, flags: Flags) -> None:
+    """Reject, at the task's line, a pullback-type task with bad options or a negative order."""
+    for task in problem.tasks:
+        if task.command in _ORDER_TASKS:
+            _task_order(task, flags)
+
+
 def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
     command = task.command
     args = task.args
@@ -508,10 +537,9 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
         phi = _get(problem, "thicks", args[0] if args else "", line)
         return validate_thick(phi)
     if command == "pullback":
-        phi = _get(problem, "thicks", args[0] if args else "", line)
-        series, _ = _get(problem, "functions", args[1] if len(args) > 1 else "", line)
-        options = _keyword_args(args[2:], line, order=flags.order)
-        result = pullback(phi, series, options["order"])
+        phi = _get(problem, "thicks", args[0], line)
+        series, _ = _get(problem, "functions", args[1], line)
+        result = pullback(phi, series, _task_order(task, flags))
         report = Report(f"pullback along {args[0]} at order {result.order}")
         report.ok("pullback-f", notes=f"f = {format_series(result.f)}")
         for var, solution in sorted(result.y_solution.items(), key=lambda kv: kv[0].key):
@@ -521,18 +549,17 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
         report.info("pullback-iterations", notes=str(result.iterations))
         return report
     if command == "check-hj":
-        phi = _get(problem, "thicks", args[0] if args else "", line)
+        phi = _get(problem, "thicks", args[0], line)
         h1, ct1 = _function_on_cotangent(problem, args[1], line)
         h2, ct2 = _function_on_cotangent(problem, args[2], line)
-        options = _keyword_args(args[3:], line, order=flags.order)
-        return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, options["order"])
+        return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, _task_order(task, flags))
     if command == "check-intertwining":
-        phi = _get(problem, "thicks", args[0] if args else "", line)
+        phi = _get(problem, "thicks", args[0], line)
         h1, ct1 = _function_on_cotangent(problem, args[1], line)
         h2, ct2 = _function_on_cotangent(problem, args[2], line)
         series, _ = _get(problem, "functions", args[3], line)
-        options = _keyword_args(args[4:], line, order=flags.order)
-        return check_intertwining(phi, h1, ct1, h2, ct2, series, options["order"])
+        return check_intertwining(phi, h1, ct1, h2, ct2, series,
+                                  _task_order(task, flags))
     if command == "oracle-verify":
         lhs, _ = _get(problem, "functions", args[0] if args else "", line)
         rhs, _ = _get(problem, "functions", args[1] if len(args) > 1 else "", line)
@@ -654,6 +681,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         problem = parse_problem(text)
+        check_task_orders(problem, flags)
     except GradedKernelError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

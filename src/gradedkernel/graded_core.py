@@ -14,12 +14,20 @@ Conventions, fixed once and used everywhere:
 Odd variables square to zero and are capped at exponent one structurally:
 ``normalize_product`` returns the zero term as soon as an odd variable
 repeats.
+
+A ``Series`` holds a dict from canonical monomials to coefficients.  The
+public constructor enforces three invariants on it: every coefficient is a
+``Fraction``, none is zero, and no monomial has a fiber degree above the
+truncation order.  ``Series._trusted`` skips those checks; it is only called
+on dicts built inside this module that already satisfy all three, and the
+dict is never mutated afterwards, so series may share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import GradingMismatch, InhomogeneousSeries, ZeroSeries
@@ -52,13 +60,15 @@ class Bigrading:
         return f"(parity {self.parity}, weight {self.weight})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedVariable:
     """A named symbol with parity, weight and an auxiliary fiber degree.
 
     ``fiber_degree`` is 0 for base coordinates and 1 for momenta and
     antimomenta; together with the declaration ``index`` it fixes the
-    canonical monomial order.
+    canonical monomial order.  ``key`` and the hash are computed once;
+    equality compares all five fields, so separately built variables with
+    the same fields are the same variable.
     """
 
     name: str
@@ -72,10 +82,20 @@ class GradedVariable:
             raise ValueError(f"parity must be 0 or 1, got {self.parity}")
         if self.fiber_degree not in (0, 1):
             raise ValueError(f"fiber_degree must be 0 or 1, got {self.fiber_degree}")
+        identity = (self.name, self.parity, self.weight, self.fiber_degree, self.index)
+        object.__setattr__(self, "key", (self.fiber_degree, self.index, self.name))
+        object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_hash", hash(identity))
 
-    @property
-    def key(self) -> Tuple[int, int, str]:
-        return (self.fiber_degree, self.index, self.name)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity == other._identity
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def bigrading(self) -> Bigrading:
@@ -165,24 +185,58 @@ def merge_monomials(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]:
                     sign = -sign
     out = []
     i = j = 0
-    while i < len(a) and j < len(b):
+    len_a = len(a)
+    len_b = len(b)
+    while i < len_a and j < len_b:
         va, ea = a[i]
         vb, eb = b[j]
-        if va == vb:
+        key_a = va.key
+        key_b = vb.key
+        if key_a < key_b:
+            out.append(a[i])
+            i += 1
+        elif key_b < key_a:
+            out.append(b[j])
+            j += 1
+        elif va is vb or va == vb:
             if va.parity:
                 return None
             out.append((va, ea + eb))
             i += 1
             j += 1
-        elif va.key <= vb.key:
+        else:
             out.append(a[i])
             i += 1
-        else:
-            out.append(b[j])
-            j += 1
     out.extend(a[i:])
     out.extend(b[j:])
     return sign, tuple(out)
+
+
+_ONE = Fraction(1)
+
+
+def _accumulate(terms: dict, monomial: Monomial, value: Fraction) -> None:
+    """Add ``value`` to ``terms[monomial]``, dropping the entry if it cancels."""
+    previous = terms.get(monomial)
+    if previous is None:
+        terms[monomial] = value
+        return
+    total = previous + value
+    if total:
+        terms[monomial] = total
+    else:
+        del terms[monomial]
+
+
+def _by_fiber_degree(terms: dict, trunc: Optional[int]) -> list:
+    """``(fiber degree, monomial, coefficient)`` in ascending fiber degree.
+
+    Without a truncation order nothing is pruned, and every degree reads 0.
+    """
+    if trunc is None:
+        return [(0, m, c) for m, c in terms.items()]
+    return sorted(((monomial_fiber_degree(m), m, c) for m, c in terms.items()),
+                  key=itemgetter(0))
 
 
 def _min_trunc(*orders: Optional[int]) -> Optional[int]:
@@ -211,6 +265,14 @@ class Series:
             clean[monomial] = coeff
         self._terms = clean
         self._trunc = truncation_order
+
+    @classmethod
+    def _trusted(cls, terms: dict, truncation_order: Optional[int]) -> "Series":
+        """Wrap a dict that already meets the invariants in the module docstring."""
+        series = cls.__new__(cls)
+        series._terms = terms
+        series._trunc = truncation_order
+        return series
 
     # -- construction -----------------------------------------------------
 
@@ -294,17 +356,15 @@ class Series:
         trunc = _min_trunc(self._trunc, other._trunc)
         merged = dict(self._terms)
         for monomial, coeff in other._terms.items():
-            total = merged.get(monomial, Fraction(0)) + coeff
-            if total == 0:
-                merged.pop(monomial, None)
-            else:
-                merged[monomial] = total
-        return Series(merged, trunc)
+            _accumulate(merged, monomial, coeff)
+        if trunc is not None and (self._trunc != trunc or other._trunc != trunc):
+            merged = {m: c for m, c in merged.items() if monomial_fiber_degree(m) <= trunc}
+        return Series._trusted(merged, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series({m: -c for m, c in self._terms.items()}, self._trunc)
+        return Series._trusted({m: -c for m, c in self._terms.items()}, self._trunc)
 
     def __sub__(self, other) -> "Series":
         other = _coerce(other)
@@ -319,26 +379,31 @@ class Series:
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if c == 0:
-                return Series.zero(self._trunc)
-            return Series({m: coeff * c for m, coeff in self._terms.items()}, self._trunc)
+                return Series._trusted({}, self._trunc)
+            return Series._trusted({m: coeff * c for m, coeff in self._terms.items()},
+                                   self._trunc)
         if not isinstance(other, Series):
             return NotImplemented
         trunc = _min_trunc(self._trunc, other._trunc)
+        # a product's fiber degree is the sum of its factors' degrees, so with
+        # both sides in ascending degree each row stops at the first pair past
+        # the order, before that pair is merged
+        budget = 0 if trunc is None else trunc
+        right = _by_fiber_degree(other._terms, trunc)
         out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+        for degree_a, ma, ca in _by_fiber_degree(self._terms, trunc):
+            room = budget - degree_a
+            if room < 0:
+                break
+            for degree_b, mb, cb in right:
+                if degree_b > room:
+                    break
                 merged = merge_monomials(ma, mb)
                 if merged is None:
                     continue
                 sign, monomial = merged
-                if trunc is not None and monomial_fiber_degree(monomial) > trunc:
-                    continue
-                total = out.get(monomial, Fraction(0)) + sign * ca * cb
-                if total == 0:
-                    out.pop(monomial, None)
-                else:
-                    out[monomial] = total
-        return Series(out, trunc)
+                _accumulate(out, monomial, ca * cb if sign > 0 else -(ca * cb))
+        return Series._trusted(out, trunc)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -383,17 +448,13 @@ class Series:
                         reduced = (monomial[:position]
                                    + ((factor, exp - 1),)
                                    + monomial[position + 1:])
-                    total = out.get(reduced, Fraction(0)) + coeff * exp * sign
-                    if total == 0:
-                        out.pop(reduced, None)
-                    else:
-                        out[reduced] = total
+                    _accumulate(out, reduced, coeff * (exp * sign))
                     break
                 preceding_odd += factor.parity * exp
         trunc = self._trunc
         if trunc is not None and var.fiber_degree:
             trunc = max(trunc - 1, 0)
-        return Series(out, trunc)
+        return Series._trusted(out, trunc)
 
     def substitute(self, bindings: Mapping[GradedVariable, "Series"]) -> "Series":
         normalized = {}
@@ -404,37 +465,55 @@ class Series:
                     f"binding for {var.name} must be zero or homogeneous of "
                     f"{var.bigrading}")
             normalized[var] = value
-        trunc = _min_trunc(self._trunc,
-                           *(v.truncation_order for v in normalized.values()))
-        result = Series.zero()
+        trunc = _min_trunc(self._trunc, *(v._trunc for v in normalized.values()))
+        if trunc is not None:
+            normalized = {var: value.truncate(trunc) for var, value in normalized.items()}
+        # bound variable -> [value, value^2, ...], each power the one below
+        # times the binding; built by a loop, because a closure that called
+        # itself would be a reference cycle keeping the powers alive until
+        # the cyclic collector runs
+        powers: dict = {}
+
+        def power(var: GradedVariable, exp: int) -> "Series":
+            value = normalized.get(var)
+            if value is None:
+                fits = trunc is None or var.fiber_degree * exp <= trunc
+                return Series._trusted({((var, exp),): _ONE} if fits else {}, trunc)
+            cached = powers.setdefault(var, [value])
+            while len(cached) < exp:
+                cached.append(cached[-1] * value)
+            return cached[exp - 1]
+
+        out: dict = {}
         for monomial, coeff in self._terms.items():
-            piece = Series.constant(coeff)
+            piece = None
             for var, exp in monomial:
-                factor = normalized.get(var)
-                if factor is None:
-                    factor = Series.variable(var)
-                for _ in range(exp):
-                    piece = piece * factor
-                    if trunc is not None:
-                        piece = piece.truncate(trunc)
+                factor = power(var, exp)
+                piece = factor if piece is None else piece * factor
                 if piece.is_zero:
                     break
-            result = result + piece
-        if trunc is not None:
-            result = result.truncate(trunc)
-        return result
+            if piece is None:
+                _accumulate(out, (), coeff)
+                continue
+            for product, c in piece._terms.items():
+                _accumulate(out, product, coeff * c)
+        return Series._trusted(out, trunc)
 
     def truncate(self, order: int) -> "Series":
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        return Series(self._terms, order)
+        terms = self._terms
+        if self._trunc is None or self._trunc > order:
+            terms = {m: c for m, c in terms.items() if monomial_fiber_degree(m) <= order}
+        return Series._trusted(terms, order)
 
     def without_truncation(self) -> "Series":
-        return Series(self._terms, None)
+        return Series._trusted(self._terms, None)
 
     def filter_terms(self, keep) -> "Series":
         """Series of the terms whose monomial satisfies ``keep`` (metadata kept)."""
-        return Series({m: c for m, c in self._terms.items() if keep(m)}, self._trunc)
+        return Series._trusted({m: c for m, c in self._terms.items() if keep(m)},
+                               self._trunc)
 
     # -- formatting ----------------------------------------------------------
 
@@ -458,32 +537,6 @@ def _coerce_strict(value) -> "Series":
     if coerced is NotImplemented:
         raise TypeError(f"expected a Series or rational, got {value!r}")
     return coerced
-
-
-# -- module-level operation names ------------------------------------------
-
-def add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
-
-
-def bigrade(a: Series) -> Bigrading:
-    return a.bigrading()
-
-
-def left_derivative(a: Series, var: GradedVariable) -> Series:
-    return a.left_derivative(var)
-
-
-def substitute(a: Series, bindings: Mapping[GradedVariable, Series]) -> Series:
-    return a.substitute(bindings)
-
-
-def truncate(a: Series, order: int) -> Series:
-    return a.truncate(order)
 
 
 def format_monomial(monomial: Monomial) -> str:

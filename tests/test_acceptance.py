@@ -2,11 +2,12 @@
 
 One test per criterion, run in order; every comparison is exact rational
 arithmetic with zero tolerance.  Criteria 1-8 register every series equality
-they assert in a ledger; criterion 9 re-confirms each ledger entry through
-the Grassmann-algebra oracle at 100 random assignments with a recorded seed,
-plus product-morphism checks that pit the symbolic multiplication against
-the oracle's own arithmetic.  Criterion 10 checks byte determinism of the
-CLI's JSON reports.
+they assert in a ledger, built once per session by whichever test needs it
+first, so any order or subset of tests sees the same ledger.  Criterion 9
+re-confirms each ledger entry through the Grassmann-algebra oracle at 100
+random assignments with a recorded seed, plus product-morphism checks that
+pit the symbolic multiplication against the oracle's own arithmetic.
+Criterion 10 checks byte determinism of the CLI's JSON reports.
 
 Each criterion prints one pass/fail line (bypassing pytest capture).
 """
@@ -19,6 +20,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from gradedkernel.geometry import (
     Chart,
@@ -60,18 +63,50 @@ V = Series.variable
 HALF = Fraction(1, 2)
 ORACLE_BASE_SEED = 77001
 
-# (tag, lhs, rhs) series pairs asserted equal by criteria 1-8
-LEDGER = []
-# (a, b) factor pairs whose kernel product is pitted against the oracle's
-FACTOR_LEDGER = []
-
-
 from conftest import announce
 
 
-def record(tag, lhs, rhs):
-    assert lhs == rhs, f"{tag}: {lhs} != {rhs}"
-    LEDGER.append((tag, lhs, rhs))
+class Ledger:
+    """What one criterion asserted, for criterion 9 to re-check."""
+
+    def __init__(self):
+        # (tag, lhs, rhs) series pairs asserted equal
+        self.identities = []
+        # (a, b) factor pairs whose kernel product is pitted against the oracle's
+        self.factors = []
+        self.summary = ""
+
+    def record(self, tag, lhs, rhs):
+        assert lhs == rhs, f"{tag}: {lhs} != {rhs}"
+        self.identities.append((tag, lhs, rhs))
+
+    def record_combo(self, tag, lhs_combo, rhs_combo):
+        self.record(tag, combo_series(lhs_combo), combo_series(rhs_combo))
+
+
+class Ledgers:
+    """Each criterion's ledger, built once per session by the first test that asks."""
+
+    def __init__(self):
+        self._built = {}
+
+    def build(self, criterion):
+        if criterion not in self._built:
+            ledger = Ledger()
+            ledger.summary = criterion(ledger)
+            self._built[criterion] = ledger
+        return self._built[criterion]
+
+    def full(self):
+        """Identities and factor pairs of criteria 1-8, in criterion order."""
+        parts = [self.build(criterion) for criterion in LEDGER_CRITERIA]
+        return ([entry for part in parts for entry in part.identities],
+                [pair for part in parts for pair in part.factors])
+
+
+@pytest.fixture(scope="session")
+def ledgers():
+    return Ledgers()
 
 
 def combo_series(combo):
@@ -83,15 +118,11 @@ def combo_series(combo):
     return Series(terms)
 
 
-def record_combo(tag, lhs_combo, rhs_combo):
-    record(tag, combo_series(lhs_combo), combo_series(rhs_combo))
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: sign kernel
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_sign_kernel():
+def criterion_01_sign_kernel(ledger):
     start = time.perf_counter()
     x = GradedVariable("x", 0, 0, 0, 0)
     xi = GradedVariable("xi", 1, 1, 0, 1)
@@ -107,9 +138,9 @@ def test_criterion_01_sign_kernel():
             ga = a.bigrading()
             gb = b.bigrading()
             sign = -1 if (ga.parity and gb.parity) else 1
-            record("supercomm-monomial", a * b, sign * (b * a))
+            ledger.record("supercomm-monomial", a * b, sign * (b * a))
         if Series({ma: Fraction(1)}).bigrading().parity:
-            record("odd-square", Series({ma: Fraction(1)}) ** 2, Series.zero())
+            ledger.record("odd-square", Series({ma: Fraction(1)}) ** 2, Series.zero())
 
     rng = random.Random(101)
     for _ in range(200):
@@ -118,8 +149,8 @@ def test_criterion_01_sign_kernel():
         if a.is_zero or b.is_zero:
             continue
         sign = -1 if (a.bigrading().parity and b.bigrading().parity) else 1
-        record("supercomm-random", a * b, sign * (b * a))
-        FACTOR_LEDGER.append((a, b))
+        ledger.record("supercomm-random", a * b, sign * (b * a))
+        ledger.factors.append((a, b))
 
     for _ in range(150):
         a = random_homogeneous(variables, rng, 2)
@@ -129,32 +160,36 @@ def test_criterion_01_sign_kernel():
         pa = a.bigrading().parity
         for v in variables:
             sign = -1 if (v.parity and pa) else 1
-            record("leibniz",
-                   (a * b).left_derivative(v),
-                   a.left_derivative(v) * b + sign * (a * b.left_derivative(v)))
+            ledger.record("leibniz",
+                          (a * b).left_derivative(v),
+                          a.left_derivative(v) * b + sign * (a * b.left_derivative(v)))
 
     for _ in range(150):
         s = random_homogeneous(variables, rng, 3) + random_homogeneous(variables, rng, 3)
-        record("odd-dd-anticommute",
-               s.left_derivative(xi).left_derivative(eta),
-               -(s.left_derivative(eta).left_derivative(xi)))
-        record("odd-dd-square",
-               s.left_derivative(xi).left_derivative(xi), Series.zero())
+        ledger.record("odd-dd-anticommute",
+                      s.left_derivative(xi).left_derivative(eta),
+                      -(s.left_derivative(eta).left_derivative(xi)))
+        ledger.record("odd-dd-square",
+                      s.left_derivative(xi).left_derivative(xi), Series.zero())
 
     for _ in range(80):
         a, b, c = (random_homogeneous(variables, rng, 2) for _ in range(3))
-        record("mul-associative", (a * b) * c, a * (b * c))
+        ledger.record("mul-associative", (a * b) * c, a * (b * c))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.2f}s"
-    announce(f"[criterion 1] PASS sign kernel (exhaustive + 500 random, {elapsed:.2f}s)")
+    return f"[criterion 1] PASS sign kernel (exhaustive + 500 random, {elapsed:.2f}s)"
+
+
+def test_criterion_01_sign_kernel(ledgers):
+    announce(ledgers.build(criterion_01_sign_kernel).summary)
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: canonical bracket laws
 # ---------------------------------------------------------------------------
 
-def test_criterion_02_canonical_bracket_suite():
+def criterion_02_canonical_bracket_suite(ledger):
     start = time.perf_counter()
     base = Chart.build([("x", 0, 0), ("y", 0, 2), ("xi", 1, 1), ("eta", 1, -1)], "M")
     rng = random.Random(202)
@@ -178,26 +213,30 @@ def test_criterion_02_canonical_bracket_suite():
                     return canonical_bracket(a, b, _ct)
 
                 sign = -1 if ((ft + kappa) * (gt + kappa)) % 2 else 1
-                record("bracket-antisym", br(f, g), -sign * br(g, f))
+                ledger.record("bracket-antisym", br(f, g), -sign * br(g, f))
                 sign_j = sign
-                record("bracket-jacobi",
-                       br(f, br(g, h)),
-                       br(br(f, g), h) + sign_j * br(g, br(f, h)))
+                ledger.record("bracket-jacobi",
+                              br(f, br(g, h)),
+                              br(br(f, g), h) + sign_j * br(g, br(f, h)))
                 sign_l = -1 if ((ft + kappa) * gt) % 2 else 1
-                record("bracket-leibniz",
-                       br(f, g * h),
-                       br(f, g) * h + sign_l * (g * br(f, h)))
+                ledger.record("bracket-leibniz",
+                              br(f, g * h),
+                              br(f, g) * h + sign_l * (g * br(f, h)))
                 value = br(f, g)
                 if not value.is_zero:
                     grade = value.bigrading()
                     assert grade.weight == f.bigrading().weight + g.bigrading().weight - s
                     assert grade.parity == (ft + gt + kappa) % 2
-                FACTOR_LEDGER.append((f, g))
+                ledger.factors.append((f, g))
     assert samples == 200
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 2 took {elapsed:.2f}s"
-    announce(f"[criterion 2] PASS canonical brackets ({samples} samples, "
-             f"s in -1..2, both kinds, {elapsed:.2f}s)")
+    return (f"[criterion 2] PASS canonical brackets ({samples} samples, "
+            f"s in -1..2, both kinds, {elapsed:.2f}s)")
+
+
+def test_criterion_02_canonical_bracket_suite(ledgers):
+    announce(ledgers.build(criterion_02_canonical_bracket_suite).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +291,7 @@ def q_corpus(k):
     return entries
 
 
-def test_criterion_03_derived_bracket_equivalence():
+def criterion_03_derived_bracket_equivalence(ledger):
     start = time.perf_counter()
     rng = random.Random(303)
     names = set()
@@ -271,15 +310,19 @@ def test_criterion_03_derived_bracket_equivalence():
                 for combo in itertools.product(range(len(pool)), repeat=n):
                     inputs = [(pool[i][1], pool[i][2]) for i in combo]
                     residual = jacobiator(fam, inputs, n)
-                    record_combo("q-jacobi-residual", residual, fam.zero_element())
+                    ledger.record_combo("q-jacobi-residual", residual, fam.zero_element())
             for _ in range(2):
                 f = random_homogeneous(q.chart.variables, rng, 2)
-                record("q-squared-action", q.apply(q.apply(f)), Series.zero())
+                ledger.record("q-squared-action", q.apply(q.apply(f)), Series.zero())
     assert {"lie2", "curved", "odd-linf", "differential", "abelian", "ternary"} <= names
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 3 took {elapsed:.2f}s"
-    announce(f"[criterion 3] PASS derived-bracket equivalence "
-             f"(6 fields x k in 0..2, arity 4, {elapsed:.2f}s)")
+    return (f"[criterion 3] PASS derived-bracket equivalence "
+            f"(6 fields x k in 0..2, arity 4, {elapsed:.2f}s)")
+
+
+def test_criterion_03_derived_bracket_equivalence(ledgers):
+    announce(ledgers.build(criterion_03_derived_bracket_equivalence).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +369,7 @@ def master_corpus():
     return entries
 
 
-def test_criterion_04_hamiltonian_families():
+def criterion_04_hamiltonian_families(ledger):
     start = time.perf_counter()
     corpus = master_corpus()
     assert len(corpus) >= 3
@@ -349,18 +392,20 @@ def test_criterion_04_hamiltonian_families():
         leibniz_total += 17
         # ledger: master equation, jacobi residuals, leibniz identities,
         # binary graded symmetry
-        record("master-equation", canonical_bracket(master, master, ct), Series.zero())
+        ledger.record("master-equation", canonical_bracket(master, master, ct),
+                      Series.zero())
         pool = fam.pool()
         for n in range(4):
             for combo in itertools.product(range(len(pool)), repeat=n):
                 inputs = [(pool[i][1], pool[i][2]) for i in combo]
-                record("h-jacobi-residual", jacobiator(fam, inputs, n), Series.zero())
+                ledger.record("h-jacobi-residual", jacobiator(fam, inputs, n),
+                              Series.zero())
         for i, j in itertools.product(range(len(pool)), repeat=2):
             fi, fj = pool[i][1], pool[j][1]
             koszul = -1 if (pool[i][2] * pool[j][2]) % 2 else 1
             sign = koszul if fam.epsilon == 1 else -koszul
-            record("h-binary-symmetry",
-                   fam.bracket([fi, fj]), sign * fam.bracket([fj, fi]))
+            ledger.record("h-binary-symmetry",
+                          fam.bracket([fi, fj]), sign * fam.bracket([fj, fi]))
         rng = random.Random(405)
         for _ in range(10):
             b = random_homogeneous(ct.base.variables, rng, 2)
@@ -369,21 +414,26 @@ def test_criterion_04_hamiltonian_families():
                 continue
             # unary Leibniz: both epsilon signs reduce to (-1)^{bt}
             sign = -1 if b.bigrading().parity else 1
-            record("h-unary-leibniz",
-                   fam.bracket([b * c]),
-                   fam.bracket([b]) * c + sign * (b * fam.bracket([c])))
+            ledger.record("h-unary-leibniz",
+                          fam.bracket([b * c]),
+                          fam.bracket([b]) * c + sign * (b * fam.bracket([c])))
     assert epsilons == {0, 1}
     assert leibniz_total >= 100
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 4 took {elapsed:.2f}s"
-    announce(f"[criterion 4] PASS master Hamiltonians ({len(corpus)} masters, "
-             f"Jacobi arity 4, Leibniz both signs, {elapsed:.2f}s)")
+    return (f"[criterion 4] PASS master Hamiltonians ({len(corpus)} masters, "
+            f"Jacobi arity 4, Leibniz both signs, {elapsed:.2f}s)")
+
+
+def test_criterion_04_hamiltonian_families(ledgers):
+    announce(ledgers.build(criterion_04_hamiltonian_families).summary)
+
 
 # ---------------------------------------------------------------------------
 # criterion 5: parity reversion round trip
 # ---------------------------------------------------------------------------
 
-def test_criterion_05_parity_reversion():
+def criterion_05_parity_reversion(ledger):
     rng = random.Random(505)
     # random explicit families, both symmetry types, arity <= 3
     for trial in range(10):
@@ -401,8 +451,8 @@ def test_criterion_05_parity_reversion():
         double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
         for n in range(4):
             for key in itertools.product(range(dim), repeat=n):
-                record_combo(f"reversion-roundtrip-{trial}",
-                             fam.bracket_indices(key), double.bracket_indices(key))
+                ledger.record_combo(f"reversion-roundtrip-{trial}",
+                                    fam.bracket_indices(key), double.bracket_indices(key))
 
     # transport maps antisymmetric Jacobi families to symmetric ones and back
     basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
@@ -423,10 +473,14 @@ def test_criterion_05_parity_reversion():
     for n in range(4):
         for key in itertools.product(range(3), repeat=n):
             inputs = [(pool[i][1], pool[i][2]) for i in key]
-            record_combo("reversion-jacobi", jacobiator(odd_side, inputs, n),
-                         odd_side.zero_element())
-    announce("[criterion 5] PASS parity-reversion transport "
-             "(10 random round trips + law transport, arity 3)")
+            ledger.record_combo("reversion-jacobi", jacobiator(odd_side, inputs, n),
+                                odd_side.zero_element())
+    return ("[criterion 5] PASS parity-reversion transport "
+            "(10 random round trips + law transport, arity 3)")
+
+
+def test_criterion_05_parity_reversion(ledgers):
+    announce(ledgers.build(criterion_05_parity_reversion).summary)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +545,7 @@ def thick_corpus():
     return out
 
 
-def test_criterion_06_pullback_oracle_agreement():
+def criterion_06_pullback_oracle_agreement(ledger):
     start = time.perf_counter()
     corpus = thick_corpus()
     assert len(corpus) >= 10
@@ -501,7 +555,7 @@ def test_criterion_06_pullback_oracle_agreement():
     for name, phi, g in corpus:
         result = pullback(phi, g, 1)
         expansion = pullback_expansion_oracle(phi, g)
-        record(f"pullback-oracle-{name}", result.f, expansion)
+        ledger.record(f"pullback-oracle-{name}", result.f, expansion)
 
     # the closed-form example, exactly
     m1 = Chart.build([("x", 0, 0)], "M1")
@@ -511,12 +565,16 @@ def test_criterion_06_pullback_oracle_agreement():
                         V(m1.variables[0]) * V(q) + HALF * V(q) ** 2)
     c = Fraction(3, 2)
     result = pullback(phi, c * V(m2.variables[0]), 4)
-    record("pullback-closed-form", result.f,
-           c * V(m1.variables[0]) + HALF * c * c)
+    ledger.record("pullback-closed-form", result.f,
+                  c * V(m1.variables[0]) + HALF * c * c)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 6 took {elapsed:.2f}s"
-    announce(f"[criterion 6] PASS pullback oracle agreement "
-             f"({len(corpus)} morphisms + closed form, {elapsed:.2f}s)")
+    return (f"[criterion 6] PASS pullback oracle agreement "
+            f"({len(corpus)} morphisms + closed form, {elapsed:.2f}s)")
+
+
+def test_criterion_06_pullback_oracle_agreement(ledgers):
+    announce(ledgers.build(criterion_06_pullback_oracle_agreement).summary)
 
 
 def test_criterion_07_weight_preservation():
@@ -605,7 +663,7 @@ def hj_corpus():
     return out
 
 
-def test_criterion_08_hj_implies_intertwining():
+def criterion_08_hj_implies_intertwining(ledger):
     start = time.perf_counter()
     corpus = hj_corpus()
     assert len(corpus) >= 5
@@ -616,7 +674,7 @@ def test_criterion_08_hj_implies_intertwining():
         assert inter.passed, f"{name}: {inter.failures()[:2]}"
         # ledger: both sides of the HJ identity and of the intertwining identity
         lhs, rhs = _hj_sides(phi, h1, ct1, h2, ct2)
-        record(f"hj-{name}", lhs.truncate(4), rhs.truncate(4))
+        ledger.record(f"hj-{name}", lhs.truncate(4), rhs.truncate(4))
         f_t, y_t, q_t, _ = _pullback_graded(phi, g, 4)
         lhs_i = h1.substitute({
             ct1.conjugate(v): f_t.left_derivative(v) for v in phi.source.variables})
@@ -625,7 +683,7 @@ def test_criterion_08_hj_implies_intertwining():
             bindings[y_var] = y_t[y_var]
             bindings[ct2.conjugate(y_var)] = q_t[phi.momentum(y_var)]
         rhs_i = h2.substitute(bindings)
-        record(f"intertwine-{name}", lhs_i.truncate(3), rhs_i.truncate(3))
+        ledger.record(f"intertwine-{name}", lhs_i.truncate(3), rhs_i.truncate(3))
 
     # perturbed triples: both checks must fail
     perturbed = 0
@@ -642,19 +700,31 @@ def test_criterion_08_hj_implies_intertwining():
     assert perturbed >= 3
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 8 took {elapsed:.2f}s"
-    announce(f"[criterion 8] PASS HJ => intertwining ({len(corpus)} triples, "
-             f"{perturbed} perturbations fail both, {elapsed:.2f}s)")
+    return (f"[criterion 8] PASS HJ => intertwining ({len(corpus)} triples, "
+            f"{perturbed} perturbations fail both, {elapsed:.2f}s)")
+
+
+def test_criterion_08_hj_implies_intertwining(ledgers):
+    announce(ledgers.build(criterion_08_hj_implies_intertwining).summary)
 
 
 # ---------------------------------------------------------------------------
 # criterion 9: oracle cross-validation of every recorded pass
 # ---------------------------------------------------------------------------
 
-def test_criterion_09_oracle_cross_validation():
+# the criteria that record identities, in the order that fixes each one's seed
+LEDGER_CRITERIA = (criterion_01_sign_kernel, criterion_02_canonical_bracket_suite,
+                   criterion_03_derived_bracket_equivalence,
+                   criterion_04_hamiltonian_families, criterion_05_parity_reversion,
+                   criterion_06_pullback_oracle_agreement,
+                   criterion_08_hj_implies_intertwining)
+
+
+def test_criterion_09_oracle_cross_validation(ledgers):
+    identities, factors = ledgers.full()
     start = time.perf_counter()
-    assert LEDGER, "criteria 1-8 must run first (full-module run)"
     failures = []
-    for index, (tag, lhs, rhs) in enumerate(LEDGER):
+    for index, (tag, lhs, rhs) in enumerate(identities):
         seed = ORACLE_BASE_SEED + index
         report = identity_check(lhs, rhs, trials=100, seed=seed)
         if not report.passed:
@@ -663,7 +733,7 @@ def test_criterion_09_oracle_cross_validation():
 
     # independent arithmetic check: kernel products against oracle products
     morphism_failures = 0
-    for index, (a, b) in enumerate(FACTOR_LEDGER):
+    for index, (a, b) in enumerate(factors):
         rng = random.Random(ORACLE_BASE_SEED + 10 ** 6 + index)
         generators = suggested_generator_count(a, b)
         variables = a.variables() | b.variables()
@@ -676,8 +746,8 @@ def test_criterion_09_oracle_cross_validation():
     assert morphism_failures == 0
     elapsed = time.perf_counter() - start
     announce(f"[criterion 9] PASS oracle cross-validation "
-             f"({len(LEDGER)} identities x 100 trials, base seed {ORACLE_BASE_SEED}; "
-             f"{len(FACTOR_LEDGER)} product-morphism checks, {elapsed:.1f}s)")
+             f"({len(identities)} identities x 100 trials, base seed {ORACLE_BASE_SEED}; "
+             f"{len(factors)} product-morphism checks, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

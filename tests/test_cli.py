@@ -87,6 +87,59 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+# a thick morphism with masters and a test function; a task appended is line 13
+THICK_PROBLEM = (
+    "manifold M1\n  var x even -1\nend\n"
+    "manifold M2\n  var y even -1\nend\n"
+    "cotangent CT1 base M1 shift -2\n"
+    "cotangent CT2 base M2 shift -2\n"
+    "function H1 on CT1 = p_x\n"
+    "function H2 on CT2 = p_y\n"
+    "function g on M2 = y^2\n"
+    "thick Phi source M1 target M2 shift -2 kind even = x * q_y + 1/2 * q_y^2\n"
+)
+THICK_TASK_LINE = 13
+
+
+class TestTaskArguments:
+    """Bad orders and missing arguments are parse errors with the task's line."""
+
+    def run_task_line(self, tmp_path, task, *flags):
+        problem = tmp_path / "task.gk"
+        problem.write_text(THICK_PROBLEM + task + "\n")
+        proc = run_cli(str(problem), *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"line {THICK_TASK_LINE}" in proc.stderr
+        return proc.stderr
+
+    def test_thick_problem_runs(self, tmp_path):
+        problem = tmp_path / "task.gk"
+        problem.write_text(THICK_PROBLEM + "task pullback Phi g order 2\n")
+        assert run_cli(str(problem)).returncode == 0
+
+    def test_negative_pullback_order(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task pullback Phi g order -1")
+        assert "order must be nonnegative" in stderr
+
+    def test_negative_hj_order(self, tmp_path):
+        self.run_task_line(tmp_path, "task check-hj Phi H1 H2 order -1")
+
+    def test_negative_intertwining_order(self, tmp_path):
+        self.run_task_line(tmp_path, "task check-intertwining Phi H1 H2 g order -1")
+
+    def test_negative_order_flag(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task pullback Phi g", "--order", "-1")
+        assert "got -1" in stderr
+
+    def test_hj_missing_arguments(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task check-hj Phi")
+        assert "usage: task check-hj" in stderr
+
+    def test_intertwining_missing_arguments(self, tmp_path):
+        self.run_task_line(tmp_path, "task check-intertwining Phi H1 H2")
+
+
 class TestDeterminism:
     def test_json_reports_are_byte_identical(self):
         for stem in CORPUS_FILES:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from gradedkernel.graded_core import (
     Series,
     format_series,
     merge_monomials,
+    monomial_bigrading,
+    monomial_fiber_degree,
     normalize_product,
 )
 
@@ -123,6 +126,12 @@ class TestSubstitute:
     def test_grading_mismatch(self):
         with pytest.raises(GradingMismatch):
             V(X).substitute({X: V(XI1)})
+
+    def test_truncated_binding_truncates_unbound_terms(self):
+        # q stays unbound; the binding's order still truncates q^2 away
+        out = (V(Q) ** 2 + V(X)).substitute({X: (V(X) + V(Q)).truncate(1)})
+        assert out == V(X) + V(Q)
+        assert out.truncation_order == 1
 
     def test_simultaneous(self):
         # x -> xi1 would alias if applied sequentially; bindings are parallel
@@ -243,3 +252,145 @@ def test_bigrade_of_product_adds(ab, cd):
     product = a * b
     if not product.is_zero:
         assert product.bigrading() == ga + gb
+
+
+# -- the truncated product and substitution against a naive reference ----------
+
+PI = GradedVariable("pi", 1, 0, 1, 1)
+MIXED = [X, XI1, XI2, Q, PI]
+TRUNCATIONS = st.one_of(st.none(), st.integers(0, 3))
+
+
+def factors_of(monomial):
+    return [var for var, exp in monomial for _ in range(exp)]
+
+
+@st.composite
+def monomials(draw, max_degree):
+    """A canonical monomial over MIXED: even exponents up to 3, odd ones up to 1."""
+    exponents = [draw(st.integers(0, 1 if v.parity else 3)) for v in MIXED]
+    factors = [v for v, e in zip(MIXED, exponents) for _ in range(e)][:max_degree]
+    return normalize_product(factors).monomial
+
+
+@st.composite
+def truncated_series(draw, max_terms=3, max_degree=9):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[draw(monomials(max_degree))] = coeff
+    return Series(terms, draw(TRUNCATIONS))
+
+
+@st.composite
+def binding_for(draw, var):
+    """Zero, or a series homogeneous of ``var``'s bigrading, maybe truncated."""
+    products = (normalize_product(list(factors)) for n in range(3)
+                for factors in itertools.combinations_with_replacement(MIXED, n))
+    pool = [t.monomial for t in products
+            if not t.is_zero and monomial_bigrading(t.monomial) == var.bigrading]
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+    terms = {m: Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2))) for m in chosen}
+    return Series(terms, draw(TRUNCATIONS))
+
+
+@st.composite
+def bindings(draw):
+    """Bindings for a random subset of MIXED; the rest stay unbound."""
+    bound = draw(st.lists(st.sampled_from(MIXED), unique=True))
+    return {var: draw(binding_for(var)) for var in bound}
+
+
+def min_order(*orders):
+    present = [o for o in orders if o is not None]
+    return min(present) if present else None
+
+
+def naive_sum(products, order):
+    """Sum ``coeff * factors`` over (coeff, factor list) pairs, by sorting each list."""
+    out = {}
+    for coeff, factors in products:
+        term = normalize_product(factors)
+        if term.is_zero:
+            continue
+        if order is not None and monomial_fiber_degree(term.monomial) > order:
+            continue
+        out[term.monomial] = out.get(term.monomial, Fraction(0)) + coeff * term.coefficient
+    return Series(out, order)
+
+
+def assert_invariants(series):
+    order = series.truncation_order
+    for monomial, coeff in series.items():
+        assert isinstance(coeff, Fraction) and coeff != 0
+        assert order is None or monomial_fiber_degree(monomial) <= order
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_series(), truncated_series())
+def test_product_matches_naive(a, b):
+    order = min_order(a.truncation_order, b.truncation_order)
+    product = a * b
+    expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
+                          for ma, ca in a.items() for mb, cb in b.items()), order)
+    assert product == expected
+    assert product.truncation_order == order
+    assert_invariants(product)
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_series(max_degree=4), bindings())
+def test_substitute_matches_naive(s, bound):
+    order = min_order(s.truncation_order, *(v.truncation_order for v in bound.values()))
+    products = []
+    for monomial, coeff in s.items():
+        # each factor becomes the terms of its binding, or stays itself
+        choices = [bound[var].items() if var in bound else [(((var, 1),), Fraction(1))]
+                   for var in factors_of(monomial)]
+        for picked in itertools.product(*choices):
+            value = coeff
+            factors = []
+            for m, c in picked:
+                value *= c
+                factors += factors_of(m)
+            products.append((value, factors))
+    result = s.substitute(bound)
+    assert result == naive_sum(products, order)
+    assert result.truncation_order == order
+    assert_invariants(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series(), truncated_series(), st.sampled_from(MIXED), st.integers(0, 3))
+def test_results_keep_invariants(a, b, var, order):
+    for result in (a + b, a - b, -a, a * Fraction(2, 3), a * 0, a.truncate(order),
+                   a.left_derivative(var), a.without_truncation(),
+                   a.filter_terms(lambda m: len(m) != 1)):
+        assert_invariants(result)
+    assert (a + b).truncation_order == min_order(a.truncation_order, b.truncation_order)
+
+
+FIELDS = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1), st.integers(-1, 1),
+                   st.integers(0, 1), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS, FIELDS)
+def test_variables_compare_by_value(first, second):
+    a = GradedVariable(*first)
+    b = GradedVariable(*second)
+    assert (a == b) == (first == second)
+    assert (a != b) == (first != second)
+    if first == second:
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+        assert a.key == b.key
+
+
+def test_variables_differ_in_each_field():
+    base = ("a", 1, 1, 1, 1)
+    for position, other in enumerate(("b", 0, 2, 0, 2)):
+        fields = list(base)
+        fields[position] = other
+        assert GradedVariable(*fields) != GradedVariable(*base)
+    assert GradedVariable(*base) == GradedVariable(*base)
