@@ -51,8 +51,6 @@ from .homotopy import (
     check_weights_parities,
     constant_field,
     derived_bracket_H,
-    derived_bracket_Q,
-    iterated_commutator_bracket,
     parity_reverse_brackets,
 )
 from .microformal import (

@@ -321,6 +321,8 @@ def _decl_space(problem: ProblemFile, lines: _Lines, number: int,
             break
         _require(len(bwords) == 4 and bwords[0] == "basis",
                  "usage: basis <name> <even|odd> <weight>", bnum)
+        _require(all(bwords[1] != spec[0] for spec in specs),
+                 f"duplicate basis name {bwords[1]!r}", bnum)
         specs.append((bwords[1], _parse_parity(bwords[2], bnum),
                       _parse_int(bwords[3], bnum)))
     problem.spaces[name] = SpaceBasis.build(specs)
@@ -338,6 +340,7 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         if q is None:
             raise UnknownNameError(f"unknown vector field {words[3]!r}", number)
         options = _keyword_args(words[4:], number, eps=0, k=0)
+        _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
         sig = ShiftSignature(options["eps"], options["k"])
         if not isinstance(q.chart, Chart):
             raise ProblemSyntaxError("fromq needs a field on a plain manifold", number)
@@ -359,6 +362,7 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         if basis is None:
             raise UnknownNameError(f"unknown space {words[3]!r}", number)
         options = _keyword_args(words[4:], number, eps=0, k=0, arity=4)
+        _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
         fake_env = {
             v.name: GradedVariable(v.name, v.parity, v.weight, 0, v.index)
             for v in basis}
@@ -425,21 +429,13 @@ def _decl_thick(problem: ProblemFile, lines: _Lines, number: int,
     problem.thicks[name] = ThickMorphism(source, target, shift, kind, series)
 
 
-# the positional arguments of the tasks that take a truncation order
-_ORDER_TASKS = {
-    "pullback": ("<thick>", "<g>"),
-    "check-hj": ("<thick>", "<H1>", "<H2>"),
-    "check-intertwining": ("<thick>", "<H1>", "<H2>", "<g>"),
-}
-
-
 def _decl_task(problem: ProblemFile, lines: _Lines, number: int,
                content: str, words: List[str]) -> None:
     _require(len(words) >= 2, "usage: task <command> [args...]", number)
-    positional = _ORDER_TASKS.get(words[1])
-    if positional is not None:
-        _require(len(words) - 2 >= len(positional),
-                 f"usage: task {words[1]} {' '.join(positional)} [order <n>]", number)
+    _require(words[1] in _TASKS, f"unknown task {words[1]!r}", number)
+    positional, options = _TASKS[words[1]]
+    usage = " ".join((words[1],) + positional) + "".join(f" [{key} <n>]" for key in options)
+    _require(len(words) - 2 >= len(positional), f"usage: task {usage}", number)
     problem.tasks.append(Task(number, words[1], words[2:]))
 
 
@@ -483,36 +479,56 @@ def _function_on_cotangent(problem: ProblemFile, name: str, line: int):
     return series, chart
 
 
-def _task_order(task: Task, flags: Flags) -> int:
-    """The truncation order of a pullback-type task: its ``order`` option, else ``--order``."""
-    options = _keyword_args(task.args[len(_ORDER_TASKS[task.command]):], task.line,
-                            order=flags.order)
-    if options["order"] < 0:
-        raise ProblemSyntaxError(f"order must be nonnegative, got {options['order']}",
-                                 task.line)
-    return options["order"]
+# each task's positional arguments, and its integer options with their
+# defaults; a default of None is read from the flag of that name
+_TASKS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Optional[int]]]] = {
+    "check-master": (("<Q|H>",), {}),
+    "check-jacobi": (("<family>",), {"arity": None}),
+    "check-weights": (("<family>",), {"arity": None}),
+    "check-leibniz": (("<family>",), {"trials": 20}),
+    "derive-brackets": (("<family>",), {"arity": None}),
+    "validate-thick": (("<thick>",), {}),
+    "pullback": (("<thick>", "<g>"), {"order": None}),
+    "check-hj": (("<thick>", "<H1>", "<H2>"), {"order": None}),
+    "check-intertwining": (("<thick>", "<H1>", "<H2>", "<g>"), {"order": None}),
+    "oracle-verify": (("<f>", "<g>"), {"trials": 100}),
+    "bigrade": (("<g>",), {}),
+}
 
 
-def check_task_orders(problem: ProblemFile, flags: Flags) -> None:
-    """Reject, at the task's line, a pullback-type task with bad options or a negative order."""
+def _task_options(task: Task, flags: Flags) -> Dict[str, int]:
+    """A task's integer options: given on its line, else its default or the flag of that name."""
+    if task.command not in _TASKS:
+        raise ProblemSyntaxError(f"unknown task {task.command!r}", task.line)
+    positional, defaults = _TASKS[task.command]
+    defaults = {key: getattr(flags, key) if default is None else default
+                for key, default in defaults.items()}
+    options = _keyword_args(task.args[len(positional):], task.line, **defaults)
+    for key, value in options.items():
+        if value < 0:
+            raise ProblemSyntaxError(f"{key} must be nonnegative, got {value}", task.line)
+    return options
+
+
+def check_task_options(problem: ProblemFile, flags: Flags) -> None:
+    """Reject, at the task's line, a task with bad options or a negative one."""
     for task in problem.tasks:
-        if task.command in _ORDER_TASKS:
-            _task_order(task, flags)
+        _task_options(task, flags)
 
 
 def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
     command = task.command
     args = task.args
     line = task.line
+    options = _task_options(task, flags)
     if command == "check-master":
-        target = args[0] if args else ""
+        target = args[0]
         if target in problem.fields:
             return check_master(problem.fields[target])
         series, chart = _function_on_cotangent(problem, target, line)
         return check_master(series, chart)
     if command == "check-jacobi":
-        fam = _get(problem, "families", args[0] if args else "", line)
-        options = _keyword_args(args[1:], line, arity=flags.arity)
+        fam = _get(problem, "families", args[0], line)
         note = ""
         if isinstance(fam, HamiltonianFamily):
             note = ("function-family identities use the bracket form of the "
@@ -520,26 +536,23 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
                     "are resolved to that form")
         return check_higher_jacobi(fam, options["arity"], note=note)
     if command == "check-weights":
-        fam = _get(problem, "families", args[0] if args else "", line)
-        options = _keyword_args(args[1:], line, arity=flags.arity)
+        fam = _get(problem, "families", args[0], line)
         return check_weights_parities(fam, fam.signature, options["arity"])
     if command == "check-leibniz":
-        fam = _get(problem, "families", args[0] if args else "", line)
+        fam = _get(problem, "families", args[0], line)
         if not isinstance(fam, HamiltonianFamily):
             raise GradingMismatch("check-leibniz needs a fromhamiltonian family")
-        options = _keyword_args(args[1:], line, trials=20)
         return check_leibniz(fam, trials=options["trials"], seed=flags.oracle_seed)
     if command == "derive-brackets":
-        fam = _get(problem, "families", args[0] if args else "", line)
-        options = _keyword_args(args[1:], line, arity=flags.arity)
+        fam = _get(problem, "families", args[0], line)
         return derive_brackets_report(fam, options["arity"])
     if command == "validate-thick":
-        phi = _get(problem, "thicks", args[0] if args else "", line)
+        phi = _get(problem, "thicks", args[0], line)
         return validate_thick(phi)
     if command == "pullback":
         phi = _get(problem, "thicks", args[0], line)
         series, _ = _get(problem, "functions", args[1], line)
-        result = pullback(phi, series, _task_order(task, flags))
+        result = pullback(phi, series, options["order"])
         report = Report(f"pullback along {args[0]} at order {result.order}")
         report.ok("pullback-f", notes=f"f = {format_series(result.f)}")
         for var, solution in sorted(result.y_solution.items(), key=lambda kv: kv[0].key):
@@ -552,22 +565,20 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
         phi = _get(problem, "thicks", args[0], line)
         h1, ct1 = _function_on_cotangent(problem, args[1], line)
         h2, ct2 = _function_on_cotangent(problem, args[2], line)
-        return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, _task_order(task, flags))
+        return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, options["order"])
     if command == "check-intertwining":
         phi = _get(problem, "thicks", args[0], line)
         h1, ct1 = _function_on_cotangent(problem, args[1], line)
         h2, ct2 = _function_on_cotangent(problem, args[2], line)
         series, _ = _get(problem, "functions", args[3], line)
-        return check_intertwining(phi, h1, ct1, h2, ct2, series,
-                                  _task_order(task, flags))
+        return check_intertwining(phi, h1, ct1, h2, ct2, series, options["order"])
     if command == "oracle-verify":
-        lhs, _ = _get(problem, "functions", args[0] if args else "", line)
-        rhs, _ = _get(problem, "functions", args[1] if len(args) > 1 else "", line)
-        options = _keyword_args(args[2:], line, trials=100)
+        lhs, _ = _get(problem, "functions", args[0], line)
+        rhs, _ = _get(problem, "functions", args[1], line)
         return identity_check(lhs, rhs, trials=options["trials"],
                               seed=flags.oracle_seed)
     if command == "bigrade":
-        series, _ = _get(problem, "functions", args[0] if args else "", line)
+        series, _ = _get(problem, "functions", args[0], line)
         report = Report(f"bigrading of {args[0]}")
         grade = series.bigrading()
         report.ok("bigrade", notes=str(grade))
@@ -681,7 +692,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         problem = parse_problem(text)
-        check_task_orders(problem, flags)
+        check_task_options(problem, flags)
     except GradedKernelError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -159,14 +159,8 @@ def shifted_anticotangent(base: Chart, s: int) -> CotangentChart:
     return CotangentChart(base, fiber, s, KIND_ODD)
 
 
-def _chart_variables(chart: AnyChart) -> Tuple[GradedVariable, ...]:
-    if isinstance(chart, CotangentChart):
-        return chart.variables
-    return chart.variables
-
-
 def _check_on_chart(series: Series, chart: AnyChart, what: str) -> None:
-    allowed = set(_chart_variables(chart))
+    allowed = set(chart.variables)
     stray = series.variables() - allowed
     if stray:
         names = ", ".join(sorted(v.name for v in stray))
@@ -187,7 +181,7 @@ class VectorField:
                  parity: int, weight: int):
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        variables = _chart_variables(chart)
+        variables = chart.variables
         clean: Dict[GradedVariable, Series] = {}
         for var, series in components.items():
             if var not in variables:
@@ -230,7 +224,7 @@ class VectorField:
         return out
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        if self.chart is not other.chart and _chart_variables(self.chart) != _chart_variables(other.chart):
+        if self.chart is not other.chart and self.chart.variables != other.chart.variables:
             raise ChartMismatch("cannot add vector fields on different charts")
         if (self.parity, self.weight) != (other.parity, other.weight) and not (self.is_zero or other.is_zero):
             raise GradingMismatch("cannot add vector fields of different bigradings")
@@ -253,13 +247,13 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         return (dict(self.components) == dict(other.components)
-                and _chart_variables(self.chart) == _chart_variables(other.chart))
+                and self.chart.variables == other.chart.variables)
 
     def __str__(self) -> str:
         if not self.components:
             return "0"
         pieces = []
-        for var in _chart_variables(self.chart):
+        for var in self.chart.variables:
             comp = self.components.get(var)
             if comp is not None:
                 pieces.append(f"({comp}) d/d{var.name}")
@@ -270,11 +264,11 @@ class VectorField:
 
 def commutator(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y] = X Y - (-1)^{Xt Yt} Y X, computed on coordinate functions."""
-    if _chart_variables(x.chart) != _chart_variables(y.chart):
+    if x.chart.variables != y.chart.variables:
         raise ChartMismatch("commutator requires vector fields on one chart")
     sign = -1 if (x.parity and y.parity) else 1
     components: Dict[GradedVariable, Series] = {}
-    for var in _chart_variables(x.chart):
+    for var in x.chart.variables:
         comp = x.apply(y.component(var)) - sign * y.apply(x.component(var))
         if not comp.is_zero:
             components[var] = comp
@@ -287,10 +281,6 @@ def is_homological(q: VectorField) -> bool:
     if q.parity != 1:
         return False
     return commutator(q, q).is_zero
-
-
-def self_commutator(q: VectorField) -> VectorField:
-    return commutator(q, q)
 
 
 def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:

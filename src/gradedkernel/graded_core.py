@@ -251,7 +251,7 @@ class Series:
     means the series is exact.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_trunc")
+    __slots__ = ("_terms", "_trunc", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None,
                  truncation_order: Optional[int] = None):
@@ -265,6 +265,7 @@ class Series:
             clean[monomial] = coeff
         self._terms = clean
         self._trunc = truncation_order
+        self._hash = None
 
     @classmethod
     def _trusted(cls, terms: dict, truncation_order: Optional[int]) -> "Series":
@@ -272,6 +273,7 @@ class Series:
         series = cls.__new__(cls)
         series._terms = terms
         series._trunc = truncation_order
+        series._hash = None
         return series
 
     # -- construction -----------------------------------------------------
@@ -431,7 +433,10 @@ class Series:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # computed once: bracket families key their caches on series
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     # -- calculus ----------------------------------------------------------
 

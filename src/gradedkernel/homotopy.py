@@ -210,10 +210,6 @@ class Combination:
 Element = Union[Combination, Series]
 
 
-def _element_is_zero(value: Element) -> bool:
-    return value.is_zero
-
-
 def constant_field(u: BasisVector, chart: Chart, sig: ShiftSignature,
                    basis: SpaceBasis) -> VectorField:
     """The constant field i_u on Pi^{1+eps} V[1-k].
@@ -246,42 +242,10 @@ def _invert_constant_field(field_constants: Mapping[GradedVariable, Fraction],
     return Combination(basis, coeffs)
 
 
-def iterated_commutator_bracket(q: VectorField, inputs: Sequence[BasisVector],
-                                sig: ShiftSignature, basis: SpaceBasis) -> Combination:
-    """The raw derived bracket: nested commutators, constant part, inversion.
-
-    No homologicity gate; `derived_bracket_Q` adds it.
-    """
-    chart = q.chart
-    current = q
-    for u in inputs:
-        current = commutator(current, constant_field(u, chart, sig, basis))
-    combo = _invert_constant_field(current.constant_part(), chart, sig, basis)
-    if sig.epsilon == 0:
-        n = len(inputs)
-        exponent = sum(inputs[j].parity * (n - 1 - j) for j in range(max(n - 1, 0)))
-        if exponent % 2:
-            combo = -combo
-    return combo
-
-
-def derived_bracket_Q(q: VectorField, inputs: Sequence[BasisVector],
-                      sig: ShiftSignature, basis: SpaceBasis) -> Combination:
-    """Higher derived bracket of a homological field; raises NotHomological."""
-    if not is_homological(q):
-        raise NotHomological("derived brackets require an odd field with [Q,Q] = 0")
-    return iterated_commutator_bracket(q, inputs, sig, basis)
-
-
 def derived_bracket_H(master: Series, inputs: Sequence[Series],
                       ct: CotangentChart) -> Series:
     """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
-    current = master
-    for f in inputs:
-        if any(v.fiber_degree for v in f.variables()):
-            raise GradingMismatch("derived bracket inputs must be base functions")
-        current = canonical_bracket(current, f, ct)
-    return restrict_to_base(current, ct)
+    return HamiltonianFamily(master, ct).bracket(inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +253,19 @@ def derived_bracket_H(master: Series, inputs: Sequence[Series],
 # ---------------------------------------------------------------------------
 
 class BracketFamily:
-    """Common interface: multilinear n-ary brackets plus a labeled input pool."""
+    """Common interface: multilinear n-ary brackets plus a labeled input pool.
+
+    A family built from a generator (a vector field or a master) evaluates a
+    bracket as a chain of steps from the generator, one per input.  ``_chain``
+    keeps the value after every prefix it has walked, keyed by the tuple of
+    input keys, so a new chain costs one step per input past its longest
+    cached prefix; the Jacobi sums repeat prefixes across unshuffles.  Such a
+    family sets ``_prefixes = {(): generator}`` and defines ``_step``.
+    """
 
     epsilon: int
     k: int
+    _prefixes: Dict[Tuple, object]
 
     @property
     def signature(self) -> ShiftSignature:
@@ -310,6 +283,19 @@ class BracketFamily:
 
     def format_element(self, value: Element) -> str:
         return str(value)
+
+    def _chain(self, keys: Tuple):
+        prefixes = self._prefixes
+        value = prefixes.get(keys)
+        if value is not None:
+            return value
+        done = len(keys) - 1
+        while (value := prefixes.get(keys[:done])) is None:
+            done -= 1
+        for i in range(done, len(keys)):
+            value = self._step(value, keys[i])
+            prefixes[keys[:i + 1]] = value
+        return value
 
 
 class _BasisFamily(BracketFamily):
@@ -367,20 +353,15 @@ class QFamily(_BasisFamily):
         self.basis = basis
         self.epsilon = sig.epsilon
         self.k = sig.k
-        self._nested_cache: Dict[Tuple[int, ...], VectorField] = {(): q}
+        self._constant_fields = [constant_field(u, chart, sig, basis) for u in basis]
+        self._prefixes = {(): q}
 
-    def _nested(self, indices: Tuple[int, ...]) -> VectorField:
-        cached = self._nested_cache.get(indices)
-        if cached is None:
-            prev = self._nested(indices[:-1])
-            field = constant_field(self.basis[indices[-1]], self.q.chart,
-                                   self.signature, self.basis)
-            cached = commutator(prev, field)
-            self._nested_cache[indices] = cached
-        return cached
+    def _step(self, field: VectorField, index: int) -> VectorField:
+        return commutator(field, self._constant_fields[index])
 
     def bracket_indices(self, indices: Tuple[int, ...]) -> Combination:
-        field = self._nested(tuple(indices))
+        """Nested commutators of Q with constant fields, at the origin, inverted."""
+        field = self._chain(tuple(indices))
         combo = _invert_constant_field(field.constant_part(), self.q.chart,
                                        self.signature, self.basis)
         if self.epsilon == 0:
@@ -408,9 +389,24 @@ class HamiltonianFamily(BracketFamily):
         self._pool_seed = pool_seed
         self._pool_size = pool_size
         self._pool_cache: Optional[List[Tuple[str, Series, int, int]]] = None
+        self._prefixes = {(): master}
+        self._restricted: Dict[Tuple, Series] = {}
+
+    def _step(self, current: Series, key: Tuple[Series, Optional[int]]) -> Series:
+        f = key[0]
+        if any(v.fiber_degree for v in f.variables()):
+            raise GradingMismatch("derived bracket inputs must be base functions")
+        return canonical_bracket(current, f, self.ct)
 
     def bracket(self, args: Sequence[Series]) -> Series:
-        return derived_bracket_H(self.master, args, self.ct)
+        """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
+        # Series equality ignores the truncation order, which the bracket
+        # depends on, so an input's key is its value with its order
+        keys = tuple([(f, f.truncation_order) for f in args])
+        value = self._restricted.get(keys)
+        if value is None:
+            value = self._restricted[keys] = restrict_to_base(self._chain(keys), self.ct)
+        return value
 
     def pool(self):
         if self._pool_cache is None:
@@ -558,10 +554,10 @@ def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Element, int]],
                 if (r * s) % 2:
                     sign = -sign
             inner = fam.bracket([elements[j] for j in first])
-            if _element_is_zero(inner):
+            if inner.is_zero:
                 continue
             outer = fam.bracket([inner] + [elements[j] for j in second])
-            if _element_is_zero(outer):
+            if outer.is_zero:
                 continue
             total = total + (outer.scaled(sign) if isinstance(outer, Combination)
                              else outer * sign)
@@ -585,7 +581,7 @@ def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY,
             residual = jacobiator(fam, inputs, n)
             labels = ", ".join(pool[i][0] for i in combo)
             location = f"n={n} ({labels})" if n else "n=0"
-            if _element_is_zero(residual):
+            if residual.is_zero:
                 report.ok("jacobi", location=location)
             else:
                 report.fail("jacobi", location=location,
@@ -605,7 +601,7 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
             value = fam.bracket([pool[i][1] for i in combo])
             labels = ", ".join(pool[i][0] for i in combo)
             location = f"n={n} ({labels})" if n else "n=0"
-            if _element_is_zero(value):
+            if value.is_zero:
                 report.ok("weight-parity", location=location, notes="bracket vanishes")
                 continue
             want_weight = sum(pool[i][3] for i in combo) + sig.bracket_weight(n)
@@ -804,10 +800,8 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
         for var, monomial in unknown_slots:
             candidate = VectorField(chart, {var: Series({monomial: Fraction(1)})},
                                     field_parity, field_weight)
-            columns.append([
-                iterated_commutator_bracket(candidate, [fam.basis[i] for i in key],
-                                            sig, fam.basis)
-                for key in keys])
+            derived = QFamily(candidate, fam.basis, sig, require_homological=False)
+            columns.append([derived.bracket_indices(key) for key in keys])
         for row_idx, key in enumerate(keys):
             want = fam.bracket_indices(key)
             for basis_index in range(len(fam.basis)):

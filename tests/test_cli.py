@@ -100,18 +100,33 @@ THICK_PROBLEM = (
 )
 THICK_TASK_LINE = 13
 
+# a bracket family and a function; a task appended is line 10
+FAMILY_PROBLEM = (
+    "manifold PiV\n  var xi1 odd 1\n  var xi2 odd 1\nend\n"
+    "vectorfield Q on PiV parity odd weight 1\n  xi2 = xi1 * xi2\nend\n"
+    "family F fromq Q eps 0 k 0\n"
+    "function a on PiV = xi1\n"
+)
+FAMILY_TASK_LINE = 10
+
+
+def assert_usage_error(tmp_path, text, line, *flags):
+    """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
+    problem = tmp_path / "task.gk"
+    problem.write_text(text)
+    proc = run_cli(str(problem), *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"line {line}" in proc.stderr
+    return proc.stderr
+
 
 class TestTaskArguments:
     """Bad orders and missing arguments are parse errors with the task's line."""
 
     def run_task_line(self, tmp_path, task, *flags):
-        problem = tmp_path / "task.gk"
-        problem.write_text(THICK_PROBLEM + task + "\n")
-        proc = run_cli(str(problem), *flags)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert f"line {THICK_TASK_LINE}" in proc.stderr
-        return proc.stderr
+        return assert_usage_error(tmp_path, THICK_PROBLEM + task + "\n",
+                                  THICK_TASK_LINE, *flags)
 
     def test_thick_problem_runs(self, tmp_path):
         problem = tmp_path / "task.gk"
@@ -138,6 +153,48 @@ class TestTaskArguments:
 
     def test_intertwining_missing_arguments(self, tmp_path):
         self.run_task_line(tmp_path, "task check-intertwining Phi H1 H2")
+
+
+class TestUsageErrors:
+    """Bad arities, missing arguments and bad declarations exit 2 at their line."""
+
+    def run_task_line(self, tmp_path, task, *flags):
+        return assert_usage_error(tmp_path, FAMILY_PROBLEM + task + "\n",
+                                  FAMILY_TASK_LINE, *flags)
+
+    def test_family_problem_runs(self, tmp_path):
+        problem = tmp_path / "task.gk"
+        problem.write_text(FAMILY_PROBLEM + "task check-jacobi F arity 2\n")
+        assert run_cli(str(problem)).returncode == 0
+
+    @pytest.mark.parametrize("command", ["check-jacobi", "check-weights",
+                                         "derive-brackets"])
+    def test_negative_arity(self, tmp_path, command):
+        stderr = self.run_task_line(tmp_path, f"task {command} F arity -1")
+        assert "arity must be nonnegative" in stderr
+
+    def test_negative_arity_flag(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task check-jacobi F", "--arity", "-1")
+        assert "got -1" in stderr
+
+    @pytest.mark.parametrize("task", ["task check-jacobi", "task oracle-verify a",
+                                      "task check-master", "task bigrade"])
+    def test_missing_positional_argument(self, tmp_path, task):
+        stderr = self.run_task_line(tmp_path, task)
+        assert f"usage: task {task.split()[1]} <" in stderr
+
+    def test_duplicate_basis_name(self, tmp_path):
+        text = "space V\n  basis e1 even 0\n  basis e2 even 0\n  basis e1 odd 0\nend\n"
+        stderr = assert_usage_error(tmp_path, text, 4)
+        assert "duplicate basis name 'e1'" in stderr
+
+    def test_epsilon_out_of_range(self, tmp_path):
+        text = FAMILY_PROBLEM.replace("eps 0", "eps 2")
+        stderr = assert_usage_error(tmp_path, text, 8)
+        assert "eps must be 0 or 1" in stderr
+
+    def test_unknown_task(self, tmp_path):
+        self.run_task_line(tmp_path, "task check-everything F")
 
 
 class TestDeterminism:

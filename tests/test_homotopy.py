@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedkernel.errors import NotHomological
 from gradedkernel.geometry import (
     Chart,
     VectorField,
+    canonical_bracket,
     commutator,
     is_homological,
+    restrict_to_base,
     shifted_anticotangent,
     shifted_cotangent,
 )
@@ -28,8 +31,6 @@ from gradedkernel.homotopy import (
     check_weights_parities,
     constant_field,
     derived_bracket_H,
-    derived_bracket_Q,
-    iterated_commutator_bracket,
     parity_reverse_brackets,
 )
 
@@ -95,18 +96,18 @@ class TestDerivedBracketQ:
         chart = basis.chart(sig)
         euler = VectorField(chart, {chart.variables[0]: V(chart.variables[0])}, 0, 0)
         with pytest.raises(NotHomological):
-            derived_bracket_Q(euler, [basis[0]], sig, basis)
+            QFamily(euler, basis, sig)
 
     def test_raw_bracket_of_euler_field(self):
-        # the ungated helper computes the 1-bracket of the (even) Euler field:
+        # the ungated family computes the 1-bracket of the (even) Euler field:
         # [Q, d/dy](0) = -d/dy, so [e1] = -e1 and all higher brackets vanish
         sig = ShiftSignature(1, 0)
         basis = SpaceBasis.build([("e1", 0, 1)])
         chart = basis.chart(sig)
         euler = VectorField(chart, {chart.variables[0]: V(chart.variables[0])}, 0, 0)
-        assert iterated_commutator_bracket(euler, [basis[0]], sig, basis) == \
-            Combination(basis, {0: Fraction(-1)})
-        assert iterated_commutator_bracket(euler, [basis[0]] * 2, sig, basis).is_zero
+        fam = QFamily(euler, basis, sig, require_homological=False)
+        assert fam.bracket_indices((0,)) == Combination(basis, {0: Fraction(-1)})
+        assert fam.bracket_indices((0, 0)).is_zero
 
 
 class TestEquivalenceTheorem:
@@ -262,6 +263,82 @@ class TestHamiltonianFamilies:
         fam = HamiltonianFamily(V(ct.fiber[0]) ** 2 / 2, ct)
         samples = [([], Series.one(), V(x) ** 2)]
         assert check_leibniz(fam, samples=samples).passed
+
+
+def hamiltonian_cases():
+    """(master, chart, inputs) for an S-infinity and a P-infinity family.
+
+    The inputs include a pair with equal terms and different truncation
+    orders; truncating an input truncates every bracket it enters.
+    """
+    chart = Chart.build([("x", 0, 0), ("xi", 1, -1)], "M")
+    ct = shifted_cotangent(chart, 0)
+    x, xi = chart.variables
+    p, pi = ct.fiber
+    sinf_inputs = [V(x), V(xi), V(x) ** 2, V(x) * V(xi), Series.one(),
+                   (V(x) ** 2).truncate(0), (V(x) ** 2).truncate(1)]
+    base = Chart.build([("x1", 0, -1), ("x2", 0, -1)], "g")
+    act = shifted_anticotangent(base, 0)
+    x1, x2 = base.variables
+    xs1, xs2 = act.fiber
+    pinf_inputs = [V(x1), V(x2), V(x1) * V(x2), V(x2) ** 2,
+                   V(x2).truncate(0), V(x2).truncate(1)]
+    return [(V(p) * V(pi) + V(p) * V(p) * V(pi), ct, sinf_inputs),
+            (V(x2) * V(xs1) * V(xs2) + V(x1) * V(xs1) * V(xs2), act, pinf_inputs)]
+
+
+HAMILTONIAN_CASES = hamiltonian_cases()
+
+
+def iterated_bracket(master, inputs, ct):
+    """Reference: the derived bracket as a plain fold, with no cache."""
+    current = master
+    for f in inputs:
+        current = canonical_bracket(current, f, ct)
+    return restrict_to_base(current, ct)
+
+
+class TestBracketCaches:
+    """A family's prefix cache returns what a fresh computation returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(HAMILTONIAN_CASES),
+           calls=st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=12),
+           data=st.data())
+    def test_cached_hamiltonian_bracket_matches_fresh(self, case, calls, data):
+        master, ct, inputs = case
+        calls = [[i % len(inputs) for i in call] for call in calls]
+        # repeat and permute earlier calls so that the cache is hit
+        calls += [data.draw(st.permutations(call)) for call in calls]
+        calls = data.draw(st.permutations(calls))
+        fam = HamiltonianFamily(master, ct)
+        for call in calls:
+            args = [inputs[i] for i in call]
+            got = fam.bracket(args)
+            fresh = HamiltonianFamily(master, ct).bracket(args)
+            want = iterated_bracket(master, args, ct)
+            assert got == fresh == want
+            assert got.truncation_order == fresh.truncation_order == want.truncation_order
+
+    def test_truncation_order_is_part_of_the_key(self):
+        master, ct, inputs = HAMILTONIAN_CASES[0]
+        exact, truncated, xi = inputs[2], inputs[5], inputs[1]
+        assert exact == truncated and truncated.truncation_order == 0
+        # the truncated input drops the fiber terms the second bracket needs
+        assert iterated_bracket(master, [exact, xi], ct) == -2 * V(ct.base.variables[0])
+        assert iterated_bracket(master, [truncated, xi], ct).is_zero
+        for first, second in ((exact, truncated), (truncated, exact)):
+            fam = HamiltonianFamily(master, ct)
+            for f in (first, second):
+                assert fam.bracket([f, xi]) == iterated_bracket(master, [f, xi], ct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.lists(st.integers(0, 1), max_size=4), max_size=12))
+    def test_cached_q_bracket_matches_fresh(self, calls):
+        fam, q, basis, sig = lie2_family()
+        for call in calls + calls[::-1]:
+            fresh, _, _, _ = lie2_family()
+            assert fam.bracket_indices(tuple(call)) == fresh.bracket_indices(tuple(call))
 
 
 class TestMasterVectorField:
