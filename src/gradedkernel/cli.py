@@ -363,6 +363,8 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
             raise UnknownNameError(f"unknown space {words[3]!r}", number)
         options = _keyword_args(words[4:], number, eps=0, k=0, arity=4)
         _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
+        _require(options["arity"] >= 0,
+                 f"arity must be nonnegative, got {options['arity']}", number)
         fake_env = {
             v.name: GradedVariable(v.name, v.parity, v.weight, 0, v.index)
             for v in basis}
@@ -434,7 +436,8 @@ def _decl_task(problem: ProblemFile, lines: _Lines, number: int,
     _require(len(words) >= 2, "usage: task <command> [args...]", number)
     _require(words[1] in _TASKS, f"unknown task {words[1]!r}", number)
     positional, options = _TASKS[words[1]]
-    usage = " ".join((words[1],) + positional) + "".join(f" [{key} <n>]" for key in options)
+    usage = (" ".join([words[1]] + [label for label, _ in positional])
+             + "".join(f" [{key} <n>]" for key in options))
     _require(len(words) - 2 >= len(positional), f"usage: task {usage}", number)
     problem.tasks.append(Task(number, words[1], words[2:]))
 
@@ -465,39 +468,59 @@ class Flags:
     quiet: bool = False
 
 
-def _get(problem: ProblemFile, group: str, name: str, line: int):
-    value = getattr(problem, group).get(name)
-    if value is None:
-        raise UnknownNameError(f"unknown name {name!r}", line)
-    return value
-
-
-def _function_on_cotangent(problem: ProblemFile, name: str, line: int):
-    series, chart = _get(problem, "functions", name, line)
-    if not isinstance(chart, CotangentChart):
-        raise GradingMismatch(f"{name!r} must live on an (anti)cotangent chart")
-    return series, chart
-
-
-# each task's positional arguments, and its integer options with their
-# defaults; a default of None is read from the flag of that name
-_TASKS: Dict[str, Tuple[Tuple[str, ...], Dict[str, Optional[int]]]] = {
-    "check-master": (("<Q|H>",), {}),
-    "check-jacobi": (("<family>",), {"arity": None}),
-    "check-weights": (("<family>",), {"arity": None}),
-    "check-leibniz": (("<family>",), {"trials": 20}),
-    "derive-brackets": (("<family>",), {"arity": None}),
-    "validate-thick": (("<thick>",), {}),
-    "pullback": (("<thick>", "<g>"), {"order": None}),
-    "check-hj": (("<thick>", "<H1>", "<H2>"), {"order": None}),
-    "check-intertwining": (("<thick>", "<H1>", "<H2>", "<g>"), {"order": None}),
-    "oracle-verify": (("<f>", "<g>"), {"trials": 100}),
-    "bigrade": (("<g>",), {}),
+# each kind of task argument: the declarations it is looked up in, and what
+# it must be; a "master" may also name a vector field
+_ARGUMENT_KINDS = {
+    "family": ("families", "a bracket family"),
+    "fromhamiltonian": ("families", "a fromhamiltonian family"),
+    "thick": ("thicks", "a thick morphism"),
+    "function": ("functions", "a function"),
+    "hamiltonian": ("functions", "a function on an (anti)cotangent chart"),
+    "master": ("functions", "a vector field or a function on an (anti)cotangent chart"),
 }
 
 
-def _task_options(task: Task, flags: Flags) -> Dict[str, int]:
-    """A task's integer options: given on its line, else its default or the flag of that name."""
+def _resolve(problem: ProblemFile, kind: str, name: str, line: int):
+    """What a task argument names: a declaration, or a (series, chart) for a function."""
+    group, description = _ARGUMENT_KINDS[kind]
+    if kind == "master" and name in problem.fields:
+        return problem.fields[name]
+    value = getattr(problem, group).get(name)
+    if value is None and name not in set(problem.all_names()):
+        raise UnknownNameError(f"unknown name {name!r}", line)
+    if (value is None
+            or kind == "fromhamiltonian" and not isinstance(value, HamiltonianFamily)
+            or kind in ("hamiltonian", "master") and not isinstance(value[1], CotangentChart)):
+        raise ProblemSyntaxError(f"{name!r} must be {description}", line)
+    return value
+
+
+# each task's positional arguments as (label, kind), and its integer options
+# with their defaults; a default of None is read from the flag of that name
+_TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]]]] = {
+    "check-master": ((("<Q|H>", "master"),), {}),
+    "check-jacobi": ((("<family>", "family"),), {"arity": None}),
+    "check-weights": ((("<family>", "family"),), {"arity": None}),
+    "check-leibniz": ((("<family>", "fromhamiltonian"),), {"trials": 20}),
+    "derive-brackets": ((("<family>", "family"),), {"arity": None}),
+    "validate-thick": ((("<thick>", "thick"),), {}),
+    "pullback": ((("<thick>", "thick"), ("<g>", "function")), {"order": None}),
+    "check-hj": ((("<thick>", "thick"), ("<H1>", "hamiltonian"), ("<H2>", "hamiltonian")),
+                 {"order": None}),
+    "check-intertwining": ((("<thick>", "thick"), ("<H1>", "hamiltonian"),
+                            ("<H2>", "hamiltonian"), ("<g>", "function")), {"order": None}),
+    "oracle-verify": ((("<f>", "function"), ("<g>", "function")), {"trials": 100}),
+    "bigrade": ((("<g>", "function"),), {}),
+}
+
+
+def _task_arguments(problem: ProblemFile, task: Task,
+                    flags: Flags) -> Tuple[List[object], Dict[str, int]]:
+    """A task's positional arguments, resolved, and its integer options.
+
+    An option is given on the task's line, else it takes its default or the
+    flag of that name.
+    """
     if task.command not in _TASKS:
         raise ProblemSyntaxError(f"unknown task {task.command!r}", task.line)
     positional, defaults = _TASKS[task.command]
@@ -507,28 +530,26 @@ def _task_options(task: Task, flags: Flags) -> Dict[str, int]:
     for key, value in options.items():
         if value < 0:
             raise ProblemSyntaxError(f"{key} must be nonnegative, got {value}", task.line)
-    return options
+    values = [_resolve(problem, kind, name, task.line)
+              for (_, kind), name in zip(positional, task.args)]
+    return values, options
 
 
 def check_task_options(problem: ProblemFile, flags: Flags) -> None:
-    """Reject, at the task's line, a task with bad options or a negative one."""
+    """Reject, at the task's line, a task with bad options, a negative one, or an
+    argument that names nothing of the kind the task needs."""
     for task in problem.tasks:
-        _task_options(task, flags)
+        _task_arguments(problem, task, flags)
 
 
 def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
     command = task.command
-    args = task.args
-    line = task.line
-    options = _task_options(task, flags)
+    args, options = _task_arguments(problem, task, flags)
     if command == "check-master":
         target = args[0]
-        if target in problem.fields:
-            return check_master(problem.fields[target])
-        series, chart = _function_on_cotangent(problem, target, line)
-        return check_master(series, chart)
+        return check_master(*target) if isinstance(target, tuple) else check_master(target)
     if command == "check-jacobi":
-        fam = _get(problem, "families", args[0], line)
+        fam = args[0]
         note = ""
         if isinstance(fam, HamiltonianFamily):
             note = ("function-family identities use the bracket form of the "
@@ -536,24 +557,18 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
                     "are resolved to that form")
         return check_higher_jacobi(fam, options["arity"], note=note)
     if command == "check-weights":
-        fam = _get(problem, "families", args[0], line)
+        fam = args[0]
         return check_weights_parities(fam, fam.signature, options["arity"])
     if command == "check-leibniz":
-        fam = _get(problem, "families", args[0], line)
-        if not isinstance(fam, HamiltonianFamily):
-            raise GradingMismatch("check-leibniz needs a fromhamiltonian family")
-        return check_leibniz(fam, trials=options["trials"], seed=flags.oracle_seed)
+        return check_leibniz(args[0], trials=options["trials"], seed=flags.oracle_seed)
     if command == "derive-brackets":
-        fam = _get(problem, "families", args[0], line)
-        return derive_brackets_report(fam, options["arity"])
+        return derive_brackets_report(args[0], options["arity"])
     if command == "validate-thick":
-        phi = _get(problem, "thicks", args[0], line)
-        return validate_thick(phi)
+        return validate_thick(args[0])
     if command == "pullback":
-        phi = _get(problem, "thicks", args[0], line)
-        series, _ = _get(problem, "functions", args[1], line)
+        phi, (series, _) = args
         result = pullback(phi, series, options["order"])
-        report = Report(f"pullback along {args[0]} at order {result.order}")
+        report = Report(f"pullback along {task.args[0]} at order {result.order}")
         report.ok("pullback-f", notes=f"f = {format_series(result.f)}")
         for var, solution in sorted(result.y_solution.items(), key=lambda kv: kv[0].key):
             report.info("pullback-y", location=var.name, notes=str(solution))
@@ -562,28 +577,22 @@ def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
         report.info("pullback-iterations", notes=str(result.iterations))
         return report
     if command == "check-hj":
-        phi = _get(problem, "thicks", args[0], line)
-        h1, ct1 = _function_on_cotangent(problem, args[1], line)
-        h2, ct2 = _function_on_cotangent(problem, args[2], line)
+        phi, (h1, ct1), (h2, ct2) = args
         return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, options["order"])
     if command == "check-intertwining":
-        phi = _get(problem, "thicks", args[0], line)
-        h1, ct1 = _function_on_cotangent(problem, args[1], line)
-        h2, ct2 = _function_on_cotangent(problem, args[2], line)
-        series, _ = _get(problem, "functions", args[3], line)
+        phi, (h1, ct1), (h2, ct2), (series, _) = args
         return check_intertwining(phi, h1, ct1, h2, ct2, series, options["order"])
     if command == "oracle-verify":
-        lhs, _ = _get(problem, "functions", args[0], line)
-        rhs, _ = _get(problem, "functions", args[1], line)
+        (lhs, _), (rhs, _) = args
         return identity_check(lhs, rhs, trials=options["trials"],
                               seed=flags.oracle_seed)
     if command == "bigrade":
-        series, _ = _get(problem, "functions", args[0], line)
-        report = Report(f"bigrading of {args[0]}")
+        series, _ = args[0]
+        report = Report(f"bigrading of {task.args[0]}")
         grade = series.bigrading()
         report.ok("bigrade", notes=str(grade))
         return report
-    raise ProblemSyntaxError(f"unknown task {command!r}", line)
+    raise ProblemSyntaxError(f"unknown task {command!r}", task.line)
 
 
 def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:

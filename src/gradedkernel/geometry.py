@@ -122,9 +122,6 @@ class CotangentChart:
     def conjugate(self, base_var: GradedVariable) -> GradedVariable:
         return self.fiber[base_var.index]
 
-    def base_of(self, fiber_var: GradedVariable) -> GradedVariable:
-        return self.base.variables[fiber_var.index]
-
     def variable(self, name: str) -> GradedVariable:
         for var in self.variables:
             if var.name == name:
@@ -292,7 +289,11 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
     _check_on_chart(f, ct, "bracket argument")
     _check_on_chart(g, ct, "bracket argument")
     if f.is_zero or g.is_zero:
-        return Series.zero()
+        # every term below vanishes; keep the truncation order their sum would
+        # carry, as a derivative in a fiber variable lowers an order by one
+        orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
+                  if order is not None]
+        return Series.zero(min(orders) if orders and ct.base.variables else None)
     f_parity = f.bigrading().parity
     g.bigrading()
     total = Series.zero()
@@ -312,5 +313,6 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
 
 
 def restrict_to_base(f: Series, ct: CotangentChart) -> Series:
-    """Set every fiber variable to zero."""
-    return Series({m: c for m, c in f.items() if monomial_fiber_degree(m) == 0})
+    """Set every fiber variable to zero; the truncation order carries over."""
+    return Series({m: c for m, c in f.items() if monomial_fiber_degree(m) == 0},
+                  f.truncation_order)

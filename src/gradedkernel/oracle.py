@@ -3,9 +3,14 @@
 Graded expressions are evaluated by sending every variable to a concrete
 multivector with rational coefficients: even variables to even multivectors,
 odd variables to odd ones.  The arithmetic here is deliberately independent
-of the symbolic kernel (subset-keyed multivectors, merge signs computed from
+of the symbolic kernel (bitmask-keyed multivectors, merge signs computed from
 generator indices), so agreement between the two paths is evidence of
 correctness rather than of shared code.
+
+Evaluation runs on Python integers: the assignment is scaled by the lcm of
+its denominators and each monomial by a matching power, so a whole series is
+evaluated times one known nonzero integer, and one division at the end gives
+the exact rational value.
 
 ``identity_check`` never proves an identity; it reports "no counterexample
 in N trials" with the seed that produced the trials.
@@ -15,14 +20,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional
+from math import lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import MissingBinding, ParityViolation
-from .graded_core import GradedVariable, Series
+from .graded_core import GradedVariable, Monomial, Series
 from .report import Report
 
-# A multivector is a mapping from a frozenset of generator indices to a
-# rational coefficient.
+# A multivector maps a blade, the bitmask of its generator indices (bit i is
+# generator th_i), to a nonzero coefficient: a Fraction, or an int inside an
+# integer evaluation.
 
 
 class GrassmannElement:
@@ -31,24 +38,35 @@ class GrassmannElement:
     __slots__ = ("generator_count", "_parts")
 
     def __init__(self, generator_count: int,
-                 parts: Optional[Mapping[frozenset, Fraction]] = None):
+                 parts: Optional[Mapping[Iterable[int], Fraction]] = None):
+        """``parts`` maps collections of generator indices, such as frozensets,
+        to coefficients."""
         self.generator_count = generator_count
-        clean: Dict[frozenset, Fraction] = {}
+        clean: Dict[int, Fraction] = {}
         for subset, coeff in (parts or {}).items():
             coeff = Fraction(coeff)
             if coeff:
-                clean[frozenset(subset)] = coeff
+                clean[sum(1 << i for i in set(subset))] = coeff
         self._parts = clean
 
     @classmethod
+    def _of(cls, generator_count: int, parts: Dict[int, object]) -> "GrassmannElement":
+        """Trusted constructor: ``parts`` is bitmask-keyed, has no zero, and is not copied."""
+        element = object.__new__(cls)
+        element.generator_count = generator_count
+        element._parts = parts
+        return element
+
+    @classmethod
     def scalar(cls, generator_count: int, value) -> "GrassmannElement":
-        return cls(generator_count, {frozenset(): Fraction(value)})
+        value = Fraction(value)
+        return cls._of(generator_count, {0: value} if value else {})
 
     @classmethod
     def generator(cls, generator_count: int, index: int) -> "GrassmannElement":
         if not 0 <= index < generator_count:
             raise ValueError(f"generator index {index} out of range")
-        return cls(generator_count, {frozenset([index]): Fraction(1)})
+        return cls._of(generator_count, {1 << index: Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -58,45 +76,48 @@ class GrassmannElement:
         """0 or 1 if homogeneous in multivector-degree parity, else None."""
         if not self._parts:
             return None
-        parities = {len(s) % 2 for s in self._parts}
+        parities = {mask.bit_count() % 2 for mask in self._parts}
         return parities.pop() if len(parities) == 1 else None
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         parts = dict(self._parts)
-        for subset, coeff in other._parts.items():
-            total = parts.get(subset, Fraction(0)) + coeff
+        for mask, coeff in other._parts.items():
+            total = parts.get(mask, 0) + coeff
             if total:
-                parts[subset] = total
+                parts[mask] = total
             else:
-                parts.pop(subset, None)
-        return GrassmannElement(self.generator_count, parts)
+                del parts[mask]
+        return GrassmannElement._of(self.generator_count, parts)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.generator_count,
-                                {s: -c for s, c in self._parts.items()})
+        return GrassmannElement._of(self.generator_count,
+                                    {m: -c for m, c in self._parts.items()})
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-other)
 
     def scaled(self, value) -> "GrassmannElement":
         value = Fraction(value)
-        return GrassmannElement(self.generator_count,
-                                {s: c * value for s, c in self._parts.items()})
+        if not value:
+            return GrassmannElement._of(self.generator_count, {})
+        return GrassmannElement._of(self.generator_count,
+                                    {m: c * value for m, c in self._parts.items()})
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
-        parts: Dict[frozenset, Fraction] = {}
-        for sa, ca in self._parts.items():
-            for sb, cb in other._parts.items():
-                if sa & sb:
+        parts: Dict[int, object] = {}
+        right = other._parts.items()
+        for ma, ca in self._parts.items():
+            odd_above = _odd_above(ma)
+            for mb, cb in right:
+                if ma & mb:
                     continue
-                sign = _merge_sign(sa, sb)
-                key = sa | sb
-                total = parts.get(key, Fraction(0)) + sign * ca * cb
-                if total:
-                    parts[key] = total
+                key = ma | mb
+                if (mb & odd_above).bit_count() & 1:
+                    parts[key] = parts.get(key, 0) - ca * cb
                 else:
-                    parts.pop(key, None)
-        return GrassmannElement(self.generator_count, parts)
+                    parts[key] = parts.get(key, 0) + ca * cb
+        return GrassmannElement._of(self.generator_count,
+                                    {m: c for m, c in parts.items() if c})
 
     def __pow__(self, exponent: int) -> "GrassmannElement":
         result = GrassmannElement.scalar(self.generator_count, 1)
@@ -114,9 +135,9 @@ class GrassmannElement:
         if not self._parts:
             return "0"
         chunks = []
-        for subset in sorted(self._parts, key=lambda s: (len(s), sorted(s))):
-            coeff = self._parts[subset]
-            body = " * ".join(f"th{i}" for i in sorted(subset)) or "1"
+        for mask in sorted(self._parts, key=lambda m: (m.bit_count(), _indices(m))):
+            coeff = self._parts[mask]
+            body = " * ".join(f"th{i}" for i in _indices(mask)) or "1"
             if body == "1":
                 chunks.append(str(coeff))
             elif coeff == 1:
@@ -130,14 +151,23 @@ class GrassmannElement:
     __repr__ = __str__
 
 
-def _merge_sign(left: frozenset, right: frozenset) -> int:
-    """Sign of sorting the concatenation of two disjoint sorted generator blocks."""
-    inversions = 0
-    for i in left:
-        for j in right:
-            if i > j:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _indices(mask: int) -> List[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _odd_above(mask: int) -> int:
+    """Bitmask of the generators that have an odd number of ``mask``'s generators above them.
+
+    Merging a disjoint blade ``b`` into ``mask`` passes each generator of
+    ``b`` over the generators of ``mask`` above it, so the merge sign is
+    ``(-1) ** popcount(b & _odd_above(mask))``.
+    """
+    out = 0
+    while mask:
+        top = mask.bit_length() - 1
+        out ^= (1 << top) - 1
+        mask ^= 1 << top
+    return out
 
 
 class Assignment:
@@ -165,18 +195,79 @@ class Assignment:
         return "; ".join(pieces)
 
 
+# A series over one common denominator: the term p/q * m of total degree d
+# becomes (p * scale / q, top - d, m), where scale is the lcm of the
+# coefficient denominators and top the highest total degree.
+_IntegerTerms = List[Tuple[int, int, Monomial]]
+
+
+def _integer_terms(*series: Series) -> Tuple[int, int, List[_IntegerTerms]]:
+    """``scale``, ``top`` and each series' integer terms, over all the series at once."""
+    items = [s.items() for s in series]
+    scale, top = 1, 0
+    for terms in items:
+        for monomial, coeff in terms:
+            scale = lcm(scale, coeff.denominator)
+            top = max(top, sum(exp for _, exp in monomial))
+    return scale, top, [[(coeff.numerator * (scale // coeff.denominator),
+                          top - sum(exp for _, exp in monomial), monomial)
+                         for monomial, coeff in terms] for terms in items]
+
+
+class _IntegerAssignment:
+    """An assignment times the lcm ``factor`` of its denominators: integer values."""
+
+    __slots__ = ("assignment", "factor", "_values")
+
+    def __init__(self, assignment: Assignment):
+        factor = 1
+        for element in assignment.values.values():
+            for coeff in element._parts.values():
+                factor = lcm(factor, coeff.denominator)
+        self.assignment = assignment
+        self.factor = factor
+        self._values: Dict[GradedVariable, GrassmannElement] = {}
+
+    def __getitem__(self, var: GradedVariable) -> GrassmannElement:
+        value = self._values.get(var)
+        if value is None:
+            element = self.assignment[var]
+            value = self._values[var] = GrassmannElement._of(
+                element.generator_count,
+                {m: c.numerator * (self.factor // c.denominator)
+                 for m, c in element._parts.items()})
+        return value
+
+    def value(self, terms: _IntegerTerms) -> GrassmannElement:
+        """``scale * factor ** top`` times the value of the series ``terms`` came from.
+
+        A term ``(start, pad, m)`` contributes ``start * factor ** pad`` times
+        the product of the scaled values of ``m``'s variables, each of which
+        carries one more factor.
+        """
+        n = self.assignment.generator_count
+        total: Dict[int, int] = {}
+        for start, pad, monomial in terms:
+            piece = GrassmannElement._of(n, {0: start * self.factor ** pad})
+            for var, exp in monomial:
+                value = self[var]
+                for _ in range(exp):
+                    piece = piece * value
+                if piece.is_zero:
+                    break
+            for mask, c in piece._parts.items():
+                total[mask] = total.get(mask, 0) + c
+        return GrassmannElement._of(n, {m: c for m, c in total.items() if c})
+
+
 def evaluate(series: Series, assignment: Assignment) -> GrassmannElement:
     """Substitute and multiply in the Grassmann algebra."""
-    n = assignment.generator_count
-    total = GrassmannElement(n)
-    for monomial, coeff in series.items():
-        piece = GrassmannElement.scalar(n, coeff)
-        for var, exp in monomial:
-            piece = piece * (assignment[var] ** exp)
-            if piece.is_zero:
-                break
-        total = total + piece
-    return total
+    scale, top, (terms,) = _integer_terms(series)
+    integral = _IntegerAssignment(assignment)
+    whole = scale * integral.factor ** top
+    return GrassmannElement._of(assignment.generator_count,
+                                {m: Fraction(c, whole)
+                                 for m, c in integral.value(terms)._parts.items()})
 
 
 def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
@@ -197,23 +288,24 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
         chosen = [rng.choice(indices) for _ in odd_vars]
     values: Dict[GradedVariable, GrassmannElement] = {}
     for var, idx in zip(odd_vars, chosen):
-        scale = _random_rational(rng)
-        values[var] = GrassmannElement.generator(generator_count, idx).scaled(scale)
+        values[var] = GrassmannElement._of(generator_count,
+                                           {1 << idx: _random_rational(rng)})
     for var in variables:
         if var.parity:
             continue
-        element = GrassmannElement.scalar(generator_count, _random_rational(rng))
+        parts = {0: _random_rational(rng)}
         if generator_count >= 2 and rng.random() < 0.5:
             i, j = rng.sample(indices, 2)
-            body = (GrassmannElement.generator(generator_count, min(i, j))
-                    * GrassmannElement.generator(generator_count, max(i, j)))
-            element = element + body.scaled(_random_rational(rng))
-        values[var] = element
+            parts[1 << i | 1 << j] = _random_rational(rng)
+        values[var] = GrassmannElement._of(generator_count, parts)
     return Assignment(generator_count, values)
 
 
+_NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
+
+
 def _random_rational(rng: random.Random) -> Fraction:
-    numerator = rng.choice([n for n in range(-9, 10) if n != 0])
+    numerator = rng.choice(_NUMERATORS)
     denominator = rng.randint(1, 9)
     return Fraction(numerator, denominator)
 
@@ -231,22 +323,27 @@ def suggested_generator_count(*series: Series) -> int:
 def identity_check(lhs: Series, rhs: Series, trials: int = 100,
                    generators: Optional[int] = None,
                    seed: int = 0) -> Report:
-    """Compare two series at random assignments; disagreements become failures."""
+    """Compare two series at random assignments; disagreements become failures.
+
+    Both sides are compared on integers, scaled by the same nonzero integer;
+    only a disagreement is evaluated rationally, for the report.
+    """
     if generators is None:
         generators = suggested_generator_count(lhs, rhs)
     rng = random.Random(seed)
     variables = lhs.variables() | rhs.variables()
+    _, _, (left, right) = _integer_terms(lhs, rhs)
     report = Report(f"oracle identity check (seed {seed}, {trials} trials, "
                     f"{generators} generators)")
     failures = 0
     for trial in range(trials):
         assignment = random_assignment(variables, generators, rng)
-        left = evaluate(lhs, assignment)
-        right = evaluate(rhs, assignment)
-        if left != right:
+        integral = _IntegerAssignment(assignment)
+        if integral.value(left) != integral.value(right):
             failures += 1
             report.fail("oracle-trial", location=f"trial {trial}",
-                        expected=str(right), actual=str(left),
+                        expected=str(evaluate(rhs, assignment)),
+                        actual=str(evaluate(lhs, assignment)),
                         notes=assignment.describe())
             if failures >= 5:
                 report.info("oracle-trial", notes="further disagreements suppressed")

@@ -196,6 +196,35 @@ class TestUsageErrors:
     def test_unknown_task(self, tmp_path):
         self.run_task_line(tmp_path, "task check-everything F")
 
+    def test_undeclared_function(self, tmp_path):
+        stderr = assert_usage_error(tmp_path, THICK_PROBLEM + "task pullback Phi f\n",
+                                    THICK_TASK_LINE)
+        assert "unknown name 'f'" in stderr
+
+    def test_master_on_a_base_function(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task check-master a")
+        assert "'a' must be a vector field or a function on an (anti)cotangent chart" in stderr
+
+    def test_hamiltonian_on_a_base_function(self, tmp_path):
+        stderr = assert_usage_error(tmp_path, THICK_PROBLEM + "task check-hj Phi g H2\n",
+                                    THICK_TASK_LINE)
+        assert "'g' must be a function on an (anti)cotangent chart" in stderr
+
+    def test_function_where_a_family_is_needed(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task check-jacobi a")
+        assert "'a' must be a bracket family" in stderr
+
+    def test_leibniz_on_a_fromq_family(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task check-leibniz F")
+        assert "'F' must be a fromhamiltonian family" in stderr
+
+    def test_negative_explicit_family_arity(self, tmp_path):
+        text = ("space V\n  basis e1 even 0\nend\n"
+                "family G explicit V eps 0 k 0 arity -1\n"
+                "  bracket e1 e1 = e1\nend\n")
+        stderr = assert_usage_error(tmp_path, text, 4)
+        assert "arity must be nonnegative, got -1" in stderr
+
 
 class TestDeterminism:
     def test_json_reports_are_byte_identical(self):

@@ -188,6 +188,21 @@ def test_restrict_to_base():
     assert restrict_to_base(V(p) ** 2, ct).is_zero
     s0 = V(x) ** 2
     assert restrict_to_base(s0 + V(x) * V(p), ct) == s0
+    truncated = (s0 + V(x) * V(p)).truncate(1)
+    assert restrict_to_base(truncated, ct).truncation_order == 1
+
+
+def test_bracket_with_zero_keeps_truncation_order():
+    base = Chart.build([("x", 0, 0)], "M")
+    ct = shifted_cotangent(base, 0)
+    x, = base.variables
+    p, = ct.fiber
+    g = V(x) * V(p) + V(p) ** 2
+    # a nonzero argument truncated at 2 gives a bracket truncated at 1; so does a zero one
+    assert canonical_bracket((V(x) ** 2 + V(p) ** 3).truncate(2), g, ct).truncation_order == 1
+    assert canonical_bracket(Series.zero(2), g, ct).truncation_order == 1
+    assert canonical_bracket(g, Series.zero(0), ct).truncation_order == 0
+    assert canonical_bracket(Series.zero(), g, ct).truncation_order is None
 
 
 def test_restriction_preserves_bigrading(rng):

@@ -332,6 +332,12 @@ class TestBracketCaches:
             for f in (first, second):
                 assert fam.bracket([f, xi]) == iterated_bracket(master, [f, xi], ct)
 
+    def test_bracket_of_a_truncated_input_keeps_its_order(self):
+        master, ct, inputs = HAMILTONIAN_CASES[0]
+        exact, truncated, xi = inputs[2], inputs[5], inputs[1]
+        assert HamiltonianFamily(master, ct).bracket([truncated, xi]).truncation_order == 0
+        assert HamiltonianFamily(master, ct).bracket([exact, xi]).truncation_order is None
+
     @settings(max_examples=40, deadline=None)
     @given(calls=st.lists(st.lists(st.integers(0, 1), max_size=4), max_size=12))
     def test_cached_q_bracket_matches_fresh(self, calls):
