@@ -119,12 +119,6 @@ class GrassmannElement:
         return GrassmannElement._of(self.generator_count,
                                     {m: c for m, c in parts.items() if c})
 
-    def __pow__(self, exponent: int) -> "GrassmannElement":
-        result = GrassmannElement.scalar(self.generator_count, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GrassmannElement) and self._parts == other._parts
 
