@@ -59,7 +59,6 @@ from .microformal import (
     check_hamilton_jacobi,
     check_intertwining,
     conjugate_momenta,
-    odd_pullback,
     pullback,
     pullback_expansion_oracle,
     support,

@@ -50,11 +50,10 @@ input, flags and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     GradedKernelError,
@@ -72,6 +71,7 @@ from .geometry import (
 )
 from .graded_core import GradedVariable, Series, format_series
 from .homotopy import (
+    DEFAULT_ARITY,
     BracketFamily,
     Combination,
     ExplicitFamily,
@@ -83,8 +83,10 @@ from .homotopy import (
     check_leibniz,
     check_master,
     check_weights_parities,
+    pool_tuples,
 )
 from .microformal import (
+    DEFAULT_ORDER,
     ThickMorphism,
     check_hamilton_jacobi,
     check_intertwining,
@@ -130,8 +132,15 @@ class ProblemFile:
             raise ProblemSyntaxError(f"name {name!r} already declared", line)
 
 
-def _chart_env(chart) -> Dict[str, GradedVariable]:
-    return {v.name: v for v in chart.variables}
+def _variable_env(variables: Sequence[GradedVariable], line: int) -> Dict[str, GradedVariable]:
+    """Name -> variable.  A generated (anti)momentum that takes the name of a
+    declared variable would hide it in every expression, so it is rejected."""
+    env: Dict[str, GradedVariable] = {}
+    for var in variables:
+        _require(var.name not in env,
+                 f"generated momentum {var.name!r} has the name of a declared variable", line)
+        env[var.name] = var
+    return env
 
 
 def _parse_int(value: str, line: int) -> int:
@@ -176,6 +185,17 @@ class _Lines:
                 return number, stripped
         return None
 
+    def block(self, what: str, line: int) -> Iterator[Tuple[int, str, List[str]]]:
+        """(number, content, words) of each line of the block ``what`` opened at
+        ``line``, up to its closing 'end'."""
+        while True:
+            item = self.next_content()
+            _require(item is not None, f"{what} is missing 'end'", line)
+            words = item[1].split()
+            if words[0] == "end":
+                return
+            yield item[0], item[1], words
+
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file; raises ProblemSyntaxError / UnknownNameError /
@@ -208,13 +228,7 @@ def _decl_manifold(problem: ProblemFile, lines: _Lines, number: int,
     name = words[1]
     problem.check_fresh(name, number)
     specs: List[Tuple[str, int, int]] = []
-    while True:
-        item = lines.next_content()
-        _require(item is not None, f"manifold {name!r} is missing 'end'", number)
-        vnum, vline = item
-        vwords = vline.split()
-        if vwords[0] == "end":
-            break
+    for vnum, _, vwords in lines.block(f"manifold {name!r}", number):
         _require(len(vwords) == 4 and vwords[0] == "var",
                  "usage: var <name> <even|odd> <weight>", vnum)
         specs.append((vwords[1], _parse_parity(vwords[2], vnum),
@@ -236,7 +250,9 @@ def _decl_cotangent(problem: ProblemFile, lines: _Lines, number: int,
         raise UnknownNameError(f"unknown manifold {words[3]!r}", number)
     shift = _parse_int(words[5], number)
     builder = shifted_cotangent if words[0] == "cotangent" else shifted_anticotangent
-    problem.cotangents[name] = builder(base, shift)
+    cotangent = builder(base, shift)
+    _variable_env(cotangent.variables, number)
+    problem.cotangents[name] = cotangent
 
 
 def _decl_function(problem: ProblemFile, lines: _Lines, number: int,
@@ -266,7 +282,7 @@ def _decl_function(problem: ProblemFile, lines: _Lines, number: int,
         else:
             raise ProblemSyntaxError(f"unknown option {key!r}", number)
     column = content.index("=") + 2
-    series = parse_series(expr_text, _chart_env(chart), number, column)
+    series = parse_series(expr_text, _variable_env(chart.variables, number), number, column)
     if declared_parity is not None or declared_weight is not None:
         if not series.is_homogeneous(declared_parity, declared_weight):
             raise GradingMismatch(
@@ -288,14 +304,9 @@ def _decl_vectorfield(problem: ProblemFile, lines: _Lines, number: int,
         raise UnknownNameError(f"unknown chart {words[3]!r}", number)
     parity = _parse_parity(words[5], number)
     weight = _parse_int(words[7], number)
-    env = _chart_env(chart)
+    env = _variable_env(chart.variables, number)
     components: Dict[GradedVariable, Series] = {}
-    while True:
-        item = lines.next_content()
-        _require(item is not None, f"vectorfield {name!r} is missing 'end'", number)
-        cnum, cline = item
-        if cline.split()[0] == "end":
-            break
+    for cnum, cline, _ in lines.block(f"vectorfield {name!r}", number):
         _require("=" in cline, "usage: <var> = <expr>", cnum)
         var_name, expr_text = cline.split("=", 1)
         var_name = var_name.strip()
@@ -312,13 +323,7 @@ def _decl_space(problem: ProblemFile, lines: _Lines, number: int,
     name = words[1]
     problem.check_fresh(name, number)
     specs: List[Tuple[str, int, int]] = []
-    while True:
-        item = lines.next_content()
-        _require(item is not None, f"space {name!r} is missing 'end'", number)
-        bnum, bline = item
-        bwords = bline.split()
-        if bwords[0] == "end":
-            break
+    for bnum, _, bwords in lines.block(f"space {name!r}", number):
         _require(len(bwords) == 4 and bwords[0] == "basis",
                  "usage: basis <name> <even|odd> <weight>", bnum)
         _require(all(bwords[1] != spec[0] for spec in specs),
@@ -361,21 +366,16 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         basis = problem.spaces.get(words[3])
         if basis is None:
             raise UnknownNameError(f"unknown space {words[3]!r}", number)
-        options = _keyword_args(words[4:], number, eps=0, k=0, arity=4)
+        options = _keyword_args(words[4:], number, eps=0, k=0, arity=DEFAULT_ARITY)
         _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
+        # arity is checked but not kept: every check takes its arity from the task
         _require(options["arity"] >= 0,
                  f"arity must be nonnegative, got {options['arity']}", number)
         fake_env = {
             v.name: GradedVariable(v.name, v.parity, v.weight, 0, v.index)
             for v in basis}
         entries: Dict[Tuple[int, ...], Combination] = {}
-        while True:
-            item = lines.next_content()
-            _require(item is not None, f"family {name!r} is missing 'end'", number)
-            bnum, bline = item
-            bwords = bline.split()
-            if bwords[0] == "end":
-                break
+        for bnum, bline, bwords in lines.block(f"family {name!r}", number):
             _require(bwords[0] == "bracket" and "=" in bline,
                      "usage: bracket <names...> = <combination>", bnum)
             header, expr_text = bline.split("=", 1)
@@ -386,8 +386,7 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
                 raise UnknownNameError(str(exc), bnum) from None
             series = parse_series(expr_text, fake_env, bnum, bline.index("=") + 2)
             entries[indices] = _series_to_combination(series, basis, bnum)
-        problem.families[name] = ExplicitFamily(basis, options["eps"], options["k"],
-                                                entries, options["arity"])
+        problem.families[name] = ExplicitFamily(basis, options["eps"], options["k"], entries)
     else:
         raise ProblemSyntaxError(f"unknown family mode {mode!r}", number)
 
@@ -424,9 +423,7 @@ def _decl_thick(problem: ProblemFile, lines: _Lines, number: int,
         raise UnknownNameError(f"unknown manifold {hwords[5]!r}", number)
     shift = _parse_int(hwords[7], number)
     kind = hwords[9]
-    momenta = conjugate_momenta(target, shift, kind)
-    env = _chart_env(source)
-    env.update({m.name: m for m in momenta})
+    env = _variable_env(source.variables + conjugate_momenta(target, shift, kind), number)
     series = parse_series(expr_text, env, number, content.index("=") + 2)
     problem.thicks[name] = ThickMorphism(source, target, shift, kind, series)
 
@@ -435,7 +432,7 @@ def _decl_task(problem: ProblemFile, lines: _Lines, number: int,
                content: str, words: List[str]) -> None:
     _require(len(words) >= 2, "usage: task <command> [args...]", number)
     _require(words[1] in _TASKS, f"unknown task {words[1]!r}", number)
-    positional, options = _TASKS[words[1]]
+    positional, options, _ = _TASKS[words[1]]
     usage = (" ".join([words[1]] + [label for label, _ in positional])
              + "".join(f" [{key} <n>]" for key in options))
     _require(len(words) - 2 >= len(positional), f"usage: task {usage}", number)
@@ -461,8 +458,8 @@ _DECLARATIONS = {
 
 @dataclass
 class Flags:
-    arity: int = 4
-    order: int = 4
+    arity: int = DEFAULT_ARITY
+    order: int = DEFAULT_ORDER
     oracle_seed: int = DEFAULT_SEED
     fmt: str = "text"
     quiet: bool = False
@@ -481,10 +478,11 @@ _ARGUMENT_KINDS = {
 
 
 def _resolve(problem: ProblemFile, kind: str, name: str, line: int):
-    """What a task argument names: a declaration, or a (series, chart) for a function."""
+    """What a task argument names: a declaration, or a (series, chart) for a
+    function; a master resolves to the arguments of check_master."""
     group, description = _ARGUMENT_KINDS[kind]
     if kind == "master" and name in problem.fields:
-        return problem.fields[name]
+        return (problem.fields[name],)
     value = getattr(problem, group).get(name)
     if value is None and name not in set(problem.all_names()):
         raise UnknownNameError(f"unknown name {name!r}", line)
@@ -495,22 +493,51 @@ def _resolve(problem: ProblemFile, kind: str, name: str, line: int):
     return value
 
 
-# each task's positional arguments as (label, kind), and its integer options
-# with their defaults; a default of None is read from the flag of that name
-_TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]]]] = {
-    "check-master": ((("<Q|H>", "master"),), {}),
-    "check-jacobi": ((("<family>", "family"),), {"arity": None}),
-    "check-weights": ((("<family>", "family"),), {"arity": None}),
-    "check-leibniz": ((("<family>", "fromhamiltonian"),), {"trials": 20}),
-    "derive-brackets": ((("<family>", "family"),), {"arity": None}),
-    "validate-thick": ((("<thick>", "thick"),), {}),
-    "pullback": ((("<thick>", "thick"), ("<g>", "function")), {"order": None}),
+HAMILTONIAN_JACOBI_NOTE = ("function-family identities use the bracket form of the "
+                           "higher Jacobi sums; display typos in the source identities "
+                           "are resolved to that form")
+
+# each task's positional arguments as (label, kind), its integer options with
+# their defaults (None: the flag of that name), and its handler, called as
+# handler(task, arguments, options, flags); a handler names the kernel
+# functions it calls in its body, so they are looked up in this module's
+# globals at call time and a wrapper installed there sees every call
+_TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]],
+                        Callable[..., Report]]] = {
+    "check-master": ((("<Q|H>", "master"),), {},
+                     lambda task, args, opts, flags: check_master(*args[0])),
+    "check-jacobi": ((("<family>", "family"),), {"arity": None},
+                     lambda task, args, opts, flags: check_higher_jacobi(
+                         args[0], opts["arity"], note=HAMILTONIAN_JACOBI_NOTE
+                         if isinstance(args[0], HamiltonianFamily) else "")),
+    "check-weights": ((("<family>", "family"),), {"arity": None},
+                      lambda task, args, opts, flags: check_weights_parities(
+                          args[0], args[0].signature, opts["arity"])),
+    "check-leibniz": ((("<family>", "fromhamiltonian"),), {"trials": 20},
+                      lambda task, args, opts, flags: check_leibniz(
+                          args[0], trials=opts["trials"], seed=flags.oracle_seed)),
+    "derive-brackets": ((("<family>", "family"),), {"arity": None},
+                        lambda task, args, opts, flags: derive_brackets_report(
+                            args[0], opts["arity"])),
+    "validate-thick": ((("<thick>", "thick"),), {},
+                       lambda task, args, opts, flags: validate_thick(args[0])),
+    "pullback": ((("<thick>", "thick"), ("<g>", "function")), {"order": None},
+                 lambda task, args, opts, flags: _pullback_report(
+                     task.args[0], args[0], args[1][0], opts["order"])),
     "check-hj": ((("<thick>", "thick"), ("<H1>", "hamiltonian"), ("<H2>", "hamiltonian")),
-                 {"order": None}),
+                 {"order": None},
+                 lambda task, args, opts, flags: check_hamilton_jacobi(
+                     args[0], *args[1], *args[2], opts["order"])),
     "check-intertwining": ((("<thick>", "thick"), ("<H1>", "hamiltonian"),
-                            ("<H2>", "hamiltonian"), ("<g>", "function")), {"order": None}),
-    "oracle-verify": ((("<f>", "function"), ("<g>", "function")), {"trials": 100}),
-    "bigrade": ((("<g>", "function"),), {}),
+                            ("<H2>", "hamiltonian"), ("<g>", "function")), {"order": None},
+                           lambda task, args, opts, flags: check_intertwining(
+                               args[0], *args[1], *args[2], args[3][0], opts["order"])),
+    "oracle-verify": ((("<f>", "function"), ("<g>", "function")), {"trials": 100},
+                      lambda task, args, opts, flags: identity_check(
+                          args[0][0], args[1][0], trials=opts["trials"],
+                          seed=flags.oracle_seed)),
+    "bigrade": ((("<g>", "function"),), {},
+                lambda task, args, opts, flags: _bigrade_report(task.args[0], args[0][0])),
 }
 
 
@@ -523,7 +550,7 @@ def _task_arguments(problem: ProblemFile, task: Task,
     """
     if task.command not in _TASKS:
         raise ProblemSyntaxError(f"unknown task {task.command!r}", task.line)
-    positional, defaults = _TASKS[task.command]
+    positional, defaults, _ = _TASKS[task.command]
     defaults = {key: getattr(flags, key) if default is None else default
                 for key, default in defaults.items()}
     options = _keyword_args(task.args[len(positional):], task.line, **defaults)
@@ -543,81 +570,48 @@ def check_task_options(problem: ProblemFile, flags: Flags) -> None:
 
 
 def run_task(problem: ProblemFile, task: Task, flags: Flags) -> Report:
-    command = task.command
     args, options = _task_arguments(problem, task, flags)
-    if command == "check-master":
-        target = args[0]
-        return check_master(*target) if isinstance(target, tuple) else check_master(target)
-    if command == "check-jacobi":
-        fam = args[0]
-        note = ""
-        if isinstance(fam, HamiltonianFamily):
-            note = ("function-family identities use the bracket form of the "
-                    "higher Jacobi sums; display typos in the source identities "
-                    "are resolved to that form")
-        return check_higher_jacobi(fam, options["arity"], note=note)
-    if command == "check-weights":
-        fam = args[0]
-        return check_weights_parities(fam, fam.signature, options["arity"])
-    if command == "check-leibniz":
-        return check_leibniz(args[0], trials=options["trials"], seed=flags.oracle_seed)
-    if command == "derive-brackets":
-        return derive_brackets_report(args[0], options["arity"])
-    if command == "validate-thick":
-        return validate_thick(args[0])
-    if command == "pullback":
-        phi, (series, _) = args
-        result = pullback(phi, series, options["order"])
-        report = Report(f"pullback along {task.args[0]} at order {result.order}")
-        report.ok("pullback-f", notes=f"f = {format_series(result.f)}")
-        for var, solution in sorted(result.y_solution.items(), key=lambda kv: kv[0].key):
-            report.info("pullback-y", location=var.name, notes=str(solution))
-        for var, solution in sorted(result.q_solution.items(), key=lambda kv: kv[0].key):
-            report.info("pullback-q", location=var.name, notes=str(solution))
-        report.info("pullback-iterations", notes=str(result.iterations))
-        return report
-    if command == "check-hj":
-        phi, (h1, ct1), (h2, ct2) = args
-        return check_hamilton_jacobi(phi, h1, ct1, h2, ct2, options["order"])
-    if command == "check-intertwining":
-        phi, (h1, ct1), (h2, ct2), (series, _) = args
-        return check_intertwining(phi, h1, ct1, h2, ct2, series, options["order"])
-    if command == "oracle-verify":
-        (lhs, _), (rhs, _) = args
-        return identity_check(lhs, rhs, trials=options["trials"],
-                              seed=flags.oracle_seed)
-    if command == "bigrade":
-        series, _ = args[0]
-        report = Report(f"bigrading of {task.args[0]}")
-        grade = series.bigrading()
-        report.ok("bigrade", notes=str(grade))
-        return report
-    raise ProblemSyntaxError(f"unknown task {command!r}", task.line)
+    return _TASKS[task.command][2](task, args, options, flags)
+
+
+def _pullback_report(name: str, phi: ThickMorphism, g: Series, order: int) -> Report:
+    result = pullback(phi, g, order)
+    report = Report(f"pullback along {name} at order {result.order}")
+    report.ok("pullback-f", notes=f"f = {format_series(result.f)}")
+    for var, solution in sorted(result.y_solution.items(), key=lambda kv: kv[0].key):
+        report.info("pullback-y", location=var.name, notes=str(solution))
+    for var, solution in sorted(result.q_solution.items(), key=lambda kv: kv[0].key):
+        report.info("pullback-q", location=var.name, notes=str(solution))
+    report.info("pullback-iterations", notes=str(result.iterations))
+    return report
+
+
+def _bigrade_report(name: str, series: Series) -> Report:
+    report = Report(f"bigrading of {name}")
+    report.ok("bigrade", notes=str(series.bigrading()))
+    return report
 
 
 def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
     report = Report(f"nonzero brackets to arity {arity}")
+    pool = fam.pool()
     if isinstance(fam, HamiltonianFamily):
-        pool = fam.pool()
         for label, series, parity, weight in pool:
             report.info("pool", location=label,
                         notes=f"{series} (parity {parity}, weight {weight})")
-    pool = fam.pool()
     sig = fam.signature
     count = 0
-    for n in range(arity + 1):
-        for combo in itertools.product(range(len(pool)), repeat=n):
-            value = fam.bracket([pool[i][1] for i in combo])
-            if value.is_zero:
-                continue
-            count += 1
-            labels = ", ".join(pool[i][0] for i in combo)
-            annotation = (f"weight shift {sig.bracket_weight(n)}, "
-                          f"parity shift {sig.bracket_parity(n)}")
-            report.info("bracket", location=f"[{labels}]",
-                        notes=f"= {fam.format_element(value)} ({annotation})")
+    for picked, labels in pool_tuples(pool, arity):
+        value = fam.bracket([element for _, element, _, _ in picked])
+        if value.is_zero:
+            continue
+        count += 1
+        annotation = (f"weight shift {sig.bracket_weight(len(picked))}, "
+                      f"parity shift {sig.bracket_parity(len(picked))}")
+        report.info("bracket", location=f"[{labels}]",
+                    notes=f"= {fam.format_element(value)} ({annotation})")
     report.ok("bracket-count", notes=f"{count} nonzero brackets")
-    if isinstance(fam, ExplicitFamily) and fam.load_warnings:
+    if isinstance(fam, ExplicitFamily):
         for warning in fam.load_warnings:
             report.info("load-warning", notes=warning)
     return report
@@ -677,9 +671,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gk", description="graded homotopy-structure checker")
     parser.add_argument("problem", help="problem file (.gk)")
-    parser.add_argument("--arity", type=int, default=4,
+    parser.add_argument("--arity", type=int, default=DEFAULT_ARITY,
                         help="default arity bound for bracket checks")
-    parser.add_argument("--order", type=int, default=4,
+    parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
                         help="default truncation order for pullbacks")
     parser.add_argument("--oracle-seed", type=int, default=DEFAULT_SEED,
                         help="seed for oracle trials and sampled checks")

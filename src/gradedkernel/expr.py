@@ -31,6 +31,14 @@ class _Token:
 _OPS = set("+-*/^")
 
 
+def _int_value(token: _Token) -> int:
+    try:
+        return int(token.value)
+    except ValueError:  # past the interpreter's digit limit for int(), or a non-ASCII digit
+        raise ProblemSyntaxError(f"malformed integer literal ({len(token.value)} characters)",
+                                 token.line, token.column) from None
+
+
 def _tokenize(text: str, line: int, column: int) -> List[_Token]:
     tokens: List[_Token] = []
     i = 0
@@ -90,7 +98,7 @@ class _Parser:
         token = self.advance()
         if token.kind != "INT":
             raise ProblemSyntaxError("expected an integer", token.line, token.column)
-        return int(token.value), token
+        return _int_value(token), token
 
     def parse_expression(self) -> Series:
         total = Series.zero()
@@ -131,7 +139,7 @@ class _Parser:
     def parse_factor(self) -> Tuple[Fraction, List[GradedVariable]]:
         token = self.advance()
         if token.kind == "INT":
-            value = Fraction(int(token.value))
+            value = Fraction(_int_value(token))
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "/":
                 self.advance()

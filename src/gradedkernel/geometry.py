@@ -70,15 +70,6 @@ class Chart:
             for i, (vname, parity, weight) in enumerate(specs))
         return cls(variables, name)
 
-    def variable(self, name: str) -> GradedVariable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(f"chart {self.name or '<anonymous>'} has no variable {name}")
-
-    def __contains__(self, var: GradedVariable) -> bool:
-        return var in self.variables
-
     def __iter__(self):
         return iter(self.variables)
 
@@ -121,15 +112,6 @@ class CotangentChart:
 
     def conjugate(self, base_var: GradedVariable) -> GradedVariable:
         return self.fiber[base_var.index]
-
-    def variable(self, name: str) -> GradedVariable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(f"chart {self.name} has no variable {name}")
-
-    def __contains__(self, var: GradedVariable) -> bool:
-        return var in self.base.variables or var in self.fiber
 
     def __iter__(self):
         return iter(self.variables)
@@ -314,5 +296,4 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
 
 def restrict_to_base(f: Series, ct: CotangentChart) -> Series:
     """Set every fiber variable to zero; the truncation order carries over."""
-    return Series({m: c for m, c in f.items() if monomial_fiber_degree(m) == 0},
-                  f.truncation_order)
+    return f.filter_terms(lambda m: monomial_fiber_degree(m) == 0)

@@ -48,13 +48,10 @@ def _frac(value: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class Bigrading:
-    """A (parity, weight) pair; addition is componentwise (parity mod 2)."""
+    """A (parity, weight) pair."""
 
     parity: int
     weight: int
-
-    def __add__(self, other: "Bigrading") -> "Bigrading":
-        return Bigrading((self.parity + other.parity) % 2, self.weight + other.weight)
 
     def __str__(self) -> str:
         return f"(parity {self.parity}, weight {self.weight})"
@@ -293,13 +290,6 @@ class Series:
     @classmethod
     def variable(cls, var: GradedVariable) -> "Series":
         return cls({((var, 1),): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, factors: Sequence[GradedVariable], coeff: Rational = 1) -> "Series":
-        term = normalize_product(factors)
-        if term.is_zero:
-            return cls.zero()
-        return cls({term.monomial: term.coefficient * _frac(coeff)})
 
     # -- inspection --------------------------------------------------------
 

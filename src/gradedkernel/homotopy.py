@@ -41,9 +41,9 @@ from .geometry import (
     is_homological,
     restrict_to_base,
 )
-from .graded_core import Bigrading, GradedVariable, Series
+from .graded_core import Bigrading, GradedVariable, Series, monomial_bigrading
 from .report import Report
-from .sampling import homogeneous_pool
+from .sampling import enumerate_monomials, homogeneous_pool
 
 DEFAULT_ARITY = 4
 
@@ -364,12 +364,8 @@ class QFamily(_BasisFamily):
         field = self._chain(tuple(indices))
         combo = _invert_constant_field(field.constant_part(), self.q.chart,
                                        self.signature, self.basis)
-        if self.epsilon == 0:
-            n = len(indices)
-            exponent = sum(self.basis[indices[j]].parity * (n - 1 - j)
-                           for j in range(max(n - 1, 0)))
-            if exponent % 2:
-                combo = -combo
+        if self.epsilon == 0 and _reversion_sign_odd([self.basis[i].parity for i in indices]):
+            combo = -combo
         return combo
 
 
@@ -430,12 +426,10 @@ class ExplicitFamily(_BasisFamily):
     """
 
     def __init__(self, basis: SpaceBasis, epsilon: int, k: int,
-                 entries: Mapping[Tuple[int, ...], Combination],
-                 arity_max: int = DEFAULT_ARITY):
+                 entries: Mapping[Tuple[int, ...], Combination]):
         self.basis = basis
         self.epsilon = epsilon
         self.k = k
-        self.arity_max = arity_max
         self.load_warnings: List[str] = []
         collected: Dict[Tuple[int, ...], List[Combination]] = {}
         for indices, value in entries.items():
@@ -472,20 +466,8 @@ class ExplicitFamily(_BasisFamily):
         even entries for antisymmetric (epsilon=0) ones.
         """
         order = sorted(range(len(indices)), key=lambda j: indices[j])
-        sign = 1
-        parities = [self.basis[i].parity for i in indices]
-        # bubble to realize `order`, replaying adjacent transpositions
-        target = {pos: rank for rank, pos in enumerate(order)}
-        ranks = [target[j] for j in range(len(indices))]
-        for i in range(len(ranks)):
-            for j in range(len(ranks) - 1 - i):
-                if ranks[j] > ranks[j + 1]:
-                    if self.epsilon == 0:
-                        sign = -sign
-                    if parities[j] and parities[j + 1]:
-                        sign = -sign
-                    ranks[j], ranks[j + 1] = ranks[j + 1], ranks[j]
-                    parities[j], parities[j + 1] = parities[j + 1], parities[j]
+        sgn, koszul = permutation_signs(order, [self.basis[i].parity for i in indices])
+        sign = koszul * (sgn if self.epsilon == 0 else 1)
         key = tuple(sorted(indices))
         for i, j in zip(key, key[1:]):
             if i == j:
@@ -532,6 +514,20 @@ def permutation_signs(order: Sequence[int], parities: Sequence[int]) -> Tuple[in
     return sgn, koszul
 
 
+def _reversion_sign_odd(parities: Sequence[int]) -> bool:
+    """Whether the parity-reversion sign (-1)^{p_1 (n-1) + ... + p_{n-1}} is -1."""
+    n = len(parities)
+    return sum(p * (n - 1 - j) for j, p in enumerate(parities)) % 2 == 1
+
+
+def pool_tuples(pool: Sequence[Tuple[str, Element, int, int]],
+                n_max: int) -> Iterable[Tuple[Tuple, str]]:
+    """Every tuple of pool entries of length 0..n_max, with its labels joined."""
+    for n in range(n_max + 1):
+        for picked in itertools.product(pool, repeat=n):
+            yield picked, ", ".join(label for label, _, _, _ in picked)
+
+
 def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Element, int]],
                n: int) -> Element:
     """The n-th higher Jacobi sum over (r, n-r)-unshuffles.
@@ -574,19 +570,16 @@ def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY,
     report = Report(f"higher Jacobi identities to arity {n_max}")
     if note:
         report.info("jacobi-convention", notes=note)
-    pool = fam.pool()
-    for n in range(n_max + 1):
-        for combo in itertools.product(range(len(pool)), repeat=n):
-            inputs = [(pool[i][1], pool[i][2]) for i in combo]
-            residual = jacobiator(fam, inputs, n)
-            labels = ", ".join(pool[i][0] for i in combo)
-            location = f"n={n} ({labels})" if n else "n=0"
-            if residual.is_zero:
-                report.ok("jacobi", location=location)
-            else:
-                report.fail("jacobi", location=location,
-                            expected="0", actual=fam.format_element(residual),
-                            residual=fam.format_element(residual))
+    for picked, labels in pool_tuples(fam.pool(), n_max):
+        n = len(picked)
+        residual = jacobiator(fam, [(element, parity) for _, element, parity, _ in picked], n)
+        location = f"n={n} ({labels})" if n else "n=0"
+        if residual.is_zero:
+            report.ok("jacobi", location=location)
+        else:
+            report.fail("jacobi", location=location,
+                        expected="0", actual=fam.format_element(residual),
+                        residual=fam.format_element(residual))
     return report
 
 
@@ -595,22 +588,20 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
     """Check bracket weights 2-n+k(n-1) and parities eps(n+1)+n on pool tuples."""
     report = Report(f"bracket weights and parities to arity {n_max} "
                     f"(eps={sig.epsilon}, k={sig.k})")
-    pool = fam.pool()
-    for n in range(n_max + 1):
-        for combo in itertools.product(range(len(pool)), repeat=n):
-            value = fam.bracket([pool[i][1] for i in combo])
-            labels = ", ".join(pool[i][0] for i in combo)
-            location = f"n={n} ({labels})" if n else "n=0"
-            if value.is_zero:
-                report.ok("weight-parity", location=location, notes="bracket vanishes")
-                continue
-            want_weight = sum(pool[i][3] for i in combo) + sig.bracket_weight(n)
-            want_parity = (sum(pool[i][2] for i in combo) + sig.bracket_parity(n)) % 2
-            ok, got = _element_bigrading_matches(value, want_parity, want_weight)
-            report.record(ok, "weight-parity", location=location,
-                          expected=f"(parity {want_parity}, weight {want_weight})",
-                          actual=got,
-                          residual="" if ok else fam.format_element(value))
+    for picked, labels in pool_tuples(fam.pool(), n_max):
+        n = len(picked)
+        value = fam.bracket([element for _, element, _, _ in picked])
+        location = f"n={n} ({labels})" if n else "n=0"
+        if value.is_zero:
+            report.ok("weight-parity", location=location, notes="bracket vanishes")
+            continue
+        want_weight = sum(weight for _, _, _, weight in picked) + sig.bracket_weight(n)
+        want_parity = (sum(parity for _, _, parity, _ in picked) + sig.bracket_parity(n)) % 2
+        ok, got = _element_bigrading_matches(value, want_parity, want_weight)
+        report.record(ok, "weight-parity", location=location,
+                      expected=f"(parity {want_parity}, weight {want_weight})",
+                      actual=got,
+                      residual="" if ok else fam.format_element(value))
     return report
 
 
@@ -630,7 +621,7 @@ def _element_bigrading_matches(value: Element, parity: int, weight: int):
 
 def check_leibniz(fam: HamiltonianFamily,
                   samples: Optional[Sequence[Tuple[Sequence[Series], Series, Series]]] = None,
-                  trials: int = 20, max_prefix: int = 2, seed: int = 23) -> Report:
+                  trials: int = 20, seed: int = 23) -> Report:
     """Check {a_1..a_m, bc} = {a_1..a_m, b} c + sign * b {a_1..a_m, c}.
 
     The sign exponent multiplies the parity of b: with arity = m+1, it is
@@ -644,7 +635,7 @@ def check_leibniz(fam: HamiltonianFamily,
         variables = fam.ct.base.variables
         samples = []
         for _ in range(trials):
-            m = rng.randint(0, max_prefix)
+            m = rng.randint(0, 2)
             prefix = []
             while len(prefix) < m:
                 candidate = homogeneous_pool(variables, rng, 1)
@@ -749,16 +740,12 @@ def parity_reverse_brackets(fam: _BasisFamily,
             if value.is_zero:
                 continue
             # parities of the epsilon=0-side elements drive the sign
-            if fam.epsilon == 0:
-                parities = [fam.basis[i].parity for i in key]
-            else:
-                parities = [new_basis[i].parity for i in key]
-            exponent = sum(parities[j] * (n - 1 - j) for j in range(max(n - 1, 0)))
+            side = fam.basis if fam.epsilon == 0 else new_basis
             transported = Combination(new_basis, dict(value.coeffs))
-            if exponent % 2:
+            if _reversion_sign_odd([side[i].parity for i in key]):
                 transported = -transported
             entries[key] = transported
-    return ExplicitFamily(new_basis, new_epsilon, fam.k, entries, arity_max)
+    return ExplicitFamily(new_basis, new_epsilon, fam.k, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +760,6 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
     coefficients to bracket tables is linear, so each arity is an independent
     rational linear system.
     """
-    from .sampling import enumerate_monomials
-
     sig = fam.signature
     if chart is None:
         chart = fam.basis.chart(sig)
@@ -788,7 +773,6 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
             for monomial in enumerate_monomials(chart.variables, n):
                 if sum(e for _, e in monomial) != n:
                     continue
-                from .graded_core import monomial_bigrading
                 if monomial_bigrading(monomial) == target:
                     unknown_slots.append((var, monomial))
         if not unknown_slots:

@@ -244,13 +244,6 @@ def pullback(phi: ThickMorphism, g: Series, order: int = DEFAULT_ORDER) -> Pullb
         iterations=iterations)
 
 
-def odd_pullback(phi: ThickMorphism, g: Series, order: int = DEFAULT_ORDER) -> PullbackResult:
-    """Pullback along an odd thick morphism (odd g, antimomenta)."""
-    if phi.kind != KIND_ODD:
-        raise ChartMismatch("odd_pullback requires an odd-kind thick morphism")
-    return pullback(phi, g, order)
-
-
 def pullback_expansion_oracle(phi: ThickMorphism, g: Series,
                               terms: int = 2) -> Series:
     """The explicit expansion S0 + g(phi) + 1/2 S^{ij} d_j g(phi) d_i g(phi).

@@ -64,9 +64,6 @@ class Report:
     def record(self, passed: bool, check_id: str, **kwargs) -> ReportEntry:
         return self.ok(check_id, **kwargs) if passed else self.fail(check_id, **kwargs)
 
-    def extend(self, other: "Report") -> None:
-        self.entries.extend(other.entries)
-
     @property
     def passed(self) -> bool:
         return all(e.status != FAIL for e in self.entries)

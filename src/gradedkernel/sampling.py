@@ -21,8 +21,7 @@ from .graded_core import (
 )
 
 
-def enumerate_monomials(variables: Sequence[GradedVariable], max_degree: int,
-                        max_exponent: Optional[int] = None) -> List[Monomial]:
+def enumerate_monomials(variables: Sequence[GradedVariable], max_degree: int) -> List[Monomial]:
     """All canonical monomials of total degree <= max_degree (odd exponents capped at 1)."""
     ordered = sorted(set(variables), key=lambda v: v.key)
     out: List[Monomial] = [()]
@@ -33,9 +32,6 @@ def enumerate_monomials(variables: Sequence[GradedVariable], max_degree: int,
             for var in combo:
                 counts[var] = counts.get(var, 0) + 1
                 if var.parity and counts[var] > 1:
-                    ok = False
-                    break
-                if max_exponent is not None and counts[var] > max_exponent:
                     ok = False
                     break
             if ok:

@@ -447,7 +447,7 @@ def criterion_05_parity_reversion(ledger):
                 if rng.random() < 0.4:
                     entries[key] = Combination(
                         basis, {rng.randrange(dim): Fraction(rng.randint(-3, 3))})
-        fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries, 3)
+        fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries)
         double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
         for n in range(4):
             for key in itertools.product(range(dim), repeat=n):
@@ -461,7 +461,7 @@ def criterion_05_parity_reversion(ledger):
         return Combination(basis, {i: Fraction(c)})
 
     sl2 = ExplicitFamily(basis, 0, 0,
-                         {(0, 1): combo(1, 2), (0, 2): combo(2, -2), (1, 2): combo(0)}, 3)
+                         {(0, 1): combo(1, 2), (0, 2): combo(2, -2), (1, 2): combo(0)})
     assert check_higher_jacobi(sl2, 3).passed
     odd_side = parity_reverse_brackets(sl2, 3)
     assert odd_side.epsilon == 1

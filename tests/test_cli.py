@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradedkernel.cli import Flags, parse_problem, run, run_task
+from gradedkernel.cli import Flags, main, parse_problem, run, run_task
 from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 
@@ -225,6 +230,27 @@ class TestUsageErrors:
         stderr = assert_usage_error(tmp_path, text, 4)
         assert "arity must be nonnegative, got -1" in stderr
 
+    @pytest.mark.parametrize("expression", ["{} * xi1", "xi1^{}"])
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, expression):
+        # int() refuses strings of more than 4300 digits
+        stderr = self.run_task_line(
+            tmp_path, "function b on PiV = " + expression.format("7" * 5000))
+        assert "malformed integer literal" in stderr
+
+    def test_momentum_named_like_a_base_variable(self, tmp_path):
+        text = ("manifold M\n  var x even 0\n  var p_x odd 3\nend\n"
+                "cotangent CT base M shift 0\n"
+                "function H on CT = p_x\n")
+        stderr = assert_usage_error(tmp_path, text, 5)
+        assert "generated momentum 'p_x'" in stderr
+
+    def test_momentum_named_like_a_source_variable(self, tmp_path):
+        text = ("manifold M1\n  var x even 0\n  var q_y even 0\nend\n"
+                "manifold M2\n  var y even 0\nend\n"
+                "thick Phi source M1 target M2 shift 0 kind even = x * q_y\n")
+        stderr = assert_usage_error(tmp_path, text, 8)
+        assert "generated momentum 'q_y'" in stderr
+
 
 class TestDeterminism:
     def test_json_reports_are_byte_identical(self):
@@ -319,3 +345,56 @@ class TestTasks:
             "task oracle-verify a b trials 40\n")
         results, ok = run(problem, Flags(oracle_seed=9))
         assert not ok
+
+
+CORPUS_TEXTS = [(CORPUS / f"{stem}.gk").read_text() for stem in CORPUS_FILES]
+# the corpus's whitespace-separated tokens, without integers of three or more digits
+CORPUS_TOKENS = sorted({token for text in CORPUS_TEXTS for token in text.split()
+                        if not re.search(r"\d{3}", token)})
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """A corpus file with lines dropped, duplicated or swapped, or a token
+    replaced by another corpus token."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        mutation = draw(st.sampled_from(["drop", "duplicate", "swap", "replace"]))
+        if mutation == "drop" and len(lines) > 1:
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(CORPUS_TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines)
+
+
+TOKEN_SOUP = st.lists(st.lists(st.sampled_from(CORPUS_TOKENS), max_size=8), max_size=8).map(
+    lambda rows: "\n".join(" ".join(row) for row in rows))
+
+
+def lower_task_integers(text):
+    """Every integer on a task line capped at 3, so that no mutation asks for a
+    Jacobi check or a pullback large enough to dominate the run."""
+    return "\n".join(
+        re.sub(r"\b\d+\b", lambda m: str(min(int(m.group()), 3)), line)
+        if line.split()[:1] == ["task"] else line
+        for line in text.splitlines())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mutated_corpus_files(), TOKEN_SOUP))
+def test_fuzzed_input_ends_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "fuzz.gk"
+        problem.write_text(lower_task_integers(text))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(problem), "--arity", "3", "--order", "3"])
+    assert code in (0, 1, 2)

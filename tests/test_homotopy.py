@@ -165,11 +165,11 @@ class TestExplicitFamilies:
 
         sl2 = ExplicitFamily(basis, 0, 0,
                              {(0, 1): combo(1, 2), (0, 2): combo(2, -2),
-                              (1, 2): combo(0)}, 4)
+                              (1, 2): combo(0)})
         assert check_higher_jacobi(sl2, 3).passed
         broken = ExplicitFamily(basis, 0, 0,
                                 {(0, 1): combo(1, -2), (0, 2): combo(2, -2),
-                                 (1, 2): combo(0)}, 4)
+                                 (1, 2): combo(0)})
         report = check_higher_jacobi(broken, 3)
         bad = report.failures()
         assert bad and all("n=3" in e.location for e in bad)
@@ -179,7 +179,7 @@ class TestExplicitFamilies:
         inconsistent = ExplicitFamily(
             basis, 0, 0,
             {(0, 1): Combination(basis, {1: Fraction(1)}),
-             (1, 0): Combination(basis, {1: Fraction(1)})}, 2)
+             (1, 0): Combination(basis, {1: Fraction(1)})})
         assert inconsistent.load_warnings
         assert inconsistent.bracket_indices((0, 1)).is_zero
 
@@ -188,11 +188,49 @@ class TestExplicitFamilies:
         # ones with a repeated odd entry vanish
         basis = SpaceBasis.build([("e", 0, 0), ("o", 1, 0)])
         anti = ExplicitFamily(basis, 0, 0,
-                              {(0, 0): Combination(basis, {0: Fraction(1)})}, 2)
+                              {(0, 0): Combination(basis, {0: Fraction(1)})})
         assert anti.load_warnings and anti.bracket_indices((0, 0)).is_zero
         sym = ExplicitFamily(basis, 1, 0,
-                             {(1, 1): Combination(basis, {0: Fraction(1)})}, 2)
+                             {(1, 1): Combination(basis, {0: Fraction(1)})})
         assert sym.load_warnings and sym.bracket_indices((1, 1)).is_zero
+
+
+def bubble_sign(indices, parities, epsilon):
+    """The sign carrying a bracket value at ``indices`` to the sorted slot, by
+    replaying a bubble sort's adjacent transpositions; each one gives -1 for
+    epsilon = 0 and -1 for two odd entries."""
+    order = sorted(range(len(indices)), key=lambda j: indices[j])
+    target = {pos: rank for rank, pos in enumerate(order)}
+    ranks = [target[j] for j in range(len(indices))]
+    parities = [parities[i] for i in indices]
+    sign = 1
+    for i in range(len(ranks)):
+        for j in range(len(ranks) - 1 - i):
+            if ranks[j] > ranks[j + 1]:
+                if epsilon == 0:
+                    sign = -sign
+                if parities[j] and parities[j + 1]:
+                    sign = -sign
+                ranks[j], ranks[j + 1] = ranks[j + 1], ranks[j]
+                parities[j], parities[j + 1] = parities[j + 1], parities[j]
+    return sign
+
+
+@pytest.mark.parametrize("epsilon", [0, 1])
+def test_explicit_bracket_on_permuted_inputs(epsilon):
+    # a value on every sorted slot to arity 5 of a mixed-parity basis; slots
+    # forced to zero by graded symmetry are dropped on load
+    basis = SpaceBasis.build([("a", 0, 0), ("b", 1, 0), ("c", 0, 1), ("d", 1, 1)])
+    parities = [v.parity for v in basis]
+    entries = {key: Combination(basis, {len(key) % 4: Fraction(1 + sum(key))})
+               for n in range(6)
+               for key in itertools.combinations_with_replacement(range(4), n)}
+    fam = ExplicitFamily(basis, epsilon, 0, entries)
+    for n in range(6):
+        for indices in itertools.product(range(4), repeat=n):
+            stored = fam.table.get(tuple(sorted(indices)), Combination(basis))
+            assert fam.bracket_indices(indices) == \
+                stored.scaled(bubble_sign(indices, parities, epsilon))
 
 
 class TestHamiltonianFamilies:
@@ -376,7 +414,7 @@ class TestParityReversion:
                     if rng.random() < 0.4:
                         entries[key] = Combination(
                             basis, {rng.randrange(dim): Fraction(rng.randint(-3, 3))})
-            fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries, 3)
+            fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries)
             double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
             for n in range(4):
                 for key in itertools.product(range(dim), repeat=n):
@@ -385,7 +423,7 @@ class TestParityReversion:
     def test_all_even_binary_prefactor_is_plus_one(self):
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0, 1): Combination(basis, {1: Fraction(1)})}, 3)
+                             {(0, 1): Combination(basis, {1: Fraction(1)})})
         transported = parity_reverse_brackets(fam, 3)
         assert transported.epsilon == 1
         assert transported.bracket_indices((0, 1)) == \
@@ -394,7 +432,7 @@ class TestParityReversion:
     def test_unary_prefactor_trivial(self):
         basis = SpaceBasis.build([("e1", 1, 0), ("e2", 0, 1)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0,): Combination(basis, {1: Fraction(2)})}, 2)
+                             {(0,): Combination(basis, {1: Fraction(2)})})
         transported = parity_reverse_brackets(fam, 2)
         assert transported.bracket_indices((0,)) == \
             Combination(transported.basis, {1: Fraction(2)})
@@ -413,7 +451,7 @@ class TestAssembly:
     def test_family_to_field_round_trip(self):
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0, 1): Combination(basis, {1: Fraction(1)})}, 3)
+                             {(0, 1): Combination(basis, {1: Fraction(1)})})
         q = assemble_vector_field(fam, 3)
         assert is_homological(q)
         rebuilt = QFamily(q, basis, ShiftSignature(0, 0))
@@ -430,7 +468,7 @@ class TestAssembly:
 
         sl2 = ExplicitFamily(basis, 0, 0,
                              {(0, 1): combo(1, 2), (0, 2): combo(2, -2),
-                              (1, 2): combo(0)}, 3)
+                              (1, 2): combo(0)})
         q = assemble_vector_field(sl2, 3)
         assert commutator(q, q).is_zero
 

@@ -10,7 +10,6 @@ from gradedkernel.microformal import (
     check_hamilton_jacobi,
     check_intertwining,
     conjugate_momenta,
-    odd_pullback,
     pullback,
     pullback_expansion_oracle,
     support,
@@ -135,7 +134,7 @@ class TestOddPullback:
         assert ys.parity == 0
         phi = ThickMorphism(n1, n2, 0, "odd", V(xi) * V(ys))
         g = Fraction(5) * V(eta)
-        result = odd_pullback(phi, g, 4)
+        result = pullback(phi, g, 4)
         assert result.f == Fraction(5) * V(xi)
         # the support map carries the parity twist
         assert result.y_solution[eta] == -V(xi)
@@ -146,13 +145,7 @@ class TestOddPullback:
         ys, = conjugate_momenta(n2, 0, "odd")
         xi = n1.variables[0]
         phi = ThickMorphism(n1, n2, 0, "odd", V(xi) + V(xi) * V(ys))
-        assert odd_pullback(phi, Series.zero(), 3).f == V(xi)
-
-    def test_kind_gate(self):
-        m1, m2, x, y, q = line_pair()
-        phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q))
-        with pytest.raises(ChartMismatch):
-            odd_pullback(phi, V(y), 2)
+        assert pullback(phi, Series.zero(), 3).f == V(xi)
 
     def test_quadratic_odd_closed_form(self):
         # S = xi ys + xi ys^2 against linear odd g
@@ -164,7 +157,7 @@ class TestOddPullback:
         phi = ThickMorphism(n1, n2, 0, "odd",
                             V(xi) * V(ys) + V(xi) * V(ys) ** 2)
         c = Fraction(2)
-        result = odd_pullback(phi, c * V(eta), 4)
+        result = pullback(phi, c * V(eta), 4)
         oracle = pullback_expansion_oracle(phi, c * V(eta))
         assert result.f == oracle
 
@@ -281,7 +274,7 @@ class TestWeightTheorem:
         n2 = Chart.build([("eta", 1, -1)], "N2")
         ys, = conjugate_momenta(n2, -1, "odd")
         phi = ThickMorphism(n1, n2, -1, "odd", V(n1.variables[0]) * V(ys))
-        result = odd_pullback(phi, 3 * V(n2.variables[0]), 3)
+        result = pullback(phi, 3 * V(n2.variables[0]), 3)
         grade = result.f.bigrading()
         assert grade.parity == 1 and grade.weight == -1
 
