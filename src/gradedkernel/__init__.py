@@ -31,9 +31,7 @@ from .graded_core import (
     Bigrading,
     GradedVariable,
     Series,
-    Term,
     format_series,
-    normalize_product,
 )
 from .homotopy import (
     BasisVector,

@@ -143,11 +143,23 @@ def _variable_env(variables: Sequence[GradedVariable], line: int) -> Dict[str, G
     return env
 
 
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits, within ``int()``'s digit limit."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit for int()
+            pass
+    shown = repr(text) if len(text) <= 20 else f"a word of {len(text)} characters"
+    raise argparse.ArgumentTypeError(f"expected an integer, got {shown}")
+
+
 def _parse_int(value: str, line: int) -> int:
     try:
-        return int(value)
-    except ValueError:
-        raise ProblemSyntaxError(f"expected an integer, got {value!r}", line) from None
+        return _integer(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ProblemSyntaxError(str(exc), line) from None
 
 
 def _parse_parity(word: str, line: int) -> int:
@@ -671,11 +683,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gk", description="graded homotopy-structure checker")
     parser.add_argument("problem", help="problem file (.gk)")
-    parser.add_argument("--arity", type=int, default=DEFAULT_ARITY,
+    parser.add_argument("--arity", type=_integer, default=DEFAULT_ARITY,
                         help="default arity bound for bracket checks")
-    parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    parser.add_argument("--order", type=_integer, default=DEFAULT_ORDER,
                         help="default truncation order for pullbacks")
-    parser.add_argument("--oracle-seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--oracle-seed", type=_integer, default=DEFAULT_SEED,
                         help="seed for oracle trials and sampled checks")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--quiet", action="store_true",

@@ -4,10 +4,13 @@
     term   := factor ('*' factor)*
     factor := INT ['/' INT] | NAME ['^' INT]
 
-Variable order inside a term is free; normalization applies the Koszul
-signs.  `0` and `1` are ordinary rational factors.  The printer in
-`graded_core.format_series` emits exactly this grammar, so every printed
-series re-parses to an equal one.
+Variable order inside a term is free.  Each factor is read as a `Series`
+(`NAME ^ INT` by `Series.variable`) and a term is the product of its factors,
+so the product applies the Koszul signs and an odd variable squared is zero.
+Parsing therefore costs time that grows with the length of the text, not
+with the values of its exponents.  INT is ASCII digits only.  `0` and `1` are
+ordinary rational factors.  The printer in `graded_core.format_series` emits
+exactly this grammar, so every printed series re-parses to an equal one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import List, Mapping, Tuple
 
 from .errors import ProblemSyntaxError, UnknownNameError
-from .graded_core import GradedVariable, Series, normalize_product
+from .graded_core import GradedVariable, Series
 
 
 @dataclass
@@ -34,7 +37,7 @@ _OPS = set("+-*/^")
 def _int_value(token: _Token) -> int:
     try:
         return int(token.value)
-    except ValueError:  # past the interpreter's digit limit for int(), or a non-ASCII digit
+    except ValueError:  # past the interpreter's digit limit for int()
         raise ProblemSyntaxError(f"malformed integer literal ({len(token.value)} characters)",
                                  token.line, token.column) from None
 
@@ -59,9 +62,9 @@ def _tokenize(text: str, line: int, column: int) -> List[_Token]:
             i += 1
             cur_col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit and int() also take non-ASCII digits
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("INT", text[i:j], cur_line, cur_col))
             cur_col += j - i
@@ -121,22 +124,16 @@ class _Parser:
                                          token.line, token.column)
 
     def parse_term(self) -> Series:
-        coeff, factors = self.parse_factor()
+        term = self.parse_factor()
         while True:
             token = self.peek()
             if token.kind == "OP" and token.value == "*":
                 self.advance()
-                c2, f2 = self.parse_factor()
-                coeff *= c2
-                factors.extend(f2)
+                term = term * self.parse_factor()
             else:
-                break
-        term = normalize_product(factors)
-        if term.is_zero or coeff == 0:
-            return Series.zero()
-        return Series({term.monomial: term.coefficient * coeff})
+                return term
 
-    def parse_factor(self) -> Tuple[Fraction, List[GradedVariable]]:
+    def parse_factor(self) -> Series:
         token = self.advance()
         if token.kind == "INT":
             value = Fraction(_int_value(token))
@@ -147,7 +144,7 @@ class _Parser:
                 if denominator == 0:
                     raise ProblemSyntaxError("zero denominator", dtok.line, dtok.column)
                 value /= denominator
-            return value, []
+            return Series.constant(value)
         if token.kind == "NAME":
             var = self.names.get(token.value)
             if var is None:
@@ -157,10 +154,8 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "^":
                 self.advance()
-                exponent, etok = self.expect_int()
-                if exponent < 0:
-                    raise ProblemSyntaxError("negative exponent", etok.line, etok.column)
-            return Fraction(1), [var] * exponent
+                exponent, _ = self.expect_int()
+            return Series.variable(var, exponent)
         raise ProblemSyntaxError(f"expected a number or a variable, got {token.value!r}",
                                  token.line, token.column)
 

@@ -37,7 +37,6 @@ from .graded_core import (
     Bigrading,
     GradedVariable,
     Series,
-    monomial_fiber_degree,
 )
 
 KIND_EVEN = "even"
@@ -296,4 +295,4 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
 
 def restrict_to_base(f: Series, ct: CotangentChart) -> Series:
     """Set every fiber variable to zero; the truncation order carries over."""
-    return f.filter_terms(lambda m: monomial_fiber_degree(m) == 0)
+    return f.fiber_slice(0, 0)

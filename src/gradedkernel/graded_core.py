@@ -12,8 +12,14 @@ Conventions, fixed once and used everywhere:
 * coefficients are exact rationals; there is no floating point anywhere.
 
 Odd variables square to zero and are capped at exponent one structurally:
-``normalize_product`` returns the zero term as soon as an odd variable
-repeats.
+``merge_monomials`` returns ``None`` as soon as an odd variable repeats, and
+``Series.variable`` gives the zero series for an odd variable to a power
+above one.  ``merge_monomials`` holds the one Koszul sign rule of products;
+the parser builds each term as a product of its factors.
+
+Monomials are private to this module.  Other modules reach them only through
+``Series.items``, ``Series(...)``, ``Series.coefficient`` and formatting, and
+slice by fiber degree with ``Series.fiber_slice``.
 
 A ``Series`` holds a dict from canonical monomials to coefficients.  The
 public constructor enforces three invariants on it: every coefficient is a
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .errors import GradingMismatch, InhomogeneousSeries, ZeroSeries
 
@@ -121,47 +127,6 @@ def monomial_fiber_degree(monomial: Monomial) -> int:
 
 def monomial_sort_key(monomial: Monomial):
     return tuple((var.key, exp) for var, exp in monomial)
-
-
-@dataclass(frozen=True)
-class Term:
-    """A coefficient together with a canonical monomial."""
-
-    coefficient: Fraction
-    monomial: Monomial
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
-
-
-ZERO_TERM = Term(Fraction(0), ())
-
-
-def normalize_product(factors: Sequence[GradedVariable]) -> Term:
-    """Sort a factor sequence into canonical order with its Koszul sign.
-
-    Every adjacent swap of two odd factors flips the sign; swapping an even
-    factor past anything is free.  A repeated odd factor kills the term.
-    """
-    arr = list(factors)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1].key > arr[j].key:
-            if arr[j - 1].parity and arr[j].parity:
-                sign = -sign
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
-    merged: list = []
-    for var in arr:
-        if merged and merged[-1][0] == var:
-            if var.parity:
-                return ZERO_TERM
-            merged[-1][1] += 1
-        else:
-            merged.append([var, 1])
-    return Term(Fraction(sign), tuple((v, e) for v, e in merged))
 
 
 def merge_monomials(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]:
@@ -288,8 +253,15 @@ class Series:
         return cls.constant(1)
 
     @classmethod
-    def variable(cls, var: GradedVariable) -> "Series":
-        return cls({((var, 1),): Fraction(1)})
+    def variable(cls, var: GradedVariable, exponent: int = 1) -> "Series":
+        """``var^exponent``: one for exponent 0, zero for an odd variable past 1."""
+        if exponent < 0:
+            raise ValueError("variable powers take a nonnegative integer exponent")
+        if exponent == 0:
+            return cls.one()
+        if var.parity and exponent > 1:
+            return cls.zero()
+        return cls._trusted({((var, exponent),): _ONE}, None)
 
     # -- inspection --------------------------------------------------------
 
@@ -505,10 +477,12 @@ class Series:
     def without_truncation(self) -> "Series":
         return Series._trusted(self._terms, None)
 
-    def filter_terms(self, keep) -> "Series":
-        """Series of the terms whose monomial satisfies ``keep`` (metadata kept)."""
-        return Series._trusted({m: c for m, c in self._terms.items() if keep(m)},
-                               self._trunc)
+    def fiber_slice(self, low: int, high: Optional[int] = None) -> "Series":
+        """The terms of fiber degree ``low`` to ``high``, or from ``low`` up if
+        ``high`` is None; the truncation order is kept."""
+        top = float("inf") if high is None else high
+        return Series._trusted({m: c for m, c in self._terms.items()
+                                if low <= monomial_fiber_degree(m) <= top}, self._trunc)
 
     # -- formatting ----------------------------------------------------------
 

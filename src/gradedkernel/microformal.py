@@ -32,7 +32,6 @@ from .graded_core import (
     GradedVariable,
     Series,
     format_series,
-    monomial_fiber_degree,
 )
 from .homotopy import check_master
 from .report import Report
@@ -92,10 +91,10 @@ class ThickMorphism:
         return self.S.is_zero or self.S.is_homogeneous(self.expected_parity, self.shift)
 
     def s_part(self, degree: int) -> Series:
-        return self.S.filter_terms(lambda m: monomial_fiber_degree(m) == degree)
+        return self.S.fiber_slice(degree, degree)
 
     def s_tail(self, degree: int) -> Series:
-        return self.S.filter_terms(lambda m: monomial_fiber_degree(m) >= degree)
+        return self.S.fiber_slice(degree)
 
     def __str__(self) -> str:
         arrow = "=>" if self.kind == KIND_EVEN else "=o>"

@@ -118,7 +118,7 @@ FAMILY_TASK_LINE = 10
 def assert_usage_error(tmp_path, text, line, *flags):
     """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
     problem = tmp_path / "task.gk"
-    problem.write_text(text)
+    problem.write_text(text, encoding="utf-8")
     proc = run_cli(str(problem), *flags)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -236,6 +236,32 @@ class TestUsageErrors:
         stderr = self.run_task_line(
             tmp_path, "function b on PiV = " + expression.format("7" * 5000))
         assert "malformed integer literal" in stderr
+
+    # int() would read "1_0" as 10 and the Arabic-Indic digit "\u0663" as 3
+    NOT_ASCII_INTEGERS = pytest.mark.parametrize(
+        "value", ["1_0", "\u0663", "7" * 5000],
+        ids=["underscore", "arabic-indic", "5000-digits"])
+
+    @NOT_ASCII_INTEGERS
+    def test_weight_that_is_not_an_ascii_integer(self, tmp_path, value):
+        text = f"manifold M\n  var x even {value}\nend\n"
+        stderr = assert_usage_error(tmp_path, text, 2)
+        assert "expected an integer" in stderr and len(stderr) < 200
+
+    @NOT_ASCII_INTEGERS
+    def test_task_option_that_is_not_an_ascii_integer(self, tmp_path, value):
+        stderr = self.run_task_line(tmp_path, f"task check-jacobi F arity {value}")
+        assert "expected an integer" in stderr and len(stderr) < 200
+
+    @pytest.mark.parametrize("flag", ["--arity", "--order"])
+    @NOT_ASCII_INTEGERS
+    def test_flag_that_is_not_an_ascii_integer(self, tmp_path, flag, value):
+        problem = tmp_path / "task.gk"
+        problem.write_text(FAMILY_PROBLEM, encoding="utf-8")
+        proc = run_cli(str(problem), flag, value)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        message = proc.stderr.splitlines()[-1]
+        assert f"{flag}: expected an integer" in message and len(message) < 200
 
     def test_momentum_named_like_a_base_variable(self, tmp_path):
         text = ("manifold M\n  var x even 0\n  var p_x odd 3\nend\n"

@@ -1,11 +1,14 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedkernel.errors import ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import GradedVariable, Series, format_series
 from gradedkernel.sampling import random_homogeneous
+from test_graded_core import normalize_product
 
 X = GradedVariable("x", 0, 0, 0, 0)
 XI1 = GradedVariable("xi1", 1, 1, 0, 1)
@@ -47,6 +50,10 @@ def test_syntax_error_position():
         parse_series("x * * 2", ENV)
     with pytest.raises(ProblemSyntaxError):
         parse_series("1/0", ENV)
+    # int() would read the Arabic-Indic digit as 3
+    with pytest.raises(ProblemSyntaxError) as err:
+        parse_series("x^\u0663", ENV)
+    assert err.value.column == 3
 
 
 def test_print_parse_round_trip():
@@ -54,3 +61,30 @@ def test_print_parse_round_trip():
     for _ in range(400):
         s = random_homogeneous(list(ENV.values()), rng, max_degree=3)
         assert parse_series(format_series(s), ENV) == s
+
+
+def test_powers_of_an_odd_variable():
+    assert parse_series("xi1^0", ENV) == Series.one()
+    assert parse_series("xi1^1", ENV) == Series.variable(XI1)
+    assert parse_series("xi1^2", ENV).is_zero
+    assert parse_series("xi1^0 * xi1", ENV) == Series.variable(XI1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations([(v, e) for v in ENV.values() for e in range(4)]),
+       st.integers(1, 16), st.integers(-3, 3))
+def test_shuffled_factors_match_the_sort_reference(factors, count, coefficient):
+    picked = factors[:count]
+    text = " * ".join([str(coefficient)] + [f"{v.name}^{e}" for v, e in picked])
+    term = normalize_product([v for v, e in picked for _ in range(e)])
+    expected = Series({term.monomial: coefficient * term.coefficient})
+    assert parse_series(text, ENV) == expected
+
+
+def test_parse_cost_does_not_grow_with_exponents():
+    env = dict(ENV, y=GradedVariable("y", 0, 0, 0, 3))
+    start = time.perf_counter()
+    s = parse_series("y^1000000 * x^1000000", env)
+    assert time.perf_counter() - start < 1.0
+    assert s == Series({((X, 10 ** 6), (env["y"], 10 ** 6)): 1})
+    assert parse_series(format_series(s), env) == s

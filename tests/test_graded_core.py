@@ -1,9 +1,13 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradedkernel
 from gradedkernel.errors import GradingMismatch, InhomogeneousSeries, ZeroSeries
 from gradedkernel.graded_core import (
     Bigrading,
@@ -13,7 +17,6 @@ from gradedkernel.graded_core import (
     merge_monomials,
     monomial_bigrading,
     monomial_fiber_degree,
-    normalize_product,
 )
 
 X = GradedVariable("x", 0, 0, 0, 0)
@@ -25,6 +28,46 @@ VARS = [X, XI1, XI2, Q]
 
 def V(var):
     return Series.variable(var)
+
+
+# -- a sort-based tuple reference for the kernel's product sign ----------------
+
+class Term(NamedTuple):
+    """A sign, or 0 for a vanishing product, with a canonical monomial."""
+
+    coefficient: int
+    monomial: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coefficient == 0
+
+
+def normalize_product(factors):
+    """Sort a factor sequence into canonical order with its Koszul sign.
+
+    Every adjacent swap of two odd factors flips the sign; swapping an even
+    factor past anything is free.  A repeated odd factor kills the term.  It
+    shares no code with the kernel, whose product merges sorted monomials.
+    """
+    arr = list(factors)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1].key > arr[j].key:
+            if arr[j - 1].parity and arr[j].parity:
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    merged = []
+    for var in arr:
+        if merged and merged[-1][0] == var:
+            if var.parity:
+                return Term(0, ())
+            merged[-1][1] += 1
+        else:
+            merged.append([var, 1])
+    return Term(sign, tuple((v, e) for v, e in merged))
 
 
 class TestNormalizeProduct:
@@ -76,6 +119,13 @@ class TestArithmetic:
 
     def test_scalar_division(self):
         assert (V(X) / 2) * 2 == V(X)
+
+    def test_variable_powers(self):
+        assert Series.variable(X, 3) == V(X) ** 3
+        assert Series.variable(X, 0) == Series.one()
+        assert Series.variable(XI1, 2).is_zero
+        with pytest.raises(ValueError):
+            Series.variable(X, -1)
 
 
 class TestBigrade:
@@ -366,9 +416,42 @@ def test_substitute_matches_naive(s, bound):
 def test_results_keep_invariants(a, b, var, order):
     for result in (a + b, a - b, -a, a * Fraction(2, 3), a * 0, a.truncate(order),
                    a.left_derivative(var), a.without_truncation(),
-                   a.filter_terms(lambda m: len(m) != 1)):
+                   a.fiber_slice(order), a.fiber_slice(0, order)):
         assert_invariants(result)
     assert (a + b).truncation_order == min_order(a.truncation_order, b.truncation_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series(), st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4)))
+def test_fiber_slice_matches_filter(s, low, high):
+    def kept(monomial):
+        degree = sum(exp for var, exp in monomial if var.fiber_degree)
+        return low <= degree and (high is None or degree <= high)
+    sliced = s.fiber_slice(low, high)
+    assert sliced.items() == [(m, c) for m, c in s.items() if kept(m)]
+    assert sliced.truncation_order == s.truncation_order
+
+
+# names through which a module would read or build monomial tuples directly
+MONOMIAL_INTERNALS = {"_terms", "_trusted", "merge_monomials", "monomial_fiber_degree",
+                      "monomial_sort_key"}
+
+
+def test_monomials_stay_inside_graded_core():
+    offences = []
+    for path in sorted(Path(gradedkernel.__file__).parent.glob("*.py")):
+        if path.name == "graded_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offences += [f"{path.name}:{node.lineno} {name}" for name in names
+                         if name in MONOMIAL_INTERNALS or name == "*"]
+    assert not offences
 
 
 FIELDS = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1), st.integers(-1, 1),
