@@ -2,6 +2,7 @@
 
 from .errors import (
     ChartMismatch,
+    ExponentOverflow,
     GradedKernelError,
     GradingMismatch,
     InhomogeneousSeries,

@@ -51,3 +51,7 @@ class ProblemSyntaxError(GradedKernelError):
 
 class UnknownNameError(ProblemSyntaxError):
     """A referenced name was never declared."""
+
+
+class ExponentOverflow(GradedKernelError):
+    """A product has an exponent or fiber degree above graded_core.EXPONENT_BOUND."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Tuple
 
-from .errors import ProblemSyntaxError, UnknownNameError
-from .graded_core import GradedVariable, Series
+from .errors import ExponentOverflow, ProblemSyntaxError, UnknownNameError
+from .graded_core import EXPONENT_BOUND, GradedVariable, Series
 
 
 @dataclass
@@ -104,21 +104,21 @@ class _Parser:
         return _int_value(token), token
 
     def parse_expression(self) -> Series:
-        total = Series.zero()
+        terms = []
         sign = 1
         token = self.peek()
         if token.kind == "OP" and token.value in "+-":
             self.advance()
             sign = -1 if token.value == "-" else 1
-        total = total + sign * self.parse_term()
+        terms.append(sign * self.parse_term())
         while True:
             token = self.peek()
             if token.kind == "OP" and token.value in "+-":
                 self.advance()
                 sign = -1 if token.value == "-" else 1
-                total = total + sign * self.parse_term()
+                terms.append(sign * self.parse_term())
             elif token.kind == "END":
-                return total
+                return Series.sum(terms)
             else:
                 raise ProblemSyntaxError(f"expected '+', '-' or end, got {token.value!r}",
                                          token.line, token.column)
@@ -129,21 +129,25 @@ class _Parser:
             token = self.peek()
             if token.kind == "OP" and token.value == "*":
                 self.advance()
-                term = term * self.parse_factor()
+                factor = self.parse_factor()
+                try:
+                    term = term * factor
+                except ExponentOverflow as exc:
+                    raise ProblemSyntaxError(str(exc), token.line, token.column) from None
             else:
                 return term
 
     def parse_factor(self) -> Series:
         token = self.advance()
         if token.kind == "INT":
-            value = Fraction(_int_value(token))
+            value = _int_value(token)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "/":
                 self.advance()
                 denominator, dtok = self.expect_int()
                 if denominator == 0:
                     raise ProblemSyntaxError("zero denominator", dtok.line, dtok.column)
-                value /= denominator
+                value = Fraction(value, denominator)
             return Series.constant(value)
         if token.kind == "NAME":
             var = self.names.get(token.value)
@@ -154,7 +158,10 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "^":
                 self.advance()
-                exponent, _ = self.expect_int()
+                exponent, etok = self.expect_int()
+                if exponent > EXPONENT_BOUND:
+                    raise ProblemSyntaxError(f"exponent above the bound {EXPONENT_BOUND}",
+                                             etok.line, etok.column)
             return Series.variable(var, exponent)
         raise ProblemSyntaxError(f"expected a number or a variable, got {token.value!r}",
                                  token.line, token.column)

@@ -11,32 +11,55 @@ Conventions, fixed once and used everywhere:
   precede momenta and antimomenta;
 * coefficients are exact rationals; there is no floating point anywhere.
 
-Odd variables square to zero and are capped at exponent one structurally:
-``merge_monomials`` returns ``None`` as soon as an odd variable repeats, and
-``Series.variable`` gives the zero series for an odd variable to a power
-above one.  ``merge_monomials`` holds the one Koszul sign rule of products;
-the parser builds each term as a product of its factors.
-
 Monomials are private to this module.  Other modules reach them only through
 ``Series.items``, ``Series(...)``, ``Series.coefficient`` and formatting, and
-slice by fiber degree with ``Series.fiber_slice``.
+slice by fiber degree with ``Series.fiber_slice``.  At that boundary a
+monomial is a tuple of ``(variable, exponent)`` pairs in canonical order; a
+tuple out of that order, with a repeated variable, or with an exponent below
+one, above one for an odd variable or above ``EXPONENT_BOUND`` is a
+``ValueError``, never silently re-signed.
 
-A ``Series`` holds a dict from canonical monomials to coefficients.  The
-public constructor enforces three invariants on it: every coefficient is a
-``Fraction``, none is zero, and no monomial has a fiber degree above the
-truncation order.  ``Series._trusted`` skips those checks; it is only called
-on dicts built inside this module that already satisfy all three, and the
-dict is never mutated afterwards, so series may share it.
+Inside a ``Series`` a monomial is one ``int`` key:
+
+* the lowest ``_WIDTH`` bits hold the total fiber degree;
+* the first time a series uses a variable, ``_REGISTRY`` gives it a field
+  for its exponent above every field given before, and the field is its own
+  for the life of the process.  Variables are compared by value, so parsing
+  the same text again uses the same fields.  An even variable's field is
+  ``_WIDTH`` bits wide, an odd variable's is one bit, since an odd variable
+  squares to zero;
+* the top bit of the fiber field and of every even field is a guard bit,
+  zero in every stored key.
+
+The product of two monomials is then the sum of their keys.  It is zero when
+the keys share an odd bit.  An exponent or fiber degree above
+``EXPONENT_BOUND`` (at least 10^6) sets a guard bit, and the product raises
+``ExponentOverflow``; it never carries into the next field.  The Koszul sign
+of ``a * b`` is ``(-1) ** n``, where ``n`` counts the pairs of an odd factor
+of ``a`` canonically after an odd factor of ``b``: the parity of
+``popcount(a & _flip_mask(b))``.  ``Series.__mul__`` holds this one sign rule
+of products, and the parser builds each term as a product of its factors.
+
+Coefficients are integer numerators over one positive denominator ``_den``
+per series, reduced after every operation so that ``gcd(_den, every
+numerator) == 1``.  That form is canonical, so equal series have equal term
+dicts and equal denominators.  The public constructor also drops zero
+coefficients and terms above the truncation order.  ``Series._trusted``
+skips all checks; it is only called on dicts built inside this module that
+already satisfy them, and the dict is never mutated afterwards, so series
+may share it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Mapping, Optional, Tuple, Union
+from math import gcd, lcm
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import GradingMismatch, InhomogeneousSeries, ZeroSeries
+from .errors import ExponentOverflow, GradingMismatch, InhomogeneousSeries, ZeroSeries
 
 EVEN = 0
 ODD = 1
@@ -121,84 +144,133 @@ def monomial_bigrading(monomial: Monomial) -> Bigrading:
     return Bigrading(parity % 2, weight)
 
 
-def monomial_fiber_degree(monomial: Monomial) -> int:
-    return sum(exp for var, exp in monomial if var.fiber_degree)
+# -- packed monomial keys -------------------------------------------------------
+
+_WIDTH = 21
+EXPONENT_BOUND = (1 << (_WIDTH - 1)) - 1  # 1,048,575: the guard bit stays clear
+_FIELD = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+_FIBER = _FIELD  # the fiber degree field is the lowest one
 
 
-def monomial_sort_key(monomial: Monomial):
-    return tuple((var.key, exp) for var, exp in monomial)
+class _Slot:
+    """A variable's field in every key: ``exponent << shift``."""
+
+    __slots__ = ("var", "shift", "mask", "rank")
+
+    def __init__(self, var: GradedVariable, shift: int, mask: int):
+        self.var = var
+        self.shift = shift
+        self.mask = mask
+        # canonical order; the identity breaks ties between distinct
+        # variables that share a key
+        self.rank = (var.key, var._identity)
 
 
-def merge_monomials(a: Monomial, b: Monomial) -> Optional[Tuple[int, Monomial]]:
-    """Multiply two canonical monomials; returns (sign, monomial) or None if zero.
+class _Registry:
+    """The key field of every variable a series has used, assigned on first use.
 
-    The sign counts the odd-odd inversions created by interleaving: for each
-    odd factor of ``a`` every odd factor of ``b`` that must move past it
-    contributes one transposition.
+    Fields are assigned in registration order, which need not be canonical
+    order, so each odd field keeps the mask of the odd fields canonically
+    after it, updated as later fields register.
     """
-    sign = 1
-    odd_a = [var.key for var, _ in a if var.parity]
-    if odd_a:
-        for var, _ in b:
-            if var.parity:
-                key = var.key
-                behind = sum(1 for k in odd_a if k > key)
-                if behind % 2:
-                    sign = -sign
-    out = []
-    i = j = 0
-    len_a = len(a)
-    len_b = len(b)
-    while i < len_a and j < len_b:
-        va, ea = a[i]
-        vb, eb = b[j]
-        key_a = va.key
-        key_b = vb.key
-        if key_a < key_b:
-            out.append(a[i])
-            i += 1
-        elif key_b < key_a:
-            out.append(b[j])
-            j += 1
-        elif va is vb or va == vb:
-            if va.parity:
-                return None
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
+
+    def __init__(self):
+        self.slots: Dict[GradedVariable, _Slot] = {}  # in registration order
+        self.canonical: List[_Slot] = []
+        self.above: Dict[int, int] = {}  # odd bit -> odd bits canonically after it
+        self.odd_bits = 0
+        self.guards = _GUARD
+        self.width = _WIDTH
+
+    def slot(self, var: GradedVariable) -> _Slot:
+        slot = self.slots.get(var)
+        if slot is not None:
+            return slot
+        if var.parity:
+            slot = _Slot(var, self.width, 1)
+            bit = 1 << self.width
+            above = 0
+            for other in self.slots.values():
+                if other.mask == 1:
+                    other_bit = 1 << other.shift
+                    if other.rank > slot.rank:
+                        above |= other_bit
+                    else:
+                        self.above[other_bit] |= bit
+            self.above[bit] = above
+            self.odd_bits |= bit
+            self.width += 1
         else:
-            out.append(a[i])
-            i += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+            slot = _Slot(var, self.width, _FIELD)
+            self.guards |= _GUARD << self.width
+            self.width += _WIDTH
+        self.slots[var] = slot
+        insort(self.canonical, slot, key=attrgetter("rank"))
+        return slot
 
 
-_ONE = Fraction(1)
+_REGISTRY = _Registry()
 
 
-def _accumulate(terms: dict, monomial: Monomial, value: Fraction) -> None:
-    """Add ``value`` to ``terms[monomial]``, dropping the entry if it cancels."""
-    previous = terms.get(monomial)
-    if previous is None:
-        terms[monomial] = value
-        return
-    total = previous + value
-    if total:
-        terms[monomial] = total
-    else:
-        del terms[monomial]
+def _encode(monomial: Monomial, register: bool = True) -> Optional[int]:
+    """The key of a canonical monomial tuple.
+
+    Without ``register``, a variable that has no field yet gives None: no
+    stored key can contain it.
+    """
+    key = fiber = 0
+    rank = None
+    for var, exp in monomial:
+        slot = _REGISTRY.slots.get(var)
+        if slot is None:
+            if not register:
+                return None
+            slot = _REGISTRY.slot(var)
+        if rank is not None and slot.rank <= rank:
+            raise ValueError(f"monomial {monomial!r} is not in canonical order")
+        rank = slot.rank
+        if not 0 < exp <= (1 if var.parity else EXPONENT_BOUND):
+            raise ValueError(f"monomial {monomial!r} has exponent {exp} on {var.name}; "
+                             f"exponents run from 1 to {1 if var.parity else EXPONENT_BOUND}")
+        key += exp << slot.shift
+        fiber += exp * var.fiber_degree
+    if fiber > EXPONENT_BOUND:
+        raise ValueError(f"monomial {monomial!r} has fiber degree above {EXPONENT_BOUND}")
+    return key + fiber
+
+
+def _flip_mask(key: int) -> int:
+    """The odd bits whose presence in ``a`` flips the sign of ``a * key``.
+
+    By linearity over Z2 this is the xor of the "after me" masks of ``key``'s
+    odd variables.
+    """
+    rest = key & _REGISTRY.odd_bits
+    flip = 0
+    while rest:
+        low = rest & -rest
+        flip ^= _REGISTRY.above[low]
+        rest ^= low
+    return flip
+
+
+def _overflow(key: int) -> ExponentOverflow:
+    for slot in _REGISTRY.canonical:
+        if (key >> slot.shift) & slot.mask > EXPONENT_BOUND:
+            return ExponentOverflow(f"a product raises {slot.var.name} to a power "
+                                    f"above {EXPONENT_BOUND}")
+    return ExponentOverflow(f"a product has fiber degree above {EXPONENT_BOUND}")
 
 
 def _by_fiber_degree(terms: dict, trunc: Optional[int]) -> list:
-    """``(fiber degree, monomial, coefficient)`` in ascending fiber degree.
+    """``(fiber degree, key, numerator)`` in ascending fiber degree.
 
     Without a truncation order nothing is pruned, and every degree reads 0.
     """
     if trunc is None:
-        return [(0, m, c) for m, c in terms.items()]
-    return sorted(((monomial_fiber_degree(m), m, c) for m, c in terms.items()),
-                  key=itemgetter(0))
+        return [(0, k, n) for k, n in terms.items()]
+    return sorted(((k & _FIBER, k, n) for k, n in terms.items()), key=itemgetter(0))
 
 
 def _min_trunc(*orders: Optional[int]) -> Optional[int]:
@@ -213,40 +285,58 @@ class Series:
     means the series is exact.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_trunc", "_hash")
+    __slots__ = ("_terms", "_den", "_trunc", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None,
                  truncation_order: Optional[int] = None):
-        clean = {}
+        kept = []
         for monomial, coeff in (terms or {}).items():
             coeff = _frac(coeff)
             if coeff == 0:
                 continue
-            if truncation_order is not None and monomial_fiber_degree(monomial) > truncation_order:
+            key = _encode(monomial)
+            if truncation_order is not None and key & _FIBER > truncation_order:
                 continue
-            clean[monomial] = coeff
-        self._terms = clean
+            kept.append((key, coeff))
+        # each coefficient is in lowest terms, so over the lcm of the
+        # denominators the numerators have no common factor with it
+        den = lcm(*(coeff.denominator for _, coeff in kept))
+        self._terms = {key: coeff.numerator * (den // coeff.denominator)
+                       for key, coeff in kept}
+        self._den = den
         self._trunc = truncation_order
         self._hash = None
 
     @classmethod
-    def _trusted(cls, terms: dict, truncation_order: Optional[int]) -> "Series":
+    def _trusted(cls, terms: dict, den: int, truncation_order: Optional[int]) -> "Series":
         """Wrap a dict that already meets the invariants in the module docstring."""
         series = cls.__new__(cls)
         series._terms = terms
+        series._den = den
         series._trunc = truncation_order
         series._hash = None
         return series
+
+    @classmethod
+    def _reduced(cls, terms: dict, den: int, truncation_order: Optional[int]) -> "Series":
+        """``_trusted`` after dividing out the common factor of ``den`` and ``terms``."""
+        if den != 1:
+            common = gcd(den, *terms.values())
+            if common != 1:
+                den //= common
+                terms = {k: n // common for k, n in terms.items()}
+        return cls._trusted(terms, den, truncation_order)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def zero(cls, truncation_order: Optional[int] = None) -> "Series":
-        return cls({}, truncation_order)
+        return cls._trusted({}, 1, truncation_order)
 
     @classmethod
     def constant(cls, value: Rational) -> "Series":
-        return cls({(): _frac(value)})
+        value = _frac(value)
+        return cls._trusted({0: value.numerator} if value else {}, value.denominator, None)
 
     @classmethod
     def one(cls) -> "Series":
@@ -255,13 +345,36 @@ class Series:
     @classmethod
     def variable(cls, var: GradedVariable, exponent: int = 1) -> "Series":
         """``var^exponent``: one for exponent 0, zero for an odd variable past 1."""
-        if exponent < 0:
-            raise ValueError("variable powers take a nonnegative integer exponent")
+        if not 0 <= exponent <= EXPONENT_BOUND:
+            raise ValueError(f"variable powers take an exponent from 0 to {EXPONENT_BOUND}")
         if exponent == 0:
             return cls.one()
         if var.parity and exponent > 1:
             return cls.zero()
-        return cls._trusted({((var, exponent),): _ONE}, None)
+        return cls._trusted({_encode(((var, exponent),)): 1}, 1, None)
+
+    @classmethod
+    def sum(cls, terms: Sequence["Series"]) -> "Series":
+        """The sum of ``terms``, accumulated in one dict over a common denominator."""
+        trunc = _min_trunc(*[t._trunc for t in terms])
+        den = lcm(*[t._den for t in terms])
+        out: Optional[dict] = None
+        for term in terms:
+            part = term._terms
+            if trunc is not None and term._trunc != trunc:
+                part = {k: n for k, n in part.items() if k & _FIBER <= trunc}
+            scale = den // term._den
+            if out is None:
+                out = dict(part) if scale == 1 else {k: n * scale for k, n in part.items()}
+                continue
+            get = out.get
+            for key, n in part.items():
+                total = get(key, 0) + n * scale
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+        return cls._reduced(out or {}, den, trunc)
 
     # -- inspection --------------------------------------------------------
 
@@ -275,27 +388,63 @@ class Series:
 
     def items(self):
         """Terms in canonical order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
+        den = self._den
+        rows = self._decoded()
+        rows.sort(key=itemgetter(0))
+        return [(monomial, Fraction(n, den)) for _, monomial, n in rows]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(monomial, Fraction(0))
+        n = self._terms.get(_encode(monomial, register=False))
+        return Fraction(0) if n is None else Fraction(n, self._den)
+
+    def _slots(self) -> List[_Slot]:
+        """The slots of the variables that occur in some term, in canonical order."""
+        union = 0
+        for key in self._terms:
+            union |= key
+        return [slot for slot in _REGISTRY.canonical if (union >> slot.shift) & slot.mask]
+
+    def _decoded(self) -> List[Tuple[list, Monomial, int]]:
+        """``(sort key, monomial tuple, numerator)`` for every term.
+
+        The sort key lists ``(position, exponent)`` over the series' variables
+        in canonical order, so it sorts as the monomial's ``(var.key, exp)``
+        pairs do.
+        """
+        fields = [(position, slot.shift, slot.mask, slot.var)
+                  for position, slot in enumerate(self._slots())]
+        rows = []
+        for key, n in self._terms.items():
+            order = []
+            monomial = []
+            for position, shift, mask, var in fields:
+                exp = (key >> shift) & mask
+                if exp:
+                    order += (position, exp)
+                    monomial.append((var, exp))
+            rows.append((order, tuple(monomial), n))
+        return rows
 
     def variables(self) -> set:
-        return {var for monomial in self._terms for var, _ in monomial}
+        return {slot.var for slot in self._slots()}
 
     def fiber_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(monomial_fiber_degree(m) for m in self._terms)
+        return max((k & _FIBER for k in self._terms), default=0)
 
     def bigrading(self) -> Bigrading:
         if not self._terms:
             raise ZeroSeries("the zero series has no bigrading")
-        grades = {monomial_bigrading(m) for m in self._terms}
+        odd = _REGISTRY.odd_bits
+        weighted = [(slot.shift, slot.mask, slot.var.weight)
+                    for slot in self._slots() if slot.var.weight]
+        grades = {((k & odd).bit_count() & 1,
+                   sum(w * ((k >> shift) & mask) for shift, mask, w in weighted)
+                   if weighted else 0)
+                  for k in self._terms}
         if len(grades) > 1:
-            listed = ", ".join(sorted(str(g) for g in grades))
+            listed = ", ".join(sorted(str(Bigrading(*g)) for g in grades))
             raise InhomogeneousSeries(f"series mixes bigradings {listed}")
-        return grades.pop()
+        return Bigrading(*grades.pop())
 
     def is_homogeneous(self, parity: Optional[int] = None,
                        weight: Optional[int] = None) -> bool:
@@ -317,18 +466,13 @@ class Series:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        trunc = _min_trunc(self._trunc, other._trunc)
-        merged = dict(self._terms)
-        for monomial, coeff in other._terms.items():
-            _accumulate(merged, monomial, coeff)
-        if trunc is not None and (self._trunc != trunc or other._trunc != trunc):
-            merged = {m: c for m, c in merged.items() if monomial_fiber_degree(m) <= trunc}
-        return Series._trusted(merged, trunc)
+        return Series.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series._trusted({m: -c for m, c in self._terms.items()}, self._trunc)
+        return Series._trusted({k: -n for k, n in self._terms.items()}, self._den,
+                               self._trunc)
 
     def __sub__(self, other) -> "Series":
         other = _coerce(other)
@@ -343,9 +487,11 @@ class Series:
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if c == 0:
-                return Series._trusted({}, self._trunc)
-            return Series._trusted({m: coeff * c for m, coeff in self._terms.items()},
-                                   self._trunc)
+                return Series.zero(self._trunc)
+            if c == 1:
+                return self
+            return Series._reduced({k: n * c.numerator for k, n in self._terms.items()},
+                                   self._den * c.denominator, self._trunc)
         if not isinstance(other, Series):
             return NotImplemented
         trunc = _min_trunc(self._trunc, other._trunc)
@@ -353,21 +499,40 @@ class Series:
         # both sides in ascending degree each row stops at the first pair past
         # the order, before that pair is merged
         budget = 0 if trunc is None else trunc
-        right = _by_fiber_degree(other._terms, trunc)
+        odd = _REGISTRY.odd_bits
+        right = [(degree, k, n, _flip_mask(k))
+                 for degree, k, n in _by_fiber_degree(other._terms, trunc)]
         out: dict = {}
-        for degree_a, ma, ca in _by_fiber_degree(self._terms, trunc):
+        get = out.get
+        for degree_a, ka, na in _by_fiber_degree(self._terms, trunc):
             room = budget - degree_a
             if room < 0:
                 break
-            for degree_b, mb, cb in right:
+            for degree_b, kb, nb, flip in right:
                 if degree_b > room:
                     break
-                merged = merge_monomials(ma, mb)
-                if merged is None:
+                if ka & kb & odd:
                     continue
-                sign, monomial = merged
-                _accumulate(out, monomial, ca * cb if sign > 0 else -(ca * cb))
-        return Series._trusted(out, trunc)
+                value = na * nb
+                if flip and (ka & flip).bit_count() & 1:
+                    value = -value
+                key = ka + kb
+                previous = get(key)
+                if previous is None:
+                    out[key] = value
+                else:
+                    value += previous
+                    if value:
+                        out[key] = value
+                    else:
+                        del out[key]
+        # an exponent past the bound sets its field's guard bit without
+        # carrying, so one check of the surviving keys finds it
+        guards = _REGISTRY.guards
+        for key in out:
+            if key & guards:
+                raise _overflow(key)
+        return Series._reduced(out, self._den * other._den, trunc)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -392,36 +557,37 @@ class Series:
             other = Series.constant(other)
         if not isinstance(other, Series):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         # computed once: bracket families key their caches on series
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._terms.items()), self._den))
         return self._hash
 
     # -- calculus ----------------------------------------------------------
 
     def left_derivative(self, var: GradedVariable) -> "Series":
-        out: dict = {}
-        for monomial, coeff in self._terms.items():
-            preceding_odd = 0
-            for position, (factor, exp) in enumerate(monomial):
-                if factor == var:
-                    sign = -1 if (var.parity and preceding_odd % 2) else 1
-                    if exp == 1:
-                        reduced = monomial[:position] + monomial[position + 1:]
-                    else:
-                        reduced = (monomial[:position]
-                                   + ((factor, exp - 1),)
-                                   + monomial[position + 1:])
-                    _accumulate(out, reduced, coeff * (exp * sign))
-                    break
-                preceding_odd += factor.parity * exp
         trunc = self._trunc
         if trunc is not None and var.fiber_degree:
             trunc = max(trunc - 1, 0)
-        return Series._trusted(out, trunc)
+        slot = _REGISTRY.slots.get(var)
+        if slot is None:
+            return Series.zero(trunc)
+        shift, mask = slot.shift, slot.mask
+        step = (1 << shift) + var.fiber_degree
+        # the odd factors canonically before var, each passed with a sign
+        before = 0
+        if var.parity:
+            before = _REGISTRY.odd_bits & ~(_REGISTRY.above[1 << shift] | 1 << shift)
+        out: dict = {}
+        for key, n in self._terms.items():
+            exp = (key >> shift) & mask
+            if exp:
+                if before and (key & before).bit_count() & 1:
+                    n = -n
+                out[key - step] = n * exp
+        return Series._reduced(out, self._den, trunc)
 
     def substitute(self, bindings: Mapping[GradedVariable, "Series"]) -> "Series":
         normalized = {}
@@ -445,14 +611,16 @@ class Series:
             value = normalized.get(var)
             if value is None:
                 fits = trunc is None or var.fiber_degree * exp <= trunc
-                return Series._trusted({((var, exp),): _ONE} if fits else {}, trunc)
+                return Series._trusted({_encode(((var, exp),)): 1} if fits else {}, 1, trunc)
             cached = powers.setdefault(var, [value])
             while len(cached) < exp:
                 cached.append(cached[-1] * value)
             return cached[exp - 1]
 
+        # out holds numerators over den, the lcm of the pieces' denominators
         out: dict = {}
-        for monomial, coeff in self._terms.items():
+        den = 1
+        for _, monomial, n in self._decoded():
             piece = None
             for var, exp in monomial:
                 factor = power(var, exp)
@@ -460,29 +628,43 @@ class Series:
                 if piece.is_zero:
                     break
             if piece is None:
-                _accumulate(out, (), coeff)
-                continue
-            for product, c in piece._terms.items():
-                _accumulate(out, product, coeff * c)
-        return Series._trusted(out, trunc)
+                piece = Series.one()
+            if den % piece._den:
+                common = lcm(den, piece._den)
+                out = {k: v * (common // den) for k, v in out.items()}
+                den = common
+            scale = n * (den // piece._den)
+            get = out.get
+            for k, v in piece._terms.items():
+                total = get(k, 0) + v * scale
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+        return Series._reduced(out, self._den * den, trunc)
+
+    def _kept(self, keep, truncation_order: Optional[int]) -> "Series":
+        """The terms whose fiber degree passes ``keep``, at ``truncation_order``."""
+        terms = {k: n for k, n in self._terms.items() if keep(k & _FIBER)}
+        if len(terms) == len(self._terms):
+            return Series._trusted(self._terms, self._den, truncation_order)
+        return Series._reduced(terms, self._den, truncation_order)
 
     def truncate(self, order: int) -> "Series":
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        terms = self._terms
-        if self._trunc is None or self._trunc > order:
-            terms = {m: c for m, c in terms.items() if monomial_fiber_degree(m) <= order}
-        return Series._trusted(terms, order)
+        if self._trunc is not None and self._trunc <= order:
+            return Series._trusted(self._terms, self._den, order)
+        return self._kept(lambda degree: degree <= order, order)
 
     def without_truncation(self) -> "Series":
-        return Series._trusted(self._terms, None)
+        return Series._trusted(self._terms, self._den, None)
 
     def fiber_slice(self, low: int, high: Optional[int] = None) -> "Series":
         """The terms of fiber degree ``low`` to ``high``, or from ``low`` up if
         ``high`` is None; the truncation order is kept."""
         top = float("inf") if high is None else high
-        return Series._trusted({m: c for m, c in self._terms.items()
-                                if low <= monomial_fiber_degree(m) <= top}, self._trunc)
+        return self._kept(lambda degree: low <= degree <= top, self._trunc)
 
     # -- formatting ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gradedkernel.cli import Flags, main, parse_problem, run, run_task
 from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
+from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +91,19 @@ class TestExitCodes:
     def test_missing_file_exits_two(self):
         proc = run_cli("no_such_file.gk")
         assert proc.returncode == 2
+
+    def test_exponent_overflow_in_a_task_is_a_task_error(self, tmp_path):
+        # the bracket {H, H} multiplies x^(bound - 1) by x^bound
+        problem = tmp_path / "overflow.gk"
+        problem.write_text("manifold M\n  var x even 0\nend\n"
+                           "cotangent CT base M shift 1\n"
+                           f"function H on CT = x^{EXPONENT_BOUND} * p_x\n"
+                           "task check-master H\n", encoding="utf-8")
+        proc = run_cli(str(problem))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert f"ExponentOverflow: a product raises x to a power above {EXPONENT_BOUND}" \
+            in proc.stdout
 
 
 # a thick morphism with masters and a test function; a task appended is line 13
@@ -263,6 +277,13 @@ class TestUsageErrors:
         message = proc.stderr.splitlines()[-1]
         assert f"{flag}: expected an integer" in message and len(message) < 200
 
+    @pytest.mark.parametrize("expression", [f"x^{EXPONENT_BOUND + 1}",
+                                            f"x^{EXPONENT_BOUND} * x"])
+    def test_exponent_past_the_bound(self, tmp_path, expression):
+        stderr = assert_usage_error(
+            tmp_path, THICK_PROBLEM + f"function h on M1 = {expression}\n", THICK_TASK_LINE)
+        assert str(EXPONENT_BOUND) in stderr
+
     def test_momentum_named_like_a_base_variable(self, tmp_path):
         text = ("manifold M\n  var x even 0\n  var p_x odd 3\nend\n"
                 "cotangent CT base M shift 0\n"
@@ -297,6 +318,19 @@ class TestDeterminism:
         document = json.loads(proc.stdout)
         assert document["schema"] == 1
         assert document["summary"]["status"] == "pass"
+
+
+def test_rerunning_the_corpus_registers_no_new_variable():
+    # key fields are never freed, so repeated gk runs in one process must
+    # reuse them rather than widen every key
+    def run_corpus():
+        for stem in CORPUS_FILES:
+            run(parse_problem((CORPUS / f"{stem}.gk").read_text()), Flags())
+
+    run_corpus()
+    registered = len(_REGISTRY.slots)
+    run_corpus()
+    assert len(_REGISTRY.slots) == registered
 
 
 class TestReportRoundTrip:

@@ -1,5 +1,8 @@
+import functools
+import operator
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,3 +91,20 @@ def test_parse_cost_does_not_grow_with_exponents():
     assert time.perf_counter() - start < 1.0
     assert s == Series({((X, 10 ** 6), (env["y"], 10 ** 6)): 1})
     assert parse_series(format_series(s), env) == s
+
+
+def test_long_sums_parse_in_linear_time():
+    text = " + ".join(f"{k % 7 + 1}/{k % 5 + 1} * x^{k}" for k in range(20000))
+    start = time.perf_counter()
+    s = parse_series(text, ENV)
+    assert time.perf_counter() - start < 1.0
+    assert s.coefficient(((X, 19999),)) == Fraction(19999 % 7 + 1, 19999 % 5 + 1)
+    assert len(s.items()) == 20000
+
+
+def test_sum_equals_the_pairwise_sum():
+    terms = ["1/2 * x", "- 1/3 * xi1 * xi2", "+ 1/6 * x", "+ xi2 * xi1", "- 1/3 * x",
+             "+ 4/3 * xi1 * xi2", "+ 3/5 * p_x^2", "- 3/5 * p_x * p_x"]
+    pairwise = functools.reduce(operator.add, (parse_series(t, ENV) for t in terms))
+    assert parse_series(" ".join(terms), ENV) == pairwise
+    assert pairwise == Series.variable(X) / 3

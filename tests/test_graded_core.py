@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedkernel
-from gradedkernel.errors import GradingMismatch, InhomogeneousSeries, ZeroSeries
+from gradedkernel import oracle
+from gradedkernel.errors import ExponentOverflow, GradingMismatch, InhomogeneousSeries, ZeroSeries
 from gradedkernel.graded_core import (
+    _REGISTRY,
+    EXPONENT_BOUND,
     Bigrading,
     GradedVariable,
     Series,
     format_series,
-    merge_monomials,
     monomial_bigrading,
-    monomial_fiber_degree,
 )
 
 X = GradedVariable("x", 0, 0, 0, 0)
@@ -275,17 +276,17 @@ def test_multiplication_associative(a, b, c):
 @settings(max_examples=100, deadline=None)
 @given(random_series(), random_series())
 def test_merge_matches_normalize(a, b):
-    # the fast monomial merge must agree with the generic sort
+    # the packed product of one-term series must agree with the generic sort
     for ma, ca in a.items():
         for mb, cb in b.items():
-            merged = merge_monomials(ma, mb)
+            product = Series({ma: 1}) * Series({mb: 1})
             flat = [v for v, e in ma for _ in range(e)] + \
                    [v for v, e in mb for _ in range(e)]
             term = normalize_product(flat)
-            if merged is None:
+            if product.is_zero:
                 assert term.is_zero
             else:
-                sign, monomial = merged
+                [(monomial, sign)] = product.items()
                 assert term.coefficient == sign and term.monomial == monomial
 
 
@@ -316,20 +317,24 @@ def factors_of(monomial):
     return [var for var, exp in monomial for _ in range(exp)]
 
 
+def monomial_fiber_degree(monomial):
+    return sum(exp for var, exp in monomial if var.fiber_degree)
+
+
 @st.composite
-def monomials(draw, max_degree):
-    """A canonical monomial over MIXED: even exponents up to 3, odd ones up to 1."""
-    exponents = [draw(st.integers(0, 1 if v.parity else 3)) for v in MIXED]
-    factors = [v for v, e in zip(MIXED, exponents) for _ in range(e)][:max_degree]
+def monomials(draw, max_degree, variables=MIXED):
+    """A canonical monomial: even exponents up to 3, odd ones up to 1."""
+    exponents = [draw(st.integers(0, 1 if v.parity else 3)) for v in variables]
+    factors = [v for v, e in zip(variables, exponents) for _ in range(e)][:max_degree]
     return normalize_product(factors).monomial
 
 
 @st.composite
-def truncated_series(draw, max_terms=3, max_degree=9):
+def truncated_series(draw, max_terms=3, max_degree=9, variables=MIXED):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-        terms[draw(monomials(max_degree))] = coeff
+        terms[draw(monomials(max_degree, variables))] = coeff
     return Series(terms, draw(TRUNCATIONS))
 
 
@@ -368,6 +373,19 @@ def naive_sum(products, order):
             continue
         out[term.monomial] = out.get(term.monomial, Fraction(0)) + coeff * term.coefficient
     return Series(out, order)
+
+
+def naive_left_derivative(series, var):
+    """The left derivative term by term: each odd factor before ``var`` flips the sign."""
+    out = {}
+    for monomial, coeff in series.items():
+        for position, (factor, exp) in enumerate(monomial):
+            if factor == var:
+                odd_before = sum(f.parity for f, _ in monomial[:position])
+                sign = -1 if var.parity and odd_before % 2 else 1
+                rest = monomial[:position] + ((var, exp - 1),) * (exp > 1) + monomial[position + 1:]
+                out[rest] = coeff * exp * sign
+    return Series(out)
 
 
 def assert_invariants(series):
@@ -434,7 +452,8 @@ def test_fiber_slice_matches_filter(s, low, high):
 
 # names through which a module would read or build monomial tuples directly
 MONOMIAL_INTERNALS = {"_terms", "_trusted", "merge_monomials", "monomial_fiber_degree",
-                      "monomial_sort_key"}
+                      "monomial_sort_key", "_REGISTRY", "_Registry", "_encode", "_decoded",
+                      "_den", "_reduced", "_slots", "_flip_mask"}
 
 
 def test_monomials_stay_inside_graded_core():
@@ -452,6 +471,17 @@ def test_monomials_stay_inside_graded_core():
             offences += [f"{path.name}:{node.lineno} {name}" for name in names
                          if name in MONOMIAL_INTERNALS or name == "*"]
     assert not offences
+
+
+def test_oracle_imports_only_the_series_interface():
+    # the oracle must not share arithmetic with the kernel it cross-checks
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("graded_core"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any("graded_core" in alias.name for alias in node.names)
+    assert imported == {"GradedVariable", "Monomial", "Series"}
 
 
 FIELDS = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1), st.integers(-1, 1),
@@ -478,3 +508,79 @@ def test_variables_differ_in_each_field():
         fields[position] = other
         assert GradedVariable(*fields) != GradedVariable(*base)
     assert GradedVariable(*base) == GradedVariable(*base)
+
+
+# -- the packed representation -------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series())
+def test_items_round_trip_in_canonical_order(s):
+    items = s.items()
+    rebuilt = Series(dict(items), s.truncation_order)
+    assert rebuilt == s and rebuilt.truncation_order == s.truncation_order
+    sort_keys = [tuple((var.key, exp) for var, exp in monomial) for monomial, _ in items]
+    assert sort_keys == sorted(sort_keys)
+    for monomial, _ in items:
+        keys = [var.key for var, _ in monomial]
+        assert keys == sorted(set(keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series(), st.integers(1, 12), st.integers(1, 12))
+def test_equal_series_through_different_denominators(s, p, q):
+    scaled = (s * Fraction(p, q)) * Fraction(q, p)
+    split = s * Fraction(1, q) + s * Fraction(q - 1, q)
+    summed = Series.sum([s * Fraction(1, q)] * q)
+    for other in (scaled, split, summed):
+        assert other == s and hash(other) == hash(s)
+        assert other._den == s._den
+
+
+# odd variables that no other test uses, first used here out of canonical
+# order (eta3, then eta1, then eta2) around an even one, so that their fields
+# are not in canonical order
+ETA = [GradedVariable(f"eta{i}", 1, 1, 0, 20 + i) for i in range(1, 4)]
+ZETA = GradedVariable("zeta", 0, 0, 0, 20)
+LATE = [X, XI1, ZETA, ETA[0], ETA[1], ETA[2], Q, PI]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_products_match_naive_when_registered_out_of_canonical_order(data):
+    for var in (ETA[2], ZETA, ETA[0], ETA[1]):
+        Series.variable(var)
+    shifts = [_REGISTRY.slots[var].shift for var in ETA]
+    assert shifts[2] < shifts[0] < shifts[1]
+    a = data.draw(truncated_series(variables=LATE))
+    b = data.draw(truncated_series(variables=LATE))
+    order = min_order(a.truncation_order, b.truncation_order)
+    expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
+                          for ma, ca in a.items() for mb, cb in b.items()), order)
+    assert a * b == expected
+    for var in LATE:
+        assert a.left_derivative(var) == naive_left_derivative(a, var)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series(), st.sampled_from(MIXED))
+def test_left_derivative_matches_naive(s, var):
+    assert s.left_derivative(var) == naive_left_derivative(s, var)
+
+
+def test_exponent_bound():
+    assert EXPONENT_BOUND >= 10 ** 6
+    top = Series.variable(X, EXPONENT_BOUND)
+    assert top * V(XI1) == Series({((X, EXPONENT_BOUND), (XI1, 1)): 1})
+    with pytest.raises(ExponentOverflow, match="x to a power"):
+        top * V(X)
+    with pytest.raises(ExponentOverflow, match="fiber degree"):
+        Series.variable(Q, EXPONENT_BOUND) * V(PI)
+    with pytest.raises(ValueError):
+        Series.variable(X, EXPONENT_BOUND + 1)
+
+
+@pytest.mark.parametrize("monomial", [((XI2, 1), (XI1, 1)), ((Q, 1), (X, 1)), ((X, 1), (X, 1)),
+                                      ((XI1, 2),), ((X, 0),), ((X, EXPONENT_BOUND + 1),)])
+def test_constructor_rejects_non_canonical_monomials(monomial):
+    with pytest.raises(ValueError):
+        Series({monomial: 1})
