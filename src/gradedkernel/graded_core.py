@@ -40,6 +40,13 @@ of ``a`` canonically after an odd factor of ``b``: the parity of
 ``popcount(a & _flip_mask(b))``.  ``Series.__mul__`` holds this one sign rule
 of products, and the parser builds each term as a product of its factors.
 
+Substitution splits each key with one mask into a bound part, the fields of
+the bound variables plus their share of the fiber degree, and an unbound
+part, and the key is the product of the two under the same rule.  The
+unbound parts of all terms with one bound part ride along as a single
+coefficient series, so a substitution costs one product chain per distinct
+bound monomial, not one product per factor of every term.
+
 Coefficients are integer numerators over one positive denominator ``_den``
 per series, reduced after every operation so that ``gcd(_den, every
 numerator) == 1``.  That form is canonical, so equal series have equal term
@@ -590,6 +597,19 @@ class Series:
         return Series._reduced(out, self._den, trunc)
 
     def substitute(self, bindings: Mapping[GradedVariable, "Series"]) -> "Series":
+        """Replace every bound variable by its value, all at once.
+
+        The terms are grouped by bound part ``b``: with ``key = sign * u * b``,
+        the coefficient series ``C_b`` collects ``sign * n * u``, and the result
+        is the sum of ``C_b`` times the values' powers over ``b``'s factors in
+        canonical order.  ``C_b`` goes first in that chain: it carries the
+        unbound part's fiber degree, so every later product already prunes
+        what that degree pushes past the truncation order.  With ``C_b`` last,
+        the powers' products would build those terms and only the last
+        product would drop them.  A constant ``C_b`` is folded in as a
+        numerator, with no product.  A variable that no series has used occurs
+        in no key, so only its binding's truncation order matters.
+        """
         normalized = {}
         for var, value in bindings.items():
             value = _coerce_strict(value)
@@ -601,29 +621,48 @@ class Series:
         trunc = _min_trunc(self._trunc, *(v._trunc for v in normalized.values()))
         if trunc is not None:
             normalized = {var: value.truncate(trunc) for var, value in normalized.items()}
+        bound_slots = [(slot.shift, slot.mask, slot.var) for slot in _REGISTRY.canonical
+                       if slot.var in normalized]
+        bound = 0
+        for shift, mask, _ in bound_slots:
+            bound |= mask << shift
+        # bound part -> (its factors in canonical order, {unbound key: numerator});
+        # the bound part carries its own share of the fiber degree
+        groups: dict = {}
+        for key, n in self._terms.items():
+            part = key & bound
+            group = groups.get(part)
+            if group is None:
+                factors = [(var, (part >> shift) & mask) for shift, mask, var in bound_slots
+                           if (part >> shift) & mask]
+                fiber = sum(exp for var, exp in factors if var.fiber_degree)
+                group = groups[part] = (factors, fiber, _flip_mask(part), {})
+            factors, fiber, flip, coefficients = group
+            rest = key - part - fiber
+            if trunc is not None and rest & _FIBER > trunc:
+                continue
+            # key = sign * rest * part, with the sign of that product
+            if flip and (rest & flip).bit_count() & 1:
+                n = -n
+            coefficients[rest] = n
         # bound variable -> [value, value^2, ...], each power the one below
-        # times the binding; built by a loop, because a closure that called
-        # itself would be a reference cycle keeping the powers alive until
-        # the cyclic collector runs
+        # times the binding
         powers: dict = {}
-
-        def power(var: GradedVariable, exp: int) -> "Series":
-            value = normalized.get(var)
-            if value is None:
-                fits = trunc is None or var.fiber_degree * exp <= trunc
-                return Series._trusted({_encode(((var, exp),)): 1} if fits else {}, 1, trunc)
-            cached = powers.setdefault(var, [value])
-            while len(cached) < exp:
-                cached.append(cached[-1] * value)
-            return cached[exp - 1]
-
         # out holds numerators over den, the lcm of the pieces' denominators
         out: dict = {}
         den = 1
-        for _, monomial, n in self._decoded():
-            piece = None
-            for var, exp in monomial:
-                factor = power(var, exp)
+        for factors, _, _, coefficients in groups.values():
+            if not coefficients:
+                continue
+            if len(coefficients) == 1 and 0 in coefficients:
+                n, piece = coefficients[0], None
+            else:
+                n, piece = 1, Series._trusted(coefficients, 1, trunc)
+            for var, exp in factors:
+                cached = powers.setdefault(var, [normalized[var]])
+                while len(cached) < exp:
+                    cached.append(cached[-1] * normalized[var])
+                factor = cached[exp - 1]
                 piece = factor if piece is None else piece * factor
                 if piece.is_zero:
                     break

@@ -339,10 +339,10 @@ def truncated_series(draw, max_terms=3, max_degree=9, variables=MIXED):
 
 
 @st.composite
-def binding_for(draw, var):
+def binding_for(draw, var, variables=MIXED):
     """Zero, or a series homogeneous of ``var``'s bigrading, maybe truncated."""
     products = (normalize_product(list(factors)) for n in range(3)
-                for factors in itertools.combinations_with_replacement(MIXED, n))
+                for factors in itertools.combinations_with_replacement(variables, n))
     pool = [t.monomial for t in products
             if not t.is_zero and monomial_bigrading(t.monomial) == var.bigrading]
     chosen = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
@@ -407,13 +407,11 @@ def test_product_matches_naive(a, b):
     assert_invariants(product)
 
 
-@settings(max_examples=300, deadline=None)
-@given(truncated_series(max_degree=4), bindings())
-def test_substitute_matches_naive(s, bound):
+def naive_substitute(s, bound):
+    """Expand every factor of every term into its binding's terms, or itself."""
     order = min_order(s.truncation_order, *(v.truncation_order for v in bound.values()))
     products = []
     for monomial, coeff in s.items():
-        # each factor becomes the terms of its binding, or stays itself
         choices = [bound[var].items() if var in bound else [(((var, 1),), Fraction(1))]
                    for var in factors_of(monomial)]
         for picked in itertools.product(*choices):
@@ -423,10 +421,21 @@ def test_substitute_matches_naive(s, bound):
                 value *= c
                 factors += factors_of(m)
             products.append((value, factors))
+    return naive_sum(products, order)
+
+
+def assert_substitute_matches_naive(s, bound):
     result = s.substitute(bound)
-    assert result == naive_sum(products, order)
-    assert result.truncation_order == order
+    expected = naive_substitute(s, bound)
+    assert result == expected
+    assert result.truncation_order == expected.truncation_order
     assert_invariants(result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_series(max_degree=4), bindings())
+def test_substitute_matches_naive(s, bound):
+    assert_substitute_matches_naive(s, bound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -559,6 +568,122 @@ def test_products_match_naive_when_registered_out_of_canonical_order(data):
     assert a * b == expected
     for var in LATE:
         assert a.left_derivative(var) == naive_left_derivative(a, var)
+
+
+# -- substitution grouped by bound part -----------------------------------------
+
+# variables that no other test uses.  The odd ones are first used chi2, then
+# chi1, then chi3, so their fields are out of canonical order.  W is even and
+# weightless, so a constant can bind it.  NEVER is bound but occurs in no
+# series, so it never gets a field.
+CHI = [GradedVariable(f"chi{i}", 1, 1, 0, 30 + i) for i in range(1, 4)]
+W = GradedVariable("w", 0, 0, 0, 30)
+NEVER = GradedVariable("never", 0, 0, 0, 40)
+GROUPED = [X, W, CHI[0], CHI[1], CHI[2], Q, PI]
+
+
+def register_chi_out_of_order():
+    for var in (CHI[1], W, CHI[0], CHI[2]):
+        Series.variable(var)
+    shifts = [_REGISTRY.slots[var].shift for var in CHI]
+    assert shifts[1] < shifts[0] < shifts[2]
+
+
+@st.composite
+def grouped_bindings(draw):
+    """Each of GROUPED and NEVER left free, or bound to zero, to a constant
+    where its bigrading allows one, or to a series of its bigrading."""
+    bound = {}
+    for var in GROUPED + [NEVER]:
+        kinds = ["free", "zero", "series"]
+        if var.bigrading == Bigrading(0, 0):
+            kinds.append("constant")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            bound[var] = Series.zero(draw(TRUNCATIONS))
+        elif kind == "constant":
+            value = Series.constant(Fraction(draw(st.sampled_from([-2, -1, 1, 3])),
+                                             draw(st.integers(1, 3))))
+            order = draw(TRUNCATIONS)
+            bound[var] = value if order is None else value.truncate(order)
+        elif kind == "series":
+            bound[var] = draw(binding_for(var, GROUPED))
+    return bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_substitute_matches_naive(data):
+    # up to 8 terms, so that one bound part carries several unbound ones
+    register_chi_out_of_order()
+    s = data.draw(truncated_series(max_terms=8, max_degree=4, variables=GROUPED))
+    assert_substitute_matches_naive(s, data.draw(grouped_bindings()))
+    assert NEVER not in _REGISTRY.slots
+
+
+def grouped_example():
+    """Eight terms; the bound part chi1 * chi3 carries four unbound ones,
+    among them chi2, which sits canonically between chi1 and chi3."""
+    register_chi_out_of_order()
+    chi1, chi2, chi3 = CHI
+    return Series({
+        ((chi1, 1), (chi2, 1), (chi3, 1)): 1,
+        ((X, 1), (chi1, 1), (chi2, 1), (chi3, 1)): -2,
+        ((W, 1), (chi1, 1), (chi3, 1)): Fraction(1, 2),
+        ((X, 1), (chi1, 1), (chi3, 1), (Q, 1)): 3,
+        ((chi2, 1), (Q, 2)): Fraction(-1, 3),
+        ((X, 2), (W, 1), (Q, 1), (PI, 1)): 5,
+        ((W, 2),): 2,
+        (): -1,
+    }, 3)
+
+
+GROUPED_CASES = {
+    "odd bound around odd unbound": lambda: {
+        CHI[0]: V(XI1) + V(X) * V(CHI[1]), CHI[2]: 2 * V(W) * V(XI2)},
+    "constant": lambda: {W: Series.constant(3)},
+    "fiber variable to one": lambda: {Q: Series.one()},
+    "zero": lambda: {CHI[0]: Series.zero(), X: Series.zero()},
+    "never registered": lambda: {NEVER: V(X) + 1},
+    "never registered, truncated": lambda: {NEVER: Series.constant(2).truncate(1)},
+    "empty": lambda: {},
+    "truncated below the series": lambda: {X: (V(X) + V(Q) + V(Q) ** 2).truncate(1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUPED_CASES))
+def test_grouped_substitute_cases(case):
+    s = grouped_example()
+    bound = GROUPED_CASES[case]()
+    assert_substitute_matches_naive(s, bound)
+    assert NEVER not in _REGISTRY.slots
+    if not bound:
+        assert s.substitute(bound) == s
+
+
+def test_substitute_makes_one_product_per_bound_part(monkeypatch):
+    # 200 terms over the powers tau^0..tau^3 of a fiber variable bound to 1,
+    # the shape of the pullback's last step
+    tau = GradedVariable("tau", 0, 0, 1, 50)
+    s = Series({tuple(pair for pair in ((X, a), (W, b), (tau, e)) if pair[1]):
+                Fraction((-1) ** e * (a + 1), b + 2)
+                for a in range(10) for b in range(5) for e in range(4)})
+    assert len(s.items()) == 200
+    products = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Series):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    result = s.substitute({tau: Series.one()})
+    monkeypatch.undo()
+    # one product per bound part tau^1..tau^3 (tau^0 needs none), and two
+    # that build tau's powers 1^2 and 1^3
+    assert len(products) <= 3 + 2
+    assert result == naive_substitute(s, {tau: Series.one()})
 
 
 @settings(max_examples=200, deadline=None)

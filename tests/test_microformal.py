@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gradedkernel.cli import parse_problem
 from gradedkernel.errors import ChartMismatch, GradingMismatch
 from gradedkernel.geometry import Chart, shifted_cotangent
 from gradedkernel.graded_core import Series
 from gradedkernel.microformal import (
+    _INSERTION,
+    DEFAULT_ORDER,
     ThickMorphism,
     check_hamilton_jacobi,
     check_intertwining,
@@ -15,6 +20,8 @@ from gradedkernel.microformal import (
     support,
     validate_thick,
 )
+
+from test_acceptance import thick_corpus
 
 V = Series.variable
 HALF = Fraction(1, 2)
@@ -304,3 +311,113 @@ def test_identity_pullback_idempotent():
     once = pullback(phi, g, 4).f
     twice = pullback(phi, once, 4).f
     assert once == g and twice == once
+
+
+# -- the pullback against a reference Picard loop -------------------------------
+
+def term_by_term_substitute(series, bindings):
+    """Substitution term by term over ``items()``: each term is the product of
+    its factors' images, an unbound factor staying a one-term series."""
+    orders = [o for o in [series.truncation_order] + [v.truncation_order for v in bindings.values()]
+              if o is not None]
+    pieces = [Series.zero(min(orders) if orders else None)]
+    for monomial, coeff in series.items():
+        piece = Series.constant(coeff)
+        for var, exp in monomial:
+            image = bindings.get(var)
+            piece = piece * (Series({((var, exp),): 1}) if image is None else image ** exp)
+        pieces.append(piece)
+    return Series.sum(pieces)
+
+
+def reference_pullback(phi, g, order):
+    """The kernel's fixed-point loop, with ``term_by_term_substitute``."""
+    t = Series.variable(_INSERTION)
+    linear, tail = phi.s_part(1), phi.s_tail(2)
+    targets = phi.target.variables
+    seeds, y_map = {}, {}
+    for y_var in targets:
+        q_var = phi.momentum(y_var)
+        sign = -1 if y_var.parity else 1
+        seeds[y_var] = sign * linear.left_derivative(q_var)
+        y_map[y_var] = seeds[y_var] + t * (sign * tail.left_derivative(q_var))
+    dg = {y_var: g.left_derivative(y_var) for y_var in targets}
+    y_cur, q_cur = dict(seeds), {}
+    for iterations in range(1, order + 4):
+        q_next = {phi.momentum(y_var): term_by_term_substitute(dg[y_var], y_cur).truncate(order)
+                  for y_var in targets}
+        y_next = {y_var: term_by_term_substitute(y_map[y_var], q_next).truncate(order)
+                  for y_var in targets}
+        if y_next == y_cur and q_next == q_cur:
+            break
+        y_cur, q_cur = y_next, q_next
+    else:
+        pytest.fail("the reference loop did not stabilize")
+    s_t = phi.s_part(0) + linear + t * tail
+    f = term_by_term_substitute(g, y_cur) + term_by_term_substitute(s_t, q_cur)
+    for y_var in targets:
+        f = f - y_cur[y_var] * q_cur[phi.momentum(y_var)]
+
+    def drop(series):
+        return term_by_term_substitute(series, {_INSERTION: Series.one()}).without_truncation()
+
+    return (drop(f.truncate(order)), {v: drop(s) for v, s in y_cur.items()},
+            {v: drop(s) for v, s in q_cur.items()}, iterations)
+
+
+CORPUS = Path(__file__).parent / "corpus"
+
+# the pullback-cubic benchmark's coefficient draws and monomials
+CUBIC_DRAWS = (0, 1, 2, 3, 5, 6, 7)
+
+
+def cubic_draw(draw):
+    """The benchmark's cubic g and S for one draw: the coefficients of g, then
+    of S, each a nonzero integer from -5 to 5 over 1 to 3."""
+    rng = random.Random(draw)
+    m1 = Chart.build([(f"x{i}", 0, 0) for i in (1, 2, 3)], "M1")
+    m2 = Chart.build([(f"y{i}", 0, 0) for i in (1, 2, 3)], "M2")
+    x1, x2, x3 = (V(v) for v in m1.variables)
+    y1, y2, y3 = (V(v) for v in m2.variables)
+    q1, q2, q3 = (V(v) for v in conjugate_momenta(m2, 0, "even"))
+
+    def polynomial(monomials):
+        return Series.sum([Fraction(rng.choice([n for n in range(-5, 6) if n]),
+                                    rng.randint(1, 3)) * m for m in monomials])
+
+    g = polynomial([y1 ** 3, y1 * y2 * y3, y2 ** 2 * y3])
+    s = polynomial([x1 * q1, x2 * q2, x3 * q3, x1 * q2 * q3, x2 * q1 ** 2, q1 * q2 * q3])
+    return ThickMorphism(m1, m2, 0, "even", s), g
+
+
+def pullback_cases():
+    """(name, phi, g, order): the acceptance corpus's thick morphisms, the
+    pullback tasks of tests/corpus, and the benchmark's cubic draws."""
+    cases = [(name, phi, g, DEFAULT_ORDER) for name, phi, g in thick_corpus()]
+    for path in sorted(CORPUS.glob("*.gk")):
+        problem = parse_problem(path.read_text(encoding="utf-8"))
+        for task in problem.tasks:
+            if task.command in ("pullback", "check-intertwining"):
+                g_name = task.args[1 if task.command == "pullback" else 3]
+                order = (int(task.args[task.args.index("order") + 1])
+                         if "order" in task.args else DEFAULT_ORDER)
+                cases.append((f"{path.stem}:{task.line}", problem.thicks[task.args[0]],
+                              problem.functions[g_name][0], order))
+    cases += [(f"cubic-draw-{draw}", *cubic_draw(draw), 3) for draw in CUBIC_DRAWS]
+    return cases
+
+
+def test_pullback_matches_reference_picard():
+    cases = pullback_cases()
+    assert sum(name.startswith("cubic") for name, *_ in cases) == 7
+    assert any(name.startswith("thick_odd") for name, *_ in cases)
+    for name, phi, g, order in cases:
+        result = pullback(phi, g, order)
+        f, y_solution, q_solution, iterations = reference_pullback(phi, g, order)
+        assert result.f == f, name
+        assert result.y_solution == y_solution, name
+        assert result.q_solution == q_solution, name
+        assert result.iterations == iterations, name
+        if name.startswith("cubic"):
+            # every draw is pinned at 5 iterations in the benchmark
+            assert iterations == 5, name
