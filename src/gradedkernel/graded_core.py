@@ -40,12 +40,20 @@ of ``a`` canonically after an odd factor of ``b``: the parity of
 ``popcount(a & _flip_mask(b))``.  ``Series.__mul__`` holds this one sign rule
 of products, and the parser builds each term as a product of its factors.
 
+A series is immutable, so it builds the rows a product walks, ``(fiber
+degree, key, numerator, flip mask)`` in ascending fiber degree, once, on its
+first product, and computes its bigrading once.  The rows are kept with the
+registry width they were built at: an odd variable registered later, and
+canonically between two odd variables of a key, adds a bit to that key's
+flip mask, so a wider registry rebuilds them.  Keys themselves never change.
+
 Substitution splits each key with one mask into a bound part, the fields of
 the bound variables plus their share of the fiber degree, and an unbound
 part, and the key is the product of the two under the same rule.  The
 unbound parts of all terms with one bound part ride along as a single
 coefficient series, so a substitution costs one product chain per distinct
-bound monomial, not one product per factor of every term.
+bound monomial, not one product per factor of every term.  A binding whose
+value is a constant joins the chain as a rational scale, with no product.
 
 Coefficients are integer numerators over one positive denominator ``_den``
 per series, reduced after every operation so that ``gcd(_den, every
@@ -270,16 +278,6 @@ def _overflow(key: int) -> ExponentOverflow:
     return ExponentOverflow(f"a product has fiber degree above {EXPONENT_BOUND}")
 
 
-def _by_fiber_degree(terms: dict, trunc: Optional[int]) -> list:
-    """``(fiber degree, key, numerator)`` in ascending fiber degree.
-
-    Without a truncation order nothing is pruned, and every degree reads 0.
-    """
-    if trunc is None:
-        return [(0, k, n) for k, n in terms.items()]
-    return sorted(((k & _FIBER, k, n) for k, n in terms.items()), key=itemgetter(0))
-
-
 def _min_trunc(*orders: Optional[int]) -> Optional[int]:
     present = [o for o in orders if o is not None]
     return min(present) if present else None
@@ -292,7 +290,7 @@ class Series:
     means the series is exact.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_den", "_trunc", "_hash")
+    __slots__ = ("_terms", "_den", "_trunc", "_hash", "_rows", "_grade")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None,
                  truncation_order: Optional[int] = None):
@@ -312,7 +310,7 @@ class Series:
                        for key, coeff in kept}
         self._den = den
         self._trunc = truncation_order
-        self._hash = None
+        self._hash = self._rows = self._grade = None
 
     @classmethod
     def _trusted(cls, terms: dict, den: int, truncation_order: Optional[int]) -> "Series":
@@ -321,7 +319,7 @@ class Series:
         series._terms = terms
         series._den = den
         series._trunc = truncation_order
-        series._hash = None
+        series._hash = series._rows = series._grade = None
         return series
 
     @classmethod
@@ -396,9 +394,7 @@ class Series:
     def items(self):
         """Terms in canonical order (deterministic)."""
         den = self._den
-        rows = self._decoded()
-        rows.sort(key=itemgetter(0))
-        return [(monomial, Fraction(n, den)) for _, monomial, n in rows]
+        return [(monomial, Fraction(n, den)) for monomial, n in self._decoded()]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
         n = self._terms.get(_encode(monomial, register=False))
@@ -411,11 +407,11 @@ class Series:
             union |= key
         return [slot for slot in _REGISTRY.canonical if (union >> slot.shift) & slot.mask]
 
-    def _decoded(self) -> List[Tuple[list, Monomial, int]]:
-        """``(sort key, monomial tuple, numerator)`` for every term.
+    def _decoded(self) -> List[Tuple[Monomial, int]]:
+        """``(monomial tuple, numerator)`` for every term, in canonical order.
 
-        The sort key lists ``(position, exponent)`` over the series' variables
-        in canonical order, so it sorts as the monomial's ``(var.key, exp)``
+        Rows sort by ``(position, exponent)`` over the series' variables in
+        canonical order, which sorts as the monomials' ``(var.key, exp)``
         pairs do.
         """
         fields = [(position, slot.shift, slot.mask, slot.var)
@@ -430,7 +426,8 @@ class Series:
                     order += (position, exp)
                     monomial.append((var, exp))
             rows.append((order, tuple(monomial), n))
-        return rows
+        rows.sort(key=itemgetter(0))
+        return [(monomial, n) for _, monomial, n in rows]
 
     def variables(self) -> set:
         return {slot.var for slot in self._slots()}
@@ -439,19 +436,28 @@ class Series:
         return max((k & _FIBER for k in self._terms), default=0)
 
     def bigrading(self) -> Bigrading:
-        if not self._terms:
-            raise ZeroSeries("the zero series has no bigrading")
-        odd = _REGISTRY.odd_bits
-        weighted = [(slot.shift, slot.mask, slot.var.weight)
-                    for slot in self._slots() if slot.var.weight]
-        grades = {((k & odd).bit_count() & 1,
-                   sum(w * ((k >> shift) & mask) for shift, mask, w in weighted)
-                   if weighted else 0)
-                  for k in self._terms}
-        if len(grades) > 1:
-            listed = ", ".join(sorted(str(Bigrading(*g)) for g in grades))
-            raise InhomogeneousSeries(f"series mixes bigradings {listed}")
-        return Bigrading(*grades.pop())
+        """The terms' common bigrading, computed once: a stored key's odd bits
+        and fields never change."""
+        grade = self._grade
+        if grade is None:
+            if not self._terms:
+                raise ZeroSeries("the zero series has no bigrading")
+            odd = _REGISTRY.odd_bits
+            weighted = [(slot.shift, slot.mask, slot.var.weight)
+                        for slot in self._slots() if slot.var.weight]
+            grades = {((k & odd).bit_count() & 1,
+                       sum(w * ((k >> shift) & mask) for shift, mask, w in weighted)
+                       if weighted else 0)
+                      for k in self._terms}
+            if len(grades) > 1:
+                listed = ", ".join(sorted(str(Bigrading(*g)) for g in grades))
+                grade = f"series mixes bigradings {listed}"
+            else:
+                grade = Bigrading(*grades.pop())
+            self._grade = grade
+        if isinstance(grade, str):
+            raise InhomogeneousSeries(grade)
+        return grade
 
     def is_homogeneous(self, parity: Optional[int] = None,
                        weight: Optional[int] = None) -> bool:
@@ -468,6 +474,21 @@ class Series:
         return True
 
     # -- arithmetic --------------------------------------------------------
+
+    def _product_rows(self) -> list:
+        """``(fiber degree, key, numerator, flip mask)`` for every term, in
+        ascending fiber degree.
+
+        Built on first use and kept with the registry width it was built at:
+        a later odd registration can add bits to the flip masks, so a wider
+        registry rebuilds the rows.
+        """
+        width = _REGISTRY.width
+        if self._rows is None or self._rows[0] != width:
+            rows = [(k & _FIBER, k, n, _flip_mask(k)) for k, n in self._terms.items()]
+            rows.sort(key=itemgetter(0))
+            self._rows = (width, rows)
+        return self._rows[1]
 
     def __add__(self, other) -> "Series":
         other = _coerce(other)
@@ -504,14 +525,14 @@ class Series:
         trunc = _min_trunc(self._trunc, other._trunc)
         # a product's fiber degree is the sum of its factors' degrees, so with
         # both sides in ascending degree each row stops at the first pair past
-        # the order, before that pair is merged
-        budget = 0 if trunc is None else trunc
+        # the order, before that pair is merged; with no order, no two stored
+        # degrees reach the budget
+        budget = 2 * EXPONENT_BOUND if trunc is None else trunc
         odd = _REGISTRY.odd_bits
-        right = [(degree, k, n, _flip_mask(k))
-                 for degree, k, n in _by_fiber_degree(other._terms, trunc)]
+        right = other._product_rows()
         out: dict = {}
         get = out.get
-        for degree_a, ka, na in _by_fiber_degree(self._terms, trunc):
+        for degree_a, ka, na, _ in self._product_rows():
             room = budget - degree_a
             if room < 0:
                 break
@@ -606,9 +627,10 @@ class Series:
         unbound part's fiber degree, so every later product already prunes
         what that degree pushes past the truncation order.  With ``C_b`` last,
         the powers' products would build those terms and only the last
-        product would drop them.  A constant ``C_b`` is folded in as a
-        numerator, with no product.  A variable that no series has used occurs
-        in no key, so only its binding's truncation order matters.
+        product would drop them.  A constant ``C_b``, and the power of every
+        binding that is a constant, are folded in as a rational scale, with no
+        product.  A variable that no series has used occurs in no key, so only
+        its binding's truncation order matters.
         """
         normalized = {}
         for var, value in bindings.items():
@@ -621,6 +643,9 @@ class Series:
         trunc = _min_trunc(self._trunc, *(v._trunc for v in normalized.values()))
         if trunc is not None:
             normalized = {var: value.truncate(trunc) for var, value in normalized.items()}
+        # bound variable -> (numerator, denominator) of a constant binding
+        constants = {var: (value._terms.get(0, 0), value._den)
+                     for var, value in normalized.items() if value._terms.keys() <= {0}}
         bound_slots = [(slot.shift, slot.mask, slot.var) for slot in _REGISTRY.canonical
                        if slot.var in normalized]
         bound = 0
@@ -654,11 +679,20 @@ class Series:
         for factors, _, _, coefficients in groups.values():
             if not coefficients:
                 continue
+            # the group's value is n / d times piece, or n / d if piece is None
             if len(coefficients) == 1 and 0 in coefficients:
                 n, piece = coefficients[0], None
             else:
                 n, piece = 1, Series._trusted(coefficients, 1, trunc)
+            d = 1
             for var, exp in factors:
+                constant = constants.get(var)
+                if constant is not None:
+                    n *= constant[0] ** exp
+                    d *= constant[1] ** exp
+                    if not n:
+                        break
+                    continue
                 cached = powers.setdefault(var, [normalized[var]])
                 while len(cached) < exp:
                     cached.append(cached[-1] * normalized[var])
@@ -666,13 +700,16 @@ class Series:
                 piece = factor if piece is None else piece * factor
                 if piece.is_zero:
                     break
+            if not n:
+                continue
             if piece is None:
                 piece = Series.one()
-            if den % piece._den:
-                common = lcm(den, piece._den)
+            d *= piece._den
+            if den % d:
+                common = lcm(den, d)
                 out = {k: v * (common // den) for k, v in out.items()}
                 den = common
-            scale = n * (den // piece._den)
+            scale = n * (den // d)
             get = out.get
             for k, v in piece._terms.items():
                 total = get(k, 0) + v * scale
@@ -742,17 +779,21 @@ def format_series(series: Series) -> str:
     """Render in the interchange grammar; output re-parses to an equal series."""
     if series.is_zero:
         return "0"
+    den = series._den
     chunks = []
-    for monomial, coeff in series.items():
-        magnitude = abs(coeff)
+    for monomial, n in series._decoded():
+        # |n| / den in lowest terms, written as str(Fraction) writes it
+        common = gcd(n, den)
+        top, bottom = abs(n) // common, den // common
+        magnitude = str(top) if bottom == 1 else f"{top}/{bottom}"
         if not monomial:
-            body = str(magnitude)
-        elif magnitude == 1:
+            body = magnitude
+        elif top == bottom == 1:
             body = format_monomial(monomial)
         else:
             body = f"{magnitude} * {format_monomial(monomial)}"
         if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
+            chunks.append(body if n > 0 else f"-{body}")
         else:
-            chunks.append(("+ " if coeff > 0 else "- ") + body)
+            chunks.append(("+ " if n > 0 else "- ") + body)
     return " ".join(chunks)

@@ -12,7 +12,20 @@ The nonlinear pullback solves
 by fixed-point iteration graded by an insertion counter: every term of S of
 fiber degree >= 2 is tagged with one power of an auxiliary even variable t,
 which makes the iteration contract t-adically and terminate exactly at any
-requested order.  The result is
+requested order.
+
+Write y_0 for the seeds (the linear part of S) and let pass j compute
+q_j = dg(y_{j-1}) and y_j = Y(q_j), everything truncated at the order.  As
+y -> seeds + t G(y) is a t-adic contraction, y_j - y* has t-valuation at
+least j + 1, so y_order = y*, and y_j = y_{j-1} exactly when y_{j-1} = y*.
+The loop therefore stops at the first pass with y_j = y_{j-1}, or after
+pass ``order`` with only the half-pass q_{order+1} = dg(y_order); it never
+computes y* twice more.  Every pass also checks that y_j - y_{j-1} vanishes
+below fiber degree j, and raises ``NonConvergent`` if it does not.  The
+reported iteration count is still that of the loop that stops when neither
+y nor q moves: if k is the first index with y_k = y*, that loop stops at
+pass k + 1 when q_{k+1} = q_k and at pass k + 2 otherwise, and both cases
+are read off the passes already run.  The result is
 
     f(x) = g(y) + S(x, q) - y^i q_i
 
@@ -201,24 +214,32 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
         y_map[y_var] = seeds[y_var] + (t * (sign * tail.left_derivative(q_var)))
     dg = {y_var: g.left_derivative(y_var) for y_var in phi.target.variables}
 
+    # pass j computes q_j = dg(y_{j-1}) and y_j = Y(q_j), from y_0 = seeds;
+    # it stops once y_{j-1} = y* is proven (see the module docstring)
     y_cur = dict(seeds)
-    q_cur: Dict[GradedVariable, Series] = {}
-    iterations = 0
-    for _ in range(order + 3):
-        iterations += 1
-        q_next = {
+    q_prev: Dict[GradedVariable, Series] = {}
+    for passes in range(1, order + 2):
+        q_cur = {
             phi.momentum(y_var): dg[y_var].substitute(y_cur).truncate(order)
             for y_var in phi.target.variables}
+        if passes > order:
+            break  # y_cur is y_order, which is y*
         y_next = {
-            y_var: y_map[y_var].substitute(q_next).truncate(order)
+            y_var: y_map[y_var].substitute(q_cur).truncate(order)
             for y_var in phi.target.variables}
-        if y_next == y_cur and q_next == q_cur:
-            break
-        y_cur, q_cur = y_next, q_next
-    else:
-        raise NonConvergent(
-            f"pullback did not stabilize within {order + 3} iterations; "
-            "S lacks the structure of a formal generating function")
+        # y_j - y_{j-1} has t-valuation at least j
+        below = passes - 1
+        if any(y_next[y_var].fiber_slice(0, below) != y_cur[y_var].fiber_slice(0, below)
+               for y_var in phi.target.variables):
+            raise NonConvergent(
+                f"pullback did not stabilize within {order + 3} iterations; "
+                "S lacks the structure of a formal generating function")
+        if y_next == y_cur:
+            break  # y_cur is a fixed point, so it is y*
+        y_cur, q_prev = y_next, q_cur
+    # q_cur = dg(y*) = q*.  A loop that stops when neither y nor q moves
+    # would stop after this pass if q_prev = q* already, else one pass later
+    iterations = passes if q_cur == q_prev else passes + 1
 
     s_t = phi.s_part(0) + linear + t * tail
     f = g.substitute(y_cur) + s_t.substitute(q_cur)

@@ -462,7 +462,7 @@ def test_fiber_slice_matches_filter(s, low, high):
 # names through which a module would read or build monomial tuples directly
 MONOMIAL_INTERNALS = {"_terms", "_trusted", "merge_monomials", "monomial_fiber_degree",
                       "monomial_sort_key", "_REGISTRY", "_Registry", "_encode", "_decoded",
-                      "_den", "_reduced", "_slots", "_flip_mask"}
+                      "_den", "_reduced", "_slots", "_flip_mask", "_rows", "_product_rows"}
 
 
 def test_monomials_stay_inside_graded_core():
@@ -709,3 +709,102 @@ def test_exponent_bound():
 def test_constructor_rejects_non_canonical_monomials(monomial):
     with pytest.raises(ValueError):
         Series({monomial: 1})
+
+
+# -- per-series product rows and bigrading ---------------------------------------
+
+# odd variables that no other test uses: omega1 and omega3 occur in a series
+# whose product rows are cached before omega2, canonically between them, is
+# first used
+OMEGA = [GradedVariable(f"omega{i}", 1, 1, 0, 60 + i) for i in range(1, 4)]
+
+
+def test_product_rows_follow_a_later_odd_registration():
+    omega1, omega2, omega3 = OMEGA
+    assert omega2 not in _REGISTRY.slots
+    b = Series({((omega1, 1), (omega3, 1)): 2, ((omega1, 1),): -1,
+                ((X, 1), (omega3, 1)): Fraction(1, 3)})
+    assert V(XI1) * b == naive_sum(((c, [XI1] + factors_of(m)) for m, c in b.items()), None)
+    assert b * V(XI1) == naive_sum(((c, factors_of(m) + [XI1]) for m, c in b.items()), None)
+    # omega2's field is above omega3's, but it sorts between omega1 and omega3
+    a = V(omega2) + V(X) * V(omega2)
+    assert _REGISTRY.slots[omega2].shift > _REGISTRY.slots[omega3].shift
+    for left, right in ((a, b), (b, a)):
+        expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
+                              for ma, ca in left.items() for mb, cb in right.items()), None)
+        assert left * right == expected
+
+
+def test_bigrading_is_cached_and_an_inhomogeneous_series_always_raises():
+    mixed = V(X) + V(XI1)
+    for _ in range(3):
+        with pytest.raises(InhomogeneousSeries, match="mixes bigradings"):
+            mixed.bigrading()
+        assert not mixed.is_homogeneous()
+    odd = V(X) * V(XI1) + V(XI2)
+    assert odd.bigrading() == odd.bigrading() == Bigrading(1, 1)
+    for _ in range(2):
+        with pytest.raises(ZeroSeries):
+            Series.zero().bigrading()
+
+
+def test_constant_bindings_make_no_products(monkeypatch):
+    s = grouped_example()
+    bound = {W: Series.constant(Fraction(-3, 2)), Q: Series.one(), X: Series.zero()}
+    expected = naive_substitute(s, bound)
+    products = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Series):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    result = s.substitute(bound)
+    monkeypatch.undo()
+    assert not products
+    assert result == expected
+
+
+# -- formatting from numerators ----------------------------------------------------
+
+def format_series_by_fractions(series):
+    """The formatter as it was written over ``items()`` and ``Fraction``."""
+    if series.is_zero:
+        return "0"
+    chunks = []
+    for monomial, coeff in series.items():
+        magnitude = abs(coeff)
+        if not monomial:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = " * ".join(var.name if exp == 1 else f"{var.name}^{exp}"
+                              for var, exp in monomial)
+        else:
+            body = f"{magnitude} * " + " * ".join(var.name if exp == 1 else f"{var.name}^{exp}"
+                                                  for var, exp in monomial)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(chunks)
+
+
+@st.composite
+def formatted_series(draw):
+    """Up to 6 terms with coefficients n / d, |n| <= 40, d <= 12, often a constant."""
+    terms = {}
+    if draw(st.booleans()):
+        terms[()] = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+    for _ in range(draw(st.integers(0, 6))):
+        terms[draw(monomials(5))] = Fraction(draw(st.integers(-40, 40)),
+                                             draw(st.integers(1, 12)))
+    return Series(terms, draw(TRUNCATIONS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formatted_series(), st.sampled_from([1, -1, Fraction(1, 6), Fraction(-5, 4)]))
+def test_format_matches_the_fraction_formatter(s, scale):
+    s = s * scale
+    assert format_series(s) == format_series_by_fractions(s)

@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from gradedkernel import microformal
 from gradedkernel.cli import parse_problem
-from gradedkernel.errors import ChartMismatch, GradingMismatch
+from gradedkernel.errors import ChartMismatch, GradingMismatch, NonConvergent
 from gradedkernel.geometry import Chart, shifted_cotangent
-from gradedkernel.graded_core import Series
+from gradedkernel.graded_core import GradedVariable, Series
 from gradedkernel.microformal import (
     _INSERTION,
-    DEFAULT_ORDER,
     ThickMorphism,
     check_hamilton_jacobi,
     check_intertwining,
@@ -391,33 +391,63 @@ def cubic_draw(draw):
 
 
 def pullback_cases():
-    """(name, phi, g, order): the acceptance corpus's thick morphisms, the
-    pullback tasks of tests/corpus, and the benchmark's cubic draws."""
-    cases = [(name, phi, g, DEFAULT_ORDER) for name, phi, g in thick_corpus()]
+    """{name: (phi, g)}: the acceptance corpus's thick morphisms, the pullback
+    tasks of tests/corpus, and the benchmark's cubic draws."""
+    cases = {name: (phi, g) for name, phi, g in thick_corpus()}
     for path in sorted(CORPUS.glob("*.gk")):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         for task in problem.tasks:
             if task.command in ("pullback", "check-intertwining"):
                 g_name = task.args[1 if task.command == "pullback" else 3]
-                order = (int(task.args[task.args.index("order") + 1])
-                         if "order" in task.args else DEFAULT_ORDER)
-                cases.append((f"{path.stem}:{task.line}", problem.thicks[task.args[0]],
-                              problem.functions[g_name][0], order))
-    cases += [(f"cubic-draw-{draw}", *cubic_draw(draw), 3) for draw in CUBIC_DRAWS]
+                cases[f"{path.stem}:{task.line}"] = (problem.thicks[task.args[0]],
+                                                     problem.functions[g_name][0])
+    cases.update((f"cubic-draw-{draw}", cubic_draw(draw)) for draw in CUBIC_DRAWS)
     return cases
 
 
-def test_pullback_matches_reference_picard():
-    cases = pullback_cases()
-    assert sum(name.startswith("cubic") for name, *_ in cases) == 7
-    assert any(name.startswith("thick_odd") for name, *_ in cases)
-    for name, phi, g, order in cases:
-        result = pullback(phi, g, order)
-        f, y_solution, q_solution, iterations = reference_pullback(phi, g, order)
-        assert result.f == f, name
-        assert result.y_solution == y_solution, name
-        assert result.q_solution == q_solution, name
-        assert result.iterations == iterations, name
-        if name.startswith("cubic"):
-            # every draw is pinned at 5 iterations in the benchmark
-            assert iterations == 5, name
+PULLBACK_CASES = pullback_cases()
+# orders 0-5, and 0-4 for the cubic draws, whose reference loop is slow past that
+REFERENCE_PAIRS = [(name, order) for name in PULLBACK_CASES
+                   for order in range(5 if name.startswith("cubic") else 6)]
+
+
+def test_reference_pairs_cover_both_stops():
+    assert sum(name.startswith("cubic") for name in PULLBACK_CASES) == 7
+    assert any(name.startswith("thick_odd") for name in PULLBACK_CASES)
+    assert len(REFERENCE_PAIRS) == 125
+    spans = {pullback(*PULLBACK_CASES[name], order).iterations - order
+             for name, order in REFERENCE_PAIRS}
+    # below the order, y* was proven by a pass that left y unchanged; at
+    # order + 2, by the half-pass after pass ``order``, with q still moving
+    assert min(spans) < 0 and max(spans) == 2
+
+
+@pytest.mark.parametrize("name, order", REFERENCE_PAIRS,
+                         ids=[f"{name}-order{order}" for name, order in REFERENCE_PAIRS])
+def test_pullback_matches_reference_picard(name, order):
+    phi, g = PULLBACK_CASES[name]
+    result = pullback(phi, g, order)
+    f, y_solution, q_solution, iterations = reference_pullback(phi, g, order)
+    assert result.f == f
+    assert result.y_solution == y_solution
+    assert result.q_solution == q_solution
+    assert result.iterations == iterations
+    if name.startswith("cubic") and order == 3:
+        # every draw is pinned at 5 iterations in the benchmark
+        assert iterations == 5
+
+
+def test_pullback_checks_the_valuation_on_every_pass(monkeypatch):
+    # with an insertion counter of fiber degree 0, truncation no longer cuts
+    # the iteration off: y = x + 4 t y moves below fiber degree 1 on pass 1
+    m1 = Chart.build([("x", 0, 0)], "M1")
+    m2 = Chart.build([("y", 0, 0)], "M2")
+    x, = m1.variables
+    y, = m2.variables
+    q, = conjugate_momenta(m2, 0, "even")
+    phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q) + V(q) ** 2)
+    assert pullback(phi, V(y) ** 2, 3).iterations == 5
+    flat = GradedVariable("_t", 0, 0, fiber_degree=0, index=10 ** 6)
+    monkeypatch.setattr(microformal, "_INSERTION", flat)
+    with pytest.raises(NonConvergent, match="did not stabilize"):
+        pullback(phi, V(y) ** 2, 3)
