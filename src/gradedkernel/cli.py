@@ -171,15 +171,33 @@ def _parse_parity(word: str, line: int) -> int:
 
 
 def _keyword_args(words: Sequence[str], line: int, **defaults) -> Dict[str, int]:
-    """Parse trailing `key value` pairs like `eps 0 k 1 arity 4`."""
+    """Parse trailing `key value` pairs like `eps 0 k 1 arity 4`: a `parity`
+    value is even or odd, every other value an integer, and no key repeats."""
     out = dict(defaults)
     if len(words) % 2:
         raise ProblemSyntaxError("expected key/value pairs", line)
-    for key, value in zip(words[::2], words[1::2]):
-        if key not in out:
-            raise ProblemSyntaxError(f"unknown option {key!r}", line)
-        out[key] = _parse_int(value, line)
+    keys = words[::2]
+    for key, value in zip(keys, words[1::2]):
+        _require(key in out, f"unknown option {key!r}", line)
+        _require(keys.count(key) == 1, f"duplicate option {key!r}", line)
+        out[key] = _parse_parity(value, line) if key == "parity" else _parse_int(value, line)
     return out
+
+
+def _lookup(name: str, line: int, what: str, *groups: Dict[str, object]):
+    """The declaration ``name`` from the first of ``groups`` that holds it."""
+    for group in groups:
+        if name in group:
+            return group[name]
+    raise UnknownNameError(f"unknown {what} {name!r}", line)
+
+
+def _assignment(content: str, usage: str, line: int) -> Tuple[str, str, int]:
+    """``content`` split at its first '=': the text left of it, stripped, the
+    expression right of it, and the expression's column."""
+    _require("=" in content, usage, line)
+    left, expression = content.split("=", 1)
+    return left.strip(), expression, len(left) + 2
 
 
 class _Lines:
@@ -207,6 +225,19 @@ class _Lines:
             if words[0] == "end":
                 return
             yield item[0], item[1], words
+
+    def graded_names(self, what: str, line: int, word: str) -> List[Tuple[str, int, int]]:
+        """(name, parity, weight) of each `<word> <name> <even|odd> <weight>`
+        line of the block ``what`` opened at ``line``."""
+        specs: List[Tuple[str, int, int]] = []
+        for number, _, words in self.block(what, line):
+            _require(len(words) == 4 and words[0] == word,
+                     f"usage: {word} <name> <even|odd> <weight>", number)
+            _require(all(words[1] != spec[0] for spec in specs),
+                     f"duplicate {word} name {words[1]!r}", number)
+            specs.append((words[1], _parse_parity(words[2], number),
+                          _parse_int(words[3], number)))
+        return specs
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -239,16 +270,8 @@ def _decl_manifold(problem: ProblemFile, lines: _Lines, number: int,
     _require(len(words) == 2, "usage: manifold <name>", number)
     name = words[1]
     problem.check_fresh(name, number)
-    specs: List[Tuple[str, int, int]] = []
-    for vnum, _, vwords in lines.block(f"manifold {name!r}", number):
-        _require(len(vwords) == 4 and vwords[0] == "var",
-                 "usage: var <name> <even|odd> <weight>", vnum)
-        specs.append((vwords[1], _parse_parity(vwords[2], vnum),
-                      _parse_int(vwords[3], vnum)))
-    try:
-        problem.charts[name] = Chart.build(specs, name)
-    except ValueError as exc:
-        raise ProblemSyntaxError(str(exc), number) from None
+    specs = lines.graded_names(f"manifold {name!r}", number, "var")
+    problem.charts[name] = Chart.build(specs, name)
 
 
 def _decl_cotangent(problem: ProblemFile, lines: _Lines, number: int,
@@ -257,9 +280,7 @@ def _decl_cotangent(problem: ProblemFile, lines: _Lines, number: int,
              "usage: cotangent <name> base <manifold> shift <int>", number)
     name = words[1]
     problem.check_fresh(name, number)
-    base = problem.charts.get(words[3])
-    if base is None:
-        raise UnknownNameError(f"unknown manifold {words[3]!r}", number)
+    base = _lookup(words[3], number, "manifold", problem.charts)
     shift = _parse_int(words[5], number)
     builder = shifted_cotangent if words[0] == "cotangent" else shifted_anticotangent
     cotangent = builder(base, shift)
@@ -267,39 +288,23 @@ def _decl_cotangent(problem: ProblemFile, lines: _Lines, number: int,
     problem.cotangents[name] = cotangent
 
 
+_FUNCTION_USAGE = "usage: function <name> on <chart> [parity p weight w] = <expr>"
+
+
 def _decl_function(problem: ProblemFile, lines: _Lines, number: int,
                    content: str, words: List[str]) -> None:
-    _require("=" in content, "usage: function <name> on <chart> [parity p weight w] = <expr>",
-             number)
-    header, expr_text = content.split("=", 1)
+    header, expr_text, column = _assignment(content, _FUNCTION_USAGE, number)
     hwords = header.split()
-    _require(len(hwords) >= 4 and hwords[2] == "on",
-             "usage: function <name> on <chart> [parity p weight w] = <expr>", number)
+    _require(len(hwords) >= 4 and hwords[2] == "on", _FUNCTION_USAGE, number)
     name = hwords[1]
     problem.check_fresh(name, number)
-    chart = problem.charts.get(hwords[3]) or problem.cotangents.get(hwords[3])
-    if chart is None:
-        raise UnknownNameError(f"unknown chart {hwords[3]!r}", number)
-    declared_parity: Optional[int] = None
-    declared_weight: Optional[int] = None
-    rest = hwords[4:]
-    while rest:
-        key = rest.pop(0)
-        _require(bool(rest), f"option {key!r} needs a value", number)
-        value = rest.pop(0)
-        if key == "parity":
-            declared_parity = _parse_parity(value, number)
-        elif key == "weight":
-            declared_weight = _parse_int(value, number)
-        else:
-            raise ProblemSyntaxError(f"unknown option {key!r}", number)
-    column = content.index("=") + 2
+    chart = _lookup(hwords[3], number, "chart", problem.charts, problem.cotangents)
+    declared = _keyword_args(hwords[4:], number, parity=None, weight=None)
     series = parse_series(expr_text, _variable_env(chart.variables, number), number, column)
-    if declared_parity is not None or declared_weight is not None:
-        if not series.is_homogeneous(declared_parity, declared_weight):
-            raise GradingMismatch(
-                f"function {name!r} at line {number} does not match its declared "
-                f"bigrading (parity {declared_parity}, weight {declared_weight})")
+    if declared != {"parity": None, "weight": None} and not series.is_homogeneous(**declared):
+        raise GradingMismatch(
+            f"function {name!r} at line {number} does not match its declared "
+            f"bigrading (parity {declared['parity']}, weight {declared['weight']})")
     problem.functions[name] = (series, chart)
 
 
@@ -311,21 +316,16 @@ def _decl_vectorfield(problem: ProblemFile, lines: _Lines, number: int,
              number)
     name = words[1]
     problem.check_fresh(name, number)
-    chart = problem.charts.get(words[3]) or problem.cotangents.get(words[3])
-    if chart is None:
-        raise UnknownNameError(f"unknown chart {words[3]!r}", number)
+    chart = _lookup(words[3], number, "chart", problem.charts, problem.cotangents)
     parity = _parse_parity(words[5], number)
     weight = _parse_int(words[7], number)
     env = _variable_env(chart.variables, number)
     components: Dict[GradedVariable, Series] = {}
     for cnum, cline, _ in lines.block(f"vectorfield {name!r}", number):
-        _require("=" in cline, "usage: <var> = <expr>", cnum)
-        var_name, expr_text = cline.split("=", 1)
-        var_name = var_name.strip()
-        var = env.get(var_name)
-        if var is None:
-            raise UnknownNameError(f"unknown component variable {var_name!r}", cnum)
-        components[var] = parse_series(expr_text, env, cnum, cline.index("=") + 2)
+        var_name, expr_text, column = _assignment(cline, "usage: <var> = <expr>", cnum)
+        var = _lookup(var_name, cnum, "component variable", env)
+        _require(var not in components, f"duplicate component {var_name!r}", cnum)
+        components[var] = parse_series(expr_text, env, cnum, column)
     problem.fields[name] = VectorField(chart, components, parity, weight)
 
 
@@ -334,14 +334,7 @@ def _decl_space(problem: ProblemFile, lines: _Lines, number: int,
     _require(len(words) == 2, "usage: space <name>", number)
     name = words[1]
     problem.check_fresh(name, number)
-    specs: List[Tuple[str, int, int]] = []
-    for bnum, _, bwords in lines.block(f"space {name!r}", number):
-        _require(len(bwords) == 4 and bwords[0] == "basis",
-                 "usage: basis <name> <even|odd> <weight>", bnum)
-        _require(all(bwords[1] != spec[0] for spec in specs),
-                 f"duplicate basis name {bwords[1]!r}", bnum)
-        specs.append((bwords[1], _parse_parity(bwords[2], bnum),
-                      _parse_int(bwords[3], bnum)))
+    specs = lines.graded_names(f"space {name!r}", number, "basis")
     problem.spaces[name] = SpaceBasis.build(specs)
 
 
@@ -353,9 +346,7 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
     problem.check_fresh(name, number)
     if mode == "fromq":
         _require(len(words) >= 4, "usage: family <name> fromq <field> eps <e> k <k>", number)
-        q = problem.fields.get(words[3])
-        if q is None:
-            raise UnknownNameError(f"unknown vector field {words[3]!r}", number)
+        q = _lookup(words[3], number, "vector field", problem.fields)
         options = _keyword_args(words[4:], number, eps=0, k=0)
         _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
         sig = ShiftSignature(options["eps"], options["k"])
@@ -365,19 +356,14 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         problem.families[name] = QFamily(q, basis, sig)
     elif mode == "fromhamiltonian":
         _require(len(words) == 4, "usage: family <name> fromhamiltonian <H>", number)
-        entry = problem.functions.get(words[3])
-        if entry is None:
-            raise UnknownNameError(f"unknown function {words[3]!r}", number)
-        series, chart = entry
+        series, chart = _lookup(words[3], number, "function", problem.functions)
         _require(isinstance(chart, CotangentChart),
                  "fromhamiltonian needs a function on an (anti)cotangent chart", number)
         problem.families[name] = HamiltonianFamily(series, chart)
     elif mode == "explicit":
         _require(len(words) >= 4, "usage: family <name> explicit <space> eps <e> k <k> [arity N]",
                  number)
-        basis = problem.spaces.get(words[3])
-        if basis is None:
-            raise UnknownNameError(f"unknown space {words[3]!r}", number)
+        basis = _lookup(words[3], number, "space", problem.spaces)
         options = _keyword_args(words[4:], number, eps=0, k=0, arity=DEFAULT_ARITY)
         _require(options["eps"] in (0, 1), "eps must be 0 or 1", number)
         # arity is checked but not kept: every check takes its arity from the task
@@ -386,17 +372,19 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         fake_env = {
             v.name: GradedVariable(v.name, v.parity, v.weight, 0, v.index)
             for v in basis}
+        usage = "usage: bracket <names...> = <combination>"
         entries: Dict[Tuple[int, ...], Combination] = {}
         for bnum, bline, bwords in lines.block(f"family {name!r}", number):
-            _require(bwords[0] == "bracket" and "=" in bline,
-                     "usage: bracket <names...> = <combination>", bnum)
-            header, expr_text = bline.split("=", 1)
+            _require(bwords[0] == "bracket", usage, bnum)
+            header, expr_text, column = _assignment(bline, usage, bnum)
             input_names = header.split()[1:]
             try:
                 indices = tuple(basis.vector(n).index for n in input_names)
             except KeyError as exc:
                 raise UnknownNameError(str(exc), bnum) from None
-            series = parse_series(expr_text, fake_env, bnum, bline.index("=") + 2)
+            _require(indices not in entries,
+                     f"duplicate bracket on ({', '.join(input_names)})", bnum)
+            series = parse_series(expr_text, fake_env, bnum, column)
             entries[indices] = _series_to_combination(series, basis, bnum)
         problem.families[name] = ExplicitFamily(basis, options["eps"], options["k"], entries)
     else:
@@ -413,30 +401,24 @@ def _series_to_combination(series: Series, basis: SpaceBasis, line: int) -> Comb
     return Combination(basis, coeffs)
 
 
+_THICK_USAGE = "usage: thick <name> source <m> target <m> shift <s> kind <even|odd> = <expr>"
+
+
 def _decl_thick(problem: ProblemFile, lines: _Lines, number: int,
                 content: str, words: List[str]) -> None:
-    _require("=" in content,
-             "usage: thick <name> source <m> target <m> shift <s> kind <even|odd> = <expr>",
-             number)
-    header, expr_text = content.split("=", 1)
+    header, expr_text, column = _assignment(content, _THICK_USAGE, number)
     hwords = header.split()
     _require(len(hwords) == 10 and hwords[2] == "source" and hwords[4] == "target"
              and hwords[6] == "shift" and hwords[8] == "kind"
-             and hwords[9] in ("even", "odd"),
-             "usage: thick <name> source <m> target <m> shift <s> kind <even|odd> = <expr>",
-             number)
+             and hwords[9] in ("even", "odd"), _THICK_USAGE, number)
     name = hwords[1]
     problem.check_fresh(name, number)
-    source = problem.charts.get(hwords[3])
-    target = problem.charts.get(hwords[5])
-    if source is None:
-        raise UnknownNameError(f"unknown manifold {hwords[3]!r}", number)
-    if target is None:
-        raise UnknownNameError(f"unknown manifold {hwords[5]!r}", number)
+    source = _lookup(hwords[3], number, "manifold", problem.charts)
+    target = _lookup(hwords[5], number, "manifold", problem.charts)
     shift = _parse_int(hwords[7], number)
     kind = hwords[9]
     env = _variable_env(source.variables + conjugate_momenta(target, shift, kind), number)
-    series = parse_series(expr_text, env, number, content.index("=") + 2)
+    series = parse_series(expr_text, env, number, column)
     problem.thicks[name] = ThickMorphism(source, target, shift, kind, series)
 
 
@@ -621,7 +603,7 @@ def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
         annotation = (f"weight shift {sig.bracket_weight(len(picked))}, "
                       f"parity shift {sig.bracket_parity(len(picked))}")
         report.info("bracket", location=f"[{labels}]",
-                    notes=f"= {fam.format_element(value)} ({annotation})")
+                    notes=f"= {value} ({annotation})")
     report.ok("bracket-count", notes=f"{count} nonzero brackets")
     if isinstance(fam, ExplicitFamily):
         for warning in fam.load_warnings:

@@ -244,10 +244,11 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y] = X Y - (-1)^{Xt Yt} Y X, computed on coordinate functions."""
     if x.chart.variables != y.chart.variables:
         raise ChartMismatch("commutator requires vector fields on one chart")
-    sign = -1 if (x.parity and y.parity) else 1
+    both_odd = x.parity and y.parity
     components: Dict[GradedVariable, Series] = {}
     for var in x.chart.variables:
-        comp = x.apply(y.component(var)) - sign * y.apply(x.component(var))
+        xy, yx = x.apply(y.component(var)), y.apply(x.component(var))
+        comp = xy + yx if both_odd else xy - yx
         if not comp.is_zero:
             components[var] = comp
     return VectorField(x.chart, components, (x.parity + y.parity) % 2,
@@ -277,7 +278,7 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
         return Series.zero(min(orders) if orders and ct.base.variables else None)
     f_parity = f.bigrading().parity
     g.bigrading()
-    total = Series.zero()
+    terms = []
     for base_var in ct.base.variables:
         fiber_var = ct.conjugate(base_var)
         zt = base_var.parity
@@ -289,8 +290,8 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
         else:
             s1 = ((zt + 1) * f_parity) % 2
             s2 = (zt * f_parity) % 2
-        total = total + (-1) ** s1 * t1 + (-1) ** s2 * t2
-    return total
+        terms += [-t1 if s1 else t1, -t2 if s2 else t2]
+    return Series.sum(terms)
 
 
 def restrict_to_base(f: Series, ct: CotangentChart) -> Series:

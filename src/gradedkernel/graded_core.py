@@ -727,10 +727,12 @@ class Series:
         return Series._reduced(terms, self._den, truncation_order)
 
     def truncate(self, order: int) -> "Series":
+        """The terms up to fiber degree ``order``; a series truncated at or
+        below ``order`` is returned as it is, as its missing terms stay unknown."""
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         if self._trunc is not None and self._trunc <= order:
-            return Series._trusted(self._terms, self._den, order)
+            return self
         return self._kept(lambda degree: degree <= order, order)
 
     def without_truncation(self) -> "Series":

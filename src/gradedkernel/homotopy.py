@@ -121,8 +121,7 @@ class SpaceBasis:
         flip = 1 if sig.epsilon == 0 else 0
         return Bigrading((v.parity + flip) % 2, -v.weight + sig.s)
 
-    def chart(self, sig: ShiftSignature, names: Optional[Sequence[str]] = None,
-              chart_name: str = "") -> Chart:
+    def chart(self, sig: ShiftSignature, names: Optional[Sequence[str]] = None) -> Chart:
         """The coordinate chart of Pi^{1+eps} V[1-k]."""
         if names is None:
             prefix = "xi_" if sig.epsilon == 0 else "y_"
@@ -131,15 +130,14 @@ class SpaceBasis:
         for i, coord_name in enumerate(names):
             grade = self.coordinate_bigrading(i, sig)
             specs.append((coord_name, grade.parity, grade.weight))
-        return Chart.build(specs, chart_name)
+        return Chart.build(specs)
 
     @classmethod
-    def from_chart(cls, chart: Chart, sig: ShiftSignature,
-                   prefix: str = "e_") -> "SpaceBasis":
+    def from_chart(cls, chart: Chart, sig: ShiftSignature) -> "SpaceBasis":
         """Recover the basis underlying a Pi^{1+eps} V[1-k] coordinate chart."""
         flip = 1 if sig.epsilon == 0 else 0
         return cls(tuple(
-            BasisVector(prefix + var.name, (var.parity + flip) % 2,
+            BasisVector("e_" + var.name, (var.parity + flip) % 2,
                         sig.s - var.weight, var.index)
             for var in chart.variables))
 
@@ -280,9 +278,6 @@ class BracketFamily:
 
     def zero_element(self) -> Element:
         raise NotImplementedError
-
-    def format_element(self, value: Element) -> str:
-        return str(value)
 
     def _chain(self, keys: Tuple):
         prefixes = self._prefixes
@@ -555,8 +550,7 @@ def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Element, int]],
             outer = fam.bracket([inner] + [elements[j] for j in second])
             if outer.is_zero:
                 continue
-            total = total + (outer.scaled(sign) if isinstance(outer, Combination)
-                             else outer * sign)
+            total = total + outer if sign > 0 else total - outer
     return total
 
 
@@ -578,8 +572,7 @@ def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY,
             report.ok("jacobi", location=location)
         else:
             report.fail("jacobi", location=location,
-                        expected="0", actual=fam.format_element(residual),
-                        residual=fam.format_element(residual))
+                        expected="0", actual=str(residual), residual=str(residual))
     return report
 
 
@@ -601,7 +594,7 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
         report.record(ok, "weight-parity", location=location,
                       expected=f"(parity {want_parity}, weight {want_weight})",
                       actual=got,
-                      residual="" if ok else fam.format_element(value))
+                      residual="" if ok else str(value))
     return report
 
 

@@ -128,6 +128,12 @@ FAMILY_PROBLEM = (
 )
 FAMILY_TASK_LINE = 10
 
+# an explicit family's opening line (5), to be followed by bracket lines and 'end'
+EXPLICIT_PROBLEM = (
+    "space V\n  basis e1 even 0\n  basis e2 even 0\nend\n"
+    "family G explicit V eps 0 k 0\n"
+)
+
 
 def assert_usage_error(tmp_path, text, line, *flags):
     """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
@@ -297,6 +303,44 @@ class TestUsageErrors:
                 "thick Phi source M1 target M2 shift 0 kind even = x * q_y\n")
         stderr = assert_usage_error(tmp_path, text, 8)
         assert "generated momentum 'q_y'" in stderr
+
+    # a part of a declaration given twice is a usage error at the repeat's line
+
+    def test_repeated_vectorfield_component(self, tmp_path):
+        text = FAMILY_PROBLEM.replace("  xi2 = xi1 * xi2\n", "  xi2 = xi1 * xi2\n  xi2 = 0\n")
+        stderr = assert_usage_error(tmp_path, text + "task check-master Q\n", 7)
+        assert "duplicate component 'xi2'" in stderr
+
+    def test_repeated_bracket_line(self, tmp_path):
+        text = (EXPLICIT_PROBLEM + "  bracket e1 e2 = e2\n  bracket e1 e2 = e1\nend\n")
+        stderr = assert_usage_error(tmp_path, text, 7)
+        assert "duplicate bracket on (e1, e2)" in stderr
+
+    def test_permuted_bracket_line_is_folded_and_warned(self):
+        family = parse_problem(
+            EXPLICIT_PROBLEM + "  bracket e1 e2 = e2\n  bracket e2 e1 = e1\nend\n"
+        ).families["G"]
+        assert family.load_warnings
+
+    @pytest.mark.parametrize("text, line, key", [
+        (FAMILY_PROBLEM + "function b on PiV parity odd parity even = xi1\n", 10, "parity"),
+        (FAMILY_PROBLEM.replace("eps 0 k 0", "eps 0 k 0 eps 1"), 8, "eps"),
+        (EXPLICIT_PROBLEM.replace("k 0", "k 0 eps 1") + "end\n", 5, "eps"),
+        (FAMILY_PROBLEM + "task derive-brackets F arity 0 arity 1\n", 10, "arity"),
+    ], ids=["function", "fromq-family", "explicit-family", "task"])
+    def test_repeated_option(self, tmp_path, text, line, key):
+        stderr = assert_usage_error(tmp_path, text, line)
+        assert f"duplicate option {key!r}" in stderr
+
+    def test_function_option_without_a_value(self, tmp_path):
+        stderr = assert_usage_error(
+            tmp_path, FAMILY_PROBLEM + "function b on PiV parity odd weight = xi1\n", 10)
+        assert "expected key/value pairs" in stderr
+
+    def test_repeated_var_at_its_line(self, tmp_path):
+        text = "manifold M\n  var x even 0\n  var y odd 1\n  var x odd 0\nend\n"
+        stderr = assert_usage_error(tmp_path, text, 4)
+        assert "duplicate var name 'x'" in stderr
 
 
 class TestDeterminism:

@@ -214,6 +214,13 @@ class TestTruncate:
         s = (V(Q) ** 2).truncate(2)
         assert s.left_derivative(Q).truncation_order == 1
 
+    def test_truncating_upward_keeps_the_lower_order(self):
+        # q^3 is gone at order 2, so the series cannot be exact through order 5
+        s = (V(Q) + V(Q) ** 3).truncate(2).truncate(5)
+        assert s == V(Q) and s.truncation_order == 2
+        square = s * s
+        assert square == V(Q) ** 2 and square.truncation_order == 2
+
 
 @st.composite
 def random_series(draw, variables=VARS, max_terms=3):
