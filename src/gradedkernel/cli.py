@@ -378,10 +378,8 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
             _require(bwords[0] == "bracket", usage, bnum)
             header, expr_text, column = _assignment(bline, usage, bnum)
             input_names = header.split()[1:]
-            try:
-                indices = tuple(basis.vector(n).index for n in input_names)
-            except KeyError as exc:
-                raise UnknownNameError(str(exc), bnum) from None
+            indices = tuple(_lookup(n, bnum, "basis vector", fake_env).index
+                            for n in input_names)
             _require(indices not in entries,
                      f"duplicate bracket on ({', '.join(input_names)})", bnum)
             series = parse_series(expr_text, fake_env, bnum, column)

@@ -138,9 +138,8 @@ def shifted_anticotangent(base: Chart, s: int) -> CotangentChart:
 
 
 def _check_on_chart(series: Series, chart: AnyChart, what: str) -> None:
-    allowed = set(chart.variables)
-    stray = series.variables() - allowed
-    if stray:
+    if not series.uses_only(chart.variables):
+        stray = series.variables() - set(chart.variables)
         names = ", ".join(sorted(v.name for v in stray))
         raise ChartMismatch(f"{what} uses variables not on the chart: {names}")
 

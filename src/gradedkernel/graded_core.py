@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ExponentOverflow, GradingMismatch, InhomogeneousSeries, ZeroSeries
 
@@ -431,6 +431,24 @@ class Series:
 
     def variables(self) -> set:
         return {slot.var for slot in self._slots()}
+
+    def uses_only(self, variables: Iterable[GradedVariable]) -> bool:
+        """Whether every variable that occurs in some term is one of ``variables``.
+
+        Read from key bits: the union of the keys must lie in the fiber
+        degree field and the fields of ``variables``.  A variable that no
+        series has used has no field, and occurs in no key.
+        """
+        allowed = _FIBER
+        slots = _REGISTRY.slots
+        for var in variables:
+            slot = slots.get(var)
+            if slot is not None:
+                allowed |= slot.mask << slot.shift
+        union = 0
+        for key in self._terms:
+            union |= key
+        return not union & ~allowed
 
     def fiber_degree(self) -> int:
         return max((k & _FIBER for k in self._terms), default=0)

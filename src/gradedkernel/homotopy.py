@@ -9,9 +9,20 @@ A bracket family can come from three sources:
 * ``ExplicitFamily`` - a table of structure constants, stored graded
   symmetrized (epsilon = 1) or antisymmetrized (epsilon = 0).
 
+A family interns each input to an integer key and caches every bracket it
+evaluates under the tuple of its inputs' keys (see `BracketFamily`).
+
 The checkers (`check_higher_jacobi`, `check_weights_parities`,
 `check_leibniz`, `check_master`) never raise on a failed law; failures are
-report entries.
+report entries.  A higher Jacobi sum replays a plan: its unshuffle terms
+with their signs, which depend only on the arity, the inputs' parities and
+epsilon, so a family builds each plan once (`jacobi_plan`) and every tuple
+with that parity pattern reuses it.  Each term's inner bracket goes into
+the outer one by its key.  The terms of each sign are added in one sum,
+and the sum of the negative ones is subtracted once.
+Every tuple still gets its own sum: none is inferred from another by
+graded symmetry, since the sums are also what catches a symmetry error in
+a family's brackets.
 
 Parity convention for masters, fixed here once: an S-infinity structure
 (epsilon = 1) comes from an odd master Hamiltonian on T*M[1-k]; a
@@ -28,7 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ChartMismatch, GradingMismatch, NotHomological
 from .geometry import (
@@ -104,12 +115,6 @@ class SpaceBasis:
     def __getitem__(self, index: int) -> BasisVector:
         return self.vectors[index]
 
-    def vector(self, name: str) -> BasisVector:
-        for v in self.vectors:
-            if v.name == name:
-                return v
-        raise KeyError(f"no basis vector named {name}")
-
     def parity_reversed(self) -> "SpaceBasis":
         return SpaceBasis(tuple(
             BasisVector(v.name, (v.parity + 1) % 2, v.weight, v.index)
@@ -181,6 +186,16 @@ class Combination:
         value = Fraction(value)
         return Combination(self.basis, {i: c * value for i, c in self.coeffs.items()})
 
+    @classmethod
+    def sum(cls, basis: SpaceBasis, terms: Iterable["Combination"]) -> "Combination":
+        """The sum of ``terms``, accumulated in one dict."""
+        out: Dict[int, Fraction] = {}
+        get = out.get
+        for term in terms:
+            for i, c in term.coeffs.items():
+                out[i] = get(i, 0) + c
+        return cls(basis, out)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Combination) and self.coeffs == other.coeffs
 
@@ -206,6 +221,10 @@ class Combination:
 
 
 Element = Union[Combination, Series]
+
+# one term of a Jacobi sum: (first block, second block, whether it is
+# subtracted), each block a bit mask of input positions
+PlanTerm = Tuple[int, int, bool]
 
 
 def constant_field(u: BasisVector, chart: Chart, sig: ShiftSignature,
@@ -253,33 +272,123 @@ def derived_bracket_H(master: Series, inputs: Sequence[Series],
 class BracketFamily:
     """Common interface: multilinear n-ary brackets plus a labeled input pool.
 
+    A family interns every input it is given to an integer key the first
+    time it sees it, and caches every bracket value under the tuple of its
+    inputs' keys; ``bracket`` computes a missing value with ``_evaluate``.
+    Equal inputs share a key; ``_interned`` says what "equal" means for the
+    family's elements.  An object the family holds, the first input
+    interned to a key or a cached bracket value, is also keyed by its
+    identity, which stays its own while the family lives, so a pool entry
+    or an inner bracket fed back as an input is looked up with no hashing of
+    its value.  Other inputs are looked up by value.  ``jacobi_sum`` reads
+    the cache by these keys directly, and has a value it does not find
+    evaluated by ``bracket``.
+
     A family built from a generator (a vector field or a master) evaluates a
     bracket as a chain of steps from the generator, one per input.  ``_chain``
     keeps the value after every prefix it has walked, keyed by the tuple of
-    input keys, so a new chain costs one step per input past its longest
-    cached prefix; the Jacobi sums repeat prefixes across unshuffles.  Such a
-    family sets ``_prefixes = {(): generator}`` and defines ``_step``.
+    the step keys so far, so a new chain costs one step per input past its
+    longest cached prefix; the Jacobi sums repeat prefixes across unshuffles.
+    Such a family sets ``_prefixes = {(): generator}`` and defines ``_step``.
+    The Jacobi plans (`jacobi_plan`) are kept per family too, by arity and
+    parity pattern.
     """
 
-    epsilon: int
-    k: int
-    _prefixes: Dict[Tuple, object]
+    _prefixes: Dict[Tuple[int, ...], object]
+
+    def __init__(self, epsilon: int, k: int):
+        self.epsilon = epsilon
+        self.k = k
+        self._inputs: List[Element] = []  # key -> the first input interned to it
+        self._key_by_value: Dict[Hashable, int] = {}
+        self._key_by_id: Dict[int, int] = {}  # only objects the family holds
+        self._values: Dict[Tuple[int, ...], Element] = {}
+        self._plans: Dict[Tuple[int, Tuple[int, ...]], Tuple[PlanTerm, ...]] = {}
 
     @property
     def signature(self) -> ShiftSignature:
         return ShiftSignature(self.epsilon, self.k)
 
     def bracket(self, args: Sequence[Element]) -> Element:
-        raise NotImplementedError
+        keys = self._keys(args)
+        value = self._values.get(keys)
+        if value is None:
+            value = self._values[keys] = self._evaluate(keys)
+        return value
 
     def pool(self) -> List[Tuple[str, Element, int, int]]:
         """Labeled homogeneous inputs as (label, element, parity, weight)."""
         raise NotImplementedError
 
-    def zero_element(self) -> Element:
+    def sum(self, terms: Sequence[Element]) -> Element:
+        """The sum of ``terms``, accumulated once."""
         raise NotImplementedError
 
-    def _chain(self, keys: Tuple):
+    def zero_element(self) -> Element:
+        return self.sum(())
+
+    def _interned(self, element: Element) -> Hashable:
+        """What equal inputs share; raises on an input the family cannot take."""
+        raise NotImplementedError
+
+    def _key(self, element: Element) -> int:
+        """The key of an input that has no key by identity."""
+        key = self._key_by_value.setdefault(self._interned(element), len(self._inputs))
+        if key == len(self._inputs):
+            self._inputs.append(element)
+            self._key_by_id[id(element)] = key
+        return key
+
+    def _keys(self, elements: Sequence[Element]) -> Tuple[int, ...]:
+        keys = tuple(map(self._key_by_id.get, map(id, elements)))
+        if None in keys:
+            keys = tuple([self._key(e) if key is None else key
+                          for e, key in zip(elements, keys)])
+        return keys
+
+    def _evaluate(self, keys: Tuple[int, ...]) -> Element:
+        raise NotImplementedError
+
+    def jacobi_sum(self, elements: Sequence[Element], parities: Tuple[int, ...],
+                   n: int) -> Element:
+        """The n-th higher Jacobi sum of ``elements``; see `jacobiator`."""
+        keys = self._keys(elements)
+        # the inputs' keys at every set of positions, in ascending position,
+        # by the set's bit mask
+        blocks = [()] * (1 << n)
+        for mask in range(1, 1 << n):
+            top = mask.bit_length() - 1
+            blocks[mask] = blocks[mask ^ (1 << top)] + (keys[top],)
+        plan = self._plans.get((n, parities))
+        if plan is None:
+            plan = self._plans[(n, parities)] = jacobi_plan(n, parities, self.epsilon)
+        values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
+        added: List[Element] = []
+        subtracted: List[Element] = []
+        for first, second, negative in plan:
+            # a value missing from the cache is evaluated by `bracket`, on the
+            # inputs held under its keys, which caches it under the same keys
+            block = blocks[first]
+            inner = values.get(block)
+            if inner is None:
+                inner = self.bracket([inputs[key] for key in block])
+            if inner.is_zero:
+                continue
+            inner_key = key_by_id.get(id(inner))
+            if inner_key is None:
+                # the value cache holds inner, so its identity stays its own
+                inner_key = key_by_id[id(inner)] = self._key(inner)
+            block = (inner_key,) + blocks[second]
+            outer = values.get(block)
+            if outer is None:
+                outer = self.bracket([inputs[key] for key in block])
+            if not outer.is_zero:
+                (subtracted if negative else added).append(outer)
+        if not subtracted:
+            return self.sum(added)
+        return self.sum(added) - self.sum(subtracted)
+
+    def _chain(self, keys: Tuple[int, ...]):
         prefixes = self._prefixes
         value = prefixes.get(keys)
         if value is not None:
@@ -298,13 +407,16 @@ class _BasisFamily(BracketFamily):
 
     basis: SpaceBasis
 
-    def bracket(self, args: Sequence[Combination]) -> Combination:
-        total = Combination(self.basis)
-        for indices, coeff in _expand_multilinear(args):
+    def _interned(self, element: Combination) -> Combination:
+        return element
+
+    def _evaluate(self, keys: Tuple[int, ...]) -> Combination:
+        terms = []
+        for indices, coeff in _expand_multilinear([self._inputs[k] for k in keys]):
             value = self.bracket_indices(indices)
             if not value.is_zero:
-                total = total + value.scaled(coeff)
-        return total
+                terms.append(value.scaled(coeff))
+        return self.sum(terms)
 
     def bracket_indices(self, indices: Tuple[int, ...]) -> Combination:
         raise NotImplementedError
@@ -313,8 +425,8 @@ class _BasisFamily(BracketFamily):
         return [(v.name, Combination.of(v, self.basis), v.parity, v.weight)
                 for v in self.basis]
 
-    def zero_element(self) -> Combination:
-        return Combination(self.basis)
+    def sum(self, terms: Sequence[Combination]) -> Combination:
+        return Combination.sum(self.basis, terms)
 
 
 def _expand_multilinear(args: Sequence[Combination]) -> Iterable[Tuple[Tuple[int, ...], Fraction]]:
@@ -344,10 +456,9 @@ class QFamily(_BasisFamily):
                     f"expected {basis.coordinate_bigrading(i, sig)}")
         if require_homological and not is_homological(q):
             raise NotHomological("generating field must be odd with [Q,Q] = 0")
+        super().__init__(sig.epsilon, sig.k)
         self.q = q
         self.basis = basis
-        self.epsilon = sig.epsilon
-        self.k = sig.k
         self._constant_fields = [constant_field(u, chart, sig, basis) for u in basis]
         self._prefixes = {(): q}
 
@@ -373,31 +484,27 @@ class HamiltonianFamily(BracketFamily):
 
     def __init__(self, master: Series, ct: CotangentChart,
                  pool_seed: int = 11, pool_size: int = 5):
+        super().__init__(1 if ct.kind == KIND_EVEN else 0, 1 - ct.shift)
         self.master = master
         self.ct = ct
-        self.epsilon = 1 if ct.kind == KIND_EVEN else 0
-        self.k = 1 - ct.shift
         self._pool_seed = pool_seed
         self._pool_size = pool_size
         self._pool_cache: Optional[List[Tuple[str, Series, int, int]]] = None
         self._prefixes = {(): master}
-        self._restricted: Dict[Tuple, Series] = {}
 
-    def _step(self, current: Series, key: Tuple[Series, Optional[int]]) -> Series:
-        f = key[0]
-        if any(v.fiber_degree for v in f.variables()):
+    def _interned(self, f: Series) -> Tuple[Series, Optional[int]]:
+        if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
-        return canonical_bracket(current, f, self.ct)
-
-    def bracket(self, args: Sequence[Series]) -> Series:
-        """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
         # Series equality ignores the truncation order, which the bracket
-        # depends on, so an input's key is its value with its order
-        keys = tuple([(f, f.truncation_order) for f in args])
-        value = self._restricted.get(keys)
-        if value is None:
-            value = self._restricted[keys] = restrict_to_base(self._chain(keys), self.ct)
-        return value
+        # depends on, so equal series share a key only at equal orders
+        return f, f.truncation_order
+
+    def _step(self, current: Series, key: int) -> Series:
+        return canonical_bracket(current, self._inputs[key], self.ct)
+
+    def _evaluate(self, keys: Tuple[int, ...]) -> Series:
+        """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
+        return restrict_to_base(self._chain(keys), self.ct)
 
     def pool(self):
         if self._pool_cache is None:
@@ -408,8 +515,8 @@ class HamiltonianFamily(BracketFamily):
                 for i, s in enumerate(samples)]
         return self._pool_cache
 
-    def zero_element(self) -> Series:
-        return Series.zero()
+    def sum(self, terms: Sequence[Series]) -> Series:
+        return Series.sum(terms)
 
 
 class ExplicitFamily(_BasisFamily):
@@ -422,9 +529,8 @@ class ExplicitFamily(_BasisFamily):
 
     def __init__(self, basis: SpaceBasis, epsilon: int, k: int,
                  entries: Mapping[Tuple[int, ...], Combination]):
+        super().__init__(epsilon, k)
         self.basis = basis
-        self.epsilon = epsilon
-        self.k = k
         self.load_warnings: List[str] = []
         collected: Dict[Tuple[int, ...], List[Combination]] = {}
         for indices, value in entries.items():
@@ -439,10 +545,7 @@ class ExplicitFamily(_BasisFamily):
             collected.setdefault(key, []).append(transported)
         self.table: Dict[Tuple[int, ...], Combination] = {}
         for key, values in collected.items():
-            total = Combination(self.basis)
-            for v in values:
-                total = total + v
-            average = total.scaled(Fraction(1, len(values)))
+            average = Combination.sum(self.basis, values).scaled(Fraction(1, len(values)))
             if any(v != average for v in values):
                 self.load_warnings.append(
                     f"bracket on ({self._label(key)}) was graded-symmetrized; "
@@ -523,35 +626,39 @@ def pool_tuples(pool: Sequence[Tuple[str, Element, int, int]],
             yield picked, ", ".join(label for label, _, _, _ in picked)
 
 
+def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm, ...]:
+    """The terms of the n-th higher Jacobi sum, one per (r, n-r)-unshuffle.
+
+    Each term is (first block, second block, negative), the blocks as bit
+    masks of input positions.  For epsilon = 0 the sign is (-1)^{r s}
+    sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
+    depends only on n, the inputs' parities and epsilon.
+    """
+    plan = []
+    for r in range(n + 1):
+        for first, second in unshuffles(n, r):
+            sgn, koszul = permutation_signs(first + second, parities)
+            sign = koszul
+            if epsilon == 0:
+                sign *= sgn
+                if (r * (n - r)) % 2:
+                    sign = -sign
+            plan.append((sum(1 << j for j in first), sum(1 << j for j in second),
+                         sign < 0))
+    return tuple(plan)
+
+
 def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Element, int]],
                n: int) -> Element:
     """The n-th higher Jacobi sum over (r, n-r)-unshuffles.
 
-    ``inputs`` pairs each element with its parity.  For epsilon = 0 the sign
-    is (-1)^{r s} sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul
-    sign.
+    ``inputs`` pairs each element with its parity.  The family replays its
+    plan for ``n`` and those parities (`jacobi_plan`) on the inputs' keys,
+    passes each inner bracket to the outer one by its key, and adds the
+    terms of each sign in one sum, subtracting the negative sum once rather
+    than negating term by term.
     """
-    elements = [e for e, _ in inputs]
-    parities = [p for _, p in inputs]
-    total = fam.zero_element()
-    for r in range(n + 1):
-        s = n - r
-        for first, second in unshuffles(n, r):
-            order = first + second
-            sgn, koszul = permutation_signs(order, parities)
-            sign = koszul
-            if fam.epsilon == 0:
-                sign *= sgn
-                if (r * s) % 2:
-                    sign = -sign
-            inner = fam.bracket([elements[j] for j in first])
-            if inner.is_zero:
-                continue
-            outer = fam.bracket([inner] + [elements[j] for j in second])
-            if outer.is_zero:
-                continue
-            total = total + outer if sign > 0 else total - outer
-    return total
+    return fam.jacobi_sum([e for e, _ in inputs], tuple([p for _, p in inputs]), n)
 
 
 # ---------------------------------------------------------------------------

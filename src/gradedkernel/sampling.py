@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graded_core import (
     Bigrading,
@@ -52,14 +53,21 @@ def small_rational(rng: random.Random) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+@lru_cache(maxsize=64)
+def _sorted_buckets(variables: Tuple[GradedVariable, ...],
+                    max_degree: int) -> Tuple[Tuple[Bigrading, Tuple[Monomial, ...]], ...]:
+    """The monomials of degree <= max_degree by bigrading, sorted by (parity, weight)."""
+    buckets = bucket_by_bigrading(enumerate_monomials(variables, max_degree))
+    return tuple((grade, tuple(monomials)) for grade, monomials in sorted(
+        buckets.items(), key=lambda kv: (kv[0].parity, kv[0].weight)))
+
+
 def random_homogeneous(variables: Sequence[GradedVariable], rng: random.Random,
                        max_degree: int = 2, parity: Optional[int] = None,
                        weight: Optional[int] = None, max_terms: int = 3) -> Series:
     """A random homogeneous series; zero if no monomial fits the constraints."""
-    buckets = bucket_by_bigrading(enumerate_monomials(variables, max_degree))
     eligible = [
-        (grade, monos) for grade, monos in sorted(
-            buckets.items(), key=lambda kv: (kv[0].parity, kv[0].weight))
+        (grade, monos) for grade, monos in _sorted_buckets(tuple(variables), max_degree)
         if (parity is None or grade.parity == parity % 2)
         and (weight is None or grade.weight == weight)
     ]

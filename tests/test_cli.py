@@ -316,6 +316,11 @@ class TestUsageErrors:
         stderr = assert_usage_error(tmp_path, text, 7)
         assert "duplicate bracket on (e1, e2)" in stderr
 
+    def test_unknown_basis_vector_on_a_bracket_line(self, tmp_path):
+        text = (EXPLICIT_PROBLEM + "  bracket e1 e2 = e2\n  bracket e1 e3 = e1\nend\n")
+        stderr = assert_usage_error(tmp_path, text, 7)
+        assert "unknown basis vector 'e3'" in stderr
+
     def test_permuted_bracket_line_is_folded_and_warned(self):
         family = parse_problem(
             EXPLICIT_PROBLEM + "  bracket e1 e2 = e2\n  bracket e2 e1 = e1\nend\n"

@@ -171,6 +171,16 @@ class TestCanonicalBracket:
                 continue
             assert value.fiber_degree() <= f.fiber_degree() + g.fiber_degree() - 1
 
+    def test_argument_off_the_chart_rejected(self):
+        base = Chart.build([("x", 0, 0), ("xi", 1, 0)], "M")
+        ct = shifted_cotangent(base, 0)
+        other = Chart.build([("u", 0, 0), ("w", 1, 0)], "N")
+        u, w = other.variables
+        f = V(base.variables[0]) * V(u) + V(w) * V(ct.fiber[0])
+        with pytest.raises(ChartMismatch) as caught:
+            canonical_bracket(V(ct.fiber[0]), f, ct)
+        assert str(caught.value) == "bracket argument uses variables not on the chart: u, w"
+
     def test_inhomogeneous_rejected(self):
         base = Chart.build([("x", 0, 0), ("xi", 1, 0)], "M")
         ct = shifted_cotangent(base, 0)

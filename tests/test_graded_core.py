@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -18,6 +19,12 @@ from gradedkernel.graded_core import (
     Series,
     format_series,
     monomial_bigrading,
+)
+from gradedkernel.sampling import (
+    bucket_by_bigrading,
+    enumerate_monomials,
+    random_homogeneous,
+    small_rational,
 )
 
 X = GradedVariable("x", 0, 0, 0, 0)
@@ -815,3 +822,40 @@ def formatted_series(draw):
 def test_format_matches_the_fraction_formatter(s, scale):
     s = s * scale
     assert format_series(s) == format_series_by_fractions(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncated_series(), st.sets(st.sampled_from(MIXED + [NEVER])))
+def test_uses_only_matches_the_variable_set(s, allowed):
+    # NEVER has no field, so allowing it or not changes nothing
+    assert s.uses_only(allowed) == (s.variables() <= allowed)
+    assert NEVER not in _REGISTRY.slots
+
+
+def rebuilt_random_homogeneous(variables, rng, max_degree, parity, weight):
+    """Reference: random_homogeneous with its buckets rebuilt on every call."""
+    buckets = bucket_by_bigrading(enumerate_monomials(variables, max_degree))
+    eligible = [(grade, monos) for grade, monos in sorted(
+        buckets.items(), key=lambda kv: (kv[0].parity, kv[0].weight))
+        if (parity is None or grade.parity == parity % 2)
+        and (weight is None or grade.weight == weight)]
+    if not eligible:
+        return Series.zero()
+    _, monomials = rng.choice(eligible)
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 3)))
+    series = Series({m: small_rational(rng) for m in chosen})
+    return series if not series.is_zero else Series({monomials[0]: Fraction(1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(MIXED), min_size=1, max_size=5, unique=True),
+       st.lists(st.tuples(st.integers(0, 3), st.one_of(st.none(), st.integers(0, 1)),
+                          st.one_of(st.none(), st.integers(-1, 3))), min_size=1, max_size=4))
+def test_random_homogeneous_draws_as_with_rebuilt_buckets(seed, variables, calls):
+    cached, rebuilt = random.Random(seed), random.Random(seed)
+    for max_degree, parity, weight in calls:
+        got = random_homogeneous(variables, cached, max_degree, parity, weight)
+        want = rebuilt_random_homogeneous(variables, rebuilt, max_degree, parity, weight)
+        assert got.items() == want.items()
+    assert cached.getstate() == rebuilt.getstate()

@@ -1,10 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedkernel import homotopy
+from gradedkernel.cli import Flags, parse_problem, run
 from gradedkernel.errors import NotHomological
 from gradedkernel.geometry import (
     Chart,
@@ -31,10 +34,14 @@ from gradedkernel.homotopy import (
     check_weights_parities,
     constant_field,
     derived_bracket_H,
+    jacobiator,
     parity_reverse_brackets,
+    permutation_signs,
+    unshuffles,
 )
 
 V = Series.variable
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def lie2_family(k=0):
@@ -383,6 +390,136 @@ class TestBracketCaches:
         for call in calls + calls[::-1]:
             fresh, _, _, _ = lie2_family()
             assert fam.bracket_indices(tuple(call)) == fresh.bracket_indices(tuple(call))
+
+
+def odd_q_family():
+    """An epsilon = 1 family: Q = y1 y2 d/dy1 on V[0], e1 even and e2 odd."""
+    sig = ShiftSignature(1, 0)
+    basis = SpaceBasis.build([("e1", 0, 0), ("e2", 1, 0)])
+    chart = basis.chart(sig, names=["y1", "y2"])
+    y1, y2 = chart.variables
+    return QFamily(VectorField(chart, {y1: V(y1) * V(y2)}, 1, 1), basis, sig)
+
+
+# fresh families of both epsilons, one with nonzero Jacobi residuals
+JACOBI_FAMILIES = {
+    "sinf": lambda: HamiltonianFamily(*HAMILTONIAN_CASES[0][:2]),
+    "pinf": lambda: HamiltonianFamily(*HAMILTONIAN_CASES[1][:2]),
+    "lie2": lambda: lie2_family()[0],
+    "odd-q": odd_q_family,
+    "broken-jacobi": lambda: parse_problem(
+        (CORPUS / "broken_jacobi.gk").read_text()).families["G"],
+    "reversed-lie2": lambda: parity_reverse_brackets(lie2_family()[0], 3),
+}
+
+
+def unshuffle_loop_jacobiator(fam, inputs, n):
+    """Reference: the Jacobi sum with each unshuffle's sign worked out inside
+    the loop and the terms added one at a time."""
+    elements = [e for e, _ in inputs]
+    parities = [p for _, p in inputs]
+    total = fam.zero_element()
+    for r in range(n + 1):
+        s = n - r
+        for first, second in unshuffles(n, r):
+            sgn, koszul = permutation_signs(first + second, parities)
+            sign = koszul
+            if fam.epsilon == 0:
+                sign *= sgn
+                if (r * s) % 2:
+                    sign = -sign
+            inner = fam.bracket([elements[j] for j in first])
+            if inner.is_zero:
+                continue
+            outer = fam.bracket([inner] + [elements[j] for j in second])
+            if outer.is_zero:
+                continue
+            total = total + outer if sign > 0 else total - outer
+    return total
+
+
+class TestJacobiPlans:
+    """A Jacobi sum replayed from a plan equals the per-unshuffle loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(JACOBI_FAMILIES)), data=st.data())
+    def test_plan_replay_matches_the_unshuffle_loop(self, name, data):
+        fam = JACOBI_FAMILIES[name]()
+        pool = fam.pool()
+        n = data.draw(st.integers(0, 5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        # any parity pattern, not only the inputs' own: the plan's signs
+        # depend on the pattern alone
+        parities = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        inputs = [(pool[i][1], parity) for i, parity in zip(picks, parities)]
+        got = jacobiator(fam, inputs, n)
+        want = unshuffle_loop_jacobiator(JACOBI_FAMILIES[name](), inputs, n)
+        assert got == want and str(got) == str(want)
+        assert getattr(got, "truncation_order", None) == \
+            getattr(want, "truncation_order", None)
+
+    def test_broken_jacobi_residuals_match(self):
+        fam = JACOBI_FAMILIES["broken-jacobi"]()
+        reference = JACOBI_FAMILIES["broken-jacobi"]()
+        pool = fam.pool()
+        nonzero = 0
+        for picked in itertools.product(pool, repeat=3):
+            inputs = [(element, parity) for _, element, parity, _ in picked]
+            got = jacobiator(fam, inputs, 3)
+            assert got == unshuffle_loop_jacobiator(reference, inputs, 3)
+            nonzero += not got.is_zero
+        assert nonzero
+
+    @pytest.mark.parametrize("name, arity", [("sinf", 4), ("pinf", 4), ("lie2", 4),
+                                             ("odd-q", 4), ("broken-jacobi", 3)])
+    def test_a_check_builds_at_most_two_to_the_n_plans(self, monkeypatch, name, arity):
+        built = []
+        jacobi_plan = homotopy.jacobi_plan
+
+        def counted(n, parities, epsilon):
+            built.append((n, tuple(parities), epsilon))
+            return jacobi_plan(n, parities, epsilon)
+
+        monkeypatch.setattr(homotopy, "jacobi_plan", counted)
+        fam = JACOBI_FAMILIES[name]()
+        check_higher_jacobi(fam, arity)
+        assert len(set(built)) == len(built)
+        assert {epsilon for _, _, epsilon in built} == {fam.epsilon}
+        for n in range(arity + 1):
+            assert 0 < sum(1 for m, _, _ in built if m == n) <= 2 ** n
+
+
+def test_an_input_equal_to_a_held_one_is_not_held():
+    fam = JACOBI_FAMILIES["sinf"]()
+    f = fam.pool()[1][1]
+    value = fam.bracket([f, f])
+    held = len(fam._key_by_id)
+    for _ in range(20):
+        copy = f + Series.zero()
+        assert copy is not f
+        assert fam.bracket([copy, copy]) is value
+    assert len(fam._key_by_id) == held
+
+
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 248),
+                                                 ("master_pinf", "FP", 167)])
+def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, stem,
+                                                                 family, count):
+    declarations = [line for line in (CORPUS / f"{stem}.gk").read_text().splitlines()
+                    if not line.startswith("task")]
+    problem = parse_problem("\n".join(declarations) +
+                            f"\ntask check-jacobi {family} arity 3\n")
+    made = []
+    canonical_bracket = homotopy.canonical_bracket
+
+    def counted(f, g, ct):
+        made.append((f, g))
+        return canonical_bracket(f, g, ct)
+
+    monkeypatch.setattr(homotopy, "canonical_bracket", counted)
+    results, all_pass = run(problem, Flags())
+    assert all_pass and len(results) == 1
+    assert len(made) == count
 
 
 class TestMasterVectorField:
