@@ -119,29 +119,39 @@ class CotangentChart:
 AnyChart = Union[Chart, CotangentChart]
 
 
-def shifted_cotangent(base: Chart, s: int) -> CotangentChart:
-    """T*M[s]: fiber variable p_<x> with the parity of x and weight -w(x)+s."""
-    fiber = tuple(
-        GradedVariable(f"p_{var.name}", var.parity, -var.weight + s,
+def conjugate_variables(base: Chart, shift: int, kind: str,
+                        prefix: str) -> Tuple[GradedVariable, ...]:
+    """The fiber variable ``<prefix><x>`` conjugate to each base coordinate x
+    of T*M[shift] (even kind) or Pi T*M[shift] (odd kind).
+
+    It has the parity of x, flipped for the odd kind, weight
+    ``-w(x) + shift``, fiber degree 1 and x's index.
+    """
+    if kind not in (KIND_EVEN, KIND_ODD):
+        raise ValueError("kind must be 'even' or 'odd'")
+    flip = 0 if kind == KIND_EVEN else 1
+    return tuple(
+        GradedVariable(prefix + var.name, (var.parity + flip) % 2, -var.weight + shift,
                        fiber_degree=1, index=var.index)
         for var in base.variables)
-    return CotangentChart(base, fiber, s, KIND_EVEN)
+
+
+def shifted_cotangent(base: Chart, s: int) -> CotangentChart:
+    """T*M[s]: fiber variable p_<x> with the parity of x and weight -w(x)+s."""
+    return CotangentChart(base, conjugate_variables(base, s, KIND_EVEN, "p_"), s, KIND_EVEN)
 
 
 def shifted_anticotangent(base: Chart, s: int) -> CotangentChart:
     """Pi T*M[s]: fiber variable xs_<x> with flipped parity and weight -w(x)+s."""
-    fiber = tuple(
-        GradedVariable(f"xs_{var.name}", (var.parity + 1) % 2, -var.weight + s,
-                       fiber_degree=1, index=var.index)
-        for var in base.variables)
-    return CotangentChart(base, fiber, s, KIND_ODD)
+    return CotangentChart(base, conjugate_variables(base, s, KIND_ODD, "xs_"), s, KIND_ODD)
 
 
-def _check_on_chart(series: Series, chart: AnyChart, what: str) -> None:
-    if not series.uses_only(chart.variables):
-        stray = series.variables() - set(chart.variables)
-        names = ", ".join(sorted(v.name for v in stray))
-        raise ChartMismatch(f"{what} uses variables not on the chart: {names}")
+def check_uses_only(series: Series, variables: Sequence[GradedVariable], what: str) -> None:
+    """Raise ``ChartMismatch("<what>: <stray names>")`` unless every variable
+    of ``series`` is one of ``variables``."""
+    if not series.uses_only(variables):
+        names = ", ".join(sorted(v.name for v in series.variables() - set(variables)))
+        raise ChartMismatch(f"{what}: {names}")
 
 
 class VectorField:
@@ -165,7 +175,8 @@ class VectorField:
                 raise ChartMismatch(f"component variable {var.name} is not on the chart")
             if series.is_zero:
                 continue
-            _check_on_chart(series, chart, f"component along {var.name}")
+            check_uses_only(series, variables,
+                            f"component along {var.name} uses variables not on the chart")
             expected = Bigrading((var.parity + parity) % 2, var.weight + weight)
             if series.bigrading() != expected:
                 raise GradingMismatch(
@@ -186,10 +197,8 @@ class VectorField:
 
     def apply(self, series: Series) -> Series:
         """X(f) = sum_a X^a * dF/dx^a (components on the left)."""
-        total = Series.zero()
-        for var, comp in self.components.items():
-            total = total + comp * series.left_derivative(var)
-        return total
+        return Series.sum([comp * series.left_derivative(var)
+                           for var, comp in self.components.items()])
 
     def constant_part(self) -> Dict[GradedVariable, Fraction]:
         """Coefficients of the coordinate-independent component ("value at 0")."""
@@ -267,8 +276,8 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
     Requires homogeneous arguments; the result has weight w(F)+w(G)-s and
     parity Ft+Gt (plus 1 for the odd kind).
     """
-    _check_on_chart(f, ct, "bracket argument")
-    _check_on_chart(g, ct, "bracket argument")
+    for argument in (f, g):
+        check_uses_only(argument, ct.variables, "bracket argument uses variables not on the chart")
     if f.is_zero or g.is_zero:
         # every term below vanishes; keep the truncation order their sum would
         # carry, as a derivative in a fiber variable lowers an order by one

@@ -6,8 +6,8 @@ Conventions, fixed once and used everywhere:
   integer and never produces a sign;
 * all derivatives are left derivatives and all coordinates are left
   coordinates;
-* monomials are kept in the canonical order given by the key
-  ``(fiber_degree, declaration index, name)``, so base variables always
+* monomial tuples list their variables in the canonical order given by the
+  key ``(fiber_degree, declaration index, name)``, so base variables always
   precede momenta and antimomenta;
 * coefficients are exact rationals; there is no floating point anywhere.
 
@@ -31,21 +31,23 @@ Inside a ``Series`` a monomial is one ``int`` key:
 * the top bit of the fiber field and of every even field is a guard bit,
   zero in every stored key.
 
-The product of two monomials is then the sum of their keys.  It is zero when
-the keys share an odd bit.  An exponent or fiber degree above
-``EXPONENT_BOUND`` (at least 10^6) sets a guard bit, and the product raises
-``ExponentOverflow``; it never carries into the next field.  The Koszul sign
-of ``a * b`` is ``(-1) ** n``, where ``n`` counts the pairs of an odd factor
-of ``a`` canonically after an odd factor of ``b``: the parity of
-``popcount(a & _flip_mask(b))``.  ``Series.__mul__`` holds this one sign rule
-of products, and the parser builds each term as a product of its factors.
+A key's numerator is the coefficient of its factors multiplied in field
+order, which is registration order, not canonical order.  The product of two
+monomials is then the sum of their keys.  It is zero when the keys share an
+odd bit.  An exponent or fiber degree above ``EXPONENT_BOUND`` (at least
+10^6) sets a guard bit, and the product raises ``ExponentOverflow``; it never
+carries into the next field.  The Koszul sign of ``a * b`` is the parity of
+``popcount(b & _sign_mask(a))``: the pairs of an odd factor of ``a`` in a
+field above an odd factor of ``b``.  Every odd field below one of ``a``'s
+was registered before it, so the mask depends on ``a``'s key alone.
+``Series.__mul__`` holds this one sign rule of products, and the parser
+builds each term as a product of its factors.  Canonical order is used only
+where monomial tuples cross the boundary, in ``_encode`` and ``_decoded``,
+with the sign of one inversion count over a term's odd factors.
 
 A series is immutable, so it builds the rows a product walks, ``(fiber
-degree, key, numerator, flip mask)`` in ascending fiber degree, once, on its
-first product, and computes its bigrading once.  The rows are kept with the
-registry width they were built at: an odd variable registered later, and
-canonically between two odd variables of a key, adds a bit to that key's
-flip mask, so a wider registry rebuilds them.  Keys themselves never change.
+degree, key, numerator, sign mask)`` in ascending fiber degree, once, on its
+first product, and computes its bigrading once.
 
 Substitution splits each key with one mask into a bound part, the fields of
 the bound variables plus their share of the fiber degree, and an unbound
@@ -67,7 +69,6 @@ may share it.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -183,17 +184,11 @@ class _Slot:
 
 
 class _Registry:
-    """The key field of every variable a series has used, assigned on first use.
-
-    Fields are assigned in registration order, which need not be canonical
-    order, so each odd field keeps the mask of the odd fields canonically
-    after it, updated as later fields register.
-    """
+    """The key field of every variable a series has used, assigned on first
+    use above every field assigned before."""
 
     def __init__(self):
-        self.slots: Dict[GradedVariable, _Slot] = {}  # in registration order
-        self.canonical: List[_Slot] = []
-        self.above: Dict[int, int] = {}  # odd bit -> odd bits canonically after it
+        self.slots: Dict[GradedVariable, _Slot] = {}  # in field order
         self.odd_bits = 0
         self.guards = _GUARD
         self.width = _WIDTH
@@ -204,37 +199,28 @@ class _Registry:
             return slot
         if var.parity:
             slot = _Slot(var, self.width, 1)
-            bit = 1 << self.width
-            above = 0
-            for other in self.slots.values():
-                if other.mask == 1:
-                    other_bit = 1 << other.shift
-                    if other.rank > slot.rank:
-                        above |= other_bit
-                    else:
-                        self.above[other_bit] |= bit
-            self.above[bit] = above
-            self.odd_bits |= bit
+            self.odd_bits |= 1 << self.width
             self.width += 1
         else:
             slot = _Slot(var, self.width, _FIELD)
             self.guards |= _GUARD << self.width
             self.width += _WIDTH
         self.slots[var] = slot
-        insort(self.canonical, slot, key=attrgetter("rank"))
         return slot
 
 
 _REGISTRY = _Registry()
 
 
-def _encode(monomial: Monomial, register: bool = True) -> Optional[int]:
-    """The key of a canonical monomial tuple.
+def _encode(monomial: Monomial, register: bool = True) -> Optional[Tuple[int, int]]:
+    """The key of a canonical monomial tuple, and the parity of the
+    permutation that takes its odd factors to field order: ``c * monomial``
+    is the numerator ``(-1) ** parity * c`` under the key.
 
     Without ``register``, a variable that has no field yet gives None: no
     stored key can contain it.
     """
-    key = fiber = 0
+    key = fiber = flips = seen = 0
     rank = None
     for var, exp in monomial:
         slot = _REGISTRY.slots.get(var)
@@ -248,30 +234,33 @@ def _encode(monomial: Monomial, register: bool = True) -> Optional[int]:
         if not 0 < exp <= (1 if var.parity else EXPONENT_BOUND):
             raise ValueError(f"monomial {monomial!r} has exponent {exp} on {var.name}; "
                              f"exponents run from 1 to {1 if var.parity else EXPONENT_BOUND}")
+        if var.parity:
+            # the odd factors before var whose fields are above var's
+            flips += (seen >> slot.shift).bit_count()
+            seen |= 1 << slot.shift
         key += exp << slot.shift
         fiber += exp * var.fiber_degree
     if fiber > EXPONENT_BOUND:
         raise ValueError(f"monomial {monomial!r} has fiber degree above {EXPONENT_BOUND}")
-    return key + fiber
+    return key + fiber, flips & 1
 
 
-def _flip_mask(key: int) -> int:
-    """The odd bits whose presence in ``a`` flips the sign of ``a * key``.
-
-    By linearity over Z2 this is the xor of the "after me" masks of ``key``'s
-    odd variables.
-    """
-    rest = key & _REGISTRY.odd_bits
-    flip = 0
+def _sign_mask(key: int) -> int:
+    """The odd bits below an odd number of ``key``'s odd bits, so that
+    ``popcount(b & _sign_mask(a))`` is odd when ``a * b`` is ``-1`` times its
+    key in field order."""
+    odd = _REGISTRY.odd_bits
+    rest = key & odd
+    mask = 0
     while rest:
         low = rest & -rest
-        flip ^= _REGISTRY.above[low]
+        mask ^= low - 1
         rest ^= low
-    return flip
+    return mask & odd
 
 
 def _overflow(key: int) -> ExponentOverflow:
-    for slot in _REGISTRY.canonical:
+    for slot in _REGISTRY.slots.values():
         if (key >> slot.shift) & slot.mask > EXPONENT_BOUND:
             return ExponentOverflow(f"a product raises {slot.var.name} to a power "
                                     f"above {EXPONENT_BOUND}")
@@ -299,10 +288,10 @@ class Series:
             coeff = _frac(coeff)
             if coeff == 0:
                 continue
-            key = _encode(monomial)
+            key, flip = _encode(monomial)
             if truncation_order is not None and key & _FIBER > truncation_order:
                 continue
-            kept.append((key, coeff))
+            kept.append((key, -coeff if flip else coeff))
         # each coefficient is in lowest terms, so over the lcm of the
         # denominators the numerators have no common factor with it
         den = lcm(*(coeff.denominator for _, coeff in kept))
@@ -356,7 +345,7 @@ class Series:
             return cls.one()
         if var.parity and exponent > 1:
             return cls.zero()
-        return cls._trusted({_encode(((var, exponent),)): 1}, 1, None)
+        return cls._trusted({_encode(((var, exponent),))[0]: 1}, 1, None)
 
     @classmethod
     def sum(cls, terms: Sequence["Series"]) -> "Series":
@@ -397,22 +386,33 @@ class Series:
         return [(monomial, Fraction(n, den)) for monomial, n in self._decoded()]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        n = self._terms.get(_encode(monomial, register=False))
-        return Fraction(0) if n is None else Fraction(n, self._den)
+        key, flip = _encode(monomial, register=False) or (None, 0)
+        n = self._terms.get(key, 0)
+        return Fraction(-n if flip else n, self._den)
 
     def _slots(self) -> List[_Slot]:
-        """The slots of the variables that occur in some term, in canonical order."""
+        """The slots of the variables that occur in some term, in canonical
+        order.  Fields are assigned upward, so the scan stops at the top bit."""
         union = 0
         for key in self._terms:
             union |= key
-        return [slot for slot in _REGISTRY.canonical if (union >> slot.shift) & slot.mask]
+        top = union.bit_length()
+        found = []
+        for slot in _REGISTRY.slots.values():
+            if slot.shift >= top:
+                break
+            if (union >> slot.shift) & slot.mask:
+                found.append(slot)
+        found.sort(key=attrgetter("rank"))
+        return found
 
     def _decoded(self) -> List[Tuple[Monomial, int]]:
         """``(monomial tuple, numerator)`` for every term, in canonical order.
 
         Rows sort by ``(position, exponent)`` over the series' variables in
         canonical order, which sorts as the monomials' ``(var.key, exp)``
-        pairs do.
+        pairs do.  A numerator changes sign with the parity of the
+        permutation that takes its odd factors from field to canonical order.
         """
         fields = [(position, slot.shift, slot.mask, slot.var)
                   for position, slot in enumerate(self._slots())]
@@ -420,12 +420,16 @@ class Series:
         for key, n in self._terms.items():
             order = []
             monomial = []
+            flips = seen = 0
             for position, shift, mask, var in fields:
                 exp = (key >> shift) & mask
                 if exp:
                     order += (position, exp)
                     monomial.append((var, exp))
-            rows.append((order, tuple(monomial), n))
+                    if var.parity:
+                        flips += (seen >> shift).bit_count()
+                        seen |= 1 << shift
+            rows.append((order, tuple(monomial), -n if flips & 1 else n))
         rows.sort(key=itemgetter(0))
         return [(monomial, n) for _, monomial, n in rows]
 
@@ -494,19 +498,15 @@ class Series:
     # -- arithmetic --------------------------------------------------------
 
     def _product_rows(self) -> list:
-        """``(fiber degree, key, numerator, flip mask)`` for every term, in
-        ascending fiber degree.
-
-        Built on first use and kept with the registry width it was built at:
-        a later odd registration can add bits to the flip masks, so a wider
-        registry rebuilds the rows.
-        """
-        width = _REGISTRY.width
-        if self._rows is None or self._rows[0] != width:
-            rows = [(k & _FIBER, k, n, _flip_mask(k)) for k, n in self._terms.items()]
+        """``(fiber degree, key, numerator, sign mask)`` for every term, in
+        ascending fiber degree, built on first use."""
+        if self._rows is None:
+            odd = _REGISTRY.odd_bits
+            rows = [(k & _FIBER, k, n, _sign_mask(k) if k & odd else 0)
+                    for k, n in self._terms.items()]
             rows.sort(key=itemgetter(0))
-            self._rows = (width, rows)
-        return self._rows[1]
+            self._rows = rows
+        return self._rows
 
     def __add__(self, other) -> "Series":
         other = _coerce(other)
@@ -550,17 +550,17 @@ class Series:
         right = other._product_rows()
         out: dict = {}
         get = out.get
-        for degree_a, ka, na, _ in self._product_rows():
+        for degree_a, ka, na, flip in self._product_rows():
             room = budget - degree_a
             if room < 0:
                 break
-            for degree_b, kb, nb, flip in right:
+            for degree_b, kb, nb, _ in right:
                 if degree_b > room:
                     break
                 if ka & kb & odd:
                     continue
                 value = na * nb
-                if flip and (ka & flip).bit_count() & 1:
+                if flip and (kb & flip).bit_count() & 1:
                     value = -value
                 key = ka + kb
                 previous = get(key)
@@ -622,10 +622,8 @@ class Series:
             return Series.zero(trunc)
         shift, mask = slot.shift, slot.mask
         step = (1 << shift) + var.fiber_degree
-        # the odd factors canonically before var, each passed with a sign
-        before = 0
-        if var.parity:
-            before = _REGISTRY.odd_bits & ~(_REGISTRY.above[1 << shift] | 1 << shift)
+        # the odd factors in fields below var's, each passed with a sign
+        before = _REGISTRY.odd_bits & ((1 << shift) - 1) if var.parity else 0
         out: dict = {}
         for key, n in self._terms.items():
             exp = (key >> shift) & mask
@@ -641,7 +639,7 @@ class Series:
         The terms are grouped by bound part ``b``: with ``key = sign * u * b``,
         the coefficient series ``C_b`` collects ``sign * n * u``, and the result
         is the sum of ``C_b`` times the values' powers over ``b``'s factors in
-        canonical order.  ``C_b`` goes first in that chain: it carries the
+        field order.  ``C_b`` goes first in that chain: it carries the
         unbound part's fiber degree, so every later product already prunes
         what that degree pushes past the truncation order.  With ``C_b`` last,
         the powers' products would build those terms and only the last
@@ -664,12 +662,13 @@ class Series:
         # bound variable -> (numerator, denominator) of a constant binding
         constants = {var: (value._terms.get(0, 0), value._den)
                      for var, value in normalized.items() if value._terms.keys() <= {0}}
-        bound_slots = [(slot.shift, slot.mask, slot.var) for slot in _REGISTRY.canonical
-                       if slot.var in normalized]
+        bound_slots = sorted((slot.shift, slot.mask, slot.var)
+                             for slot in map(_REGISTRY.slots.get, normalized) if slot)
         bound = 0
         for shift, mask, _ in bound_slots:
             bound |= mask << shift
-        # bound part -> (its factors in canonical order, {unbound key: numerator});
+        odd = _REGISTRY.odd_bits
+        # bound part -> (its factors in field order, {unbound key: numerator});
         # the bound part carries its own share of the fiber degree
         groups: dict = {}
         for key, n in self._terms.items():
@@ -679,7 +678,9 @@ class Series:
                 factors = [(var, (part >> shift) & mask) for shift, mask, var in bound_slots
                            if (part >> shift) & mask]
                 fiber = sum(exp for var, exp in factors if var.fiber_degree)
-                group = groups[part] = (factors, fiber, _flip_mask(part), {})
+                # rest * part = (-1) ** (|rest| |part|) part * rest
+                flip = _sign_mask(part) ^ (odd if (part & odd).bit_count() & 1 else 0)
+                group = groups[part] = (factors, fiber, flip, {})
             factors, fiber, flip, coefficients = group
             rest = key - part - fiber
             if trunc is not None and rest & _FIBER > trunc:

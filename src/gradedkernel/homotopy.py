@@ -896,10 +896,11 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
         if solution is None:
             raise GradingMismatch(
                 f"no degree-{n} Taylor coefficient reproduces the arity-{n} table")
-        components: Dict[GradedVariable, Series] = {}
+        parts: Dict[GradedVariable, List[Series]] = {}
         for (var, monomial), coeff in zip(unknown_slots, solution):
             if coeff:
-                components[var] = components.get(var, Series.zero()) + Series({monomial: coeff})
+                parts.setdefault(var, []).append(Series({monomial: coeff}))
+        components = {var: Series.sum(terms) for var, terms in parts.items()}
         piece = VectorField(chart, components, field_parity, field_weight)
         total = piece if total is None else total + piece
     if total is None:

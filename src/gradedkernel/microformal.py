@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
-from .geometry import Chart, CotangentChart, KIND_EVEN, KIND_ODD
+from .geometry import Chart, CotangentChart, KIND_EVEN, check_uses_only, conjugate_variables
 from .graded_core import (
     GradedVariable,
     Series,
@@ -62,14 +62,7 @@ def conjugate_momenta(target: Chart, shift: int, kind: str) -> Tuple[GradedVaria
     Exposed so generating functions can be written before the morphism is
     built; the constructor recreates value-identical variables.
     """
-    if kind not in (KIND_EVEN, KIND_ODD):
-        raise ValueError("kind must be 'even' or 'odd'")
-    prefix = "q_" if kind == KIND_EVEN else "ys_"
-    flip = 0 if kind == KIND_EVEN else 1
-    return tuple(
-        GradedVariable(prefix + var.name, (var.parity + flip) % 2,
-                       -var.weight + shift, fiber_degree=1, index=var.index)
-        for var in target.variables)
+    return conjugate_variables(target, shift, kind, "q_" if kind == KIND_EVEN else "ys_")
 
 
 class ThickMorphism:
@@ -79,18 +72,12 @@ class ThickMorphism:
 
     def __init__(self, source: Chart, target: Chart, shift: int, kind: str,
                  S: Series):
-        if kind not in (KIND_EVEN, KIND_ODD):
-            raise ValueError("kind must be 'even' or 'odd'")
         self.source = source
         self.target = target
         self.shift = shift
         self.kind = kind
         self.momenta = conjugate_momenta(target, shift, kind)
-        allowed = set(source.variables) | set(self.momenta)
-        stray = S.variables() - allowed
-        if stray:
-            names = ", ".join(sorted(v.name for v in stray))
-            raise ChartMismatch(f"S uses variables outside (x, q): {names}")
+        check_uses_only(S, source.variables + self.momenta, "S uses variables outside (x, q)")
         self.S = S
 
     @property
@@ -126,14 +113,13 @@ class PullbackResult:
 
 def support(phi: ThickMorphism) -> Dict[GradedVariable, Series]:
     """The components phi^i(x): the coefficient of q_i in the linear part of S."""
-    out: Dict[GradedVariable, Series] = {var: Series.zero() for var in phi.target.variables}
+    parts: Dict[GradedVariable, list] = {var: [] for var in phi.target.variables}
     for monomial, coeff in phi.s_part(1).items():
         base_part = tuple((v, e) for v, e in monomial if not v.fiber_degree)
         fiber_part = [(v, e) for v, e in monomial if v.fiber_degree]
         (q_var, _), = fiber_part
-        target_var = phi.target.variables[q_var.index]
-        out[target_var] = out[target_var] + Series({base_part: coeff})
-    return out
+        parts[phi.target.variables[q_var.index]].append(Series({base_part: coeff}))
+    return {var: Series.sum(terms) for var, terms in parts.items()}
 
 
 def validate_thick(phi: ThickMorphism) -> Report:
@@ -187,10 +173,7 @@ def _require_valid(phi: ThickMorphism) -> None:
 
 
 def _check_admissible(phi: ThickMorphism, g: Series) -> None:
-    stray = g.variables() - set(phi.target.variables)
-    if stray:
-        names = ", ".join(sorted(v.name for v in stray))
-        raise ChartMismatch(f"g uses variables not on the target chart: {names}")
+    check_uses_only(g, phi.target.variables, "g uses variables not on the target chart")
     expected = phi.expected_parity
     if not g.is_zero and not g.is_homogeneous(expected, phi.shift):
         raise GradingMismatch(
@@ -242,10 +225,9 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     iterations = passes if q_cur == q_prev else passes + 1
 
     s_t = phi.s_part(0) + linear + t * tail
-    f = g.substitute(y_cur) + s_t.substitute(q_cur)
-    for y_var in phi.target.variables:
-        f = f - y_cur[y_var] * q_cur[phi.momentum(y_var)]
-    f = f.truncate(order)
+    f = Series.sum([g.substitute(y_cur), s_t.substitute(q_cur)]
+                   + [-(y_cur[y_var] * q_cur[phi.momentum(y_var)])
+                      for y_var in phi.target.variables]).truncate(order)
     return f, y_cur, q_cur, iterations
 
 

@@ -1,5 +1,7 @@
 import ast
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -476,7 +478,8 @@ def test_fiber_slice_matches_filter(s, low, high):
 # names through which a module would read or build monomial tuples directly
 MONOMIAL_INTERNALS = {"_terms", "_trusted", "merge_monomials", "monomial_fiber_degree",
                       "monomial_sort_key", "_REGISTRY", "_Registry", "_encode", "_decoded",
-                      "_den", "_reduced", "_slots", "_flip_mask", "_rows", "_product_rows"}
+                      "_den", "_reduced", "_slots", "_flip_mask", "_sign_mask", "_rows",
+                      "_product_rows"}
 
 
 def test_monomials_stay_inside_graded_core():
@@ -582,6 +585,20 @@ def test_products_match_naive_when_registered_out_of_canonical_order(data):
     assert a * b == expected
     for var in LATE:
         assert a.left_derivative(var) == naive_left_derivative(a, var)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_tuples_keep_their_signs_when_registered_out_of_canonical_order(data):
+    # a term with eta1 or eta2 and eta3 is stored in field order, with eta3
+    # first, so reading and writing its tuple changes the sign
+    for var in (ETA[2], ZETA, ETA[0], ETA[1]):
+        Series.variable(var)
+    s = data.draw(truncated_series(max_terms=6, variables=LATE))
+    for monomial, coeff in s.items():
+        assert s.coefficient(monomial) == coeff
+        product = functools.reduce(operator.mul, map(V, factors_of(monomial)), Series.one())
+        assert Series({monomial: coeff}) == coeff * product
 
 
 # -- substitution grouped by bound part -----------------------------------------

@@ -66,6 +66,13 @@ class TestValidation:
         with pytest.raises(ChartMismatch):
             ThickMorphism(m1, m2, 0, "even", V(y))
 
+    def test_stray_variables_are_named_in_order(self):
+        m1, m2, x, y, q = line_pair()
+        z = GradedVariable("z", 0, 0, 0, 1)
+        with pytest.raises(ChartMismatch,
+                           match=r"^S uses variables outside \(x, q\): y, z$"):
+            ThickMorphism(m1, m2, 0, "even", V(x) * V(q) + V(z) * V(y) * V(q))
+
 
 class TestSupport:
     def test_reads_off_coefficient(self):
@@ -130,6 +137,14 @@ class TestPullback:
         phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q))
         with pytest.raises(GradingMismatch):
             pullback(phi, V(y), 2)  # w(g) = 1 but s = 0
+
+    def test_input_off_the_target_chart_names_its_variables(self):
+        m1, m2, x, y, q = line_pair()
+        phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q))
+        for run in (lambda g: pullback(phi, g, 2), lambda g: pullback_expansion_oracle(phi, g)):
+            with pytest.raises(ChartMismatch,
+                               match=r"^g uses variables not on the target chart: p_y, x$"):
+                run(V(x) * V(y) + V(shifted_cotangent(m2, 0).fiber[0]))
 
 
 class TestOddPullback:
