@@ -35,7 +35,6 @@ from .graded_core import (
     format_series,
 )
 from .homotopy import (
-    BasisVector,
     BracketFamily,
     Combination,
     ExplicitFamily,

@@ -1,46 +1,7 @@
 """Command-line front end: parse `.gk` problem files, run checks, emit reports.
 
-File format (line oriented, `#` starts a comment, blocks close with `end`):
-
-    manifold M
-      var x even 0
-      var xi odd -1
-    end
-
-    cotangent CT base M shift 0          # T*M[0]
-    anticotangent ACT base M shift 1     # Pi T*M[1]
-
-    function H on CT = p_x * p_xi        # optional: parity odd weight 1 = ...
-    function g on M = x^2
-
-    vectorfield Q on M parity odd weight 1
-      xi = x * xi                        # component along d/dxi
-    end
-
-    space V
-      basis e1 even 0
-      basis e2 even 0
-    end
-
-    family F fromq Q eps 0 k 0
-    family FH fromhamiltonian H
-    family G explicit V eps 0 k 0 arity 4
-      bracket e1 e2 = e2
-    end
-
-    thick Phi source M1 target M2 shift 0 kind even = x * q_y + 1/2 * q_y^2
-
-    task check-master H
-    task check-jacobi F arity 4
-    task check-weights F arity 4
-    task check-leibniz FH trials 20
-    task derive-brackets F arity 3
-    task validate-thick Phi
-    task pullback Phi g order 4
-    task check-hj Phi H1 H2 order 4
-    task check-intertwining Phi H1 H2 g order 4
-    task oracle-verify f g trials 100
-    task bigrade g
+The file format is described, with an example that runs, in the README
+section "Problem file format (`.gk`)".
 
 Exit codes: 0 all checks pass, 1 check failures, 2 parse or usage errors.
 Machine output (`--format json`) is a schema-versioned document; identical
@@ -241,8 +202,8 @@ class _Lines:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem file; raises ProblemSyntaxError / UnknownNameError /
-    GradingMismatch with line information on the first offending declaration."""
+    """Parse a problem file; raises ProblemSyntaxError, UnknownNameError or the
+    kernel's own error, each with the line of the first offending declaration."""
     problem = ProblemFile()
     lines = _Lines(text)
     while True:
@@ -256,7 +217,14 @@ def parse_problem(text: str) -> ProblemFile:
             handler = _DECLARATIONS[head]
         except KeyError:
             raise ProblemSyntaxError(f"unknown declaration {head!r}", number) from None
-        handler(problem, lines, number, content, words)
+        try:
+            handler(problem, lines, number, content, words)
+        except ProblemSyntaxError:
+            raise
+        except GradedKernelError as exc:
+            # a kernel error while the declaration is built, such as a
+            # wrongly graded component, gets the declaration's line
+            raise type(exc)(f"{exc} at line {number}") from exc
     return problem
 
 
@@ -303,7 +271,7 @@ def _decl_function(problem: ProblemFile, lines: _Lines, number: int,
     series = parse_series(expr_text, _variable_env(chart.variables, number), number, column)
     if declared != {"parity": None, "weight": None} and not series.is_homogeneous(**declared):
         raise GradingMismatch(
-            f"function {name!r} at line {number} does not match its declared "
+            f"function {name!r} does not match its declared "
             f"bigrading (parity {declared['parity']}, weight {declared['weight']})")
     problem.functions[name] = (series, chart)
 
@@ -369,20 +337,18 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         # arity is checked but not kept: every check takes its arity from the task
         _require(options["arity"] >= 0,
                  f"arity must be nonnegative, got {options['arity']}", number)
-        fake_env = {
-            v.name: GradedVariable(v.name, v.parity, v.weight, 0, v.index)
-            for v in basis}
+        env = {v.name: v for v in basis}
         usage = "usage: bracket <names...> = <combination>"
         entries: Dict[Tuple[int, ...], Combination] = {}
         for bnum, bline, bwords in lines.block(f"family {name!r}", number):
             _require(bwords[0] == "bracket", usage, bnum)
             header, expr_text, column = _assignment(bline, usage, bnum)
             input_names = header.split()[1:]
-            indices = tuple(_lookup(n, bnum, "basis vector", fake_env).index
+            indices = tuple(_lookup(n, bnum, "basis vector", env).index
                             for n in input_names)
             _require(indices not in entries,
                      f"duplicate bracket on ({', '.join(input_names)})", bnum)
-            series = parse_series(expr_text, fake_env, bnum, column)
+            series = parse_series(expr_text, env, bnum, column)
             entries[indices] = _series_to_combination(series, basis, bnum)
         problem.families[name] = ExplicitFamily(basis, options["eps"], options["k"], entries)
     else:

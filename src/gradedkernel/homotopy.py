@@ -81,48 +81,23 @@ class ShiftSignature:
         return (self.epsilon * (n + 1) + n) % 2
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    name: str
-    parity: int
-    weight: int
-    index: int
-
-
-class SpaceBasis:
-    """An ordered basis of a graded vector space."""
-
-    def __init__(self, vectors: Sequence[BasisVector]):
-        self.vectors = tuple(vectors)
-        names = [v.name for v in self.vectors]
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be unique")
-        for i, v in enumerate(self.vectors):
-            if v.index != i:
-                raise ValueError(f"basis vector {v.name} has index {v.index}, expected {i}")
-
-    @classmethod
-    def build(cls, specs: Sequence[Tuple[str, int, int]]) -> "SpaceBasis":
-        return cls(tuple(BasisVector(name, parity, weight, i)
-                         for i, (name, parity, weight) in enumerate(specs)))
+class SpaceBasis(Chart):
+    """An ordered basis of a graded vector space: a chart whose variables,
+    of fiber degree 0, are the basis vectors with their parities and
+    weights."""
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.variables)
 
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __getitem__(self, index: int) -> BasisVector:
-        return self.vectors[index]
+    def __getitem__(self, index: int) -> GradedVariable:
+        return self.variables[index]
 
     def parity_reversed(self) -> "SpaceBasis":
-        return SpaceBasis(tuple(
-            BasisVector(v.name, (v.parity + 1) % 2, v.weight, v.index)
-            for v in self.vectors))
+        return self.build([(v.name, 1 - v.parity, v.weight) for v in self], self.name)
 
     def coordinate_bigrading(self, index: int, sig: ShiftSignature) -> Bigrading:
         """Bigrading of the i-th coordinate on Pi^{1+eps} V[1-k]."""
-        v = self.vectors[index]
+        v = self.variables[index]
         flip = 1 if sig.epsilon == 0 else 0
         return Bigrading((v.parity + flip) % 2, -v.weight + sig.s)
 
@@ -130,7 +105,7 @@ class SpaceBasis:
         """The coordinate chart of Pi^{1+eps} V[1-k]."""
         if names is None:
             prefix = "xi_" if sig.epsilon == 0 else "y_"
-            names = [prefix + v.name for v in self.vectors]
+            names = [prefix + v.name for v in self]
         specs = []
         for i, coord_name in enumerate(names):
             grade = self.coordinate_bigrading(i, sig)
@@ -141,10 +116,8 @@ class SpaceBasis:
     def from_chart(cls, chart: Chart, sig: ShiftSignature) -> "SpaceBasis":
         """Recover the basis underlying a Pi^{1+eps} V[1-k] coordinate chart."""
         flip = 1 if sig.epsilon == 0 else 0
-        return cls(tuple(
-            BasisVector("e_" + var.name, (var.parity + flip) % 2,
-                        sig.s - var.weight, var.index)
-            for var in chart.variables))
+        return cls.build([("e_" + var.name, (var.parity + flip) % 2, sig.s - var.weight)
+                          for var in chart])
 
 
 class Combination:
@@ -157,24 +130,12 @@ class Combination:
         self.basis = basis
         self.coeffs = {i: Fraction(c) for i, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def of(cls, vector: BasisVector, basis: SpaceBasis,
-           scale: Fraction = Fraction(1)) -> "Combination":
-        return cls(basis, {vector.index: Fraction(scale)})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other: "Combination") -> "Combination":
-        merged = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            total = merged.get(i, Fraction(0)) + c
-            if total:
-                merged[i] = total
-            else:
-                merged.pop(i, None)
-        return Combination(self.basis, merged)
+        return Combination.sum(self.basis, (self, other))
 
     def __neg__(self) -> "Combination":
         return Combination(self.basis, {i: -c for i, c in self.coeffs.items()})
@@ -202,7 +163,7 @@ class Combination:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def items(self) -> List[Tuple[BasisVector, Fraction]]:
+    def items(self) -> List[Tuple[GradedVariable, Fraction]]:
         return [(self.basis[i], self.coeffs[i]) for i in sorted(self.coeffs)]
 
     def __str__(self) -> str:
@@ -227,7 +188,7 @@ Element = Union[Combination, Series]
 PlanTerm = Tuple[int, int, bool]
 
 
-def constant_field(u: BasisVector, chart: Chart, sig: ShiftSignature,
+def constant_field(u: GradedVariable, chart: Chart, sig: ShiftSignature,
                    basis: SpaceBasis) -> VectorField:
     """The constant field i_u on Pi^{1+eps} V[1-k].
 
@@ -247,8 +208,7 @@ def constant_field(u: BasisVector, chart: Chart, sig: ShiftSignature,
 
 
 def _invert_constant_field(field_constants: Mapping[GradedVariable, Fraction],
-                           chart: Chart, sig: ShiftSignature,
-                           basis: SpaceBasis) -> Combination:
+                           sig: ShiftSignature, basis: SpaceBasis) -> Combination:
     """Solve i_v = (given constant field) for v."""
     coeffs: Dict[int, Fraction] = {}
     for var, coeff in field_constants.items():
@@ -422,7 +382,7 @@ class _BasisFamily(BracketFamily):
         raise NotImplementedError
 
     def pool(self):
-        return [(v.name, Combination.of(v, self.basis), v.parity, v.weight)
+        return [(v.name, Combination(self.basis, {v.index: 1}), v.parity, v.weight)
                 for v in self.basis]
 
     def sum(self, terms: Sequence[Combination]) -> Combination:
@@ -449,17 +409,13 @@ class QFamily(_BasisFamily):
             raise ChartMismatch("a generating field must live on a plain chart")
         if len(chart.variables) != len(basis):
             raise ChartMismatch("chart and basis dimensions differ")
-        for i, var in enumerate(chart.variables):
-            if var.bigrading != basis.coordinate_bigrading(i, sig):
-                raise ChartMismatch(
-                    f"coordinate {var.name} has bigrading {var.bigrading}, "
-                    f"expected {basis.coordinate_bigrading(i, sig)}")
+        # each constant field checks its coordinate's bigrading
+        self._constant_fields = [constant_field(u, chart, sig, basis) for u in basis]
         if require_homological and not is_homological(q):
             raise NotHomological("generating field must be odd with [Q,Q] = 0")
         super().__init__(sig.epsilon, sig.k)
         self.q = q
         self.basis = basis
-        self._constant_fields = [constant_field(u, chart, sig, basis) for u in basis]
         self._prefixes = {(): q}
 
     def _step(self, field: VectorField, index: int) -> VectorField:
@@ -468,8 +424,7 @@ class QFamily(_BasisFamily):
     def bracket_indices(self, indices: Tuple[int, ...]) -> Combination:
         """Nested commutators of Q with constant fields, at the origin, inverted."""
         field = self._chain(tuple(indices))
-        combo = _invert_constant_field(field.constant_part(), self.q.chart,
-                                       self.signature, self.basis)
+        combo = _invert_constant_field(field.constant_part(), self.signature, self.basis)
         if self.epsilon == 0 and _reversion_sign_odd([self.basis[i].parity for i in indices]):
             combo = -combo
         return combo

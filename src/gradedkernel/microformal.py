@@ -144,24 +144,19 @@ def validate_thick(phi: ThickMorphism) -> Report:
     for var, component in support(phi).items():
         report.info("thick-support", location=var.name, notes=f"phi = {component}")
     if parity_ok and weight_ok:
-        for x_var in phi.source.variables:
-            derivative = s.left_derivative(x_var)
+        # (check, variable, the weight dS/d(variable) must have)
+        derivatives = (
+            [("wrelat-base", x_var, phi.shift - x_var.weight)
+             for x_var in phi.source.variables]
+            + [("wrelat-fiber", phi.momentum(y_var), y_var.weight)
+               for y_var in phi.target.variables])
+        for check, var, weight in derivatives:
+            derivative = s.left_derivative(var)
             if derivative.is_zero:
                 continue
-            grade = derivative.bigrading()
-            report.record(grade.weight == phi.shift - x_var.weight, "wrelat-base",
-                          location=f"dS/d{x_var.name}",
-                          expected=f"weight {phi.shift - x_var.weight}",
-                          actual=f"weight {grade.weight}")
-        for y_var in phi.target.variables:
-            derivative = s.left_derivative(phi.momentum(y_var))
-            if derivative.is_zero:
-                continue
-            grade = derivative.bigrading()
-            report.record(grade.weight == y_var.weight, "wrelat-fiber",
-                          location=f"dS/d{phi.momentum(y_var).name}",
-                          expected=f"weight {y_var.weight}",
-                          actual=f"weight {grade.weight}")
+            actual = derivative.bigrading().weight
+            report.record(actual == weight, check, location=f"dS/d{var.name}",
+                          expected=f"weight {weight}", actual=f"weight {actual}")
     return report
 
 

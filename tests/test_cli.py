@@ -17,6 +17,7 @@ from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 CORPUS_FILES = sorted(p.stem for p in CORPUS.glob("*.gk"))
 
 
@@ -87,6 +88,16 @@ class TestExitCodes:
         proc = run_cli(str(bad))
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+
+    def test_readme_example_runs(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split(
+            "### Problem file format (`.gk`)", 1)[1]
+        example = section.split("```text\n", 1)[1].split("```", 1)[0]
+        problem = tmp_path / "readme.gk"
+        problem.write_text(example, encoding="utf-8")
+        proc = run_cli(str(problem))
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert proc.returncode == 0, proc.stderr + proc.stdout
 
     def test_missing_file_exits_two(self):
         proc = run_cli("no_such_file.gk")
@@ -303,6 +314,25 @@ class TestUsageErrors:
                 "thick Phi source M1 target M2 shift 0 kind even = x * q_y\n")
         stderr = assert_usage_error(tmp_path, text, 8)
         assert "generated momentum 'q_y'" in stderr
+
+    # a kernel error raised while a declaration is built names its line
+
+    def test_wrongly_graded_component_at_the_declaration_line(self, tmp_path):
+        text = ("manifold M\n  var x even 0\nend\n"
+                "vectorfield Q on M parity odd weight 1\n  x = x\nend\n")
+        stderr = assert_usage_error(tmp_path, text, 4)
+        assert stderr.rstrip().endswith(
+            "component along x has bigrading (parity 0, weight 0), "
+            "expected (parity 1, weight 1) at line 4")
+
+    def test_fromq_family_over_a_field_that_is_not_homological(self, tmp_path):
+        # Q = y d/dx + x y d/dy has Q^2(x) = x y
+        text = ("manifold M\n  var x odd 1\n  var y even 2\nend\n"
+                "vectorfield Q on M parity odd weight 1\n  x = y\n  y = x * y\nend\n"
+                "family F fromq Q eps 0 k 0\n")
+        stderr = assert_usage_error(tmp_path, text, 9)
+        assert stderr.rstrip().endswith(
+            "generating field must be odd with [Q,Q] = 0 at line 9")
 
     # a part of a declaration given twice is a usage error at the repeat's line
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedkernel import homotopy
 from gradedkernel.cli import Flags, parse_problem, run
-from gradedkernel.errors import NotHomological
+from gradedkernel.errors import ChartMismatch, NotHomological
 from gradedkernel.geometry import (
     Chart,
     VectorField,
@@ -78,6 +78,49 @@ class TestConstantField:
             chart = basis.chart(sig)
             field = constant_field(basis[0], chart, sig, basis)
             assert field.weight == 3 - sig.s
+
+
+class TestSpaceBasis:
+    MIXED = [("a", 0, 0), ("b", 1, 2), ("c", 0, -3), ("d", 1, -1)]
+
+    @pytest.mark.parametrize("epsilon", [0, 1])
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
+    def test_from_chart_recovers_the_basis(self, epsilon, k):
+        sig = ShiftSignature(epsilon, k)
+        basis = SpaceBasis.build(self.MIXED)
+        chart = basis.chart(sig, names=[v.name for v in basis])
+        recovered = SpaceBasis.from_chart(chart, sig)
+        assert isinstance(recovered, SpaceBasis)
+        assert [(v.name, v.parity, v.weight, v.index) for v in recovered] == [
+            ("e_" + v.name, v.parity, v.weight, v.index) for v in basis]
+
+    def test_parity_reversed_twice_is_the_same_basis(self):
+        basis = SpaceBasis.build(self.MIXED)
+        reversed_once = basis.parity_reversed()
+        assert [v.parity for v in reversed_once] == [1, 0, 1, 0]
+        assert [v.weight for v in reversed_once] == [v.weight for v in basis]
+        assert reversed_once.parity_reversed() == basis
+
+    def test_repeated_name_is_rejected(self):
+        with pytest.raises(ValueError, match="duplicate variable name e1"):
+            SpaceBasis.build([("e1", 0, 0), ("e2", 1, 0), ("e1", 0, 1)])
+
+    @pytest.mark.parametrize("homological", [True, False])
+    def test_qfamily_rejects_a_wrongly_graded_coordinate(self, homological):
+        # xi2 should be odd of weight 1 on PiV[1]; the chart check comes
+        # before the homological one
+        sig = ShiftSignature(0, 0)
+        basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
+        chart = Chart.build([("xi1", 1, 1), ("xi2", 0, 1)])
+        xi1, xi2 = chart.variables
+        components = {xi1: V(xi2) * V(xi2)}
+        if not homological:
+            components[xi2] = V(xi1) * V(xi2)
+        q = VectorField(chart, components, 1, 1)
+        assert is_homological(q) == homological
+        with pytest.raises(ChartMismatch,
+                           match="coordinate xi2 has bigrading .* for basis vector e2"):
+            QFamily(q, basis, sig)
 
 
 class TestDerivedBracketQ:
