@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -217,15 +218,25 @@ def parse_problem(text: str) -> ProblemFile:
             handler = _DECLARATIONS[head]
         except KeyError:
             raise ProblemSyntaxError(f"unknown declaration {head!r}", number) from None
-        try:
+        with _at_line(number):
             handler(problem, lines, number, content, words)
-        except ProblemSyntaxError:
-            raise
-        except GradedKernelError as exc:
-            # a kernel error while the declaration is built, such as a
-            # wrongly graded component, gets the declaration's line
-            raise type(exc)(f"{exc} at line {number}") from exc
     return problem
+
+
+@contextmanager
+def _at_line(number: int) -> Iterator[None]:
+    """Give a kernel error raised inside, such as a wrongly graded component,
+    the line ``number``, unless an inner ``_at_line`` already gave it one."""
+    try:
+        yield
+    except ProblemSyntaxError:
+        raise
+    except GradedKernelError as exc:
+        if getattr(exc, "line", None) is not None:
+            raise
+        error = type(exc)(f"{exc} at line {number}")
+        error.line = number
+        raise error from exc
 
 
 def _require(condition: bool, message: str, line: int) -> None:
@@ -293,7 +304,10 @@ def _decl_vectorfield(problem: ProblemFile, lines: _Lines, number: int,
         var_name, expr_text, column = _assignment(cline, "usage: <var> = <expr>", cnum)
         var = _lookup(var_name, cnum, "component variable", env)
         _require(var not in components, f"duplicate component {var_name!r}", cnum)
-        components[var] = parse_series(expr_text, env, cnum, column)
+        series = parse_series(expr_text, env, cnum, column)
+        with _at_line(cnum):
+            VectorField.check_component(var, series, parity, weight)
+        components[var] = series
     problem.fields[name] = VectorField(chart, components, parity, weight)
 
 

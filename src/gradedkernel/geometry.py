@@ -177,16 +177,22 @@ class VectorField:
                 continue
             check_uses_only(series, variables,
                             f"component along {var.name} uses variables not on the chart")
-            expected = Bigrading((var.parity + parity) % 2, var.weight + weight)
-            if series.bigrading() != expected:
-                raise GradingMismatch(
-                    f"component along {var.name} has bigrading {series.bigrading()}, "
-                    f"expected {expected}")
+            VectorField.check_component(var, series, parity, weight)
             clean[var] = series
         self.chart = chart
         self.components = clean
         self.parity = parity
         self.weight = weight
+
+    @staticmethod
+    def check_component(var: GradedVariable, series: Series, parity: int, weight: int) -> None:
+        """Raise GradingMismatch unless ``series`` is zero or graded as a
+        component along ``var`` of a field of ``parity`` and ``weight``."""
+        expected = Bigrading((var.parity + parity) % 2, var.weight + weight)
+        if not series.is_zero and series.bigrading() != expected:
+            raise GradingMismatch(
+                f"component along {var.name} has bigrading {series.bigrading()}, "
+                f"expected {expected}")
 
     @property
     def is_zero(self) -> bool:

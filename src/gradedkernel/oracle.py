@@ -7,10 +7,19 @@ of the symbolic kernel (bitmask-keyed multivectors, merge signs computed from
 generator indices), so agreement between the two paths is evidence of
 correctness rather than of shared code.
 
-Evaluation runs on Python integers: the assignment is scaled by the lcm of
-its denominators and each monomial by a matching power, so a whole series is
-evaluated times one known nonzero integer, and one division at the end gives
-the exact rational value.
+``identity_check`` compiles each side of an identity once.  A term ``p/q m``
+becomes an integer start, a pad and the positions of ``m``'s factors among
+the check's variables in ``key`` order, each position repeated by its
+exponent.  ``random_assignment`` draws every rational as an integer
+(numerator, denominator) pair and keeps the pairs.  A trial scales them by
+the lcm of their denominators and evaluates both sides on integer blade
+dicts, read from a list by position, so each side is its value times one
+known nonzero integer, the same for both.  An assignment builds its
+``Fraction`` values only when they are read, which in a check happens only
+for a failure's report.  ``evaluate`` compiles its series in the same way
+but multiplies ``GrassmannElement``s of integers, and divides once at the
+end.  The trials and ``GrassmannElement.__mul__`` share one product of blade
+dicts.
 
 ``identity_check`` never proves an identity; it reports "no counterexample
 in N trials" with the seed that produced the trials.
@@ -30,6 +39,7 @@ from .report import Report
 # A multivector maps a blade, the bitmask of its generator indices (bit i is
 # generator th_i), to a nonzero coefficient: a Fraction, or an int inside an
 # integer evaluation.
+_Blades = Dict[int, object]
 
 
 class GrassmannElement:
@@ -50,7 +60,7 @@ class GrassmannElement:
         self._parts = clean
 
     @classmethod
-    def _of(cls, generator_count: int, parts: Dict[int, object]) -> "GrassmannElement":
+    def _of(cls, generator_count: int, parts: _Blades) -> "GrassmannElement":
         """Trusted constructor: ``parts`` is bitmask-keyed, has no zero, and is not copied."""
         element = object.__new__(cls)
         element.generator_count = generator_count
@@ -104,20 +114,7 @@ class GrassmannElement:
                                     {m: c * value for m, c in self._parts.items()})
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
-        parts: Dict[int, object] = {}
-        right = other._parts.items()
-        for ma, ca in self._parts.items():
-            odd_above = _odd_above(ma)
-            for mb, cb in right:
-                if ma & mb:
-                    continue
-                key = ma | mb
-                if (mb & odd_above).bit_count() & 1:
-                    parts[key] = parts.get(key, 0) - ca * cb
-                else:
-                    parts[key] = parts.get(key, 0) + ca * cb
-        return GrassmannElement._of(self.generator_count,
-                                    {m: c for m, c in parts.items() if c})
+        return GrassmannElement._of(self.generator_count, _product(self._parts, other._parts))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GrassmannElement) and self._parts == other._parts
@@ -164,19 +161,70 @@ def _odd_above(mask: int) -> int:
     return out
 
 
+def _product(left: _Blades, right: _Blades) -> _Blades:
+    """The product of two multivectors, without zero coefficients."""
+    parts: _Blades = {}
+    right = right.items()
+    for ma, ca in left.items():
+        odd_above = _odd_above(ma)
+        for mb, cb in right:
+            if ma & mb:
+                continue
+            key = ma | mb
+            if (mb & odd_above).bit_count() & 1:
+                parts[key] = parts.get(key, 0) - ca * cb
+            else:
+                parts[key] = parts.get(key, 0) + ca * cb
+    return {m: c for m, c in parts.items() if c}
+
+
+# A rational as an integer pair (numerator, denominator), not necessarily reduced.
+_Pair = Tuple[int, int]
+
+
 class Assignment:
-    """A parity-respecting map from graded variables to Grassmann elements."""
+    """A parity-respecting map from graded variables to Grassmann elements.
+
+    It keeps its variables in a list and each value as a blade dict of
+    integer pairs.  One made by ``random_assignment`` builds its elements
+    only when they are first read.
+    """
+
+    __slots__ = ("generator_count", "_variables", "_pairs", "_values")
 
     def __init__(self, generator_count: int,
                  values: Mapping[GradedVariable, GrassmannElement]):
         self.generator_count = generator_count
-        self.values = dict(values)
-        for var, element in self.values.items():
+        self._values = dict(values)
+        for var, element in self._values.items():
             parity = element.parity()
             if not element.is_zero and parity != var.parity:
                 raise ParityViolation(
                     f"variable {var.name} (parity {var.parity}) assigned an "
                     f"element of parity {parity}")
+        self._variables = list(self._values)
+        self._pairs = [{m: (c.numerator, c.denominator) for m, c in element._parts.items()}
+                       for element in self._values.values()]
+
+    @classmethod
+    def _drawn(cls, generator_count: int, variables: List[GradedVariable],
+               pairs: List[Dict[int, _Pair]]) -> "Assignment":
+        """Trusted constructor: ``pairs[i]`` is the parity-respecting value of ``variables[i]``."""
+        assignment = object.__new__(cls)
+        assignment.generator_count = generator_count
+        assignment._variables = variables
+        assignment._pairs = pairs
+        assignment._values = None
+        return assignment
+
+    @property
+    def values(self) -> Dict[GradedVariable, GrassmannElement]:
+        if self._values is None:
+            n = self.generator_count
+            self._values = {var: GrassmannElement._of(n, {m: Fraction(p, q)
+                                                          for m, (p, q) in parts.items()})
+                            for var, parts in zip(self._variables, self._pairs)}
+        return self._values
 
     def __getitem__(self, var: GradedVariable) -> GrassmannElement:
         try:
@@ -188,80 +236,100 @@ class Assignment:
         pieces = sorted(f"{v.name} -> {e}" for v, e in self.values.items())
         return "; ".join(pieces)
 
+    def _integer_values(self) -> Tuple[int, List[Dict[int, int]]]:
+        """``factor``, the lcm of the denominators, and each variable's value
+        times ``factor``, in the order of ``_variables``."""
+        factor = lcm(*[q for parts in self._pairs for _, q in parts.values()])
+        return factor, [{m: p * (factor // q) for m, (p, q) in parts.items()}
+                        for parts in self._pairs]
 
-# A series over one common denominator: the term p/q * m of total degree d
-# becomes (p * scale / q, top - d, m), where scale is the lcm of the
-# coefficient denominators and top the highest total degree.
-_IntegerTerms = List[Tuple[int, int, Monomial]]
+
+def _in_key_order(variables: Iterable[GradedVariable]) -> List[GradedVariable]:
+    """Distinct variables by ``key``; parity and weight order those that share one."""
+    return sorted(set(variables), key=lambda v: (v.key, v.parity, v.weight))
 
 
-def _integer_terms(*series: Series) -> Tuple[int, int, List[_IntegerTerms]]:
-    """``scale``, ``top`` and each series' integer terms, over all the series at once."""
+# A series compiled against a list of variables: the term p/q * m of total degree d becomes
+# (p * scale / q, top - d, positions), where scale is the lcm of the
+# coefficient denominators, top the highest total degree, and positions
+# index m's variables in a list of variables, each repeated by its exponent.
+_IntegerTerms = List[Tuple[int, int, Tuple[int, ...]]]
+
+
+def _integer_terms(variables: List[GradedVariable],
+                   *series: Series) -> Tuple[int, int, List[_IntegerTerms]]:
+    """``scale``, ``top`` and each series' integer terms, over all the series at once.
+
+    A variable of a series that is not in ``variables`` raises MissingBinding.
+    """
+    position = {var: i for i, var in enumerate(variables)}
     items = [s.items() for s in series]
     scale, top = 1, 0
     for terms in items:
         for monomial, coeff in terms:
             scale = lcm(scale, coeff.denominator)
-            top = max(top, sum(exp for _, exp in monomial))
+            top = max(top, _degree(monomial))
+            for var, _ in monomial:
+                if var not in position:
+                    raise MissingBinding(f"no assignment for variable {var.name}")
     return scale, top, [[(coeff.numerator * (scale // coeff.denominator),
-                          top - sum(exp for _, exp in monomial), monomial)
+                          top - _degree(monomial),
+                          tuple([position[var] for var, exp in monomial for _ in range(exp)]))
                          for monomial, coeff in terms] for terms in items]
 
 
-class _IntegerAssignment:
-    """An assignment times the lcm ``factor`` of its denominators: integer values."""
+def _degree(monomial: Monomial) -> int:
+    return sum(exp for _, exp in monomial)
 
-    __slots__ = ("assignment", "factor", "_values")
 
-    def __init__(self, assignment: Assignment):
-        factor = 1
-        for element in assignment.values.values():
-            for coeff in element._parts.values():
-                factor = lcm(factor, coeff.denominator)
-        self.assignment = assignment
-        self.factor = factor
-        self._values: Dict[GradedVariable, GrassmannElement] = {}
+_UNIT = {0: 1}
 
-    def __getitem__(self, var: GradedVariable) -> GrassmannElement:
-        value = self._values.get(var)
-        if value is None:
-            element = self.assignment[var]
-            value = self._values[var] = GrassmannElement._of(
-                element.generator_count,
-                {m: c.numerator * (self.factor // c.denominator)
-                 for m, c in element._parts.items()})
-        return value
 
-    def value(self, terms: _IntegerTerms) -> GrassmannElement:
-        """``scale * factor ** top`` times the value of the series ``terms`` came from.
+def _integer_value(terms: _IntegerTerms, values: List[Dict[int, int]],
+                   factor: int) -> Dict[int, int]:
+    """``scale * factor ** top`` times the value of the series ``terms`` came from.
 
-        A term ``(start, pad, m)`` contributes ``start * factor ** pad`` times
-        the product of the scaled values of ``m``'s variables, each of which
-        carries one more factor.
-        """
-        n = self.assignment.generator_count
-        total: Dict[int, int] = {}
-        for start, pad, monomial in terms:
-            piece = GrassmannElement._of(n, {0: start * self.factor ** pad})
-            for var, exp in monomial:
-                value = self[var]
-                for _ in range(exp):
-                    piece = piece * value
-                if piece.is_zero:
+    ``values`` are the variables' values times ``factor``.  A term
+    ``(start, pad, positions)`` is the product of its factors' values, each
+    of which carries one ``factor``, times ``start * factor ** pad``.
+    """
+    total: Dict[int, int] = {}
+    for start, pad, positions in terms:
+        if positions:
+            piece = values[positions[0]]
+            for position in positions[1:]:
+                piece = _product(piece, values[position])
+                if not piece:
                     break
-            for mask, c in piece._parts.items():
-                total[mask] = total.get(mask, 0) + c
-        return GrassmannElement._of(n, {m: c for m, c in total.items() if c})
+        else:
+            piece = _UNIT
+        scale = start * factor ** pad
+        for mask, c in piece.items():
+            total[mask] = total.get(mask, 0) + scale * c
+    return {m: c for m, c in total.items() if c}
 
 
 def evaluate(series: Series, assignment: Assignment) -> GrassmannElement:
-    """Substitute and multiply in the Grassmann algebra."""
-    scale, top, (terms,) = _integer_terms(series)
-    integral = _IntegerAssignment(assignment)
-    whole = scale * integral.factor ** top
-    return GrassmannElement._of(assignment.generator_count,
-                                {m: Fraction(c, whole)
-                                 for m, c in integral.value(terms)._parts.items()})
+    """Substitute and multiply in the Grassmann algebra.
+
+    The series is compiled against the assignment's variables and its terms
+    are multiplied out as ``GrassmannElement``s of integers, scaled as in a
+    trial; one division at the end gives the exact value.
+    """
+    scale, top, (terms,) = _integer_terms(assignment._variables, series)
+    factor, values = assignment._integer_values()
+    n = assignment.generator_count
+    elements = [GrassmannElement._of(n, value) for value in values]
+    total: Dict[int, int] = {}
+    for start, pad, positions in terms:
+        piece = elements[positions[0]] if positions else GrassmannElement._of(n, _UNIT)
+        for position in positions[1:]:
+            piece = piece * elements[position]
+        scale_term = start * factor ** pad
+        for mask, c in piece._parts.items():
+            total[mask] = total.get(mask, 0) + scale_term * c
+    whole = scale * factor ** top
+    return GrassmannElement._of(n, {m: Fraction(c, whole) for m, c in total.items() if c})
 
 
 def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
@@ -273,35 +341,33 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
     sign errors visible.  Even variables get a scalar plus, sometimes, a
     two-generator term.
     """
-    variables = sorted(set(variables), key=lambda v: v.key)
-    odd_vars = [v for v in variables if v.parity]
+    variables = _in_key_order(variables)
+    odd = [i for i, var in enumerate(variables) if var.parity]
     indices = list(range(generator_count))
-    if len(odd_vars) <= generator_count:
-        chosen = rng.sample(indices, len(odd_vars))
+    if len(odd) <= generator_count:
+        chosen = rng.sample(indices, len(odd))
     else:
-        chosen = [rng.choice(indices) for _ in odd_vars]
-    values: Dict[GradedVariable, GrassmannElement] = {}
-    for var, idx in zip(odd_vars, chosen):
-        values[var] = GrassmannElement._of(generator_count,
-                                           {1 << idx: _random_rational(rng)})
-    for var in variables:
+        chosen = [rng.choice(indices) for _ in odd]
+    pairs: List[Dict[int, _Pair]] = [{} for _ in variables]
+    for position, idx in zip(odd, chosen):
+        pairs[position][1 << idx] = _random_rational(rng)
+    for position, var in enumerate(variables):
         if var.parity:
             continue
-        parts = {0: _random_rational(rng)}
+        parts = pairs[position]
+        parts[0] = _random_rational(rng)
         if generator_count >= 2 and rng.random() < 0.5:
             i, j = rng.sample(indices, 2)
             parts[1 << i | 1 << j] = _random_rational(rng)
-        values[var] = GrassmannElement._of(generator_count, parts)
-    return Assignment(generator_count, values)
+    return Assignment._drawn(generator_count, variables, pairs)
 
 
 _NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
 
 
-def _random_rational(rng: random.Random) -> Fraction:
+def _random_rational(rng: random.Random) -> _Pair:
     numerator = rng.choice(_NUMERATORS)
-    denominator = rng.randint(1, 9)
-    return Fraction(numerator, denominator)
+    return numerator, rng.randint(1, 9)
 
 
 def suggested_generator_count(*series: Series) -> int:
@@ -319,21 +385,22 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
                    seed: int = 0) -> Report:
     """Compare two series at random assignments; disagreements become failures.
 
-    Both sides are compared on integers, scaled by the same nonzero integer;
-    only a disagreement is evaluated rationally, for the report.
+    Both sides are compiled once and compared on integers, scaled by the same
+    nonzero integer; only a disagreement is evaluated rationally, for the
+    report.
     """
     if generators is None:
         generators = suggested_generator_count(lhs, rhs)
     rng = random.Random(seed)
-    variables = lhs.variables() | rhs.variables()
-    _, _, (left, right) = _integer_terms(lhs, rhs)
+    variables = _in_key_order(lhs.variables() | rhs.variables())
+    _, _, (left, right) = _integer_terms(variables, lhs, rhs)
     report = Report(f"oracle identity check (seed {seed}, {trials} trials, "
                     f"{generators} generators)")
     failures = 0
     for trial in range(trials):
         assignment = random_assignment(variables, generators, rng)
-        integral = _IntegerAssignment(assignment)
-        if integral.value(left) != integral.value(right):
+        factor, values = assignment._integer_values()
+        if _integer_value(left, values, factor) != _integer_value(right, values, factor):
             failures += 1
             report.fail("oracle-trial", location=f"trial {trial}",
                         expected=str(evaluate(rhs, assignment)),

@@ -315,15 +315,16 @@ class TestUsageErrors:
         stderr = assert_usage_error(tmp_path, text, 8)
         assert "generated momentum 'q_y'" in stderr
 
-    # a kernel error raised while a declaration is built names its line
+    # a kernel error raised while a declaration is built names its line, or
+    # the line of the block that is at fault
 
-    def test_wrongly_graded_component_at_the_declaration_line(self, tmp_path):
+    def test_wrongly_graded_component_at_its_own_line(self, tmp_path):
         text = ("manifold M\n  var x even 0\nend\n"
                 "vectorfield Q on M parity odd weight 1\n  x = x\nend\n")
-        stderr = assert_usage_error(tmp_path, text, 4)
+        stderr = assert_usage_error(tmp_path, text, 5)
         assert stderr.rstrip().endswith(
             "component along x has bigrading (parity 0, weight 0), "
-            "expected (parity 1, weight 1) at line 4")
+            "expected (parity 1, weight 1) at line 5")
 
     def test_fromq_family_over_a_field_that_is_not_homological(self, tmp_path):
         # Q = y d/dx + x y d/dy has Q^2(x) = x y

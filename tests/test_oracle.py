@@ -280,3 +280,158 @@ def test_false_identity_report_text_is_pinned():
          "x -> 1 + -th1 * th2; xi1 -> 9/7 * th3; xi2 -> 1/4 * th2"),
         ("info", "", "", "", "further disagreements suppressed"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the integer draws: the same stream as drawing Fractions
+# ---------------------------------------------------------------------------
+
+def fraction_random_assignment(variables, generator_count, rng):
+    """``random_assignment`` as written when it built a Fraction for every draw."""
+    variables = sorted(set(variables), key=lambda v: v.key)
+    odd_vars = [v for v in variables if v.parity]
+    indices = list(range(generator_count))
+    if len(odd_vars) <= generator_count:
+        chosen = rng.sample(indices, len(odd_vars))
+    else:
+        chosen = [rng.choice(indices) for _ in odd_vars]
+    values = {}
+    for var, idx in zip(odd_vars, chosen):
+        values[var] = GrassmannElement(generator_count, {(idx,): fraction_rational(rng)})
+    for var in variables:
+        if var.parity:
+            continue
+        parts = {(): fraction_rational(rng)}
+        if generator_count >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(indices, 2)
+            parts[(i, j)] = fraction_rational(rng)
+        values[var] = GrassmannElement(generator_count, parts)
+    return Assignment(generator_count, values)
+
+
+def fraction_rational(rng):
+    numerator = rng.choice(tuple(n for n in range(-9, 10) if n != 0))
+    denominator = rng.randint(1, 9)
+    return Fraction(numerator, denominator)
+
+
+@st.composite
+def graded_variables(draw):
+    """0-5 odd and 0-3 even variables, their indices in any order."""
+    n_odd, n_even = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    indices = draw(st.permutations(range(n_odd + n_even)))
+    parities = [1] * n_odd + [0] * n_even
+    return [GradedVariable(f"{'xi' if parity else 'x'}{index}", parity, 0, 0, index)
+            for parity, index in zip(parities, indices)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(variables=graded_variables(), generator_count=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32))
+def test_integer_draws_follow_the_fraction_stream(variables, generator_count, seed):
+    rng, fraction_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        drawn = random_assignment(variables, generator_count, rng)
+        expected = fraction_random_assignment(variables, generator_count, fraction_rng)
+        assert drawn.describe() == expected.describe()
+        for var in variables:
+            assert drawn[var] == expected[var]
+        assert rng.getstate() == fraction_rng.getstate()
+
+
+def test_drawn_assignment_misses_an_unbound_variable():
+    drawn = random_assignment([XI1, X], 3, random.Random(1))
+    with pytest.raises(MissingBinding):
+        drawn[XI2]
+    with pytest.raises(MissingBinding):
+        evaluate(Series.variable(XI1) * Series.variable(Y), drawn)
+
+
+def test_hand_built_even_variable_rejects_an_odd_element():
+    with pytest.raises(ParityViolation):
+        Assignment(3, {X: GrassmannElement.scalar(3, 2) + gen(3, 1)})
+
+
+# ---------------------------------------------------------------------------
+# edge terms, against the reference evaluator
+# ---------------------------------------------------------------------------
+
+def reference_failures(lhs, rhs, trials, n, seed):
+    """The failures ``identity_check`` must report, judged by the reference."""
+    rng = random.Random(seed)
+    variables = lhs.variables() | rhs.variables()
+    failures = []
+    for trial in range(trials):
+        assignment = random_assignment(variables, n, rng)
+        values = {var: as_subsets(assignment[var]) for var in variables}
+        left = reference_evaluate(lhs, values, n)
+        right = reference_evaluate(rhs, values, n)
+        if left != right:
+            failures.append((f"trial {trial}", str(right), str(left), assignment.describe()))
+            if len(failures) == 5:
+                break
+    return failures
+
+
+def assert_check_matches_reference(lhs, rhs, n, seed=11, trials=12):
+    report = identity_check(lhs, rhs, trials=trials, generators=n, seed=seed)
+    expected = reference_failures(lhs, rhs, trials, n, seed)
+    assert report.passed == (not expected)
+    assert [(e.location, e.expected, e.actual, e.notes)
+            for e in report.failures()] == expected
+    return report
+
+
+def assert_evaluate_matches_reference(series, values, n):
+    assignment = Assignment(n, {var: GrassmannElement(n, parts) for var, parts in values.items()})
+    assert evaluate(series, assignment) == reference_evaluate(series, values, n)
+
+
+x, y, xi1, xi2 = (Series.variable(v) for v in (X, Y, XI1, XI2))
+SOULFUL_X = {X: {frozenset(): Fraction(2, 3), frozenset([0, 1]): Fraction(-5, 2)}}
+
+
+class TestEdgeTerms:
+    def test_constant_only_series(self):
+        constant = Series.constant(Fraction(-7, 4))
+        assert_evaluate_matches_reference(constant, {}, 2)
+        assert_evaluate_matches_reference(constant, SOULFUL_X, 2)
+        assert assert_check_matches_reference(constant, constant, 2).passed
+        assert not assert_check_matches_reference(constant, Series.constant(2), 2).passed
+
+    def test_zero_series(self):
+        zero = Series.zero()
+        assert evaluate(zero, Assignment(2, {})).is_zero
+        assert_evaluate_matches_reference(zero, SOULFUL_X, 2)
+        assert assert_check_matches_reference(zero, zero, 2).passed
+        assert not assert_check_matches_reference(zero, x * xi1 + 1, 3).passed
+        assert not assert_check_matches_reference(x * xi1 + 1, zero, 3).passed
+
+    def test_even_variable_cubed_with_a_two_generator_term(self):
+        cube = Fraction(3, 5) * x ** 3 - x
+        assert_evaluate_matches_reference(cube, SOULFUL_X, 2)
+        assert_evaluate_matches_reference(cube * y, {**SOULFUL_X, Y: {frozenset(): 3}}, 3)
+        assert assert_check_matches_reference(x ** 3, x * x * x, 4).passed
+        assert not assert_check_matches_reference(x ** 3, x ** 3 + x * y, 4).passed
+
+    def test_odd_variables_sharing_one_generator_vanish_mid_term(self):
+        shared = {XI1: {frozenset([1]): Fraction(4)}, XI2: {frozenset([1]): Fraction(-1, 3)},
+                  X: {frozenset(): Fraction(2)}}
+        s = Fraction(1, 2) * xi1 * xi2 * x ** 2 + x
+        assert_evaluate_matches_reference(s, shared, 2)
+        assert_evaluate_matches_reference(xi1 * xi2 * x, shared, 2)
+        # one generator: the trials' products vanish before the last factor
+        assert assert_check_matches_reference(xi1 * xi2 * x, Series.zero(), 1).passed
+
+    def test_one_generator(self):
+        assert not assert_check_matches_reference(xi1 * x, xi1 * y, 1).passed
+        assert_check_matches_reference(x ** 2 + xi1, x * x + xi1, 1)
+        assert_evaluate_matches_reference(x * xi1 + 1, {X: {frozenset(): Fraction(-2, 9)},
+                                                        XI1: {frozenset([0]): Fraction(5)}}, 1)
+
+    def test_variables_that_share_a_key(self):
+        # the same name, index and fiber degree: one key, two variables
+        even, odd = (Series.variable(GradedVariable("t", parity, 0, 0, 9)) for parity in (0, 1))
+        s = even ** 2 * odd + Fraction(1, 3) * odd
+        assert assert_check_matches_reference(s, odd * even * even + odd / 3, 3).passed
+        assert not assert_check_matches_reference(s, odd * even + odd / 3, 3).passed
