@@ -36,7 +36,6 @@ from .graded_core import (
 )
 from .homotopy import (
     BracketFamily,
-    Combination,
     ExplicitFamily,
     HamiltonianFamily,
     QFamily,

@@ -35,7 +35,6 @@ from .graded_core import GradedVariable, Series, format_series
 from .homotopy import (
     DEFAULT_ARITY,
     BracketFamily,
-    Combination,
     ExplicitFamily,
     HamiltonianFamily,
     QFamily,
@@ -353,7 +352,7 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
                  f"arity must be nonnegative, got {options['arity']}", number)
         env = {v.name: v for v in basis}
         usage = "usage: bracket <names...> = <combination>"
-        entries: Dict[Tuple[int, ...], Combination] = {}
+        entries: Dict[Tuple[int, ...], Series] = {}
         for bnum, bline, bwords in lines.block(f"family {name!r}", number):
             _require(bwords[0] == "bracket", usage, bnum)
             header, expr_text, column = _assignment(bline, usage, bnum)
@@ -363,20 +362,12 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
             _require(indices not in entries,
                      f"duplicate bracket on ({', '.join(input_names)})", bnum)
             series = parse_series(expr_text, env, bnum, column)
-            entries[indices] = _series_to_combination(series, basis, bnum)
+            with _at_line(bnum):
+                basis.coordinates(series, "bracket values")
+            entries[indices] = series
         problem.families[name] = ExplicitFamily(basis, options["eps"], options["k"], entries)
     else:
         raise ProblemSyntaxError(f"unknown family mode {mode!r}", number)
-
-
-def _series_to_combination(series: Series, basis: SpaceBasis, line: int) -> Combination:
-    coeffs = {}
-    for monomial, coeff in series.items():
-        if len(monomial) != 1 or monomial[0][1] != 1:
-            raise ProblemSyntaxError(
-                "bracket values must be linear combinations of basis vectors", line)
-        coeffs[monomial[0][0].index] = coeff
-    return Combination(basis, coeffs)
 
 
 _THICK_USAGE = "usage: thick <name> source <m> target <m> shift <s> kind <even|odd> = <expr>"
@@ -581,7 +572,7 @@ def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
         annotation = (f"weight shift {sig.bracket_weight(len(picked))}, "
                       f"parity shift {sig.bracket_parity(len(picked))}")
         report.info("bracket", location=f"[{labels}]",
-                    notes=f"= {value} ({annotation})")
+                    notes=f"= {fam.format_value(value)} ({annotation})")
     report.ok("bracket-count", notes=f"{count} nonzero brackets")
     if isinstance(fam, ExplicitFamily):
         for warning in fam.load_warnings:

@@ -294,7 +294,7 @@ class Series:
             kept.append((key, -coeff if flip else coeff))
         # each coefficient is in lowest terms, so over the lcm of the
         # denominators the numerators have no common factor with it
-        den = lcm(*(coeff.denominator for _, coeff in kept))
+        den = lcm(*[coeff.denominator for _, coeff in kept])
         self._terms = {key: coeff.numerator * (den // coeff.denominator)
                        for key, coeff in kept}
         self._den = den
@@ -527,7 +527,10 @@ class Series:
         return self + (-other)
 
     def __rsub__(self, other) -> "Series":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):

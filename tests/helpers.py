@@ -1,0 +1,119 @@
+"""Helpers shared by several test files.
+
+Each test file imports what it needs from here, never from another test
+file, so every test file collects on its own.
+"""
+
+from fractions import Fraction
+from typing import NamedTuple
+
+from gradedkernel.geometry import Chart
+from gradedkernel.graded_core import Series
+from gradedkernel.microformal import ThickMorphism, conjugate_momenta
+
+V = Series.variable
+HALF = Fraction(1, 2)
+
+
+def vector(basis, coeffs=None):
+    """The vector of ``basis`` with coefficient ``c`` on basis vector ``i``
+    for each ``i: c`` of ``coeffs``: a series linear in the basis."""
+    return Series.sum([Fraction(c) * V(basis[i]) for i, c in (coeffs or {}).items()])
+
+
+# -- a sort-based tuple reference for the kernel's product sign ----------------
+
+class Term(NamedTuple):
+    """A sign, or 0 for a vanishing product, with a canonical monomial."""
+
+    coefficient: int
+    monomial: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coefficient == 0
+
+
+def normalize_product(factors):
+    """Sort a factor sequence into canonical order with its Koszul sign.
+
+    Every adjacent swap of two odd factors flips the sign; swapping an even
+    factor past anything is free.  A repeated odd factor kills the term.  It
+    shares no code with the kernel, whose product merges sorted monomials.
+    """
+    arr = list(factors)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1].key > arr[j].key:
+            if arr[j - 1].parity and arr[j].parity:
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    merged = []
+    for var in arr:
+        if merged and merged[-1][0] == var:
+            if var.parity:
+                return Term(0, ())
+            merged[-1][1] += 1
+        else:
+            merged.append([var, 1])
+    return Term(sign, tuple((v, e) for v, e in merged))
+
+
+def thick_corpus():
+    """(name, morphism, test function) with S of fiber degree <= 2."""
+    out = []
+
+    def even_pair(wx=0, shift=0):
+        m1 = Chart.build([("x", 0, wx)], "M1")
+        m2 = Chart.build([("y", 0, wx)], "M2")
+        q, = conjugate_momenta(m2, shift, "even")
+        return m1, m2, V(m1.variables[0]), V(m2.variables[0]), V(q)
+
+    m1, m2, x, y, q = even_pair()
+    out.append(("identity", ThickMorphism(m1, m2, 0, "even", x * q), y ** 2 + 3 * y))
+    out.append(("quadratic", ThickMorphism(m1, m2, 0, "even", x * q + HALF * q * q),
+                Fraction(3, 2) * y))
+    out.append(("with-s0", ThickMorphism(m1, m2, 0, "even", x ** 2 + x * q), y ** 2))
+    out.append(("nonlinear-support",
+                ThickMorphism(m1, m2, 0, "even", x ** 2 * q + HALF * q * q), 2 * y))
+    out.append(("s0-and-quadratic",
+                ThickMorphism(m1, m2, 0, "even",
+                              3 * x ** 3 + x * q - Fraction(1, 3) * q * q), y + y ** 2))
+    out.append(("scaled-support",
+                ThickMorphism(m1, m2, 0, "even", 2 * x * q + q * q), y ** 2))
+
+    # weighted even example: w(x) = w(y) = -1, s = -2
+    m1w = Chart.build([("x", 0, -1)], "M1w")
+    m2w = Chart.build([("y", 0, -1)], "M2w")
+    qw, = conjugate_momenta(m2w, -2, "even")
+    xw, yw = V(m1w.variables[0]), V(m2w.variables[0])
+    out.append(("weighted", ThickMorphism(m1w, m2w, -2, "even",
+                                          xw * V(qw) + HALF * V(qw) ** 2), yw ** 2))
+
+    # mixed parity on both sides: the even kind with an odd momentum
+    m1m = Chart.build([("x", 0, 0), ("xi", 1, 0)], "M1m")
+    m2m = Chart.build([("y", 0, 0), ("eta", 1, 0)], "M2m")
+    qm = conjugate_momenta(m2m, 0, "even")
+    xm, xim = (V(v) for v in m1m.variables)
+    ym = V(m2m.variables[0])
+    out.append(("mixed-parity-momenta",
+                ThickMorphism(m1m, m2m, 0, "even",
+                              xm * V(qm[0]) + xim * V(qm[1]) + HALF * V(qm[0]) ** 2),
+                ym ** 2 + ym))
+
+    # odd kind
+    n1 = Chart.build([("x", 0, 0), ("xi", 1, 0)], "N1")
+    n2 = Chart.build([("eta", 1, 0)], "N2")
+    ys, = conjugate_momenta(n2, 0, "odd")
+    xn, xin = (V(v) for v in n1.variables)
+    etan = V(n2.variables[0])
+    out.append(("odd-identity", ThickMorphism(n1, n2, 0, "odd", xin * V(ys)),
+                5 * etan))
+    out.append(("odd-quadratic",
+                ThickMorphism(n1, n2, 0, "odd", xin * V(ys) + xin * V(ys) ** 2),
+                2 * etan))
+    out.append(("odd-with-s0",
+                ThickMorphism(n1, n2, 0, "odd", xin + xin * V(ys)), 3 * etan))
+    return out

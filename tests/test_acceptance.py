@@ -33,7 +33,6 @@ from gradedkernel.geometry import (
 )
 from gradedkernel.graded_core import GradedVariable, Series
 from gradedkernel.homotopy import (
-    Combination,
     ExplicitFamily,
     HamiltonianFamily,
     QFamily,
@@ -64,6 +63,7 @@ HALF = Fraction(1, 2)
 ORACLE_BASE_SEED = 77001
 
 from conftest import announce
+from helpers import thick_corpus, vector
 
 
 class Ledger:
@@ -110,9 +110,9 @@ def ledgers():
 
 
 def combo_series(combo):
-    """Embed a basis combination as a series over stand-in variables."""
+    """Re-embed a vector of a space over stand-in ``b_`` variables."""
     terms = {}
-    for vec, coeff in combo.items():
+    for ((vec, _),), coeff in combo.items():
         var = GradedVariable("b_" + vec.name, vec.parity, vec.weight, 0, vec.index)
         terms[((var, 1),)] = coeff
     return Series(terms)
@@ -310,7 +310,7 @@ def criterion_03_derived_bracket_equivalence(ledger):
                 for combo in itertools.product(range(len(pool)), repeat=n):
                     inputs = [(pool[i][1], pool[i][2]) for i in combo]
                     residual = jacobiator(fam, inputs, n)
-                    ledger.record_combo("q-jacobi-residual", residual, fam.zero_element())
+                    ledger.record_combo("q-jacobi-residual", residual, Series.zero())
             for _ in range(2):
                 f = random_homogeneous(q.chart.variables, rng, 2)
                 ledger.record("q-squared-action", q.apply(q.apply(f)), Series.zero())
@@ -445,7 +445,7 @@ def criterion_05_parity_reversion(ledger):
         for n in range(4):
             for key in itertools.combinations_with_replacement(range(dim), n):
                 if rng.random() < 0.4:
-                    entries[key] = Combination(
+                    entries[key] = vector(
                         basis, {rng.randrange(dim): Fraction(rng.randint(-3, 3))})
         fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries)
         double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
@@ -458,7 +458,7 @@ def criterion_05_parity_reversion(ledger):
     basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
 
     def combo(i, c=1):
-        return Combination(basis, {i: Fraction(c)})
+        return vector(basis, {i: c})
 
     sl2 = ExplicitFamily(basis, 0, 0,
                          {(0, 1): combo(1, 2), (0, 2): combo(2, -2), (1, 2): combo(0)})
@@ -474,7 +474,7 @@ def criterion_05_parity_reversion(ledger):
         for key in itertools.product(range(3), repeat=n):
             inputs = [(pool[i][1], pool[i][2]) for i in key]
             ledger.record_combo("reversion-jacobi", jacobiator(odd_side, inputs, n),
-                                odd_side.zero_element())
+                                Series.zero())
     return ("[criterion 5] PASS parity-reversion transport "
             "(10 random round trips + law transport, arity 3)")
 
@@ -486,64 +486,6 @@ def test_criterion_05_parity_reversion(ledgers):
 # ---------------------------------------------------------------------------
 # criteria 6 and 7: pullback expansion oracle and the weight theorem
 # ---------------------------------------------------------------------------
-
-def thick_corpus():
-    """(name, morphism, test function) with S of fiber degree <= 2."""
-    out = []
-
-    def even_pair(wx=0, shift=0):
-        m1 = Chart.build([("x", 0, wx)], "M1")
-        m2 = Chart.build([("y", 0, wx)], "M2")
-        q, = conjugate_momenta(m2, shift, "even")
-        return m1, m2, V(m1.variables[0]), V(m2.variables[0]), V(q)
-
-    m1, m2, x, y, q = even_pair()
-    out.append(("identity", ThickMorphism(m1, m2, 0, "even", x * q), y ** 2 + 3 * y))
-    out.append(("quadratic", ThickMorphism(m1, m2, 0, "even", x * q + HALF * q * q),
-                Fraction(3, 2) * y))
-    out.append(("with-s0", ThickMorphism(m1, m2, 0, "even", x ** 2 + x * q), y ** 2))
-    out.append(("nonlinear-support",
-                ThickMorphism(m1, m2, 0, "even", x ** 2 * q + HALF * q * q), 2 * y))
-    out.append(("s0-and-quadratic",
-                ThickMorphism(m1, m2, 0, "even",
-                              3 * x ** 3 + x * q - Fraction(1, 3) * q * q), y + y ** 2))
-    out.append(("scaled-support",
-                ThickMorphism(m1, m2, 0, "even", 2 * x * q + q * q), y ** 2))
-
-    # weighted even example: w(x) = w(y) = -1, s = -2
-    m1w = Chart.build([("x", 0, -1)], "M1w")
-    m2w = Chart.build([("y", 0, -1)], "M2w")
-    qw, = conjugate_momenta(m2w, -2, "even")
-    xw, yw = V(m1w.variables[0]), V(m2w.variables[0])
-    out.append(("weighted", ThickMorphism(m1w, m2w, -2, "even",
-                                          xw * V(qw) + HALF * V(qw) ** 2), yw ** 2))
-
-    # mixed parity on both sides: the even kind with an odd momentum
-    m1m = Chart.build([("x", 0, 0), ("xi", 1, 0)], "M1m")
-    m2m = Chart.build([("y", 0, 0), ("eta", 1, 0)], "M2m")
-    qm = conjugate_momenta(m2m, 0, "even")
-    xm, xim = (V(v) for v in m1m.variables)
-    ym = V(m2m.variables[0])
-    out.append(("mixed-parity-momenta",
-                ThickMorphism(m1m, m2m, 0, "even",
-                              xm * V(qm[0]) + xim * V(qm[1]) + HALF * V(qm[0]) ** 2),
-                ym ** 2 + ym))
-
-    # odd kind
-    n1 = Chart.build([("x", 0, 0), ("xi", 1, 0)], "N1")
-    n2 = Chart.build([("eta", 1, 0)], "N2")
-    ys, = conjugate_momenta(n2, 0, "odd")
-    xn, xin = (V(v) for v in n1.variables)
-    etan = V(n2.variables[0])
-    out.append(("odd-identity", ThickMorphism(n1, n2, 0, "odd", xin * V(ys)),
-                5 * etan))
-    out.append(("odd-quadratic",
-                ThickMorphism(n1, n2, 0, "odd", xin * V(ys) + xin * V(ys) ** 2),
-                2 * etan))
-    out.append(("odd-with-s0",
-                ThickMorphism(n1, n2, 0, "odd", xin + xin * V(ys)), 3 * etan))
-    return out
-
 
 def criterion_06_pullback_oracle_agreement(ledger):
     start = time.perf_counter()

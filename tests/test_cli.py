@@ -352,6 +352,13 @@ class TestUsageErrors:
         stderr = assert_usage_error(tmp_path, text, 7)
         assert "unknown basis vector 'e3'" in stderr
 
+    @pytest.mark.parametrize("value", ["e1 * e2", "1"])
+    def test_bracket_value_that_is_not_a_vector(self, tmp_path, value):
+        text = EXPLICIT_PROBLEM + f"  bracket e1 e2 = e2\n  bracket e2 e1 = {value}\nend\n"
+        stderr = assert_usage_error(tmp_path, text, 7)
+        assert stderr.rstrip().endswith(
+            "bracket values must be linear combinations of basis vectors at line 7")
+
     def test_permuted_bracket_line_is_folded_and_warned(self):
         family = parse_problem(
             EXPLICIT_PROBLEM + "  bracket e1 e2 = e2\n  bracket e2 e1 = e1\nend\n"
@@ -476,6 +483,22 @@ class TestTasks:
                 brackets = [e for e in report.entries if e.check_id == "bracket"]
                 assert brackets
                 assert all("weight shift" in e.notes for e in brackets)
+
+    def test_mixed_grade_bracket_value_fails_the_weight_check(self, tmp_path):
+        # e1 and e3 differ in weight, so [e1, e2] = e1 + e3 has no bigrading
+        problem = tmp_path / "task.gk"
+        problem.write_text(
+            "space V\n  basis e1 even 0\n  basis e2 even 0\n  basis e3 even 1\nend\n"
+            "family G explicit V eps 0 k 0\n  bracket e1 e2 = e1 + e3\nend\n"
+            "task check-weights G arity 2\n")
+        proc = run_cli(str(problem), "--format", "json")
+        assert proc.returncode == 1, proc.stderr
+        failed = [entry for task in json.loads(proc.stdout)["tasks"]
+                  for entry in task["entries"] if entry["status"] == "fail"]
+        assert failed
+        for entry in failed:
+            assert entry["actual"] == "inhomogeneous"
+            assert entry["residual"] in ("e1 + e3", "-e1 - e3")
 
     def test_oracle_verify_uses_seed(self):
         problem = parse_problem(

@@ -12,7 +12,7 @@ from gradedkernel.errors import ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import GradedVariable, Series, format_series
 from gradedkernel.sampling import random_homogeneous
-from test_graded_core import normalize_product
+from helpers import normalize_product
 
 X = GradedVariable("x", 0, 0, 0, 0)
 XI1 = GradedVariable("xi1", 1, 1, 0, 1)

@@ -5,7 +5,6 @@ import operator
 import random
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +28,8 @@ from gradedkernel.sampling import (
     small_rational,
 )
 
+from helpers import normalize_product
+
 X = GradedVariable("x", 0, 0, 0, 0)
 XI1 = GradedVariable("xi1", 1, 1, 0, 1)
 XI2 = GradedVariable("xi2", 1, 1, 0, 2)
@@ -38,46 +39,6 @@ VARS = [X, XI1, XI2, Q]
 
 def V(var):
     return Series.variable(var)
-
-
-# -- a sort-based tuple reference for the kernel's product sign ----------------
-
-class Term(NamedTuple):
-    """A sign, or 0 for a vanishing product, with a canonical monomial."""
-
-    coefficient: int
-    monomial: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
-
-
-def normalize_product(factors):
-    """Sort a factor sequence into canonical order with its Koszul sign.
-
-    Every adjacent swap of two odd factors flips the sign; swapping an even
-    factor past anything is free.  A repeated odd factor kills the term.  It
-    shares no code with the kernel, whose product merges sorted monomials.
-    """
-    arr = list(factors)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1].key > arr[j].key:
-            if arr[j - 1].parity and arr[j].parity:
-                sign = -sign
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
-    merged = []
-    for var in arr:
-        if merged and merged[-1][0] == var:
-            if var.parity:
-                return Term(0, ())
-            merged[-1][1] += 1
-        else:
-            merged.append([var, 1])
-    return Term(sign, tuple((v, e) for v, e in merged))
 
 
 class TestNormalizeProduct:
@@ -129,6 +90,15 @@ class TestArithmetic:
 
     def test_scalar_division(self):
         assert (V(X) / 2) * 2 == V(X)
+
+    def test_rational_minus_series(self):
+        assert 3 - V(X) == Series.constant(3) - V(X)
+        assert Fraction(1, 2) - V(X) == -(V(X) - Fraction(1, 2))
+
+    def test_non_rational_minus_series_is_python_type_error(self):
+        with pytest.raises(TypeError,
+                           match=r"unsupported operand type\(s\) for -: 'str' and 'Series'"):
+            "a" - V(X)
 
     def test_variable_powers(self):
         assert Series.variable(X, 3) == V(X) ** 3

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedkernel import homotopy
 from gradedkernel.cli import Flags, parse_problem, run
-from gradedkernel.errors import ChartMismatch, NotHomological
+from gradedkernel.errors import ChartMismatch, GradingMismatch, NotHomological
 from gradedkernel.geometry import (
     Chart,
     VectorField,
@@ -21,7 +21,6 @@ from gradedkernel.geometry import (
 )
 from gradedkernel.graded_core import Series
 from gradedkernel.homotopy import (
-    Combination,
     ExplicitFamily,
     HamiltonianFamily,
     QFamily,
@@ -39,6 +38,8 @@ from gradedkernel.homotopy import (
     permutation_signs,
     unshuffles,
 )
+
+from helpers import vector
 
 V = Series.variable
 CORPUS = Path(__file__).parent / "corpus"
@@ -127,7 +128,7 @@ class TestDerivedBracketQ:
     def test_lie2_binary_bracket(self):
         fam, q, basis, sig = lie2_family()
         b12 = fam.bracket_indices((0, 1))
-        assert b12 == Combination(basis, {1: Fraction(-1)})
+        assert b12 == vector(basis, {1: -1})
         assert fam.bracket_indices((1, 0)) == -b12
         assert fam.bracket_indices((0, 0)).is_zero
         assert fam.bracket_indices((1, 1)).is_zero
@@ -138,7 +139,7 @@ class TestDerivedBracketQ:
         chart = basis.chart(sig)
         q = VectorField(chart, {chart.variables[0]: Series.one()}, 1, 1)
         fam = QFamily(q, basis, sig)
-        assert fam.bracket_indices(()) == Combination(basis, {0: Fraction(1)})
+        assert fam.bracket_indices(()) == vector(basis, {0: 1})
 
     def test_not_homological_gate(self):
         sig = ShiftSignature(1, 0)
@@ -156,7 +157,7 @@ class TestDerivedBracketQ:
         chart = basis.chart(sig)
         euler = VectorField(chart, {chart.variables[0]: V(chart.variables[0])}, 0, 0)
         fam = QFamily(euler, basis, sig, require_homological=False)
-        assert fam.bracket_indices((0,)) == Combination(basis, {0: Fraction(-1)})
+        assert fam.bracket_indices((0,)) == vector(basis, {0: -1})
         assert fam.bracket_indices((0, 0)).is_zero
 
 
@@ -211,7 +212,7 @@ class TestExplicitFamilies:
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
 
         def combo(i, c=1):
-            return Combination(basis, {i: Fraction(c)})
+            return vector(basis, {i: c})
 
         sl2 = ExplicitFamily(basis, 0, 0,
                              {(0, 1): combo(1, 2), (0, 2): combo(2, -2),
@@ -228,8 +229,8 @@ class TestExplicitFamilies:
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
         inconsistent = ExplicitFamily(
             basis, 0, 0,
-            {(0, 1): Combination(basis, {1: Fraction(1)}),
-             (1, 0): Combination(basis, {1: Fraction(1)})})
+            {(0, 1): vector(basis, {1: 1}),
+             (1, 0): vector(basis, {1: 1})})
         assert inconsistent.load_warnings
         assert inconsistent.bracket_indices((0, 1)).is_zero
 
@@ -238,10 +239,10 @@ class TestExplicitFamilies:
         # ones with a repeated odd entry vanish
         basis = SpaceBasis.build([("e", 0, 0), ("o", 1, 0)])
         anti = ExplicitFamily(basis, 0, 0,
-                              {(0, 0): Combination(basis, {0: Fraction(1)})})
+                              {(0, 0): vector(basis, {0: 1})})
         assert anti.load_warnings and anti.bracket_indices((0, 0)).is_zero
         sym = ExplicitFamily(basis, 1, 0,
-                             {(1, 1): Combination(basis, {0: Fraction(1)})})
+                             {(1, 1): vector(basis, {0: 1})})
         assert sym.load_warnings and sym.bracket_indices((1, 1)).is_zero
 
 
@@ -272,15 +273,15 @@ def test_explicit_bracket_on_permuted_inputs(epsilon):
     # forced to zero by graded symmetry are dropped on load
     basis = SpaceBasis.build([("a", 0, 0), ("b", 1, 0), ("c", 0, 1), ("d", 1, 1)])
     parities = [v.parity for v in basis]
-    entries = {key: Combination(basis, {len(key) % 4: Fraction(1 + sum(key))})
+    entries = {key: vector(basis, {len(key) % 4: 1 + sum(key)})
                for n in range(6)
                for key in itertools.combinations_with_replacement(range(4), n)}
     fam = ExplicitFamily(basis, epsilon, 0, entries)
     for n in range(6):
         for indices in itertools.product(range(4), repeat=n):
-            stored = fam.table.get(tuple(sorted(indices)), Combination(basis))
+            stored = fam.table.get(tuple(sorted(indices)), Series.zero())
             assert fam.bracket_indices(indices) == \
-                stored.scaled(bubble_sign(indices, parities, epsilon))
+                stored * bubble_sign(indices, parities, epsilon)
 
 
 class TestHamiltonianFamilies:
@@ -461,7 +462,7 @@ def unshuffle_loop_jacobiator(fam, inputs, n):
     the loop and the terms added one at a time."""
     elements = [e for e, _ in inputs]
     parities = [p for _, p in inputs]
-    total = fam.zero_element()
+    total = Series.zero()
     for r in range(n + 1):
         s = n - r
         for first, second in unshuffles(n, r):
@@ -592,8 +593,8 @@ class TestParityReversion:
             for n in range(4):
                 for key in itertools.combinations_with_replacement(range(dim), n):
                     if rng.random() < 0.4:
-                        entries[key] = Combination(
-                            basis, {rng.randrange(dim): Fraction(rng.randint(-3, 3))})
+                        entries[key] = vector(
+                            basis, {rng.randrange(dim): rng.randint(-3, 3)})
             fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries)
             double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
             for n in range(4):
@@ -603,19 +604,19 @@ class TestParityReversion:
     def test_all_even_binary_prefactor_is_plus_one(self):
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0, 1): Combination(basis, {1: Fraction(1)})})
+                             {(0, 1): vector(basis, {1: 1})})
         transported = parity_reverse_brackets(fam, 3)
         assert transported.epsilon == 1
         assert transported.bracket_indices((0, 1)) == \
-            Combination(transported.basis, {1: Fraction(1)})
+            vector(transported.basis, {1: 1})
 
     def test_unary_prefactor_trivial(self):
         basis = SpaceBasis.build([("e1", 1, 0), ("e2", 0, 1)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0,): Combination(basis, {1: Fraction(2)})})
+                             {(0,): vector(basis, {1: 2})})
         transported = parity_reverse_brackets(fam, 2)
         assert transported.bracket_indices((0,)) == \
-            Combination(transported.basis, {1: Fraction(2)})
+            vector(transported.basis, {1: 2})
 
     def test_transport_preserves_jacobi(self):
         fam, q, basis, sig = lie2_family()
@@ -631,7 +632,7 @@ class TestAssembly:
     def test_family_to_field_round_trip(self):
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
         fam = ExplicitFamily(basis, 0, 0,
-                             {(0, 1): Combination(basis, {1: Fraction(1)})})
+                             {(0, 1): vector(basis, {1: 1})})
         q = assemble_vector_field(fam, 3)
         assert is_homological(q)
         rebuilt = QFamily(q, basis, ShiftSignature(0, 0))
@@ -644,7 +645,7 @@ class TestAssembly:
         basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
 
         def combo(i, c=1):
-            return Combination(basis, {i: Fraction(c)})
+            return vector(basis, {i: c})
 
         sl2 = ExplicitFamily(basis, 0, 0,
                              {(0, 1): combo(1, 2), (0, 2): combo(2, -2),
@@ -684,7 +685,7 @@ class TestSymmetryGate:
                     permuted = tuple(key[i] for i in order)
                     sign = self.permutation_sign(
                         order, [parities[i] for i in key], epsilon)
-                    assert fam.bracket_indices(permuted) == base.scaled(sign)
+                    assert fam.bracket_indices(permuted) == base * sign
 
 
 def test_derived_bracket_lowers_fiber_degree_before_restriction():
@@ -700,3 +701,80 @@ def test_derived_bracket_lowers_fiber_degree_before_restriction():
         current = canonical_bracket(current, f, ct)
         degree -= 1
         assert current.is_zero or current.fiber_degree() <= degree
+
+
+# -- vectors of a space: series linear in the basis ----------------------------
+
+def combination_str(basis, coeffs):
+    """How a basis combination was written before a vector was a series: the
+    reference for a basis family's `format_value`."""
+    coeffs = {i: Fraction(c) for i, c in coeffs.items() if c}
+    if not coeffs:
+        return "0"
+    chunks = []
+    for i in sorted(coeffs):
+        vec, coeff = basis[i], coeffs[i]
+        body = vec.name if abs(coeff) == 1 else f"{abs(coeff)}*{vec.name}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(chunks)
+
+
+COEFFICIENTS = st.one_of(st.sampled_from([0, 1, -1]),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_vector_text_matches_the_combination_text(data):
+    dim = data.draw(st.integers(1, 4))
+    basis = SpaceBasis.build([(f"e{i + 1}", data.draw(st.integers(0, 1)),
+                               data.draw(st.integers(-2, 2))) for i in range(dim)])
+    coeffs = data.draw(st.dictionaries(st.integers(0, dim - 1), COEFFICIENTS))
+    fam = ExplicitFamily(basis, data.draw(st.integers(0, 1)), 0, {})
+    assert fam.format_value(vector(basis, coeffs)) == combination_str(basis, coeffs)
+
+
+def test_a_q_family_writes_its_values_as_vectors():
+    fam, q, basis, sig = lie2_family()
+    assert fam.format_value(fam.bracket_indices((0, 1))) == "-e2"
+    assert fam.format_value(fam.bracket_indices((0, 0))) == "0"
+
+
+@pytest.mark.parametrize("family", ["lie2", "broken-jacobi"])
+@pytest.mark.parametrize("make", [
+    lambda basis: V(basis[0]) * V(basis[1]),
+    lambda basis: Series.one(),
+    lambda basis: V(SpaceBasis.build([("f1", 0, 0)])[0]),
+    lambda basis: V(SpaceBasis.build([("e1", 0, 5)])[0]),
+], ids=["product", "constant", "other-space", "other-space-same-name"])
+def test_a_basis_family_takes_only_vectors_of_its_space(family, make):
+    fam = JACOBI_FAMILIES[family]()
+    with pytest.raises(GradingMismatch,
+                       match="bracket inputs must be linear combinations of basis vectors"):
+        fam.bracket([V(fam.basis[0]), make(fam.basis)])
+    # only the vector before it was interned, and nothing was evaluated
+    assert len(fam._inputs) == 1 and not fam._values
+
+
+def test_an_explicit_table_value_must_be_a_vector():
+    basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0)])
+    with pytest.raises(GradingMismatch,
+                       match="bracket values must be linear combinations of basis vectors"):
+        ExplicitFamily(basis, 0, 0, {(0, 1): V(basis[0]) * V(basis[1])})
+
+
+@pytest.mark.parametrize("name", ["sinf", "lie2", "broken-jacobi"])
+def test_a_family_builds_its_pool_once(monkeypatch, name):
+    fam = JACOBI_FAMILIES[name]()
+    first = [element for _, element, _, _ in fam.pool()]
+    assert all(a is b for a, (_, b, _, _) in zip(first, fam.pool()))
+    check_higher_jacobi(fam, 3)
+    held = len(fam._inputs)
+    interned = []
+    original = fam._interned
+    monkeypatch.setattr(fam, "_interned", lambda e: interned.append(e) or original(e))
+    check_weights_parities(fam, fam.signature, 3)
+    assert not interned and len(fam._inputs) == held

@@ -21,7 +21,7 @@ from gradedkernel.microformal import (
     validate_thick,
 )
 
-from test_acceptance import thick_corpus
+from helpers import thick_corpus
 
 V = Series.variable
 HALF = Fraction(1, 2)
