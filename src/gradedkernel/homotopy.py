@@ -27,6 +27,11 @@ Every tuple still gets its own sum: none is inferred from another by
 graded symmetry, since the sums are also what catches a symmetry error in
 a family's brackets.
 
+`assemble_vector_field` goes the other way, from an explicit table back to
+a generating field.  Each Taylor term of a field reaches exactly one table
+entry, so the field is built one coefficient at a time, and a nonzero entry
+that no term of an odd weight-1 field reaches is an error.
+
 Parity convention for masters, fixed here once: an S-infinity structure
 (epsilon = 1) comes from an odd master Hamiltonian on T*M[1-k]; a
 P-infinity structure (epsilon = 0) from an even master on Pi T*M[1-k].
@@ -649,17 +654,8 @@ def check_leibniz(fam: HamiltonianFamily,
         variables = fam.ct.base.variables
         samples = []
         for _ in range(trials):
-            m = rng.randint(0, 2)
-            prefix = []
-            while len(prefix) < m:
-                candidate = homogeneous_pool(variables, rng, 1)
-                if candidate:
-                    prefix.append(candidate[0])
-            b = c = None
-            while b is None or c is None:
-                extra = homogeneous_pool(variables, rng, 2)
-                if len(extra) >= 2:
-                    b, c = extra[0], extra[1]
+            prefix = homogeneous_pool(variables, rng, rng.randint(0, 2))
+            b, c = homogeneous_pool(variables, rng, 2)
             samples.append((prefix, b, c))
     for idx, (prefix, b, c) in enumerate(samples):
         prefix = list(prefix)
@@ -679,8 +675,9 @@ def check_leibniz(fam: HamiltonianFamily,
         rhs = fam.bracket(prefix + [b]) * c + sign * (b * fam.bracket(prefix + [c]))
         residual = lhs - rhs
         location = f"sample {idx} (m={len(prefix)})"
+        shown = str(residual)
         report.record(residual.is_zero, "leibniz", location=location,
-                      expected="0", actual=str(residual), residual=str(residual))
+                      expected="0", actual=shown, residual=shown)
     return report
 
 
@@ -700,8 +697,9 @@ def check_master(obj: Union[VectorField, Series],
         report.record(obj.parity == 1, "master-parity",
                       expected="odd", actual="odd" if obj.parity else "even")
         residual = commutator(obj, obj)
+        shown = str(residual)
         report.record(residual.is_zero, "master-equation", location="[Q,Q]",
-                      expected="0", actual=str(residual), residual=str(residual))
+                      expected="0", actual=shown, residual=shown)
         report.record(obj.weight == 1, "master-weight",
                       expected="1", actual=str(obj.weight))
         return report
@@ -720,8 +718,9 @@ def check_master(obj: Union[VectorField, Series],
                 notes=MASTER_PARITY_NOTE)
     residual = canonical_bracket(obj, obj, ct)
     name = "(H,H)" if ct.kind == KIND_EVEN else "[P,P]"
+    shown = str(residual)
     report.record(residual.is_zero, "master-equation", location=name,
-                  expected="0", actual=str(residual), residual=str(residual))
+                  expected="0", actual=shown, residual=shown)
     report.record(grade.weight == 2 - k, "master-weight",
                   expected=str(2 - k), actual=str(grade.weight),
                   notes=f"k = {k} from shift {ct.shift}")
@@ -770,86 +769,35 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
                           chart: Optional[Chart] = None) -> VectorField:
     """Reconstruct a field whose derived brackets to arity n_max match ``fam``.
 
-    The degree-n Taylor coefficients are solved for exactly: the map from
-    coefficients to bracket tables is linear, so each arity is an independent
-    rational linear system.
+    A term c m d/dx, with m a monomial of degree n, has one nonzero n-ary
+    bracket at the origin: at the key of m's coordinate indices, sorted with
+    multiplicity, on the basis vector of x, where it is c times a unit (plus or
+    minus the product of m's exponent factorials).  So the system for the
+    coefficients is diagonal: each one is its table entry over its unit.
     """
     sig = fam.signature
     if chart is None:
         chart = fam.basis.chart(sig)
-    basis_vectors = [((e, 1),) for e in fam.basis]
-    total: Optional[VectorField] = None
-    field_parity = 1
-    field_weight = 1
-    for n in range(n_max + 1):
-        unknown_slots: List[Tuple[GradedVariable, Tuple]] = []
-        for var in chart.variables:
-            target = Bigrading((var.parity + field_parity) % 2, var.weight + field_weight)
-            for monomial in enumerate_monomials(chart.variables, n):
-                if sum(e for _, e in monomial) != n:
-                    continue
-                if monomial_bigrading(monomial) == target:
-                    unknown_slots.append((var, monomial))
-        if not unknown_slots:
-            continue
-        keys = list(itertools.combinations_with_replacement(range(len(fam.basis)), n))
-        rows: List[List[Fraction]] = []
-        rhs: List[Fraction] = []
-        columns: List[List[Series]] = []
-        for var, monomial in unknown_slots:
-            candidate = VectorField(chart, {var: Series({monomial: Fraction(1)})},
-                                    field_parity, field_weight)
-            derived = QFamily(candidate, fam.basis, sig, require_homological=False)
-            columns.append([derived.bracket_indices(key) for key in keys])
-        for row_idx, key in enumerate(keys):
-            want = fam.bracket_indices(key)
-            for vector in basis_vectors:
-                rows.append([columns[c][row_idx].coefficient(vector)
-                             for c in range(len(unknown_slots))])
-                rhs.append(want.coefficient(vector))
-        solution = _solve_exact(rows, rhs)
-        if solution is None:
-            raise GradingMismatch(
-                f"no degree-{n} Taylor coefficient reproduces the arity-{n} table")
-        parts: Dict[GradedVariable, List[Series]] = {}
-        for (var, monomial), coeff in zip(unknown_slots, solution):
-            if coeff:
-                parts.setdefault(var, []).append(Series({monomial: coeff}))
-        components = {var: Series.sum(terms) for var, terms in parts.items()}
-        piece = VectorField(chart, components, field_parity, field_weight)
-        total = piece if total is None else total + piece
-    if total is None:
-        total = VectorField(chart, {}, field_parity, field_weight)
-    return total
-
-
-def _solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Gaussian elimination over the rationals; None if inconsistent."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = aug[row_idx][n]
-    return solution
+    # the table's nonzero entries, (key, basis index) -> coefficient
+    wanted = {(key, index): coeff for key, value in fam.table.items() if len(key) <= n_max
+              for index, coeff in fam.basis.coordinates(value)}
+    components: Dict[GradedVariable, List[Series]] = {}
+    for var in chart.variables:
+        target = Bigrading((var.parity + 1) % 2, var.weight + 1)
+        for monomial in enumerate_monomials(chart.variables, n_max):
+            if monomial_bigrading(monomial) != target:
+                continue
+            key = tuple(sorted(v.index for v, e in monomial for _ in range(e)))
+            coeff = wanted.pop((key, var.index), None)
+            if coeff is None:
+                continue
+            probe = QFamily(VectorField(chart, {var: Series({monomial: Fraction(1)})}, 1, 1),
+                            fam.basis, sig, require_homological=False)
+            unit = probe.bracket_indices(key).coefficient(((fam.basis[var.index], 1),))
+            components.setdefault(var, []).append(Series({monomial: coeff / unit}))
+    if wanted:
+        n = min(len(key) for key, _ in wanted)
+        raise GradingMismatch(
+            f"no degree-{n} Taylor coefficient reproduces the arity-{n} table")
+    return VectorField(chart, {var: Series.sum(terms) for var, terms in components.items()},
+                       1, 1)

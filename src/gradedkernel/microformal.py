@@ -315,10 +315,10 @@ def check_hamilton_jacobi(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
                       "master equation and weight hold")
     lhs, rhs = _hj_sides(phi, h1, ct1, h2, ct2)
     residual = (lhs - rhs).truncate(order)
+    shown = format_series(residual)
     report.record(residual.is_zero, "hj-residual",
                   location=f"order {order}",
-                  expected="0", actual=format_series(residual),
-                  residual=format_series(residual))
+                  expected="0", actual=shown, residual=shown)
     return report
 
 
@@ -349,9 +349,8 @@ def check_intertwining(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
                     f"insertion order {residual_order})")
     report.info("intertwining-pullback",
                 notes=f"f = {_drop_insertions(f_t)} ({iterations} iterations)")
+    shown = format_series(_drop_insertions(residual))
     report.record(residual.is_zero, "intertwining-residual",
                   location=f"order {residual_order}",
-                  expected="0",
-                  actual=format_series(_drop_insertions(residual)),
-                  residual=format_series(_drop_insertions(residual)))
+                  expected="0", actual=shown, residual=shown)
     return report

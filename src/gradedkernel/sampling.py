@@ -76,20 +76,11 @@ def random_homogeneous(variables: Sequence[GradedVariable], rng: random.Random,
     _, monomials = rng.choice(eligible)
     count = min(len(monomials), rng.randint(1, max_terms))
     chosen = rng.sample(monomials, count)
-    series = Series({m: small_rational(rng) for m in chosen})
-    if series.is_zero:
-        series = Series({monomials[0]: Fraction(1)})
-    return series
+    # distinct monomials with nonzero coefficients: never zero
+    return Series({m: small_rational(rng) for m in chosen})
 
 
 def homogeneous_pool(variables: Sequence[GradedVariable], rng: random.Random,
                      size: int, max_degree: int = 2) -> List[Series]:
     """A pool of nonzero homogeneous series covering several bigradings."""
-    pool: List[Series] = []
-    attempts = 0
-    while len(pool) < size and attempts < size * 20:
-        attempts += 1
-        candidate = random_homogeneous(variables, rng, max_degree)
-        if not candidate.is_zero:
-            pool.append(candidate)
-    return pool
+    return [random_homogeneous(variables, rng, max_degree) for _ in range(size)]

@@ -19,7 +19,7 @@ from gradedkernel.geometry import (
     shifted_anticotangent,
     shifted_cotangent,
 )
-from gradedkernel.graded_core import Series
+from gradedkernel.graded_core import Bigrading, Series, monomial_bigrading
 from gradedkernel.homotopy import (
     ExplicitFamily,
     HamiltonianFamily,
@@ -38,6 +38,7 @@ from gradedkernel.homotopy import (
     permutation_signs,
     unshuffles,
 )
+from gradedkernel.sampling import enumerate_monomials, homogeneous_pool, random_homogeneous
 
 from helpers import vector
 
@@ -345,6 +346,28 @@ class TestHamiltonianFamilies:
         assert pinf.epsilon == 0
         assert check_leibniz(pinf, trials=15, seed=3).passed
 
+    @pytest.mark.parametrize("specs", [
+        [("x", 0, 0), ("xi", 1, -1)],
+        [("x1", 0, -1), ("x2", 0, -1)],
+        [("a", 1, 0), ("b", 0, 2), ("c", 1, -1)],
+        [("t", 1, 1)],
+    ], ids=lambda specs: "".join(name for name, _, _ in specs))
+    def test_leibniz_draws_its_samples_as_with_retries(self, monkeypatch, specs):
+        chart = Chart.build(specs, "M")
+        ct = shifted_cotangent(chart, 0)
+        fam = HamiltonianFamily(V(ct.fiber[0]), ct)
+        drawn = []
+        monkeypatch.setattr(homotopy, "homogeneous_pool",
+                            lambda *args: drawn.append(homogeneous_pool(*args)) or drawn[-1])
+        for seed in range(40):
+            drawn.clear()
+            report = check_leibniz(fam, trials=6, seed=seed)
+            want = leibniz_samples_with_retries(chart.variables, random.Random(seed), 6)
+            assert [e.location for e in report.entries] == [
+                f"sample {i} (m={len(prefix)})" for i, (prefix, _, _) in enumerate(want)]
+            assert [s for pool in drawn for s in pool] == [
+                s for prefix, b, c in want for s in prefix + [b, c]]
+
     def test_unit_second_argument_is_trivial(self):
         chart = Chart.build([("x", 0, 0)], "R")
         ct = shifted_cotangent(chart, 1)
@@ -352,6 +375,36 @@ class TestHamiltonianFamilies:
         fam = HamiltonianFamily(V(ct.fiber[0]) ** 2 / 2, ct)
         samples = [([], Series.one(), V(x) ** 2)]
         assert check_leibniz(fam, samples=samples).passed
+
+
+def leibniz_samples_with_retries(variables, rng, trials):
+    """Reference: Leibniz samples drawn again after a zero series, which an
+    unconstrained draw never is."""
+    def pool(size):
+        out = []
+        attempts = 0
+        while len(out) < size and attempts < size * 20:
+            attempts += 1
+            candidate = random_homogeneous(variables, rng, 2)
+            if not candidate.is_zero:
+                out.append(candidate)
+        return out
+
+    samples = []
+    for _ in range(trials):
+        m = rng.randint(0, 2)
+        prefix = []
+        while len(prefix) < m:
+            candidate = pool(1)
+            if candidate:
+                prefix.append(candidate[0])
+        b = c = None
+        while b is None or c is None:
+            extra = pool(2)
+            if len(extra) >= 2:
+                b, c = extra[0], extra[1]
+        samples.append((prefix, b, c))
+    return samples
 
 
 def hamiltonian_cases():
@@ -652,6 +705,54 @@ class TestAssembly:
                               (1, 2): combo(0)})
         q = assemble_vector_field(sl2, 3)
         assert commutator(q, q).is_zero
+
+    def test_one_bracket_per_term(self, monkeypatch):
+        basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0)])
+        sl2 = ExplicitFamily(basis, 0, 0,
+                             {(0, 1): vector(basis, {1: 2}), (0, 2): vector(basis, {2: -2}),
+                              (1, 2): vector(basis, {0: 1})})
+        calls = []
+        original = QFamily.bracket_indices
+        monkeypatch.setattr(QFamily, "bracket_indices",
+                            lambda fam, key: calls.append(key) or original(fam, key))
+        q = assemble_vector_field(sl2, 3)
+        assert len(calls) == sum(len(c.items()) for c in q.components.values()) == 3
+
+    @pytest.mark.parametrize("n_max, key, coeff", [(1, (0,), Fraction(-1, 2)), (0, (), 3)],
+                             ids=["arity-1", "arity-0"])
+    def test_an_entry_no_term_reaches_raises(self, n_max, key, coeff):
+        # e1 is even of weight 1; at eps 1, k 0 its coordinate is even of
+        # weight 0, so no term of an odd weight-1 field reaches the entry
+        basis = SpaceBasis.build([("e1", 0, 1)])
+        fam = ExplicitFamily(basis, 1, 0, {key: vector(basis, {0: coeff})})
+        n = len(key)
+        with pytest.raises(GradingMismatch, match=f"no degree-{n} Taylor coefficient "
+                                                  f"reproduces the arity-{n} table"):
+            assemble_vector_field(fam, n_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), epsilon=st.integers(0, 1),
+           k=st.integers(0, 2), n_max=st.integers(0, 3))
+    def test_a_field_assembles_back_from_its_own_table(self, data, dim, epsilon, k, n_max):
+        basis = SpaceBasis.build([(f"e{i + 1}", data.draw(st.integers(0, 1)),
+                                   data.draw(st.integers(-2, 2))) for i in range(dim)])
+        sig = ShiftSignature(epsilon, k)
+        chart = basis.chart(sig, names=[f"u{i + 1}" for i in range(dim)])
+        coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        components = {}
+        for var in chart:
+            target = Bigrading((var.parity + 1) % 2, var.weight + 1)
+            components[var] = Series.sum([
+                Series({m: data.draw(coefficients)})
+                for m in enumerate_monomials(chart.variables, n_max)
+                if monomial_bigrading(m) == target])
+        q = VectorField(chart, components, 1, 1)
+        derived = QFamily(q, basis, sig, require_homological=False)
+        table = {key: derived.bracket_indices(key) for n in range(n_max + 1)
+                 for key in itertools.combinations_with_replacement(range(dim), n)}
+        fam = ExplicitFamily(basis, epsilon, k, table)
+        assert not fam.load_warnings
+        assert assemble_vector_field(fam, n_max, chart) == q
 
 
 class TestSymmetryGate:

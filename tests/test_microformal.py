@@ -284,6 +284,23 @@ class TestIntertwining:
         assert not report.passed
 
 
+@pytest.mark.parametrize("intertwining", [False, True],
+                         ids=["hamilton-jacobi", "intertwining"])
+def test_a_failed_residual_is_formatted_once(monkeypatch, intertwining):
+    phi, h1, ct1, h2, ct2, g = quadratic_triple()
+    formatted = []
+    original = microformal.format_series
+    monkeypatch.setattr(microformal, "format_series",
+                        lambda s: formatted.append(s) or original(s))
+    if intertwining:
+        report = check_intertwining(phi, h1, ct1, 2 * h2, ct2, g, 4)
+    else:
+        report = check_hamilton_jacobi(phi, h1, ct1, 2 * h2, ct2, 4)
+    failed, = report.failures()
+    assert failed.actual == failed.residual == original(formatted[0]) != "0"
+    assert len(formatted) == 1
+
+
 class TestWeightTheorem:
     def test_pullback_output_bigrading(self):
         phi, h1, ct1, h2, ct2, g = quadratic_triple()
