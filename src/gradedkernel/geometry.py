@@ -281,30 +281,38 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
 
     Requires homogeneous arguments; the result has weight w(F)+w(G)-s and
     parity Ft+Gt (plus 1 for the odd kind).
+
+    An argument of fiber degree 0, such as a base function, has no fiber
+    derivative, so the products that take one of it are skipped.  The result
+    still carries the truncation order of the full stencil: every product
+    takes a fiber derivative of F or of G, which lowers an order by one.
     """
     for argument in (f, g):
         check_uses_only(argument, ct.variables, "bracket argument uses variables not on the chart")
+    orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
+              if order is not None]
+    order = min(orders) if orders and ct.base.variables else None
     if f.is_zero or g.is_zero:
-        # every term below vanishes; keep the truncation order their sum would
-        # carry, as a derivative in a fiber variable lowers an order by one
-        orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
-                  if order is not None]
-        return Series.zero(min(orders) if orders and ct.base.variables else None)
+        return Series.zero(order)
     f_parity = f.bigrading().parity
     g.bigrading()
-    terms = []
+    f_in_fiber, g_in_fiber = f.fiber_degree() > 0, g.fiber_degree() > 0
+    terms = [Series.zero(order)]
     for base_var in ct.base.variables:
         fiber_var = ct.conjugate(base_var)
         zt = base_var.parity
-        t1 = f.left_derivative(fiber_var) * g.left_derivative(base_var)
-        t2 = f.left_derivative(base_var) * g.left_derivative(fiber_var)
         if ct.kind == KIND_EVEN:
             s1 = (zt * f_parity) % 2
             s2 = (1 + zt + zt * f_parity) % 2
         else:
             s1 = ((zt + 1) * f_parity) % 2
             s2 = (zt * f_parity) % 2
-        terms += [-t1 if s1 else t1, -t2 if s2 else t2]
+        if f_in_fiber:
+            t1 = f.left_derivative(fiber_var) * g.left_derivative(base_var)
+            terms.append(-t1 if s1 else t1)
+        if g_in_fiber:
+            t2 = f.left_derivative(base_var) * g.left_derivative(fiber_var)
+            terms.append(-t2 if s2 else t2)
     return Series.sum(terms)
 
 

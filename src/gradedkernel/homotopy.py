@@ -20,7 +20,9 @@ The checkers (`check_higher_jacobi`, `check_weights_parities`,
 report entries.  A higher Jacobi sum replays a plan: its unshuffle terms
 with their signs, which depend only on the arity, the inputs' parities and
 epsilon, so a family builds each plan once (`jacobi_plan`) and every tuple
-with that parity pattern reuses it.  Each term's inner bracket goes into
+with that parity pattern reuses it.  A family's plan leaves out the terms
+whose inner or outer bracket has arity above the family's arity bound,
+where every bracket is zero.  Each term's inner bracket goes into
 the outer one by its key.  The terms of each sign are added in one sum,
 and the sum of the negative ones is subtracted once.
 Every tuple still gets its own sum: none is inferred from another by
@@ -56,6 +58,7 @@ from .geometry import (
     KIND_EVEN,
     VectorField,
     canonical_bracket,
+    check_uses_only,
     commutator,
     is_homological,
     restrict_to_base,
@@ -213,9 +216,15 @@ class BracketFamily:
     Such a family sets ``_prefixes = {(): generator}`` and defines ``_step``.
     The Jacobi plans (`jacobi_plan`) are kept per family too, by arity and
     parity pattern.
+
+    ``arity_bound`` is an arity above which every bracket of the family is
+    zero, read off its generator or table, or None where the family states
+    none.  A plan leaves out the terms whose inner or outer bracket has
+    arity above it, since they add nothing to the sum.
     """
 
     _prefixes: Dict[Tuple[int, ...], object]
+    arity_bound: Optional[int] = None
 
     def __init__(self, epsilon: int, k: int):
         self.epsilon = epsilon
@@ -287,7 +296,13 @@ class BracketFamily:
             blocks[mask] = blocks[mask ^ (1 << top)] + (keys[top],)
         plan = self._plans.get((n, parities))
         if plan is None:
-            plan = self._plans[(n, parities)] = jacobi_plan(n, parities, self.epsilon)
+            plan = jacobi_plan(n, parities, self.epsilon)
+            bound = self.arity_bound
+            if bound is not None:
+                # a term's inner bracket has arity |first|, its outer 1 + |second|
+                plan = tuple([term for term in plan
+                              if term[0].bit_count() <= bound and term[1].bit_count() < bound])
+            self._plans[(n, parities)] = plan
         values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
         added: List[Series] = []
         subtracted: List[Series] = []
@@ -399,6 +414,11 @@ class QFamily(_BasisFamily):
         self.q = q
         self.basis = basis
         self._prefixes = {(): q}
+        # a step is a derivative of every component, which lowers its
+        # polynomial degree by one, and a bracket is read at the origin
+        self.arity_bound = max((sum(exponent for _, exponent in monomial)
+                                for component in q.components.values()
+                                for monomial, _ in component.items()), default=0)
 
     def _step(self, field: VectorField, index: int) -> VectorField:
         return commutator(field, self._constant_fields[index])
@@ -427,10 +447,17 @@ class HamiltonianFamily(BracketFamily):
         self._pool_seed = pool_seed
         self._pool_size = pool_size
         self._prefixes = {(): master}
+        # a step with a base function lowers the fiber degree by one; the
+        # terms a truncated master is missing could have any fiber degree
+        if master.truncation_order is None:
+            self.arity_bound = master.fiber_degree()
 
     def _interned(self, f: Series) -> Tuple[Series, Optional[int]]:
         if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
+        # checked here as well as in each step, since a Jacobi plan cut at
+        # the arity bound may bracket an input in no step at all
+        check_uses_only(f, self.ct.variables, "bracket argument uses variables not on the chart")
         # Series equality ignores the truncation order, which the bracket
         # depends on, so equal series share a key only at equal orders
         return f, f.truncation_order
@@ -482,6 +509,7 @@ class ExplicitFamily(_BasisFamily):
                     "provided permutations disagreed")
             if not average.is_zero:
                 self.table[key] = average
+        self.arity_bound = max(map(len, self.table), default=0)
 
     def _label(self, indices: Sequence[int]) -> str:
         return ", ".join(self.basis[i].name for i in indices)
@@ -560,7 +588,9 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
     Each term is (first block, second block, negative), the blocks as bit
     masks of input positions.  For epsilon = 0 the sign is (-1)^{r s}
     sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
-    depends only on n, the inputs' parities and epsilon.
+    depends only on n, the inputs' parities and epsilon.  This is the full
+    plan; `BracketFamily.jacobi_sum` drops from it the terms with a bracket
+    above the family's ``arity_bound``.
     """
     plan = []
     for r in range(n + 1):

@@ -7,7 +7,7 @@ file, so every test file collects on its own.
 from fractions import Fraction
 from typing import NamedTuple
 
-from gradedkernel.geometry import Chart
+from gradedkernel.geometry import KIND_EVEN, Chart
 from gradedkernel.graded_core import Series
 from gradedkernel.microformal import ThickMorphism, conjugate_momenta
 
@@ -19,6 +19,31 @@ def vector(basis, coeffs=None):
     """The vector of ``basis`` with coefficient ``c`` on basis vector ``i``
     for each ``i: c`` of ``coeffs``: a series linear in the basis."""
     return Series.sum([Fraction(c) * V(basis[i]) for i, c in (coeffs or {}).items()])
+
+
+def full_stencil_bracket(f, g, ct):
+    """The canonical bracket with every product of its stencil computed,
+    including the fiber derivatives of arguments of fiber degree 0: the
+    reference for `canonical_bracket`, which skips those."""
+    if f.is_zero or g.is_zero:
+        orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
+                  if order is not None]
+        return Series.zero(min(orders) if orders and ct.base.variables else None)
+    f_parity = f.bigrading().parity
+    terms = []
+    for base_var in ct.base.variables:
+        fiber_var = ct.conjugate(base_var)
+        zt = base_var.parity
+        t1 = f.left_derivative(fiber_var) * g.left_derivative(base_var)
+        t2 = f.left_derivative(base_var) * g.left_derivative(fiber_var)
+        if ct.kind == KIND_EVEN:
+            s1 = (zt * f_parity) % 2
+            s2 = (1 + zt + zt * f_parity) % 2
+        else:
+            s1 = ((zt + 1) * f_parity) % 2
+            s2 = (zt * f_parity) % 2
+        terms += [-t1 if s1 else t1, -t2 if s2 else t2]
+    return Series.sum(terms)
 
 
 # -- a sort-based tuple reference for the kernel's product sign ----------------

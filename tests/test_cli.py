@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedkernel.cli import Flags, main, parse_problem, run, run_task
+from gradedkernel.cli import Flags, main, parse_problem, render_json, run, run_task
 from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
@@ -405,6 +406,29 @@ class TestDeterminism:
         document = json.loads(proc.stdout)
         assert document["schema"] == 1
         assert document["summary"]["status"] == "pass"
+
+
+# SHA-256 of the JSON report of `check-jacobi` and `check-weights` on a corpus
+# family at an arity above those the golden files reach, pinned from the
+# Jacobi sums over uncut plans
+HIGH_ARITY_REPORTS = [
+    ("master_sinf", "FH", 5, "397c42f5cc5fc6eeaf91cfbb5a2f58ad18a9c8dee0b75949b2fe0ee123cb0dc3"),
+    ("master_pinf", "FP", 5, "934868c28bc35f2fd9f06ade702df677790b107d5cdc8c73149362f8db8b5b35"),
+    ("lie2_eps0", "F", 5, "f333498f954fdc2d6f8473ac06362eb9cc4ba66c9c8afb506a2adc5530269a54"),
+    ("broken_jacobi", "G", 4, "51685b5902c2e99756cd2119dde40dcd26132dc6a0ea652ed9a2c6e83ab92852"),
+]
+
+
+@pytest.mark.parametrize("stem, family, arity, digest", HIGH_ARITY_REPORTS)
+def test_reports_above_the_golden_arities_keep_their_bytes(stem, family, arity, digest):
+    declarations = [line for line in (CORPUS / f"{stem}.gk").read_text().splitlines()
+                    if not line.startswith("task")]
+    problem = parse_problem("\n".join(declarations) +
+                            f"\ntask check-jacobi {family} arity {arity}"
+                            f"\ntask check-weights {family} arity {arity}\n")
+    results, all_pass = run(problem, Flags())
+    report = render_json(results, all_pass, Flags())
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_rerunning_the_corpus_registers_no_new_variable():

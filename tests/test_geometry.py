@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedkernel.errors import ChartMismatch, GradingMismatch
 from gradedkernel.geometry import (
@@ -13,6 +16,8 @@ from gradedkernel.geometry import (
 )
 from gradedkernel.graded_core import Bigrading, Series
 from gradedkernel.sampling import random_homogeneous
+
+from helpers import full_stencil_bracket
 
 V = Series.variable
 
@@ -213,6 +218,24 @@ def test_bracket_with_zero_keeps_truncation_order():
     assert canonical_bracket(Series.zero(2), g, ct).truncation_order == 1
     assert canonical_bracket(g, Series.zero(0), ct).truncation_order == 0
     assert canonical_bracket(Series.zero(), g, ct).truncation_order is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(builder=st.sampled_from([shifted_cotangent, shifted_anticotangent]),
+       shift=st.integers(-1, 2), seed=st.integers(0, 2 ** 32 - 1),
+       on_base=st.tuples(st.booleans(), st.booleans()),
+       orders=st.tuples(st.none() | st.integers(0, 3), st.none() | st.integers(0, 3)))
+def test_bracket_equals_the_full_stencil(builder, shift, seed, on_base, orders):
+    # 0, 1 or 2 base-function arguments, each of them truncated or exact
+    base = Chart.build([("x", 0, 0), ("y", 0, 1), ("xi", 1, -1)], "M")
+    ct = builder(base, shift)
+    rng = random.Random(seed)
+    f, g = (random_homogeneous(base.variables if base_only else ct.variables, rng, 3)
+            for base_only in on_base)
+    f, g = (s if order is None else s.truncate(order) for s, order in zip((f, g), orders))
+    got, want = canonical_bracket(f, g, ct), full_stencil_bracket(f, g, ct)
+    assert got == want and str(got) == str(want)
+    assert got.truncation_order == want.truncation_order
 
 
 def test_restriction_preserves_bigrading(rng):

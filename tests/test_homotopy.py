@@ -40,7 +40,7 @@ from gradedkernel.homotopy import (
 )
 from gradedkernel.sampling import enumerate_monomials, homogeneous_pool, random_homogeneous
 
-from helpers import vector
+from helpers import full_stencil_bracket, vector
 
 V = Series.variable
 CORPUS = Path(__file__).parent / "corpus"
@@ -586,6 +586,124 @@ class TestJacobiPlans:
             assert 0 < sum(1 for m, _, _ in built if m == n) <= 2 ** n
 
 
+def three_arity_family():
+    """A Hamiltonian family whose master has terms of fiber degree 1, 2 and
+    3, so it has a unary, a binary and a ternary bracket."""
+    master, ct, _ = HAMILTONIAN_CASES[0]
+    x = V(ct.base.variables[0])
+    p, pi = (V(v) for v in ct.fiber)
+    return HamiltonianFamily(x * pi + p * pi + p * p * pi, ct)
+
+
+def not_homological_q_family():
+    """Q = y1 y2 d/dy1 + y1^2 d/dy2, with [Q, Q] != 0."""
+    sig = ShiftSignature(1, 0)
+    basis = SpaceBasis.build([("e1", 0, 0), ("e2", 1, 0)])
+    chart = basis.chart(sig, names=["y1", "y2"])
+    y1, y2 = chart.variables
+    q = VectorField(chart, {y1: V(y1) * V(y2), y2: V(y1) ** 2}, 1, 1)
+    return QFamily(q, basis, sig, require_homological=False)
+
+
+# families and inputs with many nonzero Jacobi sums, so that cutting a term
+# that is not zero changes some sum: truncated Hamiltonian inputs, a field
+# that is not homological and a table that fails Jacobi
+CUT_FAMILIES = {
+    "sinf": JACOBI_FAMILIES["sinf"],
+    "pinf": JACOBI_FAMILIES["pinf"],
+    "sinf-three-arities": three_arity_family,
+    "broken-jacobi": JACOBI_FAMILIES["broken-jacobi"],
+    "q-not-homological": not_homological_q_family,
+}
+
+
+def cut_inputs(fam):
+    """The family's pool, with each Hamiltonian input also truncated at
+    orders 0 and 1, or with two vectors that have every basis vector in
+    them."""
+    pool = [element for _, element, _, _ in fam.pool()]
+    if isinstance(fam, HamiltonianFamily):
+        return pool + [f.truncate(order) for f in pool for order in (0, 1)]
+    return pool + [Series.sum([f * (i + 1) for i, f in enumerate(pool)]),
+                   Series.sum([f * Fraction((-1) ** i, i + 2) for i, f in enumerate(pool)])]
+
+
+class TestArityBounds:
+    """A family's arity bound, and the Jacobi plans cut at it."""
+
+    @pytest.mark.parametrize("name, bound", [
+        ("sinf", 3), ("pinf", 2), ("lie2", 2), ("odd-q", 2), ("broken-jacobi", 2),
+        ("reversed-lie2", 2)])
+    def test_each_family_reads_its_bound_off_its_generator(self, name, bound):
+        assert JACOBI_FAMILIES[name]().arity_bound == bound
+
+    def test_bounds_of_families_with_brackets_of_several_arities(self):
+        assert three_arity_family().arity_bound == 3
+        assert not_homological_q_family().arity_bound == 2
+        sig = ShiftSignature(1, 0)
+        basis = SpaceBasis.build([("e1", 0, 1), ("e2", 1, 0)])
+        u, w = basis.chart(sig).variables
+        q = VectorField(basis.chart(sig), {u: V(w) + V(u) ** 3 * V(w)}, 1, 1)
+        assert QFamily(q, basis, sig, require_homological=False).arity_bound == 4
+        e1 = vector(basis, {0: 1})
+        table = {(): e1, (0, 0, 1, 0, 0): e1, (1, 1, 0, 0, 0, 0): e1}
+        # the key with a repeated odd entry is zero in a symmetric table
+        assert ExplicitFamily(basis, 1, 0, table).arity_bound == 5
+        assert ExplicitFamily(basis, 1, 0, {}).arity_bound == 0
+
+    def test_a_truncated_master_replays_the_full_plan(self):
+        master, ct, _ = HAMILTONIAN_CASES[0]
+        cut, full = HamiltonianFamily(master, ct), HamiltonianFamily(master.truncate(3), ct)
+        assert full.arity_bound is None
+        for fam in (cut, full):
+            check_higher_jacobi(fam, 5)
+        for (n, parities), plan in full._plans.items():
+            assert plan == homotopy.jacobi_plan(n, parities, full.epsilon)
+            assert len(cut._plans[(n, parities)]) < len(plan) or n < 3
+
+    @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_plan_sums_like_the_unshuffle_loop(self, name, data):
+        fam, reference = CUT_FAMILIES[name](), CUT_FAMILIES[name]()
+        pool = cut_inputs(fam)
+        n = data.draw(st.integers(0, 5))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        # every parity pattern: each has its own plan, cut on its own
+        for parities in itertools.product((0, 1), repeat=n):
+            inputs = [(pool[i], parity) for i, parity in zip(picks, parities)]
+            got = jacobiator(fam, inputs, n)
+            want = unshuffle_loop_jacobiator(reference, inputs, n)
+            assert got == want and str(got) == str(want)
+            assert got.truncation_order == want.truncation_order
+
+    def test_an_input_off_the_chart_is_rejected_past_the_bound(self):
+        master, ct, _ = HAMILTONIAN_CASES[0]
+        fam = HamiltonianFamily(master, ct)
+        stray = V(Chart.build([("u", 0, 0)], "N").variables[0])
+        # at arity 6 a fiber degree of 3 leaves no term of the plan
+        with pytest.raises(ChartMismatch, match="not on the chart: u"):
+            jacobiator(fam, [(stray, 0)] * 6, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(HAMILTONIAN_CASES),
+       picks=st.lists(st.integers(0, 6), max_size=4),
+       master_order=st.none() | st.integers(0, 3))
+def test_iterated_bracket_equals_the_full_stencil_fold(case, picks, master_order):
+    master, ct, inputs = case
+    if master_order is not None:
+        master = master.truncate(master_order)
+    args = [inputs[i % len(inputs)] for i in picks]
+    want = master
+    for f in args:
+        want = full_stencil_bracket(want, f, ct)
+    want = restrict_to_base(want, ct)
+    got = iterated_bracket(master, args, ct)
+    assert got == want and str(got) == str(want)
+    assert got.truncation_order == want.truncation_order
+
+
 def test_an_input_equal_to_a_held_one_is_not_held():
     fam = JACOBI_FAMILIES["sinf"]()
     f = fam.pool()[1][1]
@@ -598,14 +716,12 @@ def test_an_input_equal_to_a_held_one_is_not_held():
     assert len(fam._key_by_id) == held
 
 
-@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 248),
-                                                 ("master_pinf", "FP", 167)])
-def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, stem,
-                                                                 family, count):
+def canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, arity):
+    """The canonical brackets that ``check-jacobi`` makes on a corpus family."""
     declarations = [line for line in (CORPUS / f"{stem}.gk").read_text().splitlines()
                     if not line.startswith("task")]
     problem = parse_problem("\n".join(declarations) +
-                            f"\ntask check-jacobi {family} arity 3\n")
+                            f"\ntask check-jacobi {family} arity {arity}\n")
     made = []
     canonical_bracket = homotopy.canonical_bracket
 
@@ -616,7 +732,23 @@ def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, st
     monkeypatch.setattr(homotopy, "canonical_bracket", counted)
     results, all_pass = run(problem, Flags())
     assert all_pass and len(results) == 1
-    assert len(made) == count
+    return made
+
+
+# FP made 167 before its plans were cut at its master's fiber degree, 2; FH's
+# fiber degree, 3, cuts nothing at arity 3
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 248),
+                                                 ("master_pinf", "FP", 42)])
+def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, stem,
+                                                                 family, count):
+    assert len(canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, 3)) == count
+
+
+def test_an_arity_5_jacobi_check_brackets_few_zero_prefixes(monkeypatch):
+    # 6,428 brackets, 3,885 of them from a zero prefix, before the cut
+    made = canonical_brackets_of_a_jacobi_check(monkeypatch, "master_sinf", "FH", 5)
+    assert len(made) == 1178
+    assert sum(f.is_zero for f, _ in made) == 15
 
 
 class TestMasterVectorField:
