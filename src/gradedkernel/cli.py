@@ -83,13 +83,13 @@ class ProblemFile:
     thicks: Dict[str, ThickMorphism] = field(default_factory=dict)
     tasks: List[Task] = field(default_factory=list)
 
-    def all_names(self):
-        for group in (self.charts, self.cotangents, self.functions,
-                      self.fields, self.spaces, self.families, self.thicks):
-            yield from group
+    def declares(self, name: str) -> bool:
+        return any(name in group for group in (
+            self.charts, self.cotangents, self.functions,
+            self.fields, self.spaces, self.families, self.thicks))
 
     def check_fresh(self, name: str, line: int) -> None:
-        if name in set(self.all_names()):
+        if self.declares(name):
             raise ProblemSyntaxError(f"name {name!r} already declared", line)
 
 
@@ -191,11 +191,12 @@ class _Lines:
         """(name, parity, weight) of each `<word> <name> <even|odd> <weight>`
         line of the block ``what`` opened at ``line``."""
         specs: List[Tuple[str, int, int]] = []
+        seen = set()
         for number, _, words in self.block(what, line):
             _require(len(words) == 4 and words[0] == word,
                      f"usage: {word} <name> <even|odd> <weight>", number)
-            _require(all(words[1] != spec[0] for spec in specs),
-                     f"duplicate {word} name {words[1]!r}", number)
+            _require(words[1] not in seen, f"duplicate {word} name {words[1]!r}", number)
+            seen.add(words[1])
             specs.append((words[1], _parse_parity(words[2], number),
                           _parse_int(words[3], number)))
         return specs
@@ -447,7 +448,7 @@ def _resolve(problem: ProblemFile, kind: str, name: str, line: int):
     if kind == "master" and name in problem.fields:
         return (problem.fields[name],)
     value = getattr(problem, group).get(name)
-    if value is None and name not in set(problem.all_names()):
+    if value is None and not problem.declares(name):
         raise UnknownNameError(f"unknown name {name!r}", line)
     if (value is None
             or kind == "fromhamiltonian" and not isinstance(value, HamiltonianFamily)

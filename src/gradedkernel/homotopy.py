@@ -2,8 +2,9 @@
 
 A bracket family can come from three sources:
 
-* ``QFamily`` - nested commutators of a homological vector field with
-  constant fields, evaluated at the origin;
+* ``QFamily`` - the table of a homological vector field's Taylor
+  coefficients: nested commutators of each term with constant fields,
+  evaluated at the origin;
 * ``HamiltonianFamily`` - iterated canonical brackets with a master
   (anti)Hamiltonian, restricted to the base;
 * ``ExplicitFamily`` - a table of structure constants, stored graded
@@ -46,6 +47,7 @@ since the master equation itself is meaningful either way.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,6 +183,33 @@ def _invert_constant_field(field_constants: Mapping[GradedVariable, Fraction],
                         for var, c in field_constants.items())
 
 
+def _constant_fields(chart: Chart, basis: SpaceBasis, sig: ShiftSignature) -> List[VectorField]:
+    """The constant field of every basis vector, by index, on ``chart``."""
+    if not isinstance(chart, Chart):
+        raise ChartMismatch("a generating field must live on a plain chart")
+    if len(chart.variables) != len(basis):
+        raise ChartMismatch("chart and basis dimensions differ")
+    # each constant field checks its coordinate's bigrading
+    return [constant_field(u, chart, sig, basis) for u in basis]
+
+
+def _monomial_key(monomial) -> Tuple[int, ...]:
+    """A monomial's coordinate indices, sorted with multiplicity."""
+    return tuple(sorted(var.index for var, exponent in monomial for _ in range(exponent)))
+
+
+def _derived_at_origin(field: VectorField, constant_fields: Sequence[VectorField],
+                       basis: SpaceBasis, sig: ShiftSignature, indices: Sequence[int]) -> Series:
+    """The derived bracket of ``field`` on the basis vectors at ``indices``:
+    nested commutators with their constant fields, at the origin, inverted."""
+    for index in indices:
+        field = commutator(field, constant_fields[index])
+    vector = _invert_constant_field(field.constant_part(), sig, basis)
+    if sig.epsilon == 0 and _reversion_sign_odd([basis[i].parity for i in indices]):
+        vector = -vector
+    return vector
+
+
 def derived_bracket_H(master: Series, inputs: Sequence[Series],
                       ct: CotangentChart) -> Series:
     """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
@@ -208,12 +237,6 @@ class BracketFamily:
     evaluated by ``bracket``.  The pool is built once, so every check on a
     family passes the same objects.
 
-    A family built from a generator (a vector field or a master) evaluates a
-    bracket as a chain of steps from the generator, one per input.  ``_chain``
-    keeps the value after every prefix it has walked, keyed by the tuple of
-    the step keys so far, so a new chain costs one step per input past its
-    longest cached prefix; the Jacobi sums repeat prefixes across unshuffles.
-    Such a family sets ``_prefixes = {(): generator}`` and defines ``_step``.
     The Jacobi plans (`jacobi_plan`) are kept per family too, by arity and
     parity pattern.
 
@@ -223,7 +246,6 @@ class BracketFamily:
     arity above it, since they add nothing to the sum.
     """
 
-    _prefixes: Dict[Tuple[int, ...], object]
     arity_bound: Optional[int] = None
 
     def __init__(self, epsilon: int, k: int):
@@ -329,114 +351,18 @@ class BracketFamily:
             return Series.sum(added)
         return Series.sum(added) - Series.sum(subtracted)
 
-    def _chain(self, keys: Tuple[int, ...]):
-        prefixes = self._prefixes
-        value = prefixes.get(keys)
-        if value is not None:
-            return value
-        done = len(keys) - 1
-        while (value := prefixes.get(keys[:done])) is None:
-            done -= 1
-        for i in range(done, len(keys)):
-            value = self._step(value, keys[i])
-            prefixes[keys[:i + 1]] = value
-        return value
-
-
-class _BasisFamily(BracketFamily):
-    """Shared machinery for families whose inputs are vectors of a space.
-
-    An input is interned as its coordinates (`SpaceBasis.coordinates`), read
-    once and checked to be linear in the basis, and a bracket expands its
-    inputs' coordinates multilinearly over ``bracket_indices``.
-    """
-
-    basis: SpaceBasis
-
-    def _interned(self, element: Series) -> Tuple[Tuple[int, Fraction], ...]:
-        return self.basis.coordinates(element)
-
-    def _evaluate(self, keys: Tuple[int, ...]) -> Series:
-        terms = []
-        for indices, coeff in _expand_multilinear([self._interned_as[k] for k in keys]):
-            value = self.bracket_indices(indices)
-            if not value.is_zero:
-                terms.append(value * coeff)
-        return Series.sum(terms)
-
-    def bracket_indices(self, indices: Tuple[int, ...]) -> Series:
-        raise NotImplementedError
-
-    def _new_pool(self):
-        return [(v.name, Series.variable(v), v.parity, v.weight) for v in self.basis]
-
-    def format_value(self, value: Series) -> str:
-        """A vector as ``e1 - 4*e2 + 1/2*e3``, by basis index, with no spaces
-        around ``*`` as `format_series` has; the golden reports pin this form
-        (``tests/golden/broken_jacobi.json``)."""
-        chunks = []
-        for index, coeff in self.basis.coordinates(value):
-            name = self.basis[index].name
-            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-            if chunks:
-                chunks.append(("+ " if coeff > 0 else "- ") + body)
-            else:
-                chunks.append(body if coeff > 0 else f"-{body}")
-        return " ".join(chunks) or "0"
-
-
-def _expand_multilinear(args: Sequence[Sequence[Tuple[int, Fraction]]]
-                        ) -> Iterable[Tuple[Tuple[int, ...], Fraction]]:
-    """(indices, coefficient) of every product of one coordinate per input."""
-    if not args:
-        yield (), Fraction(1)
-        return
-    for rest_indices, rest_coeff in _expand_multilinear(args[1:]):
-        for index, coeff in args[0]:
-            yield (index,) + rest_indices, coeff * rest_coeff
-
-
-class QFamily(_BasisFamily):
-    """Brackets generated by a vector field on Pi^{1+eps} V[1-k]."""
-
-    def __init__(self, q: VectorField, basis: SpaceBasis, sig: ShiftSignature,
-                 require_homological: bool = True):
-        chart = q.chart
-        if not isinstance(chart, Chart):
-            raise ChartMismatch("a generating field must live on a plain chart")
-        if len(chart.variables) != len(basis):
-            raise ChartMismatch("chart and basis dimensions differ")
-        # each constant field checks its coordinate's bigrading
-        self._constant_fields = [constant_field(u, chart, sig, basis) for u in basis]
-        if require_homological and not is_homological(q):
-            raise NotHomological("generating field must be odd with [Q,Q] = 0")
-        super().__init__(sig.epsilon, sig.k)
-        self.q = q
-        self.basis = basis
-        self._prefixes = {(): q}
-        # a step is a derivative of every component, which lowers its
-        # polynomial degree by one, and a bracket is read at the origin
-        self.arity_bound = max((sum(exponent for _, exponent in monomial)
-                                for component in q.components.values()
-                                for monomial, _ in component.items()), default=0)
-
-    def _step(self, field: VectorField, index: int) -> VectorField:
-        return commutator(field, self._constant_fields[index])
-
-    def bracket_indices(self, indices: Tuple[int, ...]) -> Series:
-        """Nested commutators of Q with constant fields, at the origin, inverted."""
-        field = self._chain(tuple(indices))
-        vector = _invert_constant_field(field.constant_part(), self.signature, self.basis)
-        if self.epsilon == 0 and _reversion_sign_odd([self.basis[i].parity for i in indices]):
-            vector = -vector
-        return vector
-
 
 class HamiltonianFamily(BracketFamily):
     """Brackets of base functions generated by a master (anti)Hamiltonian.
 
     epsilon is structural: 1 for the even cotangent bundle (S-infinity), 0
     for the odd one (P-infinity); k is read off the chart shift (s = 1-k).
+
+    A bracket is a chain of canonical brackets from the master, one step per
+    input.  ``_chain`` keeps the value after every prefix it has walked, keyed
+    by the tuple of the input keys so far, so a new chain costs one step per
+    input past its longest cached prefix; the Jacobi sums repeat prefixes
+    across unshuffles.
     """
 
     def __init__(self, master: Series, ct: CotangentChart,
@@ -446,7 +372,7 @@ class HamiltonianFamily(BracketFamily):
         self.ct = ct
         self._pool_seed = pool_seed
         self._pool_size = pool_size
-        self._prefixes = {(): master}
+        self._prefixes: Dict[Tuple[int, ...], Series] = {(): master}
         # a step with a base function lowers the fiber degree by one; the
         # terms a truncated master is missing could have any fiber degree
         if master.truncation_order is None:
@@ -462,8 +388,18 @@ class HamiltonianFamily(BracketFamily):
         # depends on, so equal series share a key only at equal orders
         return f, f.truncation_order
 
-    def _step(self, current: Series, key: int) -> Series:
-        return canonical_bracket(current, self._inputs[key], self.ct)
+    def _chain(self, keys: Tuple[int, ...]) -> Series:
+        prefixes = self._prefixes
+        value = prefixes.get(keys)
+        if value is not None:
+            return value
+        done = len(keys) - 1
+        while (value := prefixes.get(keys[:done])) is None:
+            done -= 1
+        for i in range(done, len(keys)):
+            value = canonical_bracket(value, self._inputs[keys[i]], self.ct)
+            prefixes[keys[:i + 1]] = value
+        return value
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
         """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
@@ -476,12 +412,15 @@ class HamiltonianFamily(BracketFamily):
                 for i, s in enumerate(samples)]
 
 
-class ExplicitFamily(_BasisFamily):
+class ExplicitFamily(BracketFamily):
     """Structure-constant tables, graded (anti)symmetrized on load.
 
     ``entries`` maps index tuples to vectors of ``basis``; permuted duplicates
     are folded into the canonically sorted slot, and ``load_warnings``
     records every slot whose stored value differs from some provided one.
+
+    An input is interned as its coordinates (`SpaceBasis.coordinates`), and
+    a bracket expands them multilinearly over ``bracket_indices``.
     """
 
     def __init__(self, basis: SpaceBasis, epsilon: int, k: int,
@@ -540,6 +479,59 @@ class ExplicitFamily(_BasisFamily):
         if value is None:
             return Series.zero()
         return value * sign
+
+    def _interned(self, element: Series) -> Tuple[Tuple[int, Fraction], ...]:
+        return self.basis.coordinates(element)
+
+    def _evaluate(self, keys: Tuple[int, ...]) -> Series:
+        terms = []
+        # one term per choice of one coordinate of each input
+        for picks in itertools.product(*[self._interned_as[key] for key in keys]):
+            value = self.bracket_indices(tuple([index for index, _ in picks]))
+            if not value.is_zero:
+                terms.append(value * math.prod([coeff for _, coeff in picks]))
+        return Series.sum(terms)
+
+    def _new_pool(self):
+        return [(v.name, Series.variable(v), v.parity, v.weight) for v in self.basis]
+
+    def format_value(self, value: Series) -> str:
+        """A vector as ``e1 - 4*e2 + 1/2*e3``, by basis index, with no spaces
+        around ``*`` as `format_series` has; the golden reports pin this form
+        (``tests/golden/broken_jacobi.json``)."""
+        chunks = []
+        for index, coeff in self.basis.coordinates(value):
+            name = self.basis[index].name
+            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+            if chunks:
+                chunks.append(("+ " if coeff > 0 else "- ") + body)
+            else:
+                chunks.append(body if coeff > 0 else f"-{body}")
+        return " ".join(chunks) or "0"
+
+
+class QFamily(ExplicitFamily):
+    """Brackets generated by a vector field on Pi^{1+eps} V[1-k].
+
+    The table is exact because a Taylor term c m d/dx of Q has one nonzero
+    derived bracket at the origin, at the key of m's coordinate indices
+    sorted with multiplicity (`_derived_at_origin`)."""
+
+    def __init__(self, q: VectorField, basis: SpaceBasis, sig: ShiftSignature,
+                 require_homological: bool = True):
+        constant_fields = _constant_fields(q.chart, basis, sig)
+        if require_homological and not is_homological(q):
+            raise NotHomological("generating field must be odd with [Q,Q] = 0")
+        entries: Dict[Tuple[int, ...], List[Series]] = {}
+        for var, component in q.components.items():
+            for monomial, coeff in component.items():
+                term = VectorField(q.chart, {var: Series({monomial: coeff})}, q.parity, q.weight)
+                key = _monomial_key(monomial)
+                entries.setdefault(key, []).append(
+                    _derived_at_origin(term, constant_fields, basis, sig, key))
+        super().__init__(basis, sig.epsilon, sig.k,
+                         {key: Series.sum(values) for key, values in entries.items()})
+        self.q = q
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +753,7 @@ def check_master(obj: Union[VectorField, Series],
 # parity reversion transport
 # ---------------------------------------------------------------------------
 
-def parity_reverse_brackets(fam: _BasisFamily,
+def parity_reverse_brackets(fam: ExplicitFamily,
                             arity_max: int = DEFAULT_ARITY) -> ExplicitFamily:
     """Transport a family across the parity reversion.
 
@@ -775,19 +767,16 @@ def parity_reverse_brackets(fam: _BasisFamily,
     """
     new_basis = fam.basis.parity_reversed()
     new_epsilon = 1 - fam.epsilon
+    # parities of the epsilon=0-side elements drive the sign
+    side = fam.basis if fam.epsilon == 0 else new_basis
     entries: Dict[Tuple[int, ...], Series] = {}
-    dim = len(fam.basis)
-    for n in range(arity_max + 1):
-        for key in itertools.combinations_with_replacement(range(dim), n):
-            value = fam.bracket_indices(key)
-            if value.is_zero:
-                continue
-            # parities of the epsilon=0-side elements drive the sign
-            side = fam.basis if fam.epsilon == 0 else new_basis
-            transported = new_basis.vector(fam.basis.coordinates(value))
-            if _reversion_sign_odd([side[i].parity for i in key]):
-                transported = -transported
-            entries[key] = transported
+    for key, value in fam.table.items():
+        if len(key) > arity_max:
+            continue
+        transported = new_basis.vector(fam.basis.coordinates(value))
+        if _reversion_sign_odd([side[i].parity for i in key]):
+            transported = -transported
+        entries[key] = transported
     return ExplicitFamily(new_basis, new_epsilon, fam.k, entries)
 
 
@@ -808,6 +797,7 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
     sig = fam.signature
     if chart is None:
         chart = fam.basis.chart(sig)
+    constant_fields = _constant_fields(chart, fam.basis, sig)
     # the table's nonzero entries, (key, basis index) -> coefficient
     wanted = {(key, index): coeff for key, value in fam.table.items() if len(key) <= n_max
               for index, coeff in fam.basis.coordinates(value)}
@@ -817,13 +807,13 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
         for monomial in enumerate_monomials(chart.variables, n_max):
             if monomial_bigrading(monomial) != target:
                 continue
-            key = tuple(sorted(v.index for v, e in monomial for _ in range(e)))
+            key = _monomial_key(monomial)
             coeff = wanted.pop((key, var.index), None)
             if coeff is None:
                 continue
-            probe = QFamily(VectorField(chart, {var: Series({monomial: Fraction(1)})}, 1, 1),
-                            fam.basis, sig, require_homological=False)
-            unit = probe.bracket_indices(key).coefficient(((fam.basis[var.index], 1),))
+            term = VectorField(chart, {var: Series({monomial: Fraction(1)})}, 1, 1)
+            unit = _derived_at_origin(term, constant_fields, fam.basis, sig, key).coefficient(
+                ((fam.basis[var.index], 1),))
             components.setdefault(var, []).append(Series({monomial: coeff / unit}))
     if wanted:
         n = min(len(key) for key, _ in wanted)

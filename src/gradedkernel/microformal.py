@@ -37,7 +37,7 @@ insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
 from .geometry import Chart, CotangentChart, KIND_EVEN, check_uses_only, conjugate_variables
@@ -264,19 +264,28 @@ def pullback_expansion_oracle(phi: ThickMorphism, g: Series,
     return result
 
 
-def _hj_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
-              h2: Series, ct2: CotangentChart) -> Tuple[Series, Series]:
-    source_bindings = {
-        ct1.conjugate(x_var): phi.S.left_derivative(x_var)
-        for x_var in phi.source.variables}
-    lhs = h1.substitute(source_bindings)
+def _master_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
+                  h2: Series, ct2: CotangentChart, generator: Series,
+                  y_values: Mapping[GradedVariable, Series],
+                  q_values: Mapping[GradedVariable, Series]) -> Tuple[Series, Series]:
+    """H1(x, d(generator)/dx) and H2(y, q): H1's momenta bound to the
+    generator's x-derivatives, and each target coordinate y of H2 bound to
+    ``y_values[y]`` and its momentum to ``q_values`` at ``phi.momentum(y)``."""
+    lhs = h1.substitute({ct1.conjugate(x_var): generator.left_derivative(x_var)
+                         for x_var in phi.source.variables})
     target_bindings: Dict[GradedVariable, Series] = {}
     for y_var in phi.target.variables:
-        sign = -1 if y_var.parity else 1
-        target_bindings[y_var] = sign * phi.S.left_derivative(phi.momentum(y_var))
-        target_bindings[ct2.conjugate(y_var)] = Series.variable(phi.momentum(y_var))
-    rhs = h2.substitute(target_bindings)
-    return lhs, rhs
+        target_bindings[y_var] = y_values[y_var]
+        target_bindings[ct2.conjugate(y_var)] = q_values[phi.momentum(y_var)]
+    return lhs, h2.substitute(target_bindings)
+
+
+def _hj_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
+              h2: Series, ct2: CotangentChart) -> Tuple[Series, Series]:
+    y_values = {y_var: (-1 if y_var.parity else 1) * phi.S.left_derivative(phi.momentum(y_var))
+                for y_var in phi.target.variables}
+    q_values = {q_var: Series.variable(q_var) for q_var in map(phi.momentum, phi.target.variables)}
+    return _master_sides(phi, h1, ct1, h2, ct2, phi.S, y_values, q_values)
 
 
 def _check_hj_setup(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
@@ -336,14 +345,7 @@ def check_intertwining(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
     if residual_order is None:
         residual_order = max(order - 1, 0)
     f_t, y_t, q_t, iterations = _pullback_graded(phi, g, order)
-    lhs = h1.substitute({
-        ct1.conjugate(x_var): f_t.left_derivative(x_var)
-        for x_var in phi.source.variables})
-    target_bindings: Dict[GradedVariable, Series] = {}
-    for y_var in phi.target.variables:
-        target_bindings[y_var] = y_t[y_var]
-        target_bindings[ct2.conjugate(y_var)] = q_t[phi.momentum(y_var)]
-    rhs = h2.substitute(target_bindings)
+    lhs, rhs = _master_sides(phi, h1, ct1, h2, ct2, f_t, y_t, q_t)
     residual = (lhs - rhs).truncate(residual_order)
     report = Report(f"intertwining residual (s = {phi.shift}, k = {k}, "
                     f"insertion order {residual_order})")

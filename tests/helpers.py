@@ -7,8 +7,9 @@ file, so every test file collects on its own.
 from fractions import Fraction
 from typing import NamedTuple
 
-from gradedkernel.geometry import KIND_EVEN, Chart
+from gradedkernel.geometry import KIND_EVEN, Chart, commutator
 from gradedkernel.graded_core import Series
+from gradedkernel.homotopy import constant_field
 from gradedkernel.microformal import ThickMorphism, conjugate_momenta
 
 V = Series.variable
@@ -44,6 +45,25 @@ def full_stencil_bracket(f, g, ct):
             s2 = (zt * f_parity) % 2
         terms += [-t1 if s1 else t1, -t2 if s2 else t2]
     return Series.sum(terms)
+
+
+def commutator_chain_bracket(q, basis, sig, indices):
+    """The derived bracket of ``q`` on the basis vectors at ``indices``: the
+    whole field commuted with one constant field per input, in the given
+    order, read at the origin, inverted and signed by the parity reversion.
+    The reference for a Q family, which brackets each Taylor term once, at
+    its sorted key, and gets every other order by graded symmetry."""
+    field = q
+    for i in indices:
+        field = commutator(field, constant_field(basis[i], q.chart, sig, basis))
+    n = len(indices)
+    reversion = sum(basis[i].parity * (n - 1 - j) for j, i in enumerate(indices)) % 2
+    sign = -1 if sig.epsilon == 0 and reversion else 1
+    coeffs = {}
+    for var, c in field.constant_part().items():
+        flip = sig.epsilon == 0 and basis[var.index].parity
+        coeffs[var.index] = -sign * c if flip else sign * c
+    return vector(basis, coeffs)
 
 
 # -- a sort-based tuple reference for the kernel's product sign ----------------

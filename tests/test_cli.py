@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,23 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "gradedkernel.cli", *args],
         capture_output=True, text=True)
+
+
+def best_parse_time(text, repeats):
+    """The fastest of ``repeats`` parses of ``text``, with the cyclic garbage
+    collector off, so that its passes over the live objects add no time that
+    grows faster than the text."""
+    gc.collect()
+    gc.disable()
+    try:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            parse_problem(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+    finally:
+        gc.enable()
 
 
 class TestParse:
@@ -70,6 +89,17 @@ class TestParse:
         for stem in CORPUS_FILES:
             problem = parse_problem((CORPUS / f"{stem}.gk").read_text())
             assert problem.tasks
+
+    @pytest.mark.parametrize("text", [
+        lambda n: "manifold M\n  var x even 0\nend\n" + "".join(
+            f"function f{i} on M parity even weight 0 = x\n" for i in range(n)),
+        lambda n: "manifold M\n" + "".join(f"  var v{i} even 0\n" for i in range(n)) + "end\n",
+    ], ids=["function-lines", "var-lines"])
+    def test_many_declarations_parse_in_linear_time(self, text):
+        # four times the lines take about 4 times as long to parse when each
+        # name is checked against the earlier ones by lookup, and about 16
+        # times as long when by a scan of them
+        assert best_parse_time(text(8000), 3) / best_parse_time(text(2000), 5) < 8
 
 
 class TestExitCodes:

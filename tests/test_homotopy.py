@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from gradedkernel.homotopy import (
 )
 from gradedkernel.sampling import enumerate_monomials, homogeneous_pool, random_homogeneous
 
-from helpers import full_stencil_bracket, vector
+from helpers import commutator_chain_bracket, full_stencil_bracket, vector
 
 V = Series.variable
 CORPUS = Path(__file__).parent / "corpus"
@@ -844,11 +845,25 @@ class TestAssembly:
                              {(0, 1): vector(basis, {1: 2}), (0, 2): vector(basis, {2: -2}),
                               (1, 2): vector(basis, {0: 1})})
         calls = []
-        original = QFamily.bracket_indices
-        monkeypatch.setattr(QFamily, "bracket_indices",
-                            lambda fam, key: calls.append(key) or original(fam, key))
+        original = homotopy._derived_at_origin
+        monkeypatch.setattr(homotopy, "_derived_at_origin",
+                            lambda *args: calls.append(args[-1]) or original(*args))
         q = assemble_vector_field(sl2, 3)
         assert len(calls) == sum(len(c.items()) for c in q.components.values()) == 3
+
+    @pytest.mark.parametrize("make", [lambda: lie2_family()[0], not_homological_q_family],
+                             ids=["lie2", "not-homological"])
+    def test_a_q_family_brackets_each_taylor_term_once(self, monkeypatch, make):
+        calls = []
+        original = homotopy._derived_at_origin
+        monkeypatch.setattr(homotopy, "_derived_at_origin",
+                            lambda *args: calls.append(args[-1]) or original(*args))
+        fam = make()
+        terms = [monomial for c in fam.q.components.values() for monomial, _ in c.items()]
+        assert len(calls) == len(terms)
+        assert sorted(calls) == sorted(homotopy._monomial_key(m) for m in terms)
+        check_higher_jacobi(fam, 4)
+        assert len(calls) == len(terms)
 
     @pytest.mark.parametrize("n_max, key, coeff", [(1, (0,), Fraction(-1, 2)), (0, (), 3)],
                              ids=["arity-1", "arity-0"])
@@ -885,6 +900,48 @@ class TestAssembly:
         fam = ExplicitFamily(basis, epsilon, k, table)
         assert not fam.load_warnings
         assert assemble_vector_field(fam, n_max, chart) == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), epsilon=st.integers(0, 1),
+       k=st.integers(0, 2), degree=st.integers(0, 3))
+def test_a_q_table_brackets_like_the_commutator_chain(data, dim, epsilon, k, degree):
+    """Every tuple to arity 4, in every order and past the field's degree,
+    and brackets of dense vectors, on fields homological or not.
+
+    With random weights an odd weight-1 field seldom has a term of degree 2
+    or more, so the field takes the grading of one drawn term and has every
+    term of that grading up to the degree."""
+    basis = SpaceBasis.build([(f"e{i + 1}", data.draw(st.integers(0, 1)),
+                               data.draw(st.integers(-2, 2))) for i in range(dim)])
+    sig = ShiftSignature(epsilon, k)
+    chart = basis.chart(sig)
+    monomials = enumerate_monomials(chart.variables, degree)
+    anchor = monomial_bigrading(data.draw(st.sampled_from(monomials)))
+    along = data.draw(st.sampled_from(chart.variables))
+    parity, weight = (anchor.parity - along.parity) % 2, anchor.weight - along.weight
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    components = {}
+    for var in chart:
+        target = Bigrading((var.parity + parity) % 2, var.weight + weight)
+        components[var] = Series.sum([Series({m: data.draw(coefficients)})
+                                      for m in monomials if monomial_bigrading(m) == target])
+    q = VectorField(chart, components, parity, weight)
+    fam = QFamily(q, basis, sig, require_homological=False)
+    want = {}
+    for n in range(5):
+        for indices in itertools.product(range(dim), repeat=n):
+            want[indices] = commutator_chain_bracket(q, basis, sig, indices)
+            got = fam.bracket_indices(indices)
+            assert got == want[indices] and str(got) == str(want[indices])
+    dense = [{i: data.draw(coefficients) for i in range(dim)} for _ in range(2)]
+    for n in range(4):
+        for picks in itertools.product(dense, repeat=n):
+            expected = Series.sum([
+                want[indices] * math.prod(c[i] for c, i in zip(picks, indices))
+                for indices in itertools.product(range(dim), repeat=n)])
+            got = fam.bracket([vector(basis, c) for c in picks])
+            assert got == expected and fam.format_value(got) == fam.format_value(expected)
 
 
 class TestSymmetryGate:
