@@ -11,7 +11,6 @@ input, flags and seed give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ from .microformal import (
     validate_thick,
 )
 from .oracle import identity_check
-from .report import Report
+from .report import Report, json_list
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240801
@@ -566,6 +565,8 @@ def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
     sig = fam.signature
     count = 0
     for picked, labels in pool_tuples(pool, arity):
+        if fam.vanishes(len(picked)):
+            break  # the tuples come by arity, so every later one vanishes too
         value = fam.bracket([element for _, element, _, _ in picked])
         if value.is_zero:
             continue
@@ -598,25 +599,18 @@ def run(problem: ProblemFile, flags: Flags) -> Tuple[List[Tuple[Task, Report]], 
 
 
 def render_json(results, all_pass: bool, flags: Flags) -> str:
-    document = {
-        "schema": SCHEMA_VERSION,
-        "flags": {
-            "arity": flags.arity,
-            "order": flags.order,
-            "oracle_seed": flags.oracle_seed,
-        },
-        "tasks": [
-            {"task": str(task), "line": task.line, **report.to_json_obj()}
-            for task, report in results
-        ],
-        "summary": {
-            "status": "pass" if all_pass else "fail",
-            "tasks": len(results),
-            "passed_entries": sum(r.counts["pass"] for _, r in results),
-            "failed_entries": sum(r.counts["fail"] for _, r in results),
-        },
-    }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The JSON report: its envelope around `Report.to_json`'s task items."""
+    passed = sum(r.counts["pass"] for _, r in results)
+    failed = sum(r.counts["fail"] for _, r in results)
+    tasks = json_list([report.to_json(str(task), task.line) for task, report in results], 2)
+    return (f'{{\n  "flags": {{\n    "arity": {flags.arity:d},\n'
+            f'    "oracle_seed": {flags.oracle_seed:d},\n    "order": {flags.order:d}\n  }},\n'
+            f'  "schema": {SCHEMA_VERSION:d},\n'
+            f'  "summary": {{\n    "failed_entries": {failed:d},\n'
+            f'    "passed_entries": {passed:d},\n'
+            f'    "status": "{"pass" if all_pass else "fail"}",\n'
+            f'    "tasks": {len(results):d}\n  }},\n'
+            f'  "tasks": {tasks}\n}}\n')
 
 
 def render_text(results, all_pass: bool, quiet: bool) -> str:

@@ -242,8 +242,9 @@ class BracketFamily:
 
     ``arity_bound`` is an arity above which every bracket of the family is
     zero, read off its generator or table, or None where the family states
-    none.  A plan leaves out the terms whose inner or outer bracket has
-    arity above it, since they add nothing to the sum.
+    none; `vanishes` reads it.  A plan leaves out the terms whose inner or
+    outer bracket vanishes so, since they add nothing to the sum, and the
+    checks take such a bracket as zero without evaluating it.
     """
 
     arity_bound: Optional[int] = None
@@ -269,6 +270,10 @@ class BracketFamily:
         if value is None:
             value = self._values[keys] = self._evaluate(keys)
         return value
+
+    def vanishes(self, n: int) -> bool:
+        """Whether every bracket of arity ``n`` is zero by ``arity_bound``."""
+        return self.arity_bound is not None and n > self.arity_bound
 
     def pool(self) -> List[Tuple[str, Series, int, int]]:
         """Labeled homogeneous inputs as (label, element, parity, weight)."""
@@ -318,13 +323,11 @@ class BracketFamily:
             blocks[mask] = blocks[mask ^ (1 << top)] + (keys[top],)
         plan = self._plans.get((n, parities))
         if plan is None:
-            plan = jacobi_plan(n, parities, self.epsilon)
-            bound = self.arity_bound
-            if bound is not None:
-                # a term's inner bracket has arity |first|, its outer 1 + |second|
-                plan = tuple([term for term in plan
-                              if term[0].bit_count() <= bound and term[1].bit_count() < bound])
-            self._plans[(n, parities)] = plan
+            # a term's inner bracket has arity |first|, its outer 1 + |second|
+            plan = self._plans[(n, parities)] = tuple([
+                term for term in jacobi_plan(n, parities, self.epsilon)
+                if not self.vanishes(term[0].bit_count())
+                and not self.vanishes(1 + term[1].bit_count())])
         values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
         added: List[Series] = []
         subtracted: List[Series] = []
@@ -582,7 +585,7 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
     sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
     depends only on n, the inputs' parities and epsilon.  This is the full
     plan; `BracketFamily.jacobi_sum` drops from it the terms with a bracket
-    above the family's ``arity_bound``.
+    that the family's ``arity_bound`` makes vanish.
     """
     plan = []
     for r in range(n + 1):
@@ -641,9 +644,9 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
                     f"(eps={sig.epsilon}, k={sig.k})")
     for picked, labels in pool_tuples(fam.pool(), n_max):
         n = len(picked)
-        value = fam.bracket([element for _, element, _, _ in picked])
         location = f"n={n} ({labels})" if n else "n=0"
-        if value.is_zero:
+        value = None if fam.vanishes(n) else fam.bracket([e for _, e, _, _ in picked])
+        if value is None or value.is_zero:
             report.ok("weight-parity", location=location, notes="bracket vanishes")
             continue
         want = Bigrading(

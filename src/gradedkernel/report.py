@@ -1,8 +1,16 @@
-"""Structured pass/fail reports shared by the checkers and the CLI."""
+"""Structured pass/fail reports shared by the checkers and the CLI.
+
+The JSON report (`cli.render_json`) has a fixed schema, so each object is
+written directly, as ``json.dumps(..., sort_keys=True, indent=2)`` writes it:
+keys sorted, two-space indents, ``[]`` for an empty list and every string
+quoted with ASCII escapes.  Every field is a ``str`` and every count an
+``int``; no JSON type is guessed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as json_string
 from typing import List
 
 PASS = "pass"
@@ -20,13 +28,16 @@ class ReportEntry:
     residual: str = ""
     notes: str = ""
 
-    def to_json_obj(self) -> dict:
-        obj = {"check": self.check_id, "status": self.status}
-        for key in ("location", "expected", "actual", "residual", "notes"):
-            value = getattr(self, key)
-            if value:
-                obj[key] = value
-        return obj
+    def to_json(self) -> str:
+        """This entry as an item of a task's ``entries`` list, its empty
+        fields but ``check`` and ``status`` left out."""
+        fields = "".join(
+            f'\n          "{key}": {json_string(value)},'
+            for key, value in (("actual", self.actual), ("check", self.check_id),
+                               ("expected", self.expected), ("location", self.location),
+                               ("notes", self.notes), ("residual", self.residual))
+            if value or key == "check")
+        return f'        {{{fields}\n          "status": {json_string(self.status)}\n        }}'
 
     def to_text(self) -> str:
         tag = {PASS: "PASS", FAIL: "FAIL", INFO: "info"}[self.status]
@@ -78,15 +89,15 @@ class Report:
     def failures(self) -> List[ReportEntry]:
         return [e for e in self.entries if e.status == FAIL]
 
-    def to_json_obj(self) -> dict:
+    def to_json(self, task: str, line: int) -> str:
+        """This report as an item of the ``tasks`` list, for ``task`` at ``line``."""
         counts = self.counts
-        return {
-            "title": self.title,
-            "status": PASS if self.passed else FAIL,
-            "entries": [e.to_json_obj() for e in self.entries],
-            "passed": counts[PASS],
-            "failed": counts[FAIL],
-        }
+        return (f'    {{\n      "entries": {json_list([e.to_json() for e in self.entries], 6)},\n'
+                f'      "failed": {counts[FAIL]:d},\n      "line": {line:d},\n'
+                f'      "passed": {counts[PASS]:d},\n'
+                f'      "status": "{FAIL if counts[FAIL] else PASS}",\n'
+                f'      "task": {json_string(task)},\n'
+                f'      "title": {json_string(self.title)}\n    }}')
 
     def to_text(self, quiet: bool = False) -> str:
         lines = [self.title]
@@ -97,3 +108,11 @@ class Report:
         counts = self.counts
         lines.append(f"  {counts[PASS]} passed, {counts[FAIL]} failed")
         return "\n".join(lines)
+
+
+def json_list(items: List[str], indent: int) -> str:
+    """A JSON list of written ``items`` whose closing bracket sits ``indent``
+    spaces in; each item carries its own indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"

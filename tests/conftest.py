@@ -13,6 +13,18 @@ def announce(line):
     ANNOUNCEMENTS.append(line)
 
 
+def pytest_addoption(parser):
+    parser.addoption("--shuffle-seed", type=int, default=None, metavar="N",
+                     help="run the collected tests in the order random.Random(N) "
+                          "shuffles them into")
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ANNOUNCEMENTS:
         terminalreporter.section("acceptance criteria")

@@ -11,6 +11,7 @@ from gradedkernel.geometry import KIND_EVEN, Chart, commutator
 from gradedkernel.graded_core import Series
 from gradedkernel.homotopy import constant_field
 from gradedkernel.microformal import ThickMorphism, conjugate_momenta
+from gradedkernel.report import FAIL, PASS
 
 V = Series.variable
 HALF = Fraction(1, 2)
@@ -64,6 +65,31 @@ def commutator_chain_bracket(q, basis, sig, indices):
         flip = sig.epsilon == 0 and basis[var.index].parity
         coeffs[var.index] = -sign * c if flip else sign * c
     return vector(basis, coeffs)
+
+
+def json_document(results, all_pass, flags):
+    """The JSON report as a document for ``json.dumps(..., sort_keys=True,
+    indent=2)``: the reference for `render_json`'s fixed-schema emitter."""
+    def entry(e):
+        obj = {"check": e.check_id, "status": e.status}
+        for key in ("location", "expected", "actual", "residual", "notes"):
+            if getattr(e, key):
+                obj[key] = getattr(e, key)
+        return obj
+
+    return {
+        "schema": 1,
+        "flags": {"arity": flags.arity, "order": flags.order,
+                  "oracle_seed": flags.oracle_seed},
+        "tasks": [{"task": str(task), "line": task.line, "title": report.title,
+                   "status": PASS if report.passed else FAIL,
+                   "entries": [entry(e) for e in report.entries],
+                   "passed": report.counts[PASS], "failed": report.counts[FAIL]}
+                  for task, report in results],
+        "summary": {"status": "pass" if all_pass else "fail", "tasks": len(results),
+                    "passed_entries": sum(r.counts[PASS] for _, r in results),
+                    "failed_entries": sum(r.counts[FAIL] for _, r in results)},
+    }
 
 
 # -- a sort-based tuple reference for the kernel's product sign ----------------

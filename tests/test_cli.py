@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedkernel.cli import Flags, main, parse_problem, render_json, run, run_task
+from gradedkernel.cli import Flags, Task, main, parse_problem, render_json, run, run_task
 from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
+from gradedkernel.report import FAIL, INFO, PASS, Report, ReportEntry
+from helpers import json_document
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -459,6 +461,26 @@ def test_reports_above_the_golden_arities_keep_their_bytes(stem, family, arity, 
     results, all_pass = run(problem, Flags())
     report = render_json(results, all_pass, Flags())
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# text with quotes, backslashes, control characters, non-ASCII and astral
+# characters, and often empty
+REPORT_TEXT = st.one_of(st.just(""), st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ufeff\U0001d11e'),
+    st.characters(codec="utf-8")), max_size=12))
+BIG_INTEGERS = st.one_of(st.integers(-10, 10), st.integers(-10 ** 30, 10 ** 30))
+REPORT_ENTRIES = st.builds(ReportEntry, REPORT_TEXT, st.sampled_from([PASS, FAIL, INFO]),
+                           REPORT_TEXT, REPORT_TEXT, REPORT_TEXT, REPORT_TEXT, REPORT_TEXT)
+REPORTS = st.builds(Report, REPORT_TEXT, st.lists(REPORT_ENTRIES, max_size=4))
+TASKS = st.builds(Task, BIG_INTEGERS, REPORT_TEXT, st.lists(REPORT_TEXT, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(results=st.lists(st.tuples(TASKS, REPORTS), max_size=3), all_pass=st.booleans(),
+       flags=st.builds(Flags, BIG_INTEGERS, BIG_INTEGERS, BIG_INTEGERS))
+def test_the_json_report_is_what_json_dumps_writes(results, all_pass, flags):
+    want = json.dumps(json_document(results, all_pass, flags), sort_keys=True, indent=2)
+    assert render_json(results, all_pass, flags) == want + "\n"
 
 
 def test_rerunning_the_corpus_registers_no_new_variable():

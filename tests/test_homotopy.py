@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedkernel import homotopy
-from gradedkernel.cli import Flags, parse_problem, run
+from gradedkernel.cli import Flags, derive_brackets_report, parse_problem, run
 from gradedkernel.errors import ChartMismatch, GradingMismatch, NotHomological
 from gradedkernel.geometry import (
     Chart,
@@ -678,6 +678,25 @@ class TestArityBounds:
             assert got == want and str(got) == str(want)
             assert got.truncation_order == want.truncation_order
 
+    @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
+    def test_the_tuples_a_bound_skips_bracket_to_zero(self, name):
+        fam = CUT_FAMILIES[name]()
+        n = fam.arity_bound + 1
+        report = check_weights_parities(fam, fam.signature, n)
+        skipped = [e for e in report.entries if e.location.startswith(f"n={n} ")]
+        assert len(skipped) == len(fam.pool()) ** n
+        assert all(e.status == "pass" and e.notes == "bracket vanishes" for e in skipped)
+        assert fam.vanishes(n) and not any(len(keys) == n for keys in fam._values)
+        derived = CUT_FAMILIES[name]()
+        derive_brackets_report(derived, n + 1)
+        assert max(map(len, derived._values)) == n - 1
+        pool = [element for _, element, _, _ in fam.pool()]
+        inputs = cut_inputs(fam)
+        rng = random.Random(n)
+        for picks in itertools.chain(itertools.product(pool, repeat=n),
+                                     ([rng.choice(inputs) for _ in range(n)] for _ in range(200))):
+            assert fam.bracket(list(picks)).is_zero
+
     def test_an_input_off_the_chart_is_rejected_past_the_bound(self):
         master, ct, _ = HAMILTONIAN_CASES[0]
         fam = HamiltonianFamily(master, ct)
@@ -876,6 +895,32 @@ class TestAssembly:
         with pytest.raises(GradingMismatch, match=f"no degree-{n} Taylor coefficient "
                                                   f"reproduces the arity-{n} table"):
             assemble_vector_field(fam, n_max)
+
+    # eps 0 tables whose every key has an odd parity-reversion sign, at
+    # arities 2 and 3, repeated indices included
+    @pytest.mark.parametrize("specs, k, entries", [
+        ([("e1", 1, 1), ("e2", 0, 0)], 0, {(0, 1): {0: 3}, (0, 0, 1): {0: Fraction(-1, 2)}}),
+        ([("e1", 1, 0), ("e2", 0, 1)], 1, {(0, 0): {1: 2}, (0, 0, 0): {1: -5}}),
+        ([("e1", 0, 0), ("e2", 1, -1)], 2, {(1, 1): {0: -1}, (1, 1, 1): {0: Fraction(4, 3)}}),
+    ], ids=["k0-mixed-keys", "k1-repeated-keys", "k2-repeated-keys"])
+    def test_an_assembled_field_brackets_like_its_table_at_odd_reversion_keys(
+            self, specs, k, entries):
+        basis = SpaceBasis.build(specs)
+        sig = ShiftSignature(0, k)
+        assert all(homotopy._reversion_sign_odd([basis[i].parity for i in key])
+                   for key in entries)
+        fam = ExplicitFamily(basis, 0, k, {key: vector(basis, coeffs)
+                                           for key, coeffs in entries.items()})
+        assert not fam.load_warnings
+        q = assemble_vector_field(fam, 3)
+        degrees = {sum(e for _, e in m) for c in q.components.values() for m, _ in c.items()}
+        assert degrees == {2, 3}
+        # the whole field's commutator chain, not the per-term bracket that
+        # assembly divides by
+        for n in range(4):
+            for indices in itertools.product(range(len(basis)), repeat=n):
+                want = fam.bracket_indices(indices)
+                assert commutator_chain_bracket(q, basis, sig, indices) == want
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3), epsilon=st.integers(0, 1),
