@@ -22,7 +22,6 @@ from .geometry import (
     canonical_bracket,
     commutator,
     is_homological,
-    restrict_to_base,
     shifted_anticotangent,
     shifted_cotangent,
 )
@@ -47,7 +46,6 @@ from .homotopy import (
     check_master,
     check_weights_parities,
     constant_field,
-    derived_bracket_H,
     parity_reverse_brackets,
 )
 from .microformal import (

@@ -19,6 +19,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     GradedKernelError,
     GradingMismatch,
+    NotHomological,
     ProblemSyntaxError,
     UnknownNameError,
 )
@@ -27,6 +28,7 @@ from .geometry import (
     Chart,
     CotangentChart,
     VectorField,
+    is_homological,
     shifted_anticotangent,
     shifted_cotangent,
 )
@@ -333,6 +335,8 @@ def _decl_family(problem: ProblemFile, lines: _Lines, number: int,
         sig = ShiftSignature(options["eps"], options["k"])
         if not isinstance(q.chart, Chart):
             raise ProblemSyntaxError("fromq needs a field on a plain manifold", number)
+        if not is_homological(q):
+            raise NotHomological("generating field must be odd with [Q,Q] = 0")
         basis = SpaceBasis.from_chart(q.chart, sig)
         problem.families[name] = QFamily(q, basis, sig)
     elif mode == "fromhamiltonian":
@@ -456,10 +460,6 @@ def _resolve(problem: ProblemFile, kind: str, name: str, line: int):
     return value
 
 
-HAMILTONIAN_JACOBI_NOTE = ("function-family identities use the bracket form of the "
-                           "higher Jacobi sums; display typos in the source identities "
-                           "are resolved to that form")
-
 # each task's positional arguments as (label, kind), its integer options with
 # their defaults (None: the flag of that name), and its handler, called as
 # handler(task, arguments, options, flags); a handler names the kernel
@@ -471,8 +471,7 @@ _TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]],
                      lambda task, args, opts, flags: check_master(*args[0])),
     "check-jacobi": ((("<family>", "family"),), {"arity": None},
                      lambda task, args, opts, flags: check_higher_jacobi(
-                         args[0], opts["arity"], note=HAMILTONIAN_JACOBI_NOTE
-                         if isinstance(args[0], HamiltonianFamily) else "")),
+                         args[0], opts["arity"])),
     "check-weights": ((("<family>", "family"),), {"arity": None},
                       lambda task, args, opts, flags: check_weights_parities(
                           args[0], args[0].signature, opts["arity"])),

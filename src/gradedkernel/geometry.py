@@ -314,8 +314,3 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
             t2 = f.left_derivative(base_var) * g.left_derivative(fiber_var)
             terms.append(-t2 if s2 else t2)
     return Series.sum(terms)
-
-
-def restrict_to_base(f: Series, ct: CotangentChart) -> Series:
-    """Set every fiber variable to zero; the truncation order carries over."""
-    return f.fiber_slice(0, 0)

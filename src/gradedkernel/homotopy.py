@@ -18,17 +18,18 @@ every bracket it evaluates under the tuple of its inputs' keys (see
 
 The checkers (`check_higher_jacobi`, `check_weights_parities`,
 `check_leibniz`, `check_master`) never raise on a failed law; failures are
-report entries.  A higher Jacobi sum replays a plan: its unshuffle terms
-with their signs, which depend only on the arity, the inputs' parities and
+report entries.  So any generator makes a family: a ``QFamily`` over a field
+that is not homological has a table, whose Jacobi check reports the
+failures.  A higher Jacobi sum replays a plan: its unshuffle terms with
+their signs, which depend only on the arity, the inputs' parities and
 epsilon, so a family builds each plan once (`jacobi_plan`) and every tuple
 with that parity pattern reuses it.  A family's plan leaves out the terms
-whose inner or outer bracket has arity above the family's arity bound,
-where every bracket is zero.  Each term's inner bracket goes into
-the outer one by its key.  The terms of each sign are added in one sum,
-and the sum of the negative ones is subtracted once.
-Every tuple still gets its own sum: none is inferred from another by
-graded symmetry, since the sums are also what catches a symmetry error in
-a family's brackets.
+whose inner or outer bracket has arity above the family's arity bound, where
+every bracket is zero.  Each term's inner bracket goes into the outer one by
+its key.  The terms of each sign are added in one sum, and the sum of the
+negative ones is subtracted once.  Every tuple still gets its own sum: none
+is inferred from another by graded symmetry, since the sums are also what
+catches a symmetry error in a family's brackets.
 
 `assemble_vector_field` goes the other way, from an explicit table back to
 a generating field.  Each Taylor term of a field reaches exactly one table
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ChartMismatch, GradingMismatch, NotHomological
+from .errors import ChartMismatch, GradingMismatch
 from .geometry import (
     Chart,
     CotangentChart,
@@ -62,8 +63,6 @@ from .geometry import (
     canonical_bracket,
     check_uses_only,
     commutator,
-    is_homological,
-    restrict_to_base,
 )
 from .graded_core import Bigrading, GradedVariable, Series, format_series, monomial_bigrading
 from .report import Report
@@ -114,15 +113,13 @@ class SpaceBasis(Chart):
         flip = 1 if sig.epsilon == 0 else 0
         return Bigrading((v.parity + flip) % 2, -v.weight + sig.s)
 
-    def chart(self, sig: ShiftSignature, names: Optional[Sequence[str]] = None) -> Chart:
-        """The coordinate chart of Pi^{1+eps} V[1-k]."""
-        if names is None:
-            prefix = "xi_" if sig.epsilon == 0 else "y_"
-            names = [prefix + v.name for v in self]
+    def chart(self, sig: ShiftSignature) -> Chart:
+        """The coordinate chart of Pi^{1+eps} V[1-k]: ``xi_<e>`` (eps 0) or ``y_<e>`` (eps 1)."""
+        prefix = "xi_" if sig.epsilon == 0 else "y_"
         specs = []
-        for i, coord_name in enumerate(names):
+        for i, v in enumerate(self):
             grade = self.coordinate_bigrading(i, sig)
-            specs.append((coord_name, grade.parity, grade.weight))
+            specs.append((prefix + v.name, grade.parity, grade.weight))
         return Chart.build(specs)
 
     @classmethod
@@ -210,12 +207,6 @@ def _derived_at_origin(field: VectorField, constant_fields: Sequence[VectorField
     return vector
 
 
-def derived_bracket_H(master: Series, inputs: Sequence[Series],
-                      ct: CotangentChart) -> Series:
-    """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
-    return HamiltonianFamily(master, ct).bracket(inputs)
-
-
 # ---------------------------------------------------------------------------
 # bracket families
 # ---------------------------------------------------------------------------
@@ -248,6 +239,7 @@ class BracketFamily:
     """
 
     arity_bound: Optional[int] = None
+    jacobi_note = ""  # the Jacobi sums' convention, which `check_higher_jacobi` reports
 
     def __init__(self, epsilon: int, k: int):
         self.epsilon = epsilon
@@ -368,6 +360,10 @@ class HamiltonianFamily(BracketFamily):
     across unshuffles.
     """
 
+    jacobi_note = ("function-family identities use the bracket form of the "
+                   "higher Jacobi sums; display typos in the source identities "
+                   "are resolved to that form")
+
     def __init__(self, master: Series, ct: CotangentChart,
                  pool_seed: int = 11, pool_size: int = 5):
         super().__init__(1 if ct.kind == KIND_EVEN else 0, 1 - ct.shift)
@@ -405,8 +401,8 @@ class HamiltonianFamily(BracketFamily):
         return value
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
-        """{f_1, ..., f_n}_H = restrict((...(H, f_1), ..., f_n))."""
-        return restrict_to_base(self._chain(keys), self.ct)
+        """{f_1, ..., f_n}_H = (...(H, f_1), ..., f_n) at zero fiber variables."""
+        return self._chain(keys).fiber_slice(0, 0)
 
     def _new_pool(self):
         rng = random.Random(self._pool_seed)
@@ -518,13 +514,11 @@ class QFamily(ExplicitFamily):
 
     The table is exact because a Taylor term c m d/dx of Q has one nonzero
     derived bracket at the origin, at the key of m's coordinate indices
-    sorted with multiplicity (`_derived_at_origin`)."""
+    sorted with multiplicity (`_derived_at_origin`).  Any field has a table;
+    if Q is not homological, the family's Jacobi check reports the failures."""
 
-    def __init__(self, q: VectorField, basis: SpaceBasis, sig: ShiftSignature,
-                 require_homological: bool = True):
+    def __init__(self, q: VectorField, basis: SpaceBasis, sig: ShiftSignature):
         constant_fields = _constant_fields(q.chart, basis, sig)
-        if require_homological and not is_homological(q):
-            raise NotHomological("generating field must be odd with [Q,Q] = 0")
         entries: Dict[Tuple[int, ...], List[Series]] = {}
         for var, component in q.components.items():
             for monomial, coeff in component.items():
@@ -618,12 +612,11 @@ def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]],
 # checkers
 # ---------------------------------------------------------------------------
 
-def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY,
-                        note: str = "") -> Report:
+def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY) -> Report:
     """Evaluate every higher Jacobi identity up to arity n_max on pool tuples."""
     report = Report(f"higher Jacobi identities to arity {n_max}")
-    if note:
-        report.info("jacobi-convention", notes=note)
+    if fam.jacobi_note:
+        report.info("jacobi-convention", notes=fam.jacobi_note)
     for picked, labels in pool_tuples(fam.pool(), n_max):
         n = len(picked)
         residual = jacobiator(fam, [(element, parity) for _, element, parity, _ in picked], n)
@@ -663,10 +656,9 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
     return report
 
 
-def check_leibniz(fam: HamiltonianFamily,
-                  samples: Optional[Sequence[Tuple[Sequence[Series], Series, Series]]] = None,
-                  trials: int = 20, seed: int = 23) -> Report:
-    """Check {a_1..a_m, bc} = {a_1..a_m, b} c + sign * b {a_1..a_m, c}.
+def check_leibniz(fam: HamiltonianFamily, trials: int = 20, seed: int = 23) -> Report:
+    """Check {a_1..a_m, bc} = {a_1..a_m, b} c + sign * b {a_1..a_m, c} on
+    ``trials`` samples drawn from ``random.Random(seed)``, with m from 0 to 2.
 
     The sign exponent multiplies the parity of b: with arity = m+1, it is
     (sum of a-parities + arity) for epsilon = 0 and (sum + 1) for epsilon = 1,
@@ -674,20 +666,14 @@ def check_leibniz(fam: HamiltonianFamily,
     convention-parity masters (odd H / even P).
     """
     report = Report(f"Leibniz rule (eps={fam.epsilon})")
-    if samples is None:
-        rng = random.Random(seed)
-        variables = fam.ct.base.variables
-        samples = []
-        for _ in range(trials):
-            prefix = homogeneous_pool(variables, rng, rng.randint(0, 2))
-            b, c = homogeneous_pool(variables, rng, 2)
-            samples.append((prefix, b, c))
+    rng = random.Random(seed)
+    variables = fam.ct.base.variables
+    samples = []
+    for _ in range(trials):
+        prefix = homogeneous_pool(variables, rng, rng.randint(0, 2))
+        b, c = homogeneous_pool(variables, rng, 2)
+        samples.append((prefix, b, c))
     for idx, (prefix, b, c) in enumerate(samples):
-        prefix = list(prefix)
-        for series in prefix + [b, c]:
-            if not isinstance(series, Series):
-                raise GradingMismatch("Leibniz samples must be Series")
-            series.bigrading()
         arity = len(prefix) + 1
         a_parities = sum(a.bigrading().parity for a in prefix)
         b_parity = b.bigrading().parity
@@ -756,9 +742,8 @@ def check_master(obj: Union[VectorField, Series],
 # parity reversion transport
 # ---------------------------------------------------------------------------
 
-def parity_reverse_brackets(fam: ExplicitFamily,
-                            arity_max: int = DEFAULT_ARITY) -> ExplicitFamily:
-    """Transport a family across the parity reversion.
+def parity_reverse_brackets(fam: ExplicitFamily) -> ExplicitFamily:
+    """Transport a family's whole table across the parity reversion.
 
     The relation between the two sides reads
 
@@ -766,7 +751,8 @@ def parity_reverse_brackets(fam: ExplicitFamily,
 
     where the x_i live on the antisymmetric (epsilon = 0) side.  Solving for
     whichever side is being produced makes the transport an involution:
-    applying it twice gives back the original family on every tuple.
+    applying it twice gives back the original family on every tuple, at
+    every arity of its table.
     """
     new_basis = fam.basis.parity_reversed()
     new_epsilon = 1 - fam.epsilon
@@ -774,8 +760,6 @@ def parity_reverse_brackets(fam: ExplicitFamily,
     side = fam.basis if fam.epsilon == 0 else new_basis
     entries: Dict[Tuple[int, ...], Series] = {}
     for key, value in fam.table.items():
-        if len(key) > arity_max:
-            continue
         transported = new_basis.vector(fam.basis.coordinates(value))
         if _reversion_sign_odd([side[i].parity for i in key]):
             transported = -transported
@@ -787,8 +771,7 @@ def parity_reverse_brackets(fam: ExplicitFamily,
 # assembling a generating field back from an explicit family
 # ---------------------------------------------------------------------------
 
-def assemble_vector_field(fam: ExplicitFamily, n_max: int,
-                          chart: Optional[Chart] = None) -> VectorField:
+def assemble_vector_field(fam: ExplicitFamily, n_max: int) -> VectorField:
     """Reconstruct a field whose derived brackets to arity n_max match ``fam``.
 
     A term c m d/dx, with m a monomial of degree n, has one nonzero n-ary
@@ -798,8 +781,7 @@ def assemble_vector_field(fam: ExplicitFamily, n_max: int,
     coefficients is diagonal: each one is its table entry over its unit.
     """
     sig = fam.signature
-    if chart is None:
-        chart = fam.basis.chart(sig)
+    chart = fam.basis.chart(sig)
     constant_fields = _constant_fields(chart, fam.basis, sig)
     # the table's nonzero entries, (key, basis index) -> coefficient
     wanted = {(key, index): coeff for key, value in fam.table.items() if len(key) <= n_max

@@ -37,7 +37,7 @@ insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
 from .geometry import Chart, CotangentChart, KIND_EVEN, check_uses_only, conjugate_variables
@@ -90,12 +90,6 @@ class ThickMorphism:
     def is_valid(self) -> bool:
         return self.S.is_zero or self.S.is_homogeneous(self.expected_parity, self.shift)
 
-    def s_part(self, degree: int) -> Series:
-        return self.S.fiber_slice(degree, degree)
-
-    def s_tail(self, degree: int) -> Series:
-        return self.S.fiber_slice(degree)
-
     def __str__(self) -> str:
         arrow = "=>" if self.kind == KIND_EVEN else "=o>"
         return (f"{self.source.name or 'M1'} {arrow} {self.target.name or 'M2'} "
@@ -114,7 +108,7 @@ class PullbackResult:
 def support(phi: ThickMorphism) -> Dict[GradedVariable, Series]:
     """The components phi^i(x): the coefficient of q_i in the linear part of S."""
     parts: Dict[GradedVariable, list] = {var: [] for var in phi.target.variables}
-    for monomial, coeff in phi.s_part(1).items():
+    for monomial, coeff in phi.S.fiber_slice(1, 1).items():
         base_part = tuple((v, e) for v, e in monomial if not v.fiber_degree)
         fiber_part = [(v, e) for v, e in monomial if v.fiber_degree]
         (q_var, _), = fiber_part
@@ -140,7 +134,7 @@ def validate_thick(phi: ThickMorphism) -> Report:
         actual_weight = str(s.bigrading().weight)
     report.record(weight_ok, "thick-weight", expected=str(phi.shift),
                   actual=actual_weight or "inhomogeneous")
-    report.info("thick-s0", notes=f"S0 = {phi.s_part(0)}")
+    report.info("thick-s0", notes=f"S0 = {phi.S.fiber_slice(0, 0)}")
     for var, component in support(phi).items():
         report.info("thick-support", location=var.name, notes=f"phi = {component}")
     if parity_ok and weight_ok:
@@ -181,8 +175,8 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     _require_valid(phi)
     _check_admissible(phi, g)
     t = Series.variable(_INSERTION)
-    linear = phi.s_part(1)
-    tail = phi.s_tail(2)
+    linear = phi.S.fiber_slice(1, 1)
+    tail = phi.S.fiber_slice(2)
     y_map: Dict[GradedVariable, Series] = {}
     seeds: Dict[GradedVariable, Series] = {}
     for y_var in phi.target.variables:
@@ -210,8 +204,8 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
         if any(y_next[y_var].fiber_slice(0, below) != y_cur[y_var].fiber_slice(0, below)
                for y_var in phi.target.variables):
             raise NonConvergent(
-                f"pullback did not stabilize within {order + 3} iterations; "
-                "S lacks the structure of a formal generating function")
+                f"pullback did not stabilize: pass {passes} moved y below fiber "
+                f"degree {passes}; S lacks the structure of a formal generating function")
         if y_next == y_cur:
             break  # y_cur is a fixed point, so it is y*
         y_cur, q_prev = y_next, q_cur
@@ -219,7 +213,7 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     # would stop after this pass if q_prev = q* already, else one pass later
     iterations = passes if q_cur == q_prev else passes + 1
 
-    s_t = phi.s_part(0) + linear + t * tail
+    s_t = phi.S.fiber_slice(0, 0) + linear + t * tail
     f = Series.sum([g.substitute(y_cur), s_t.substitute(q_cur)]
                    + [-(y_cur[y_var] * q_cur[phi.momentum(y_var)])
                       for y_var in phi.target.variables]).truncate(order)
@@ -241,8 +235,7 @@ def pullback(phi: ThickMorphism, g: Series, order: int = DEFAULT_ORDER) -> Pullb
         iterations=iterations)
 
 
-def pullback_expansion_oracle(phi: ThickMorphism, g: Series,
-                              terms: int = 2) -> Series:
+def pullback_expansion_oracle(phi: ThickMorphism, g: Series) -> Series:
     """The explicit expansion S0 + g(phi) + 1/2 S^{ij} d_j g(phi) d_i g(phi).
 
     Computed by direct substitution, with no fixed-point iteration, as an
@@ -250,18 +243,12 @@ def pullback_expansion_oracle(phi: ThickMorphism, g: Series,
     """
     _require_valid(phi)
     _check_admissible(phi, g)
-    if not 0 <= terms <= 2:
-        raise ValueError("the displayed expansion has at most two g-dependent terms")
-    result = phi.s_part(0)
-    if terms >= 1:
-        support_map = support(phi)
-        result = result + g.substitute(support_map)
-        if terms >= 2:
-            q_values = {
-                phi.momentum(y_var): g.left_derivative(y_var).substitute(support_map)
-                for y_var in phi.target.variables}
-            result = result + phi.s_part(2).substitute(q_values)
-    return result
+    support_map = support(phi)
+    q_values = {
+        phi.momentum(y_var): g.left_derivative(y_var).substitute(support_map)
+        for y_var in phi.target.variables}
+    return (phi.S.fiber_slice(0, 0) + g.substitute(support_map)
+            + phi.S.fiber_slice(2, 2).substitute(q_values))
 
 
 def _master_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
@@ -333,17 +320,15 @@ def check_hamilton_jacobi(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
 
 def check_intertwining(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
                        h2: Series, ct2: CotangentChart, g: Series,
-                       order: int = DEFAULT_ORDER,
-                       residual_order: Optional[int] = None) -> Report:
+                       order: int = DEFAULT_ORDER) -> Report:
     """H1(x, d(pullback g)/dx) - H2(y(x), dg/dy(y(x))) per test function g.
 
     This is the generating-function form of the statement that the pullback
     intertwines the two master flows; the residual is reported up to the
-    insertion order ``residual_order`` (default: order - 1).
+    insertion order ``order - 1``.
     """
     k = _check_hj_setup(phi, h1, ct1, h2, ct2)
-    if residual_order is None:
-        residual_order = max(order - 1, 0)
+    residual_order = max(order - 1, 0)
     f_t, y_t, q_t, iterations = _pullback_graded(phi, g, order)
     lhs, rhs = _master_sides(phi, h1, ct1, h2, ct2, f_t, y_t, q_t)
     residual = (lhs - rhs).truncate(residual_order)

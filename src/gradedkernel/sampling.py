@@ -81,6 +81,6 @@ def random_homogeneous(variables: Sequence[GradedVariable], rng: random.Random,
 
 
 def homogeneous_pool(variables: Sequence[GradedVariable], rng: random.Random,
-                     size: int, max_degree: int = 2) -> List[Series]:
-    """A pool of nonzero homogeneous series covering several bigradings."""
-    return [random_homogeneous(variables, rng, max_degree) for _ in range(size)]
+                     size: int) -> List[Series]:
+    """A pool of nonzero homogeneous series of degree <= 2, covering several bigradings."""
+    return [random_homogeneous(variables, rng) for _ in range(size)]

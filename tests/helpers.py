@@ -4,7 +4,11 @@ Each test file imports what it needs from here, never from another test
 file, so every test file collects on its own.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 from gradedkernel.geometry import KIND_EVEN, Chart, commutator
@@ -15,6 +19,17 @@ from gradedkernel.report import FAIL, PASS
 
 V = Series.variable
 HALF = Fraction(1, 2)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_gk(*args):
+    """``python -m gradedkernel.cli *args`` in a child process, with this
+    checkout's ``src`` first on its PYTHONPATH: pytest's ``pythonpath``
+    setting reaches only the test process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gradedkernel.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def vector(basis, coeffs=None):

@@ -15,8 +15,6 @@ Each criterion prints one pass/fail line (bypassing pytest capture).
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -63,7 +61,7 @@ HALF = Fraction(1, 2)
 ORACLE_BASE_SEED = 77001
 
 from conftest import announce
-from helpers import thick_corpus, vector
+from helpers import run_gk, thick_corpus, vector
 
 
 class Ledger:
@@ -249,33 +247,33 @@ def q_corpus(k):
 
     sig = ShiftSignature(0, k)
     basis = SpaceBasis.build([("e1", 0, -k), ("e2", 0, 0)])
-    chart = basis.chart(sig, names=["xi1", "xi2"])
+    chart = basis.chart(sig)
     xi1, xi2 = chart.variables
     entries.append(("lie2", QFamily(
         VectorField(chart, {xi2: V(xi1) * V(xi2)}, 1, 1), basis, sig)))
 
     basis = SpaceBasis.build([("e1", 0, 2 - k), ("e2", 0, 0)])
-    chart = basis.chart(ShiftSignature(0, k), names=["c1", "c2"])
+    chart = basis.chart(ShiftSignature(0, k))
     entries.append(("curved", QFamily(
         VectorField(chart, {chart.variables[0]: Series.one()}, 1, 1),
         basis, ShiftSignature(0, k))))
 
     sig1 = ShiftSignature(1, k)
     basis = SpaceBasis.build([("e1", 0, -k), ("e2", 1, -k)])
-    chart = basis.chart(sig1, names=["y1", "y2"])
+    chart = basis.chart(sig1)
     y1, y2 = chart.variables
     entries.append(("odd-linf", QFamily(
         VectorField(chart, {y1: V(y1) * V(y2)}, 1, 1), basis, sig1)))
 
     sig = ShiftSignature(0, k)
     basis = SpaceBasis.build([("e1", 0, -1 + k), ("e2", 1, k)])
-    chart = basis.chart(sig, names=["z1", "z2"])
+    chart = basis.chart(sig)
     z1, z2 = chart.variables
     entries.append(("differential", QFamily(
         VectorField(chart, {z2: V(z1)}, 1, 1), basis, sig)))
 
     basis = SpaceBasis.build([("e1", 0, 0)])
-    chart = basis.chart(ShiftSignature(0, k), names=["a1"])
+    chart = basis.chart(ShiftSignature(0, k))
     entries.append(("abelian", QFamily(
         VectorField(chart, {}, 1, 1), basis, ShiftSignature(0, k))))
 
@@ -283,7 +281,7 @@ def q_corpus(k):
     basis = SpaceBasis.build([("e1", 0, 0), ("e2", 0, 0), ("e3", 0, 0),
                               ("e4", 1, 2 * k - 1)])
     sig = ShiftSignature(0, k)
-    chart = basis.chart(sig, names=["t1", "t2", "t3", "t4"])
+    chart = basis.chart(sig)
     t1, t2, t3, t4 = chart.variables
     entries.append(("ternary", QFamily(
         VectorField(chart, {t4: V(t1) * V(t2) * V(t3)}, 1, 1), basis, sig)))
@@ -448,7 +446,7 @@ def criterion_05_parity_reversion(ledger):
                     entries[key] = vector(
                         basis, {rng.randrange(dim): Fraction(rng.randint(-3, 3))})
         fam = ExplicitFamily(basis, eps, rng.randint(0, 2), entries)
-        double = parity_reverse_brackets(parity_reverse_brackets(fam, 3), 3)
+        double = parity_reverse_brackets(parity_reverse_brackets(fam))
         for n in range(4):
             for key in itertools.product(range(dim), repeat=n):
                 ledger.record_combo(f"reversion-roundtrip-{trial}",
@@ -463,11 +461,11 @@ def criterion_05_parity_reversion(ledger):
     sl2 = ExplicitFamily(basis, 0, 0,
                          {(0, 1): combo(1, 2), (0, 2): combo(2, -2), (1, 2): combo(0)})
     assert check_higher_jacobi(sl2, 3).passed
-    odd_side = parity_reverse_brackets(sl2, 3)
+    odd_side = parity_reverse_brackets(sl2)
     assert odd_side.epsilon == 1
     jacobi_odd = check_higher_jacobi(odd_side, 3)
     assert jacobi_odd.passed
-    back = parity_reverse_brackets(odd_side, 3)
+    back = parity_reverse_brackets(odd_side)
     assert back.epsilon == 0 and check_higher_jacobi(back, 3).passed
     pool = odd_side.pool()
     for n in range(4):
@@ -493,7 +491,7 @@ def criterion_06_pullback_oracle_agreement(ledger):
     assert len(corpus) >= 10
     kinds = {phi.kind for _, phi, _ in corpus}
     assert kinds == {"even", "odd"}
-    assert any(not phi.s_part(0).is_zero for _, phi, _ in corpus)
+    assert any(not phi.S.fiber_slice(0, 0).is_zero for _, phi, _ in corpus)
     for name, phi, g in corpus:
         result = pullback(phi, g, 1)
         expansion = pullback_expansion_oracle(phi, g)
@@ -612,7 +610,7 @@ def criterion_08_hj_implies_intertwining(ledger):
     for name, phi, h1, ct1, h2, ct2, g in corpus:
         hj = check_hamilton_jacobi(phi, h1, ct1, h2, ct2, 4)
         assert hj.passed, f"{name}: {hj.failures()[:2]}"
-        inter = check_intertwining(phi, h1, ct1, h2, ct2, g, 4, residual_order=3)
+        inter = check_intertwining(phi, h1, ct1, h2, ct2, g, 4)
         assert inter.passed, f"{name}: {inter.failures()[:2]}"
         # ledger: both sides of the HJ identity and of the intertwining identity
         lhs, rhs = _hj_sides(phi, h1, ct1, h2, ct2)
@@ -635,7 +633,7 @@ def criterion_08_hj_implies_intertwining(ledger):
             continue
         bad_h2 = 2 * h2
         hj = check_hamilton_jacobi(phi, h1, ct1, bad_h2, ct2, 4)
-        inter = check_intertwining(phi, h1, ct1, bad_h2, ct2, g, 4, residual_order=3)
+        inter = check_intertwining(phi, h1, ct1, bad_h2, ct2, g, 4)
         assert not hj.passed, name
         assert not inter.passed, name
         perturbed += 1
@@ -703,12 +701,8 @@ def test_criterion_10_cli_determinism():
     assert stems
 
     def run_json(stem):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gradedkernel.cli",
-             str(corpus_dir / f"{stem}.gk"), "--format", "json",
-             "--oracle-seed", "20240801"],
-            capture_output=True, text=True)
-        return proc.stdout
+        return run_gk(str(corpus_dir / f"{stem}.gk"), "--format", "json",
+                      "--oracle-seed", "20240801").stdout
 
     for stem in stems:
         first = run_json(stem)

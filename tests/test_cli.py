@@ -4,8 +4,6 @@ import hashlib
 import io
 import json
 import re
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -18,18 +16,12 @@ from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownName
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
 from gradedkernel.report import FAIL, INFO, PASS, Report, ReportEntry
-from helpers import json_document
+from helpers import json_document, run_gk
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 CORPUS_FILES = sorted(p.stem for p in CORPUS.glob("*.gk"))
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "gradedkernel.cli", *args],
-        capture_output=True, text=True)
 
 
 def best_parse_time(text, repeats):
@@ -106,19 +98,19 @@ class TestParse:
 
 class TestExitCodes:
     def test_passing_file_exits_zero(self):
-        proc = run_cli(str(CORPUS / "lie2_eps0.gk"))
+        proc = run_gk(str(CORPUS / "lie2_eps0.gk"))
         assert proc.returncode == 0
         assert "summary:" in proc.stdout
 
     def test_failing_check_exits_one(self):
-        proc = run_cli(str(CORPUS / "broken_jacobi.gk"))
+        proc = run_gk(str(CORPUS / "broken_jacobi.gk"))
         assert proc.returncode == 1
         assert "n=3" in proc.stdout
 
     def test_parse_error_exits_two(self, tmp_path):
         bad = tmp_path / "bad.gk"
         bad.write_text("manifold M\n  var x even nope\nend\n")
-        proc = run_cli(str(bad))
+        proc = run_gk(str(bad))
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
 
@@ -128,12 +120,12 @@ class TestExitCodes:
         example = section.split("```text\n", 1)[1].split("```", 1)[0]
         problem = tmp_path / "readme.gk"
         problem.write_text(example, encoding="utf-8")
-        proc = run_cli(str(problem))
+        proc = run_gk(str(problem))
         assert "Traceback" not in proc.stderr + proc.stdout
         assert proc.returncode == 0, proc.stderr + proc.stdout
 
     def test_missing_file_exits_two(self):
-        proc = run_cli("no_such_file.gk")
+        proc = run_gk("no_such_file.gk")
         assert proc.returncode == 2
 
     def test_exponent_overflow_in_a_task_is_a_task_error(self, tmp_path):
@@ -143,7 +135,7 @@ class TestExitCodes:
                            "cotangent CT base M shift 1\n"
                            f"function H on CT = x^{EXPONENT_BOUND} * p_x\n"
                            "task check-master H\n", encoding="utf-8")
-        proc = run_cli(str(problem))
+        proc = run_gk(str(problem))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr + proc.stdout
         assert f"ExponentOverflow: a product raises x to a power above {EXPONENT_BOUND}" \
@@ -183,7 +175,7 @@ def assert_usage_error(tmp_path, text, line, *flags):
     """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
     problem = tmp_path / "task.gk"
     problem.write_text(text, encoding="utf-8")
-    proc = run_cli(str(problem), *flags)
+    proc = run_gk(str(problem), *flags)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"line {line}" in proc.stderr
@@ -200,7 +192,7 @@ class TestTaskArguments:
     def test_thick_problem_runs(self, tmp_path):
         problem = tmp_path / "task.gk"
         problem.write_text(THICK_PROBLEM + "task pullback Phi g order 2\n")
-        assert run_cli(str(problem)).returncode == 0
+        assert run_gk(str(problem)).returncode == 0
 
     def test_negative_pullback_order(self, tmp_path):
         stderr = self.run_task_line(tmp_path, "task pullback Phi g order -1")
@@ -234,7 +226,7 @@ class TestUsageErrors:
     def test_family_problem_runs(self, tmp_path):
         problem = tmp_path / "task.gk"
         problem.write_text(FAMILY_PROBLEM + "task check-jacobi F arity 2\n")
-        assert run_cli(str(problem)).returncode == 0
+        assert run_gk(str(problem)).returncode == 0
 
     @pytest.mark.parametrize("command", ["check-jacobi", "check-weights",
                                          "derive-brackets"])
@@ -322,7 +314,7 @@ class TestUsageErrors:
     def test_flag_that_is_not_an_ascii_integer(self, tmp_path, flag, value):
         problem = tmp_path / "task.gk"
         problem.write_text(FAMILY_PROBLEM, encoding="utf-8")
-        proc = run_cli(str(problem), flag, value)
+        proc = run_gk(str(problem), flag, value)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         message = proc.stderr.splitlines()[-1]
         assert f"{flag}: expected an integer" in message and len(message) < 200
@@ -423,18 +415,18 @@ class TestDeterminism:
     def test_json_reports_are_byte_identical(self):
         for stem in CORPUS_FILES:
             path = str(CORPUS / f"{stem}.gk")
-            first = run_cli(path, "--format", "json", "--oracle-seed", "42")
-            second = run_cli(path, "--format", "json", "--oracle-seed", "42")
+            first = run_gk(path, "--format", "json", "--oracle-seed", "42")
+            second = run_gk(path, "--format", "json", "--oracle-seed", "42")
             assert first.stdout == second.stdout, stem
 
     def test_matches_committed_golden_files(self):
         for stem in CORPUS_FILES:
             golden = GOLDEN / f"{stem}.json"
-            proc = run_cli(str(CORPUS / f"{stem}.gk"), "--format", "json")
+            proc = run_gk(str(CORPUS / f"{stem}.gk"), "--format", "json")
             assert proc.stdout == golden.read_text(), stem
 
     def test_json_is_schema_versioned(self):
-        proc = run_cli(str(CORPUS / "lie2_eps0.gk"), "--format", "json")
+        proc = run_gk(str(CORPUS / "lie2_eps0.gk"), "--format", "json")
         document = json.loads(proc.stdout)
         assert document["schema"] == 1
         assert document["summary"]["status"] == "pass"
@@ -567,7 +559,7 @@ class TestTasks:
             "space V\n  basis e1 even 0\n  basis e2 even 0\n  basis e3 even 1\nend\n"
             "family G explicit V eps 0 k 0\n  bracket e1 e2 = e1 + e3\nend\n"
             "task check-weights G arity 2\n")
-        proc = run_cli(str(problem), "--format", "json")
+        proc = run_gk(str(problem), "--format", "json")
         assert proc.returncode == 1, proc.stderr
         failed = [entry for task in json.loads(proc.stdout)["tasks"]
                   for entry in task["entries"] if entry["status"] == "fail"]

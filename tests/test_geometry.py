@@ -10,7 +10,6 @@ from gradedkernel.geometry import (
     canonical_bracket,
     commutator,
     is_homological,
-    restrict_to_base,
     shifted_anticotangent,
     shifted_cotangent,
 )
@@ -195,16 +194,17 @@ class TestCanonicalBracket:
 
 
 def test_restrict_to_base():
+    # restriction to the base sets every fiber variable to zero
     base = Chart.build([("x", 0, 0)], "M")
     ct = shifted_cotangent(base, 0)
     x, = base.variables
     p, = ct.fiber
-    assert restrict_to_base(V(x) + V(x) * V(p), ct) == V(x)
-    assert restrict_to_base(V(p) ** 2, ct).is_zero
+    assert (V(x) + V(x) * V(p)).fiber_slice(0, 0) == V(x)
+    assert (V(p) ** 2).fiber_slice(0, 0).is_zero
     s0 = V(x) ** 2
-    assert restrict_to_base(s0 + V(x) * V(p), ct) == s0
+    assert (s0 + V(x) * V(p)).fiber_slice(0, 0) == s0
     truncated = (s0 + V(x) * V(p)).truncate(1)
-    assert restrict_to_base(truncated, ct).truncation_order == 1
+    assert truncated.fiber_slice(0, 0).truncation_order == 1
 
 
 def test_bracket_with_zero_keeps_truncation_order():
@@ -240,12 +240,11 @@ def test_bracket_equals_the_full_stencil(builder, shift, seed, on_base, orders):
 
 def test_restriction_preserves_bigrading(rng):
     base = Chart.build([("x", 0, 1), ("xi", 1, -1)], "M")
-    ct = shifted_cotangent(base, 2)
     for _ in range(30):
         f = random_homogeneous(base.variables, rng, 2)
         if f.is_zero:
             continue
         # base functions included into the bundle and restricted back keep
         # their bigrading
-        assert restrict_to_base(f, ct) == f
-        assert restrict_to_base(f, ct).bigrading() == f.bigrading()
+        assert f.fiber_slice(0, 0) == f
+        assert f.fiber_slice(0, 0).bigrading() == f.bigrading()

@@ -326,9 +326,9 @@ class TestLegendreConsistency:
         f_t, y_t, q_t, _ = _pullback_graded(phi, g, order)
         x = phi.source.variables[0]
         lhs = f_t.left_derivative(x)
-        linear = phi.s_part(1)
-        tail = phi.s_tail(2)
-        s_t = phi.s_part(0) + linear + Series.variable(_INSERTION) * tail
+        linear = phi.S.fiber_slice(1, 1)
+        tail = phi.S.fiber_slice(2)
+        s_t = phi.S.fiber_slice(0, 0) + linear + Series.variable(_INSERTION) * tail
         rhs = s_t.left_derivative(x).substitute(q_t)
         assert lhs.truncate(order - 1) == rhs.truncate(order - 1)
 
@@ -365,7 +365,7 @@ def term_by_term_substitute(series, bindings):
 def reference_pullback(phi, g, order):
     """The kernel's fixed-point loop, with ``term_by_term_substitute``."""
     t = Series.variable(_INSERTION)
-    linear, tail = phi.s_part(1), phi.s_tail(2)
+    linear, tail = phi.S.fiber_slice(1, 1), phi.S.fiber_slice(2)
     targets = phi.target.variables
     seeds, y_map = {}, {}
     for y_var in targets:
@@ -385,7 +385,7 @@ def reference_pullback(phi, g, order):
         y_cur, q_cur = y_next, q_next
     else:
         pytest.fail("the reference loop did not stabilize")
-    s_t = phi.s_part(0) + linear + t * tail
+    s_t = phi.S.fiber_slice(0, 0) + linear + t * tail
     f = term_by_term_substitute(g, y_cur) + term_by_term_substitute(s_t, q_cur)
     for y_var in targets:
         f = f - y_cur[y_var] * q_cur[phi.momentum(y_var)]
@@ -481,5 +481,6 @@ def test_pullback_checks_the_valuation_on_every_pass(monkeypatch):
     assert pullback(phi, V(y) ** 2, 3).iterations == 5
     flat = GradedVariable("_t", 0, 0, fiber_degree=0, index=10 ** 6)
     monkeypatch.setattr(microformal, "_INSERTION", flat)
-    with pytest.raises(NonConvergent, match="did not stabilize"):
+    with pytest.raises(NonConvergent,
+                       match="did not stabilize: pass 1 moved y below fiber degree 1;"):
         pullback(phi, V(y) ** 2, 3)
