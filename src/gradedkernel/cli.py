@@ -650,6 +650,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {options.problem} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
+        return 2
     try:
         problem = parse_problem(text)
         check_task_options(problem, flags)

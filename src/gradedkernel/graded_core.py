@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ExponentOverflow, GradingMismatch, InhomogeneousSeries, ZeroSeries
 
@@ -456,6 +456,10 @@ class Series:
 
     def fiber_degree(self) -> int:
         return max((k & _FIBER for k in self._terms), default=0)
+
+    def fiber_degrees(self) -> FrozenSet[int]:
+        """The fiber degrees of the terms."""
+        return frozenset([k & _FIBER for k in self._terms])
 
     def bigrading(self) -> Bigrading:
         """The terms' common bigrading, computed once: a stored key's odd bits

@@ -5,8 +5,11 @@ A bracket family can come from three sources:
 * ``QFamily`` - the table of a homological vector field's Taylor
   coefficients: nested commutators of each term with constant fields,
   evaluated at the origin;
-* ``HamiltonianFamily`` - iterated canonical brackets with a master
-  (anti)Hamiltonian, restricted to the base;
+* ``HamiltonianFamily`` - the table of a master (anti)Hamiltonian's
+  brackets on the base coordinates, contracted with the inputs' gradients:
+  on base functions each canonical bracket with the master is a first-order
+  operator, so the brackets of any inputs are read off those of the
+  coordinates;
 * ``ExplicitFamily`` - a table of structure constants, stored graded
   symmetrized (epsilon = 1) or antisymmetrized (epsilon = 0).
 
@@ -42,7 +45,10 @@ P-infinity structure (epsilon = 0) from an even master on Pi T*M[1-k].
 These are the parities for which the weight/parity tables
 (weights 2-n+k(n-1), parities eps(n+1)+n) and the Leibniz signs close up;
 `check_master` reports the convention instead of rejecting the other parity,
-since the master equation itself is meaningful either way.
+since the master equation itself is meaningful either way.  Every epsilon = 0
+family, Q or Hamiltonian, carries the parity reversion sign of its inputs
+(`_reversion_sign_odd`) in its brackets, which is the form the Jacobi plans'
+epsilon = 0 signs assume.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import ChartMismatch, GradingMismatch
 from .geometry import (
@@ -150,8 +157,17 @@ class SpaceBasis(Chart):
 
 
 # one term of a Jacobi sum: (first block, second block, whether it is
-# subtracted), each block a bit mask of input positions
-PlanTerm = Tuple[int, int, bool]
+# subtracted), each block the tuple of its input positions, ascending
+PlanTerm = Tuple[Tuple[int, ...], Tuple[int, ...], bool]
+
+
+class _TableRow(NamedTuple):
+    """A Hamiltonian family's table at one tuple of base coordinates."""
+
+    chain: Series  # (...(H, x^{a_1}), ..., x^{a_i}) on the whole chart
+    degrees: FrozenSet[int]  # the fiber degrees of the chain's terms
+    value: Series  # the chain at zero fiber variables: the table entry T_a
+    scale: Optional[Fraction]  # T_a as a rational, where it is a constant
 
 
 def constant_field(u: GradedVariable, chart: Chart, sig: ShiftSignature,
@@ -306,27 +322,24 @@ class BracketFamily:
     def jacobi_sum(self, elements: Sequence[Series], parities: Tuple[int, ...],
                    n: int) -> Series:
         """The n-th higher Jacobi sum of ``elements``; see `jacobiator`."""
+        # interned first, since that is where an input's chart is checked
         keys = self._keys(elements)
-        # the inputs' keys at every set of positions, in ascending position,
-        # by the set's bit mask
-        blocks = [()] * (1 << n)
-        for mask in range(1, 1 << n):
-            top = mask.bit_length() - 1
-            blocks[mask] = blocks[mask ^ (1 << top)] + (keys[top],)
         plan = self._plans.get((n, parities))
         if plan is None:
             # a term's inner bracket has arity |first|, its outer 1 + |second|
             plan = self._plans[(n, parities)] = tuple([
                 term for term in jacobi_plan(n, parities, self.epsilon)
-                if not self.vanishes(term[0].bit_count())
-                and not self.vanishes(1 + term[1].bit_count())])
+                if not self.vanishes(len(term[0])) and not self.vanishes(1 + len(term[1]))])
+        if not plan:
+            return Series.zero()
         values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
+        key_at = keys.__getitem__
         added: List[Series] = []
         subtracted: List[Series] = []
         for first, second, negative in plan:
             # a value missing from the cache is evaluated by `bracket`, on the
             # inputs held under its keys, which caches it under the same keys
-            block = blocks[first]
+            block = tuple(map(key_at, first))
             inner = values.get(block)
             if inner is None:
                 inner = self.bracket([inputs[key] for key in block])
@@ -336,7 +349,7 @@ class BracketFamily:
             if inner_key is None:
                 # the value cache holds inner, so its identity stays its own
                 inner_key = key_by_id[id(inner)] = self._key(inner)
-            block = (inner_key,) + blocks[second]
+            block = (inner_key, *map(key_at, second))
             outer = values.get(block)
             if outer is None:
                 outer = self.bracket([inputs[key] for key in block])
@@ -353,11 +366,33 @@ class HamiltonianFamily(BracketFamily):
     epsilon is structural: 1 for the even cotangent bundle (S-infinity), 0
     for the odd one (P-infinity); k is read off the chart shift (s = 1-k).
 
-    A bracket is a chain of canonical brackets from the master, one step per
-    input.  ``_chain`` keeps the value after every prefix it has walked, keyed
-    by the tuple of the input keys so far, so a new chain costs one step per
-    input past its longest cached prefix; the Jacobi sums repeat prefixes
-    across unshuffles.
+    A bracket is the chain ``(...(H, f_1), ..., f_n)`` at zero fiber
+    variables.  With a base function f, a step is one first-order operator,
+    ``(F, f) = sum_a (-1)^{s1(a, Ft)} dF/dp_a df/dx^a``, and no later step
+    differentiates ``df/dx^a`` again.  So the bracket is a table contracted
+    with the inputs' gradients:
+
+        {f_1, ..., f_n} = sum_a sigma(a) T_a df_1/dx^{a_1} ... df_n/dx^{a_n}
+
+    where ``T_a`` is the chain on the coordinates x^{a_1}, ..., x^{a_n}.  The
+    table is built lazily, one canonical bracket per coordinate tuple, from
+    the chain of its longest prefix (`_row`), and a bracket walks only the
+    tuples whose chains still have terms of the fiber degree it needs.  Each
+    input's gradient is computed once per key.  A step's sign
+    ``s1(a, Ft)`` is ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft`` (odd kind),
+    and ``Ft`` is the running parity ``H~ + sum_{j<i} (f~_j + kappa)``, with
+    kappa the bracket's own parity; sigma moves each step's sign from the
+    coordinates' running parity to the inputs'.  The master's parity and
+    kappa cancel in that move, so sigma reads only the inputs' parities and
+    the coordinates'.  For epsilon = 0 the bracket also carries the parity
+    reversion sign of the inputs, the sign rule of `_derived_at_origin`, so
+    that Jacobi plans read P-infinity brackets as they read Q brackets.
+
+    Every term of an arity-n bracket comes from the master's fiber-degree-n
+    part, so the chain's truncation rule keeps all of them or none: step i
+    has order ``min(max(o_{i-1} - 1, 0), max(o(f_i) - 1, 0))``, from the
+    master's order, and keeps fiber degree ``n - i`` only up to it.  The
+    bracket has the order of the last step.
     """
 
     jacobi_note = ("function-family identities use the bracket form of the "
@@ -371,7 +406,10 @@ class HamiltonianFamily(BracketFamily):
         self.ct = ct
         self._pool_seed = pool_seed
         self._pool_size = pool_size
-        self._prefixes: Dict[Tuple[int, ...], Series] = {(): master}
+        self._coordinates = [Series.variable(var) for var in ct.base.variables]
+        self._table: Dict[Tuple[int, ...], _TableRow] = {}
+        # input key -> (parity, ((a, df/dx^a) for each nonzero one))
+        self._gradients: Dict[int, Tuple[int, Tuple[Tuple[int, Series], ...]]] = {}
         # a step with a base function lowers the fiber degree by one; the
         # terms a truncated master is missing could have any fiber degree
         if master.truncation_order is None:
@@ -380,29 +418,94 @@ class HamiltonianFamily(BracketFamily):
     def _interned(self, f: Series) -> Tuple[Series, Optional[int]]:
         if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
-        # checked here as well as in each step, since a Jacobi plan cut at
-        # the arity bound may bracket an input in no step at all
+        # checked at interning, since a Jacobi plan cut at the arity bound
+        # may bracket an input in no step at all
         check_uses_only(f, self.ct.variables, "bracket argument uses variables not on the chart")
         # Series equality ignores the truncation order, which the bracket
         # depends on, so equal series share a key only at equal orders
         return f, f.truncation_order
 
-    def _chain(self, keys: Tuple[int, ...]) -> Series:
-        prefixes = self._prefixes
-        value = prefixes.get(keys)
-        if value is not None:
-            return value
-        done = len(keys) - 1
-        while (value := prefixes.get(keys[:done])) is None:
-            done -= 1
-        for i in range(done, len(keys)):
-            value = canonical_bracket(value, self._inputs[keys[i]], self.ct)
-            prefixes[keys[:i + 1]] = value
-        return value
+    def _row(self, coordinates: Tuple[int, ...]) -> "_TableRow":
+        """The table row of a coordinate tuple, bracketed from its prefix's chain."""
+        row = self._table.get(coordinates)
+        if row is None:
+            chain = self.master if not coordinates else canonical_bracket(
+                self._row(coordinates[:-1]).chain, self._coordinates[coordinates[-1]], self.ct)
+            value = chain.fiber_slice(0, 0)
+            terms = value.items()
+            scale = terms[0][1] if len(terms) == 1 and not terms[0][0] else None
+            row = self._table[coordinates] = _TableRow(chain, chain.fiber_degrees(), value, scale)
+        return row
+
+    def _gradient(self, key: int) -> Tuple[int, Tuple[Tuple[int, Series], ...]]:
+        found = self._gradients.get(key)
+        if found is None:
+            f = self._inputs[key]
+            parity = 0 if f.is_zero else f.bigrading().parity
+            found = self._gradients[key] = (parity, tuple([
+                (var.index, d) for var in self.ct.base.variables
+                if not (d := f.left_derivative(var)).is_zero]))
+        return found
+
+    def _order(self, keys: Tuple[int, ...]) -> Tuple[Optional[int], bool]:
+        """The chain's truncation order after the last input, and whether
+        every step keeps the fiber degree that the bracket's terms have then."""
+        if keys and not self._coordinates:
+            return None, True  # as `canonical_bracket` has it on such a chart
+        order = self.master.truncation_order
+        n, kept = len(keys), True
+        for i, key in enumerate(keys, 1):
+            input_order = self._interned_as[key][1]
+            if order is None and input_order is None:
+                continue
+            order = min([max(o - 1, 0) for o in (order, input_order) if o is not None])
+            kept = kept and n - i <= order
+        return order, kept
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
-        """{f_1, ..., f_n}_H = (...(H, f_1), ..., f_n) at zero fiber variables."""
-        return self._chain(keys).fiber_slice(0, 0)
+        """{f_1, ..., f_n}_H = (...(H, f_1), ..., f_n) at zero fiber variables,
+        read off the table."""
+        order, kept = self._order(keys)
+        if not kept:
+            return Series.zero(order)
+        n = len(keys)
+        if not n:
+            return self._row(()).value
+        inputs = [self._gradient(key) for key in keys]
+        parities = [var.parity for var in self.ct.base.variables]
+        kappa = 1 - self.epsilon
+        terms = []
+        # a depth-first walk over the coordinate tuples whose rows stay
+        # live, from (position, coordinates so far, the gradients' product so
+        # far, whether the term is subtracted, the drift); the drift is the
+        # sum over j < i of f~_j + zt_{a_j}, the running parity of the inputs
+        # less that of the coordinates.  The parity reversion sign is the
+        # first sign
+        reversed_sign = self.epsilon == 0 and _reversion_sign_odd(
+            [parity for parity, _ in inputs])
+        stack = [(0, (), None, reversed_sign, 0)]
+        while stack:
+            i, coordinates, product, negative, drift = stack.pop()
+            parity, gradients = inputs[i]
+            left = n - i - 1  # the fiber degree a live row of the next step has
+            for a, gradient in gradients:
+                reached = coordinates + (a,)
+                row = self._row(reached)
+                if left not in row.degrees:
+                    continue
+                factor = gradient if product is None else product * gradient
+                if factor.is_zero:
+                    continue
+                zt = parities[a]
+                flipped = negative ^ bool((zt + kappa) * drift % 2)
+                if left:
+                    stack.append((i + 1, reached, factor, flipped, drift + parity + zt))
+                elif row.scale is not None:
+                    terms.append(factor * (-row.scale if flipped else row.scale))
+                else:
+                    term = row.value * factor
+                    terms.append(-term if flipped else term)
+        return Series.sum([Series.zero(order)] + terms)
 
     def _new_pool(self):
         rng = random.Random(self._pool_seed)
@@ -574,8 +677,8 @@ def pool_tuples(pool: Sequence[Tuple[str, Series, int, int]],
 def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm, ...]:
     """The terms of the n-th higher Jacobi sum, one per (r, n-r)-unshuffle.
 
-    Each term is (first block, second block, negative), the blocks as bit
-    masks of input positions.  For epsilon = 0 the sign is (-1)^{r s}
+    Each term is (first block, second block, negative), the blocks as tuples
+    of input positions.  For epsilon = 0 the sign is (-1)^{r s}
     sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
     depends only on n, the inputs' parities and epsilon.  This is the full
     plan; `BracketFamily.jacobi_sum` drops from it the terms with a bracket
@@ -590,8 +693,7 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
                 sign *= sgn
                 if (r * (n - r)) % 2:
                     sign = -sign
-            plan.append((sum(1 << j for j in first), sum(1 << j for j in second),
-                         sign < 0))
+            plan.append((first, second, sign < 0))
     return tuple(plan)
 
 

@@ -128,6 +128,14 @@ class TestExitCodes:
         proc = run_gk("no_such_file.gk")
         assert proc.returncode == 2
 
+    def test_a_file_that_is_not_utf8_exits_two(self, tmp_path):
+        bad = tmp_path / "latin1.gk"
+        bad.write_bytes(b"manifold M\n  var x even 0 \xff\nend\n")
+        proc = run_gk(str(bad))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert f"{bad} is not UTF-8 text" in proc.stderr
+
     def test_exponent_overflow_in_a_task_is_a_task_error(self, tmp_path):
         # the bracket {H, H} multiplies x^(bound - 1) by x^bound
         problem = tmp_path / "overflow.gk"

@@ -19,7 +19,7 @@ from gradedkernel.geometry import (
     shifted_anticotangent,
     shifted_cotangent,
 )
-from gradedkernel.graded_core import Bigrading, Series, monomial_bigrading
+from gradedkernel.graded_core import Bigrading, Series, format_series, monomial_bigrading
 from gradedkernel.homotopy import (
     ExplicitFamily,
     HamiltonianFamily,
@@ -37,9 +37,14 @@ from gradedkernel.homotopy import (
     permutation_signs,
     unshuffles,
 )
-from gradedkernel.sampling import enumerate_monomials, homogeneous_pool, random_homogeneous
+from gradedkernel.sampling import (
+    bucket_by_bigrading,
+    enumerate_monomials,
+    homogeneous_pool,
+    random_homogeneous,
+)
 
-from helpers import commutator_chain_bracket, full_stencil_bracket, vector
+from helpers import commutator_chain_bracket, full_stencil_bracket, run_gk, vector
 
 V = Series.variable
 CORPUS = Path(__file__).parent / "corpus"
@@ -762,20 +767,24 @@ def canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, arity):
     return made
 
 
-# FP made 167 before its plans were cut at its master's fiber degree, 2; FH's
-# fiber degree, 3, cuts nothing at arity 3
-@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 248),
-                                                 ("master_pinf", "FP", 42)])
+# A family brackets the master with coordinate functions only, once per
+# coordinate tuple its table reads (`HamiltonianFamily._chained`).  FH made
+# 248 and FP 42 when each bracket was a chain over its inputs; FP made 167
+# before its plans were cut at its master's fiber degree, 2
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 12),
+                                                 ("master_pinf", "FP", 6)])
 def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, stem,
                                                                  family, count):
     assert len(canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, 3)) == count
 
 
 def test_an_arity_5_jacobi_check_brackets_few_zero_prefixes(monkeypatch):
-    # 6,428 brackets, 3,885 of them from a zero prefix, before the cut
+    # 6,428 brackets, 3,885 of them from a zero prefix, before the cut; 1,178
+    # and 15 with input chains.  The table of a fiber-degree-3 master is
+    # whole at arity 3, and a zero prefix is never extended
     made = canonical_brackets_of_a_jacobi_check(monkeypatch, "master_sinf", "FH", 5)
-    assert len(made) == 1178
-    assert sum(f.is_zero for f, _ in made) == 15
+    assert len(made) == 12
+    assert sum(f.is_zero for f, _ in made) == 0
 
 
 class TestMasterVectorField:
@@ -1132,3 +1141,214 @@ def test_a_family_builds_its_pool_once(monkeypatch, name):
     monkeypatch.setattr(fam, "_interned", lambda e: interned.append(e) or original(e))
     check_weights_parities(fam, fam.signature, 3)
     assert not interned and len(fam._inputs) == held
+
+
+# -- a Hamiltonian family's table against the canonical-bracket chain ---------
+
+def reversion_sign(parities):
+    """The parity reversion sign (-1)^{p_1 (n-1) + ... + p_{n-1}} of a
+    P-infinity bracket on inputs of these parities."""
+    n = len(parities)
+    return -1 if sum(p * (n - 1 - j) for j, p in enumerate(parities)) % 2 else 1
+
+
+def parity_of(f):
+    return 0 if f.is_zero else f.bigrading().parity
+
+
+@st.composite
+def base_charts(draw):
+    """A base chart of 1 to 3 coordinates of any parity and weight."""
+    dim = draw(st.integers(1, 3))
+    return Chart.build([(f"z{i}", draw(st.integers(0, 1)), draw(st.integers(-2, 2)))
+                        for i in range(dim)], "M")
+
+
+def cotangent_of(base, kind, s):
+    return (shifted_cotangent if kind == "even" else shifted_anticotangent)(base, s)
+
+
+def random_master(ct, rng, parity, fiber=(1, 3), max_degree=3):
+    """Two to four terms of fiber degree in the ``fiber`` range, all of the
+    given parity (or of either), from the largest bigrading class there is:
+    a random draw from one class would mostly give masters that depend on no
+    base coordinate."""
+    low, high = fiber
+    monomials = [m for m in enumerate_monomials(ct.variables, max_degree)
+                 if low <= sum(exp for var, exp in m if var.fiber_degree) <= high]
+    classes = sorted((len(ms), grade.parity, grade.weight, ms)
+                     for grade, ms in bucket_by_bigrading(monomials).items()
+                     if parity is None or grade.parity == parity)
+    if not classes:
+        return Series.zero()
+    largest = classes[-1][3]
+    chosen = rng.sample(largest, min(len(largest), rng.randint(2, 4)))
+    return Series({m: rng.choice([1, -1, 2, -2, Fraction(1, 2)]) for m in chosen})
+
+
+def random_function(base, rng):
+    """One to three terms of degree 1 or 2 in the base coordinates, all of
+    one bigrading: a constant has no gradient, so it zeroes a bracket."""
+    classes = sorted((grade.parity, grade.weight, ms) for grade, ms in bucket_by_bigrading(
+        enumerate_monomials(base.variables, 2)[1:]).items())
+    _, _, monomials = rng.choice(classes)
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 3)))
+    return Series({m: rng.choice([1, -1, 3, Fraction(-1, 2)]) for m in chosen})
+
+
+# the chain keeps a term of an arity-n bracket past step i only if every
+# order so far, less one per step, leaves it fiber degree n - i; so half the
+# draws truncate nothing, or most brackets would be zero
+ORDERS = st.sampled_from([None, None, 0, 1, 2, 3, 4, 5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=base_charts(), kind=st.sampled_from(["even", "odd"]), s=st.integers(-1, 2),
+       seed=st.integers(0, 2 ** 32), arity=st.integers(0, 4), truncated=st.booleans(),
+       data=st.data())
+def test_every_hamiltonian_bracket_is_the_chain_of_its_inputs(base, kind, s, seed, arity,
+                                                              truncated, data):
+    ct = cotangent_of(base, kind, s)
+    rng = random.Random(seed)
+
+    def order():
+        return data.draw(ORDERS) if truncated else None
+
+    # only the terms of fiber degree n reach an arity-n bracket
+    master = random_master(ct, rng, None, fiber=(arity, arity), max_degree=arity + 1)
+    master_order = order()
+    if master_order is not None:
+        master = master.truncate(master_order)
+    inputs = []
+    for _ in range(arity):
+        f, f_order = random_function(base, rng), order()
+        inputs.append(f if f_order is None else f.truncate(f_order))
+    fam = HamiltonianFamily(master, ct)
+    got = fam.bracket(inputs)
+    want = iterated_bracket(master, inputs, ct)
+    if fam.epsilon == 0:
+        want = want * reversion_sign([parity_of(f) for f in inputs])
+    assert got == want and format_series(got) == format_series(want)
+    assert got.truncation_order == want.truncation_order
+    # a second family, bracketing every prefix first, reads its table the
+    # same way from a table that is already partly built
+    warm = HamiltonianFamily(master, ct)
+    for m in range(arity + 1):
+        warm.bracket(inputs[:m])
+    assert warm.bracket(inputs) == got
+    assert warm.bracket(inputs).truncation_order == got.truncation_order
+
+
+# A P-infinity master on a base with an odd coordinate: [P, P] = 0, and its
+# Jacobi check once failed 8 of 156 entries, for example n=3 (f3, f1, f3)
+# with residual 64/3 * x1 * x2, as its brackets lacked the parity reversion
+# sign that Q families carry
+PINF_ODD_BASE = """\
+manifold M
+  var x0 even -1
+  var x1 even 1
+  var x2 odd 2
+end
+anticotangent CT base M shift 1
+function P on CT parity even weight 2 = 2 * xs_x0 * xs_x1
+task check-master P
+family FP fromhamiltonian P
+task check-jacobi FP arity 3
+"""
+
+
+def test_a_pinf_master_on_a_base_with_an_odd_coordinate_passes_jacobi(tmp_path):
+    problem = tmp_path / "pinf_odd_base.gk"
+    problem.write_text(PINF_ODD_BASE, encoding="utf-8")
+    proc = run_gk(str(problem))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "0 failed" in proc.stdout.splitlines()[-1]
+
+
+# -- the square identity: the n-th Jacobi sum of the brackets generated by G
+# is the n-th bracket generated by 1/2 [G, G] (Voronov, JPAA 202, 2005) -------
+
+def q_square(q):
+    return commutator(q, q).scaled(Fraction(1, 2))
+
+
+def hamiltonian_square(master, ct):
+    return canonical_bracket(master, master, ct) * Fraction(1, 2)
+
+
+def corpus_family(stem, name):
+    return parse_problem((CORPUS / f"{stem}.gk").read_text()).families[name]
+
+
+# generators with [G, G] = 0: both kinds of master, one on a base with an
+# odd coordinate, and a Q field of each epsilon
+KNOWN_MASTERS = {
+    "sinf": lambda: corpus_family("master_sinf", "FH"),
+    "pinf": lambda: corpus_family("master_pinf", "FP"),
+    "pinf-odd-base": lambda: parse_problem(PINF_ODD_BASE).families["FP"],
+    "lie2": lambda: lie2_family()[0],
+    "odd-q": odd_q_family,
+}
+
+
+def assert_square_identity(fam, square, inputs, n_max):
+    """Every Jacobi sum of ``fam`` on tuples of ``inputs`` to arity ``n_max``
+    is the bracket of the same tuple in ``square``."""
+    for n in range(n_max + 1):
+        for picked in itertools.product(inputs, repeat=n):
+            elements = [element for element, _ in picked]
+            got = jacobiator(fam, list(picked), n)
+            assert got == square.bracket(elements), [str(e) for e in elements]
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_MASTERS))
+def test_the_jacobi_sums_of_a_master_vanish_as_its_square_does(name):
+    fam = KNOWN_MASTERS[name]()
+    if isinstance(fam, HamiltonianFamily):
+        square = HamiltonianFamily(hamiltonian_square(fam.master, fam.ct), fam.ct)
+    else:
+        square = QFamily(q_square(fam.q), fam.basis, fam.signature)
+    inputs = [(element, parity) for _, element, parity, _ in fam.pool()]
+    assert_square_identity(fam, square, inputs[:4], 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=base_charts(), s=st.integers(-1, 2), seed=st.integers(0, 2 ** 32),
+       epsilon=st.integers(0, 1))
+def test_hamiltonian_jacobi_sums_are_brackets_of_the_square(base, s, seed, epsilon):
+    # the convention parities: an odd master on T*M[s], an even one on Pi T*M[s]
+    ct = cotangent_of(base, "even" if epsilon else "odd", s)
+    rng = random.Random(seed)
+    master = random_master(ct, rng, epsilon, fiber=(2, 3))
+    fam = HamiltonianFamily(master, ct)
+    square = HamiltonianFamily(hamiltonian_square(master, ct), ct)
+    inputs = [(f, f.bigrading().parity) for f in (random_function(base, rng) for _ in range(3))]
+    assert_square_identity(fam, square, inputs, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), epsilon=st.integers(0, 1),
+       k=st.integers(0, 2), seed=st.integers(0, 2 ** 32))
+def test_q_jacobi_sums_are_brackets_of_the_square(data, dim, epsilon, k, seed):
+    sig = ShiftSignature(epsilon, k)
+    # each coordinate's parity is its weight mod 2, so that many monomials
+    # have a component's bigrading; the basis vectors' parities still mix
+    weights = [data.draw(st.integers(-1, 2)) for _ in range(dim)]
+    basis = SpaceBasis.build([(f"e{i + 1}", (w + 1 - epsilon) % 2, sig.s - w)
+                              for i, w in enumerate(weights)])
+    chart = basis.chart(sig)
+    rng = random.Random(seed)
+    # an odd field of weight 1, homological or not
+    components = {var: random_homogeneous(chart.variables, rng, max_degree=3,
+                                          parity=var.parity + 1, weight=var.weight + 1)
+                  for var in chart.variables}
+    q = VectorField(chart, components, 1, 1)
+    fam = QFamily(q, basis, sig)
+    square = QFamily(q_square(q), basis, sig)
+    inputs = [(element, parity) for _, element, parity, _ in fam.pool()]
+    # and a vector with every basis vector of the first one's parity in it
+    first = inputs[0][1]
+    inputs.append((Series.sum([element * (i + 1) for i, (element, parity) in enumerate(inputs)
+                               if parity == first]), first))
+    assert_square_identity(fam, square, inputs, 3)
