@@ -53,6 +53,7 @@ epsilon = 0 signs assume.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -157,8 +158,8 @@ class SpaceBasis(Chart):
 
 
 # one term of a Jacobi sum: (first block, second block, whether it is
-# subtracted), each block the tuple of its input positions, ascending
-PlanTerm = Tuple[Tuple[int, ...], Tuple[int, ...], bool]
+# subtracted), each block a bit mask of input positions
+PlanTerm = Tuple[int, int, bool]
 
 
 class _TableRow(NamedTuple):
@@ -329,17 +330,20 @@ class BracketFamily:
             # a term's inner bracket has arity |first|, its outer 1 + |second|
             plan = self._plans[(n, parities)] = tuple([
                 term for term in jacobi_plan(n, parities, self.epsilon)
-                if not self.vanishes(len(term[0])) and not self.vanishes(1 + len(term[1]))])
+                if not self.vanishes(term[0].bit_count())
+                and not self.vanishes(1 + term[1].bit_count())])
         if not plan:
             return Series.zero()
         values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
-        key_at = keys.__getitem__
+        # the blocks the plan reads, each the inputs' keys at the positions
+        # in its bit mask, in ascending position
+        positions = _mask_positions(n)
         added: List[Series] = []
         subtracted: List[Series] = []
         for first, second, negative in plan:
             # a value missing from the cache is evaluated by `bracket`, on the
             # inputs held under its keys, which caches it under the same keys
-            block = tuple(map(key_at, first))
+            block = tuple([keys[j] for j in positions[first]])
             inner = values.get(block)
             if inner is None:
                 inner = self.bracket([inputs[key] for key in block])
@@ -349,7 +353,7 @@ class BracketFamily:
             if inner_key is None:
                 # the value cache holds inner, so its identity stays its own
                 inner_key = key_by_id[id(inner)] = self._key(inner)
-            block = (inner_key, *map(key_at, second))
+            block = (inner_key, *[keys[j] for j in positions[second]])
             outer = values.get(block)
             if outer is None:
                 outer = self.bracket([inputs[key] for key in block])
@@ -677,8 +681,8 @@ def pool_tuples(pool: Sequence[Tuple[str, Series, int, int]],
 def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm, ...]:
     """The terms of the n-th higher Jacobi sum, one per (r, n-r)-unshuffle.
 
-    Each term is (first block, second block, negative), the blocks as tuples
-    of input positions.  For epsilon = 0 the sign is (-1)^{r s}
+    Each term is (first block, second block, negative), the blocks as bit
+    masks of input positions.  For epsilon = 0 the sign is (-1)^{r s}
     sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
     depends only on n, the inputs' parities and epsilon.  This is the full
     plan; `BracketFamily.jacobi_sum` drops from it the terms with a bracket
@@ -693,8 +697,15 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
                 sign *= sgn
                 if (r * (n - r)) % 2:
                     sign = -sign
-            plan.append((first, second, sign < 0))
+            plan.append((sum(1 << j for j in first), sum(1 << j for j in second),
+                         sign < 0))
     return tuple(plan)
+
+
+@functools.lru_cache(maxsize=16)
+def _mask_positions(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The positions in each bit mask of n positions, ascending, by mask."""
+    return tuple(tuple(j for j in range(n) if mask >> j & 1) for mask in range(1 << n))
 
 
 def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]],
