@@ -279,25 +279,22 @@ def is_homological(q: VectorField) -> bool:
 def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
     """The canonical Poisson (kind=even) or Schouten (kind=odd) bracket.
 
-    Requires homogeneous arguments; the result has weight w(F)+w(G)-s and
-    parity Ft+Gt (plus 1 for the odd kind).
+    Requires homogeneous, untruncated arguments; the result has weight
+    w(F)+w(G)-s and parity Ft+Gt (plus 1 for the odd kind).
 
     An argument of fiber degree 0, such as a base function, has no fiber
-    derivative, so the products that take one of it are skipped.  The result
-    still carries the truncation order of the full stencil: every product
-    takes a fiber derivative of F or of G, which lowers an order by one.
+    derivative, so the products that take one of it are skipped.
     """
     for argument in (f, g):
         check_uses_only(argument, ct.variables, "bracket argument uses variables not on the chart")
-    orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
-              if order is not None]
-    order = min(orders) if orders and ct.base.variables else None
+        if argument.truncation_order is not None:
+            raise GradingMismatch("bracket arguments must be exact series, not truncated ones")
     if f.is_zero or g.is_zero:
-        return Series.zero(order)
+        return Series.zero()
     f_parity = f.bigrading().parity
     g.bigrading()
     f_in_fiber, g_in_fiber = f.fiber_degree() > 0, g.fiber_degree() > 0
-    terms = [Series.zero(order)]
+    terms = []
     for base_var in ct.base.variables:
         fiber_var = ct.conjugate(base_var)
         zt = base_var.parity

@@ -13,11 +13,12 @@ A bracket family can come from three sources:
 * ``ExplicitFamily`` - a table of structure constants, stored graded
   symmetrized (epsilon = 1) or antisymmetrized (epsilon = 0).
 
-Every family takes and returns `Series`.  A vector of a graded space is a
-series linear in the space's basis variables (`SpaceBasis.coordinates`
-reads it back).  A family interns each input to an integer key and caches
-every bracket it evaluates under the tuple of its inputs' keys (see
-`BracketFamily`).
+Every family takes and returns exact `Series`: the brackets are polynomial
+identities, so a truncated input or master raises GradingMismatch.  A
+vector of a graded space is a series linear in the space's basis variables
+(`SpaceBasis.coordinates` reads it back).  A family interns each input to
+an integer key and caches every bracket it evaluates under the tuple of its
+inputs' keys (see `BracketFamily`).
 
 The checkers (`check_higher_jacobi`, `check_weights_parities`,
 `check_leibniz`, `check_master`) never raise on a failed law; failures are
@@ -240,22 +241,21 @@ class BracketFamily:
     interned to a key or a cached bracket value, is also keyed by its
     identity, which stays its own while the family lives, so a pool entry
     or an inner bracket fed back as an input is looked up with no hashing of
-    its value.  Other inputs are looked up by value.  ``jacobi_sum`` reads
+    its value.  Other inputs are looked up by value, and refused if they are
+    truncated, as a truncated copy of a held one is.  ``jacobi_sum`` reads
     the cache by these keys directly, and has a value it does not find
     evaluated by ``bracket``.  The pool is built once, so every check on a
-    family passes the same objects.
-
-    The Jacobi plans (`jacobi_plan`) are kept per family too, by arity and
-    parity pattern.
+    family passes the same objects, and the Jacobi plans (`jacobi_plan`) are
+    kept per family too, by arity and parity pattern.
 
     ``arity_bound`` is an arity above which every bracket of the family is
-    zero, read off its generator or table, or None where the family states
-    none; `vanishes` reads it.  A plan leaves out the terms whose inner or
-    outer bracket vanishes so, since they add nothing to the sum, and the
-    checks take such a bracket as zero without evaluating it.
+    zero, read off its generator or table; `vanishes` reads it.  A plan
+    leaves out the terms whose inner or outer bracket vanishes so, since
+    they add nothing to the sum, and the checks take such a bracket as zero
+    without evaluating it.
     """
 
-    arity_bound: Optional[int] = None
+    arity_bound: int
     jacobi_note = ""  # the Jacobi sums' convention, which `check_higher_jacobi` reports
 
     def __init__(self, epsilon: int, k: int):
@@ -282,7 +282,7 @@ class BracketFamily:
 
     def vanishes(self, n: int) -> bool:
         """Whether every bracket of arity ``n`` is zero by ``arity_bound``."""
-        return self.arity_bound is not None and n > self.arity_bound
+        return n > self.arity_bound
 
     def pool(self) -> List[Tuple[str, Series, int, int]]:
         """Labeled homogeneous inputs as (label, element, parity, weight)."""
@@ -303,6 +303,8 @@ class BracketFamily:
 
     def _key(self, element: Series) -> int:
         """The key of an input that has no key by identity."""
+        if element.truncation_order is not None:
+            raise GradingMismatch("bracket inputs must be exact series, not truncated ones")
         interned = self._interned(element)
         key = self._key_by_value.setdefault(interned, len(self._inputs))
         if key == len(self._inputs):
@@ -393,10 +395,7 @@ class HamiltonianFamily(BracketFamily):
     that Jacobi plans read P-infinity brackets as they read Q brackets.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
-    part, so the chain's truncation rule keeps all of them or none: step i
-    has order ``min(max(o_{i-1} - 1, 0), max(o(f_i) - 1, 0))``, from the
-    master's order, and keeps fiber degree ``n - i`` only up to it.  The
-    bracket has the order of the last step.
+    part, so the fiber degree of the exact master is the family's arity bound.
     """
 
     jacobi_note = ("function-family identities use the bracket form of the "
@@ -405,6 +404,8 @@ class HamiltonianFamily(BracketFamily):
 
     def __init__(self, master: Series, ct: CotangentChart,
                  pool_seed: int = 11, pool_size: int = 5):
+        if master.truncation_order is not None:
+            raise GradingMismatch("a master must be an exact series, not a truncated one")
         super().__init__(1 if ct.kind == KIND_EVEN else 0, 1 - ct.shift)
         self.master = master
         self.ct = ct
@@ -414,20 +415,15 @@ class HamiltonianFamily(BracketFamily):
         self._table: Dict[Tuple[int, ...], _TableRow] = {}
         # input key -> (parity, ((a, df/dx^a) for each nonzero one))
         self._gradients: Dict[int, Tuple[int, Tuple[Tuple[int, Series], ...]]] = {}
-        # a step with a base function lowers the fiber degree by one; the
-        # terms a truncated master is missing could have any fiber degree
-        if master.truncation_order is None:
-            self.arity_bound = master.fiber_degree()
+        self.arity_bound = master.fiber_degree()  # each step lowers it by one
 
-    def _interned(self, f: Series) -> Tuple[Series, Optional[int]]:
+    def _interned(self, f: Series) -> Series:
         if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
         # checked at interning, since a Jacobi plan cut at the arity bound
         # may bracket an input in no step at all
         check_uses_only(f, self.ct.variables, "bracket argument uses variables not on the chart")
-        # Series equality ignores the truncation order, which the bracket
-        # depends on, so equal series share a key only at equal orders
-        return f, f.truncation_order
+        return f
 
     def _row(self, coordinates: Tuple[int, ...]) -> "_TableRow":
         """The table row of a coordinate tuple, bracketed from its prefix's chain."""
@@ -451,27 +447,9 @@ class HamiltonianFamily(BracketFamily):
                 if not (d := f.left_derivative(var)).is_zero]))
         return found
 
-    def _order(self, keys: Tuple[int, ...]) -> Tuple[Optional[int], bool]:
-        """The chain's truncation order after the last input, and whether
-        every step keeps the fiber degree that the bracket's terms have then."""
-        if keys and not self._coordinates:
-            return None, True  # as `canonical_bracket` has it on such a chart
-        order = self.master.truncation_order
-        n, kept = len(keys), True
-        for i, key in enumerate(keys, 1):
-            input_order = self._interned_as[key][1]
-            if order is None and input_order is None:
-                continue
-            order = min([max(o - 1, 0) for o in (order, input_order) if o is not None])
-            kept = kept and n - i <= order
-        return order, kept
-
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
         """{f_1, ..., f_n}_H = (...(H, f_1), ..., f_n) at zero fiber variables,
         read off the table."""
-        order, kept = self._order(keys)
-        if not kept:
-            return Series.zero(order)
         n = len(keys)
         if not n:
             return self._row(()).value
@@ -509,7 +487,7 @@ class HamiltonianFamily(BracketFamily):
                 else:
                     term = row.value * factor
                     terms.append(-term if flipped else term)
-        return Series.sum([Series.zero(order)] + terms)
+        return Series.sum(terms)
 
     def _new_pool(self):
         rng = random.Random(self._pool_seed)
@@ -751,8 +729,7 @@ def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
     for picked, labels in pool_tuples(fam.pool(), n_max):
         n = len(picked)
         location = f"n={n} ({labels})" if n else "n=0"
-        value = None if fam.vanishes(n) else fam.bracket([e for _, e, _, _ in picked])
-        if value is None or value.is_zero:
+        if fam.vanishes(n) or (value := fam.bracket([e for _, e, _, _ in picked])).is_zero:
             report.ok("weight-parity", location=location, notes="bracket vanishes")
             continue
         want = Bigrading(
@@ -829,18 +806,18 @@ def check_master(obj: Union[VectorField, Series],
         return report
     if ct is None:
         raise ChartMismatch("a master function needs its cotangent chart")
+    residual = canonical_bracket(obj, obj, ct)  # refuses a truncated master, zero or not
     report = Report(f"master check on {ct.name}")
     if obj.is_zero:
         report.ok("master-equation", expected="0", actual="0", notes="zero master")
         return report
-    grade = obj.bigrading()  # raises on inhomogeneous input
+    grade = obj.bigrading()
     k = 1 - ct.shift
     convention = 1 if ct.kind == KIND_EVEN else 0
     report.info("master-parity",
                 actual="odd" if grade.parity else "even",
                 expected="odd" if convention else "even",
                 notes=MASTER_PARITY_NOTE)
-    residual = canonical_bracket(obj, obj, ct)
     name = "(H,H)" if ct.kind == KIND_EVEN else "[P,P]"
     shown = str(residual)
     report.record(residual.is_zero, "master-equation", location=name,

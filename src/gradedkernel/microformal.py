@@ -172,6 +172,8 @@ def _check_admissible(phi: ThickMorphism, g: Series) -> None:
 
 def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     """Solve the coupled equations with the insertion grading kept explicit."""
+    if order < 0:
+        raise ValueError("pullback order must be nonnegative")
     _require_valid(phi)
     _check_admissible(phi, g)
     t = Series.variable(_INSERTION)

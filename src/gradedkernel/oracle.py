@@ -343,6 +343,10 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
     """
     variables = _in_key_order(variables)
     odd = [i for i, var in enumerate(variables) if var.parity]
+    if generator_count < 0:
+        raise ValueError("generator count must be nonnegative")
+    if odd and not generator_count:
+        raise ValueError(f"odd variable {variables[odd[0]].name} needs at least one generator")
     indices = list(range(generator_count))
     if len(odd) <= generator_count:
         chosen = rng.sample(indices, len(odd))

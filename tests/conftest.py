@@ -4,13 +4,7 @@ import pytest
 
 from gradedkernel.geometry import Chart
 
-# pass/fail lines announced by the acceptance criteria; echoed after the run
-ANNOUNCEMENTS = []
-
-
-def announce(line):
-    print(line)
-    ANNOUNCEMENTS.append(line)
+from helpers import ANNOUNCEMENTS
 
 
 def pytest_addoption(parser):

@@ -21,6 +21,15 @@ V = Series.variable
 HALF = Fraction(1, 2)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# pass/fail lines announced by the acceptance criteria; conftest echoes
+# them after the run
+ANNOUNCEMENTS = []
+
+
+def announce(line):
+    print(line)
+    ANNOUNCEMENTS.append(line)
+
 
 def run_gk(*args):
     """``python -m gradedkernel.cli *args`` in a child process, with this
@@ -43,9 +52,7 @@ def full_stencil_bracket(f, g, ct):
     including the fiber derivatives of arguments of fiber degree 0: the
     reference for `canonical_bracket`, which skips those."""
     if f.is_zero or g.is_zero:
-        orders = [max(order - 1, 0) for order in (f.truncation_order, g.truncation_order)
-                  if order is not None]
-        return Series.zero(min(orders) if orders and ct.base.variables else None)
+        return Series.zero()
     f_parity = f.bigrading().parity
     terms = []
     for base_var in ct.base.variables:

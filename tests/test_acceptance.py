@@ -60,8 +60,7 @@ V = Series.variable
 HALF = Fraction(1, 2)
 ORACLE_BASE_SEED = 77001
 
-from conftest import announce
-from helpers import run_gk, thick_corpus, vector
+from helpers import announce, run_gk, thick_corpus, vector
 
 
 class Ledger:

@@ -207,35 +207,38 @@ def test_restrict_to_base():
     assert truncated.fiber_slice(0, 0).truncation_order == 1
 
 
-def test_bracket_with_zero_keeps_truncation_order():
+def test_bracket_refuses_a_truncated_argument():
     base = Chart.build([("x", 0, 0)], "M")
     ct = shifted_cotangent(base, 0)
     x, = base.variables
     p, = ct.fiber
     g = V(x) * V(p) + V(p) ** 2
-    # a nonzero argument truncated at 2 gives a bracket truncated at 1; so does a zero one
-    assert canonical_bracket((V(x) ** 2 + V(p) ** 3).truncate(2), g, ct).truncation_order == 1
-    assert canonical_bracket(Series.zero(2), g, ct).truncation_order == 1
-    assert canonical_bracket(g, Series.zero(0), ct).truncation_order == 0
-    assert canonical_bracket(Series.zero(), g, ct).truncation_order is None
+    # the exact bracket of x^2 and x + p_x is -2*x; its argument cut at
+    # fiber degree 0 does not determine it
+    assert canonical_bracket(V(x) ** 2, V(x) + V(p), ct) == -2 * V(x)
+    for cut in ((V(x) + V(p)).truncate(0), (V(x) ** 2 + V(p) ** 3).truncate(2),
+                Series.zero(2), Series.zero(0), g.truncate(5)):
+        for f, h in ((cut, g), (g, cut), (V(x) ** 2, cut), (cut, cut)):
+            with pytest.raises(GradingMismatch, match="exact series"):
+                canonical_bracket(f, h, ct)
+    zero = canonical_bracket(Series.zero(), g, ct)
+    assert zero.is_zero and zero.truncation_order is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(builder=st.sampled_from([shifted_cotangent, shifted_anticotangent]),
        shift=st.integers(-1, 2), seed=st.integers(0, 2 ** 32 - 1),
-       on_base=st.tuples(st.booleans(), st.booleans()),
-       orders=st.tuples(st.none() | st.integers(0, 3), st.none() | st.integers(0, 3)))
-def test_bracket_equals_the_full_stencil(builder, shift, seed, on_base, orders):
-    # 0, 1 or 2 base-function arguments, each of them truncated or exact
+       on_base=st.tuples(st.booleans(), st.booleans()))
+def test_bracket_equals_the_full_stencil(builder, shift, seed, on_base):
+    # 0, 1 or 2 base-function arguments
     base = Chart.build([("x", 0, 0), ("y", 0, 1), ("xi", 1, -1)], "M")
     ct = builder(base, shift)
     rng = random.Random(seed)
     f, g = (random_homogeneous(base.variables if base_only else ct.variables, rng, 3)
             for base_only in on_base)
-    f, g = (s if order is None else s.truncate(order) for s, order in zip((f, g), orders))
     got, want = canonical_bracket(f, g, ct), full_stencil_bracket(f, g, ct)
     assert got == want and str(got) == str(want)
-    assert got.truncation_order == want.truncation_order
+    assert got.truncation_order is want.truncation_order is None
 
 
 def test_restriction_preserves_bigrading(rng):

@@ -326,6 +326,16 @@ class TestHamiltonianFamilies:
         bad = check_master(V(p), ct)
         assert not bad.passed
 
+    def test_check_master_refuses_a_truncated_master(self):
+        chart = Chart.build([("x", 0, 0), ("xi", 1, -1)], "M")
+        ct = shifted_cotangent(chart, 0)
+        p, pi = (V(var) for var in ct.fiber)
+        H = p * pi + p * p * pi
+        assert check_master(H, ct).passed and check_master(Series.zero(), ct).passed
+        for cut in (H.truncate(2), H.truncate(3), Series.zero(2), Series.zero(0)):
+            with pytest.raises(GradingMismatch, match="exact series"):
+                check_master(cut, ct)
+
     def test_master_equation_failure_reported(self):
         # H = x p_xi + xi p_x corresponds to Q = x d/dxi + xi d/dx, which has
         # [Q,Q] != 0, so (H,H) != 0
@@ -423,21 +433,21 @@ def leibniz_samples_with_retries(variables, rng, trials):
 def hamiltonian_cases():
     """(master, chart, inputs) for an S-infinity and a P-infinity family.
 
-    The inputs include a pair with equal terms and different truncation
-    orders; truncating an input truncates every bracket it enters.
+    The inputs are exact, and include sums of the others: brackets take
+    exact series only.
     """
     chart = Chart.build([("x", 0, 0), ("xi", 1, -1)], "M")
     ct = shifted_cotangent(chart, 0)
     x, xi = chart.variables
     p, pi = ct.fiber
     sinf_inputs = [V(x), V(xi), V(x) ** 2, V(x) * V(xi), Series.one(),
-                   (V(x) ** 2).truncate(0), (V(x) ** 2).truncate(1)]
+                   V(x) ** 2 - 3 * V(x), V(x) * V(xi) + 2 * V(xi)]
     base = Chart.build([("x1", 0, -1), ("x2", 0, -1)], "g")
     act = shifted_anticotangent(base, 0)
     x1, x2 = base.variables
     xs1, xs2 = act.fiber
     pinf_inputs = [V(x1), V(x2), V(x1) * V(x2), V(x2) ** 2,
-                   V(x2).truncate(0), V(x2).truncate(1)]
+                   V(x1) + 2 * V(x2), V(x1) * V(x2) - V(x2) ** 2]
     return [(V(p) * V(pi) + V(p) * V(p) * V(pi), ct, sinf_inputs),
             (V(x2) * V(xs1) * V(xs2) + V(x1) * V(xs1) * V(xs2), act, pinf_inputs)]
 
@@ -473,25 +483,44 @@ class TestBracketCaches:
             fresh = HamiltonianFamily(master, ct).bracket(args)
             want = iterated_bracket(master, args, ct)
             assert got == fresh == want
-            assert got.truncation_order == fresh.truncation_order == want.truncation_order
+            assert got.truncation_order is fresh.truncation_order is want.truncation_order is None
 
-    def test_truncation_order_is_part_of_the_key(self):
+    def test_a_truncated_copy_of_a_held_input_is_refused(self):
+        # Series equality ignores the truncation order, so a copy would share
+        # the exact input's key if inputs were looked up by value alone
         master, ct, inputs = HAMILTONIAN_CASES[0]
-        exact, truncated, xi = inputs[2], inputs[5], inputs[1]
-        assert exact == truncated and truncated.truncation_order == 0
-        # the truncated input drops the fiber terms the second bracket needs
-        assert iterated_bracket(master, [exact, xi], ct) == -2 * V(ct.base.variables[0])
-        assert iterated_bracket(master, [truncated, xi], ct).is_zero
-        for first, second in ((exact, truncated), (truncated, exact)):
-            fam = HamiltonianFamily(master, ct)
-            for f in (first, second):
-                assert fam.bracket([f, xi]) == iterated_bracket(master, [f, xi], ct)
+        square, xi = inputs[2], inputs[1]
+        assert iterated_bracket(master, [square, xi], ct) == -2 * V(ct.base.variables[0])
+        for fam in (HamiltonianFamily(master, ct), lie2_family()[0]):
+            exact, other = (square, xi) if fam.epsilon else (
+                element for _, element, _, _ in fam.pool())
+            value = fam.bracket([exact, other])
+            if fam.epsilon:
+                assert value == iterated_bracket(master, [exact, other], ct)
+            assert value.truncation_order is None
+            copy = exact.truncate(0)
+            assert copy == exact and copy is not exact and copy.truncation_order == 0
+            for args in ([copy, other], [other, copy], [copy]):
+                with pytest.raises(GradingMismatch, match="exact series"):
+                    fam.bracket(args)
+            assert fam.bracket([exact, other]) is value and len(fam._inputs) == 2
 
-    def test_bracket_of_a_truncated_input_keeps_its_order(self):
-        master, ct, inputs = HAMILTONIAN_CASES[0]
-        exact, truncated, xi = inputs[2], inputs[5], inputs[1]
-        assert HamiltonianFamily(master, ct).bracket([truncated, xi]).truncation_order == 0
-        assert HamiltonianFamily(master, ct).bracket([exact, xi]).truncation_order is None
+    def test_a_truncated_input_is_refused(self):
+        for name, order in itertools.product(["sinf", "pinf", "lie2", "broken-jacobi"],
+                                             [0, 1, 2]):
+            fam = JACOBI_FAMILIES[name]()
+            pool = [element for _, element, _, _ in fam.pool()]
+            cut = pool[0].truncate(order)
+            for args in ([cut], [pool[1], cut], [cut, cut, pool[0]]):
+                with pytest.raises(GradingMismatch, match="exact series"):
+                    fam.bracket(args)
+                with pytest.raises(GradingMismatch, match="exact series"):
+                    jacobiator(fam, [(a, 0) for a in args], len(args))
+            # past the arity bound too, where the plan brackets nothing
+            n = 2 * fam.arity_bound
+            with pytest.raises(GradingMismatch, match="exact series"):
+                jacobiator(fam, [(cut, 0)] * n, n)
+            assert not fam._values
 
     @settings(max_examples=40, deadline=None)
     @given(calls=st.lists(st.lists(st.integers(0, 1), max_size=4), max_size=12))
@@ -619,8 +648,8 @@ def not_homological_q_family():
 
 
 # families and inputs with many nonzero Jacobi sums, so that cutting a term
-# that is not zero changes some sum: truncated Hamiltonian inputs, a field
-# that is not homological and a table that fails Jacobi
+# that is not zero changes some sum: Hamiltonian sums under any parity
+# pattern, a field that is not homological and a table that fails Jacobi
 CUT_FAMILIES = {
     "sinf": JACOBI_FAMILIES["sinf"],
     "pinf": JACOBI_FAMILIES["pinf"],
@@ -631,12 +660,15 @@ CUT_FAMILIES = {
 
 
 def cut_inputs(fam):
-    """The family's pool, with each Hamiltonian input also truncated at
-    orders 0 and 1, or with two vectors that have every basis vector in
-    them."""
+    """The family's pool, with exact sums of its entries: for a Hamiltonian
+    family each sum of two entries of one bigrading and each product of two
+    neighbours, for a basis family two vectors that have every basis vector
+    in them."""
     pool = [element for _, element, _, _ in fam.pool()]
     if isinstance(fam, HamiltonianFamily):
-        return pool + [f.truncate(order) for f in pool for order in (0, 1)]
+        return (pool + [f + 2 * g for f, g in itertools.combinations(pool, 2)
+                        if f.bigrading() == g.bigrading()]
+                + [f * g for f, g in zip(pool, pool[1:])])
     return pool + [Series.sum([f * (i + 1) for i, f in enumerate(pool)]),
                    Series.sum([f * Fraction((-1) ** i, i + 2) for i, f in enumerate(pool)])]
 
@@ -664,15 +696,25 @@ class TestArityBounds:
         assert ExplicitFamily(basis, 1, 0, table).arity_bound == 5
         assert ExplicitFamily(basis, 1, 0, {}).arity_bound == 0
 
-    def test_a_truncated_master_replays_the_full_plan(self):
+    def test_a_plan_is_cut_only_past_the_bound(self):
         master, ct, _ = HAMILTONIAN_CASES[0]
-        cut, full = HamiltonianFamily(master, ct), HamiltonianFamily(master.truncate(3), ct)
-        assert full.arity_bound is None
-        for fam in (cut, full):
-            check_higher_jacobi(fam, 5)
-        for (n, parities), plan in full._plans.items():
-            assert plan == homotopy.jacobi_plan(n, parities, full.epsilon)
-            assert len(cut._plans[(n, parities)]) < len(plan) or n < 3
+        fam = HamiltonianFamily(master, ct)
+        assert fam.arity_bound == 3
+        check_higher_jacobi(fam, 5)
+        assert {n for n, _ in fam._plans} == set(range(6))
+        for (n, parities), plan in fam._plans.items():
+            full = homotopy.jacobi_plan(n, parities, fam.epsilon)
+            assert plan == full if n < 3 else len(plan) < len(full)
+
+    def test_a_truncated_master_is_refused(self):
+        # a master cut at fiber degree 2 knows nothing of the arity-3
+        # brackets, which are not zero on the exact one
+        fam = parse_problem((CORPUS / "master_sinf.gk").read_text()).families["FH"]
+        f1, f2, f3 = (element for _, element, _, _ in fam.pool()[:3])
+        assert format_series(fam.bracket([f1, f2, f3])) == "-120 * x * xi - 80 * xi"
+        for order in (0, 2, 3, 4):
+            with pytest.raises(GradingMismatch, match="exact series"):
+                HamiltonianFamily(fam.master.truncate(order), fam.ct)
 
     @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
     @settings(max_examples=100, deadline=None)
@@ -688,7 +730,7 @@ class TestArityBounds:
             got = jacobiator(fam, inputs, n)
             want = unshuffle_loop_jacobiator(reference, inputs, n)
             assert got == want and str(got) == str(want)
-            assert got.truncation_order == want.truncation_order
+            assert got.truncation_order is want.truncation_order is None
 
     @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
     def test_the_tuples_a_bound_skips_bracket_to_zero(self, name):
@@ -720,12 +762,9 @@ class TestArityBounds:
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(HAMILTONIAN_CASES),
-       picks=st.lists(st.integers(0, 6), max_size=4),
-       master_order=st.none() | st.integers(0, 3))
-def test_iterated_bracket_equals_the_full_stencil_fold(case, picks, master_order):
+       picks=st.lists(st.integers(0, 6), max_size=4))
+def test_iterated_bracket_equals_the_full_stencil_fold(case, picks):
     master, ct, inputs = case
-    if master_order is not None:
-        master = master.truncate(master_order)
     args = [inputs[i % len(inputs)] for i in picks]
     want = master
     for f in args:
@@ -733,7 +772,7 @@ def test_iterated_bracket_equals_the_full_stencil_fold(case, picks, master_order
     want = want.fiber_slice(0, 0)
     got = iterated_bracket(master, args, ct)
     assert got == want and str(got) == str(want)
-    assert got.truncation_order == want.truncation_order
+    assert got.truncation_order is want.truncation_order is None
 
 
 def test_an_input_equal_to_a_held_one_is_not_held():
@@ -1196,47 +1235,29 @@ def random_function(base, rng):
     return Series({m: rng.choice([1, -1, 3, Fraction(-1, 2)]) for m in chosen})
 
 
-# the chain keeps a term of an arity-n bracket past step i only if every
-# order so far, less one per step, leaves it fiber degree n - i; so half the
-# draws truncate nothing, or most brackets would be zero
-ORDERS = st.sampled_from([None, None, 0, 1, 2, 3, 4, 5])
-
-
 @settings(max_examples=300, deadline=None)
 @given(base=base_charts(), kind=st.sampled_from(["even", "odd"]), s=st.integers(-1, 2),
-       seed=st.integers(0, 2 ** 32), arity=st.integers(0, 4), truncated=st.booleans(),
-       data=st.data())
-def test_every_hamiltonian_bracket_is_the_chain_of_its_inputs(base, kind, s, seed, arity,
-                                                              truncated, data):
+       seed=st.integers(0, 2 ** 32), arity=st.integers(0, 4))
+def test_every_hamiltonian_bracket_is_the_chain_of_its_inputs(base, kind, s, seed, arity):
     ct = cotangent_of(base, kind, s)
     rng = random.Random(seed)
-
-    def order():
-        return data.draw(ORDERS) if truncated else None
-
     # only the terms of fiber degree n reach an arity-n bracket
     master = random_master(ct, rng, None, fiber=(arity, arity), max_degree=arity + 1)
-    master_order = order()
-    if master_order is not None:
-        master = master.truncate(master_order)
-    inputs = []
-    for _ in range(arity):
-        f, f_order = random_function(base, rng), order()
-        inputs.append(f if f_order is None else f.truncate(f_order))
+    inputs = [random_function(base, rng) for _ in range(arity)]
     fam = HamiltonianFamily(master, ct)
     got = fam.bracket(inputs)
     want = iterated_bracket(master, inputs, ct)
     if fam.epsilon == 0:
         want = want * reversion_sign([parity_of(f) for f in inputs])
     assert got == want and format_series(got) == format_series(want)
-    assert got.truncation_order == want.truncation_order
+    assert got.truncation_order is want.truncation_order is None
     # a second family, bracketing every prefix first, reads its table the
     # same way from a table that is already partly built
     warm = HamiltonianFamily(master, ct)
     for m in range(arity + 1):
         warm.bracket(inputs[:m])
     assert warm.bracket(inputs) == got
-    assert warm.bracket(inputs).truncation_order == got.truncation_order
+    assert warm.bracket(inputs).truncation_order is None
 
 
 # A P-infinity master on a base with an odd coordinate: [P, P] = 0, and its

@@ -104,6 +104,14 @@ class TestPullback:
         phi = ThickMorphism(m1, m2, 0, "even", V(x) ** 2 + V(x) * V(q))
         assert pullback(phi, Series.zero(), 4).f == V(x) ** 2
 
+    def test_a_negative_order_is_refused(self):
+        m1, m2, x, y, q = line_pair()
+        phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q) + HALF * V(q) ** 2)
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                pullback(phi, V(y) ** 2, order)
+        assert pullback(phi, V(y) ** 2, 0).f == V(x) ** 2
+
     def test_closed_form_quadratic(self):
         m1, m2, x, y, q = line_pair()
         phi = ThickMorphism(m1, m2, 0, "even", V(x) * V(q) + HALF * V(q) ** 2)
@@ -282,6 +290,11 @@ class TestIntertwining:
         phi, h1, ct1, h2, ct2, g = quadratic_triple()
         report = check_intertwining(phi, h1, ct1, 2 * h2, ct2, g, 4)
         assert not report.passed
+
+    def test_a_negative_order_is_refused(self):
+        phi, h1, ct1, h2, ct2, g = quadratic_triple()
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            check_intertwining(phi, h1, ct1, h2, ct2, g, -1)
 
 
 @pytest.mark.parametrize("intertwining", [False, True],

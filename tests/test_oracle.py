@@ -339,6 +339,21 @@ def test_integer_draws_follow_the_fraction_stream(variables, generator_count, se
         assert rng.getstate() == fraction_rng.getstate()
 
 
+def test_an_odd_variable_needs_a_generator():
+    xi = Series.variable(XI2)
+    with pytest.raises(ValueError, match="odd variable xi2 needs at least one generator"):
+        identity_check(xi, xi, generators=0)
+    with pytest.raises(ValueError, match="odd variable xi1"):
+        random_assignment([X, XI2, XI1], 0, random.Random(1))
+    for count in (-1, -4):
+        for variables in ([X], [XI1], []):
+            with pytest.raises(ValueError, match="generator count must be nonnegative"):
+                random_assignment(variables, count, random.Random(1))
+    # even variables alone take no generator
+    x = Series.variable(X)
+    assert identity_check(x * x, x ** 2, trials=5, generators=0).passed
+
+
 def test_drawn_assignment_misses_an_unbound_variable():
     drawn = random_assignment([XI1, X], 3, random.Random(1))
     with pytest.raises(MissingBinding):
