@@ -519,14 +519,16 @@ def _task_arguments(problem: ProblemFile, task: Task,
     for key, value in options.items():
         if value < 0:
             raise ProblemSyntaxError(f"{key} must be nonnegative, got {value}", task.line)
+        if key == "trials" and value < 1:  # no trial run is no evidence
+            raise ProblemSyntaxError(f"trials must be at least 1, got {value}", task.line)
     values = [_resolve(problem, kind, name, task.line)
               for (_, kind), name in zip(positional, task.args)]
     return values, options
 
 
 def check_task_options(problem: ProblemFile, flags: Flags) -> None:
-    """Reject, at the task's line, a task with bad options, a negative one, or an
-    argument that names nothing of the kind the task needs."""
+    """Reject, at the task's line, a task with bad options, a negative one, no
+    trials, or an argument that names nothing of the kind the task needs."""
     for task in problem.tasks:
         _task_arguments(problem, task, flags)
 

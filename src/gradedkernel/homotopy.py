@@ -9,7 +9,8 @@ A bracket family can come from three sources:
   brackets on the base coordinates, contracted with the inputs' gradients:
   on base functions each canonical bracket with the master is a first-order
   operator, so the brackets of any inputs are read off those of the
-  coordinates;
+  coordinates, and a bracket is its prefix's operator, built once per
+  prefix, applied to its last input;
 * ``ExplicitFamily`` - a table of structure constants, stored graded
   symmetrized (epsilon = 1) or antisymmetrized (epsilon = 0).
 
@@ -49,7 +50,8 @@ These are the parities for which the weight/parity tables
 since the master equation itself is meaningful either way.  Every epsilon = 0
 family, Q or Hamiltonian, carries the parity reversion sign of its inputs
 (`_reversion_sign_odd`) in its brackets, which is the form the Jacobi plans'
-epsilon = 0 signs assume.
+epsilon = 0 signs assume.  The last input of a Hamiltonian bracket enters
+none of its signs, which is why its prefix's operator can be built once.
 """
 
 from __future__ import annotations
@@ -170,6 +172,11 @@ class _TableRow(NamedTuple):
     degrees: FrozenSet[int]  # the fiber degrees of the chain's terms
     value: Series  # the chain at zero fiber variables: the table entry T_a
     scale: Optional[Fraction]  # T_a as a rational, where it is a constant
+
+
+# a table path live through a Hamiltonian bracket's prefix: (coordinates, the
+# gradients' product or None for none, whether subtracted, the drift)
+_Path = Tuple[Tuple[int, ...], Optional[Series], bool, int]
 
 
 def constant_field(u: GradedVariable, chart: Chart, sig: ShiftSignature,
@@ -382,17 +389,23 @@ class HamiltonianFamily(BracketFamily):
 
     where ``T_a`` is the chain on the coordinates x^{a_1}, ..., x^{a_n}.  The
     table is built lazily, one canonical bracket per coordinate tuple, from
-    the chain of its longest prefix (`_row`), and a bracket walks only the
-    tuples whose chains still have terms of the fiber degree it needs.  Each
-    input's gradient is computed once per key.  A step's sign
-    ``s1(a, Ft)`` is ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft`` (odd kind),
-    and ``Ft`` is the running parity ``H~ + sum_{j<i} (f~_j + kappa)``, with
-    kappa the bracket's own parity; sigma moves each step's sign from the
-    coordinates' running parity to the inputs'.  The master's parity and
-    kappa cancel in that move, so sigma reads only the inputs' parities and
-    the coordinates'.  For epsilon = 0 the bracket also carries the parity
-    reversion sign of the inputs, the sign rule of `_derived_at_origin`, so
-    that Jacobi plans read P-infinity brackets as they read Q brackets.
+    the chain of its longest prefix (`_row`).  The bracket is a derivation
+    in its last input: ``{f_1, ..., f_{n-1}, .} = sum_a V_a d/dx^a``, an
+    operator built once per prefix of keys (`_operator`) by a walk over the
+    tuples whose chains still have terms of the fiber degree it needs.  Its
+    ``V_a`` is read when a last input first has a nonzero ``df_n/dx^a``
+    (`_component`).  Each input's gradient is computed once per key.  A
+    step's sign ``s1(a, Ft)`` is ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft``
+    (odd kind), and ``Ft`` is the running parity
+    ``H~ + sum_{j<i} (f~_j + kappa)``, with kappa the bracket's own parity;
+    sigma moves each step's sign from the coordinates' running parity to the
+    inputs'.  The master's parity and kappa cancel in that move, so sigma
+    reads only the inputs' parities and the coordinates'.  For epsilon = 0
+    the bracket also carries the parity reversion sign of the inputs, the
+    sign rule of `_derived_at_origin`, so that Jacobi plans read P-infinity
+    brackets as they read Q brackets.  The last input enters no sign (its
+    share in the reversion sign is 0, and sigma reads the inputs before it),
+    so the operator does not depend on it.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
     part, so the fiber degree of the exact master is the family's arity bound.
@@ -415,6 +428,10 @@ class HamiltonianFamily(BracketFamily):
         self._table: Dict[Tuple[int, ...], _TableRow] = {}
         # input key -> (parity, ((a, df/dx^a) for each nonzero one))
         self._gradients: Dict[int, Tuple[int, Tuple[Tuple[int, Series], ...]]] = {}
+        self._parities = [var.parity for var in ct.base.variables]
+        # prefix keys -> (its live `_Path`s, its components V_a read so far,
+        # by index a); the paths are dropped once every V_a is read
+        self._operators: Dict[Tuple[int, ...], Tuple[List[_Path], Dict[int, Series]]] = {}
         self.arity_bound = master.fiber_degree()  # each step lowers it by one
 
     def _interned(self, f: Series) -> Series:
@@ -448,45 +465,74 @@ class HamiltonianFamily(BracketFamily):
         return found
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
-        """{f_1, ..., f_n}_H = (...(H, f_1), ..., f_n) at zero fiber variables,
-        read off the table."""
-        n = len(keys)
-        if not n:
+        """{f_1, ..., f_n}_H: the prefix's operator applied to f_n."""
+        if not keys:
             return self._row(()).value
-        inputs = [self._gradient(key) for key in keys]
-        parities = [var.parity for var in self.ct.base.variables]
+        operator = self._operators.get(keys[:-1])
+        if operator is None:
+            operator = self._operators[keys[:-1]] = self._operator(keys[:-1])
+        paths, components = operator
+        if not paths and not components:  # no path is live
+            return Series.zero()
+        terms = []
+        for a, gradient in self._gradient(keys[-1])[1]:
+            component = components.get(a)
+            if component is None:
+                component = components[a] = self._component(paths, a)
+                if len(components) == len(self._parities):
+                    paths.clear()  # every component is read
+            if not component.is_zero:
+                terms.append(component * gradient)
+        return Series.sum(terms)
+
+    def _operator(self, prefix: Tuple[int, ...]) -> Tuple[List[_Path], Dict[int, Series]]:
+        """The `_Path`s live through ``prefix`` for a bracket one input
+        longer, and no components yet.  The drift is the sum over j < i of
+        f~_j + zt_{a_j}, the running parity of the inputs less that of the
+        coordinates.  An input's gradient is read only while a path is live."""
+        n = len(prefix) + 1
+        kappa = 1 - self.epsilon
+        parities = []
+        paths: List[_Path] = [((), None, False, 0)]
+        for i, key in enumerate(prefix):
+            if not paths:
+                break
+            parity, gradients = self._gradient(key)
+            parities.append(parity)
+            left = n - i - 1  # the fiber degree a live row of this step has
+            step = []
+            for coordinates, product, negative, drift in paths:
+                for a, gradient in gradients:
+                    reached = coordinates + (a,)
+                    if left not in self._row(reached).degrees:
+                        continue
+                    factor = gradient if product is None else product * gradient
+                    if not factor.is_zero:
+                        zt = self._parities[a]
+                        step.append((reached, factor, negative ^ bool((zt + kappa) * drift % 2),
+                                     drift + parity + zt))
+            paths = step
+        if paths and self.epsilon == 0 and _reversion_sign_odd(parities + [0]):
+            paths = [(coordinates, product, not negative, drift)
+                     for coordinates, product, negative, drift in paths]
+        return paths, {}
+
+    def _component(self, paths: List[_Path], a: int) -> Series:
+        """V_a, the coefficient of d/dx^a in the operator of these paths."""
         kappa = 1 - self.epsilon
         terms = []
-        # a depth-first walk over the coordinate tuples whose rows stay
-        # live, from (position, coordinates so far, the gradients' product so
-        # far, whether the term is subtracted, the drift); the drift is the
-        # sum over j < i of f~_j + zt_{a_j}, the running parity of the inputs
-        # less that of the coordinates.  The parity reversion sign is the
-        # first sign
-        reversed_sign = self.epsilon == 0 and _reversion_sign_odd(
-            [parity for parity, _ in inputs])
-        stack = [(0, (), None, reversed_sign, 0)]
-        while stack:
-            i, coordinates, product, negative, drift = stack.pop()
-            parity, gradients = inputs[i]
-            left = n - i - 1  # the fiber degree a live row of the next step has
-            for a, gradient in gradients:
-                reached = coordinates + (a,)
-                row = self._row(reached)
-                if left not in row.degrees:
-                    continue
-                factor = gradient if product is None else product * gradient
-                if factor.is_zero:
-                    continue
-                zt = parities[a]
-                flipped = negative ^ bool((zt + kappa) * drift % 2)
-                if left:
-                    stack.append((i + 1, reached, factor, flipped, drift + parity + zt))
-                elif row.scale is not None:
-                    terms.append(factor * (-row.scale if flipped else row.scale))
-                else:
-                    term = row.value * factor
-                    terms.append(-term if flipped else term)
+        for coordinates, product, negative, drift in paths:
+            row = self._row(coordinates + (a,))
+            if 0 not in row.degrees:
+                continue
+            flipped = negative ^ bool((self._parities[a] + kappa) * drift % 2)
+            if product is None:
+                terms.append(-row.value if flipped else row.value)
+            elif row.scale is not None:
+                terms.append(product * (-row.scale if flipped else row.scale))
+            else:
+                term = row.value * product
+                terms.append(-term if flipped else term)
         return Series.sum(terms)
 
     def _new_pool(self):
@@ -755,6 +801,8 @@ def check_leibniz(fam: HamiltonianFamily, trials: int = 20, seed: int = 23) -> R
     which is the reading under which the identity is exact for
     convention-parity masters (odd H / even P).
     """
+    if trials < 1:
+        raise ValueError("a Leibniz check needs at least 1 trial")
     report = Report(f"Leibniz rule (eps={fam.epsilon})")
     rng = random.Random(seed)
     variables = fam.ct.base.variables

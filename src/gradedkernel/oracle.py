@@ -393,6 +393,8 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
     nonzero integer; only a disagreement is evaluated rationally, for the
     report.
     """
+    if trials < 1:
+        raise ValueError("an identity check needs at least 1 trial")
     if generators is None:
         generators = suggested_generator_count(lhs, rhs)
     rng = random.Random(seed)

@@ -287,6 +287,17 @@ class TestUsageErrors:
         stderr = self.run_task_line(tmp_path, "task check-leibniz F")
         assert "'F' must be a fromhamiltonian family" in stderr
 
+    def test_an_oracle_check_needs_a_trial(self, tmp_path):
+        stderr = self.run_task_line(tmp_path, "task oracle-verify a a trials 0")
+        assert "trials must be at least 1, got 0" in stderr
+
+    def test_a_leibniz_check_needs_a_trial(self, tmp_path):
+        declarations = [line for line in (CORPUS / "master_sinf.gk").read_text().splitlines()
+                        if not line.startswith("task")]
+        text = "\n".join(declarations) + "\ntask check-leibniz FH trials 0\n"
+        stderr = assert_usage_error(tmp_path, text, len(declarations) + 1)
+        assert "trials must be at least 1, got 0" in stderr
+
     def test_negative_explicit_family_arity(self, tmp_path):
         text = ("space V\n  basis e1 even 0\nend\n"
                 "family G explicit V eps 0 k 0 arity -1\n"

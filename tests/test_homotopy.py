@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedkernel import homotopy
-from gradedkernel.cli import Flags, derive_brackets_report, parse_problem, run
+from gradedkernel.cli import Flags, Task, derive_brackets_report, parse_problem, run
 from gradedkernel.errors import ChartMismatch, GradingMismatch
 from gradedkernel.geometry import (
     Chart,
@@ -362,6 +362,12 @@ class TestHamiltonianFamilies:
         pinf = HamiltonianFamily(V(x2) * V(xs1) * V(xs2), act)
         assert pinf.epsilon == 0
         assert check_leibniz(pinf, trials=15, seed=3).passed
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_a_leibniz_check_needs_a_trial(self, trials):
+        master, ct, _ = HAMILTONIAN_CASES[0]
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            check_leibniz(HamiltonianFamily(master, ct), trials=trials)
 
     @pytest.mark.parametrize("specs", [
         [("x", 0, 0), ("xi", 1, -1)],
@@ -807,7 +813,7 @@ def canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, arity):
 
 
 # A family brackets the master with coordinate functions only, once per
-# coordinate tuple its table reads (`HamiltonianFamily._chained`).  FH made
+# coordinate tuple its table reads (`HamiltonianFamily._row`).  FH made
 # 248 and FP 42 when each bracket was a chain over its inputs; FP made 167
 # before its plans were cut at its master's fiber degree, 2
 @pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 12),
@@ -824,6 +830,45 @@ def test_an_arity_5_jacobi_check_brackets_few_zero_prefixes(monkeypatch):
     made = canonical_brackets_of_a_jacobi_check(monkeypatch, "master_sinf", "FH", 5)
     assert len(made) == 12
     assert sum(f.is_zero for f, _ in made) == 0
+
+
+def operators_of_a_jacobi_check(monkeypatch, stem, family, arity):
+    """The prefixes whose operators ``check-jacobi`` builds on a corpus family."""
+    problem = parse_problem((CORPUS / f"{stem}.gk").read_text())
+    problem.tasks = [Task(1, "check-jacobi", [family, "arity", str(arity)])]
+    built = []
+    operator = HamiltonianFamily._operator
+    monkeypatch.setattr(HamiltonianFamily, "_operator",
+                        lambda fam, prefix: built.append(prefix) or operator(fam, prefix))
+    results, all_pass = run(problem, Flags())
+    assert all_pass and len(results) == 1
+    return built
+
+
+# A bracket is its prefix's operator applied to its last input, and a family
+# builds one operator per prefix of keys: FH evaluates 249 brackets from 43
+# operators, and FP 43 from 8 (measured when operators came in)
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 43),
+                                                 ("master_pinf", "FP", 8)])
+def test_jacobi_check_builds_a_fixed_number_of_operators(monkeypatch, stem, family, count):
+    built = operators_of_a_jacobi_check(monkeypatch, stem, family, 3)
+    assert len(set(built)) == len(built) == count
+
+
+@pytest.mark.parametrize("stem, family", [("master_sinf", "FH"), ("master_pinf", "FP")])
+def test_a_leibniz_check_builds_one_operator_per_sample_prefix(monkeypatch, stem, family):
+    fam = parse_problem((CORPUS / f"{stem}.gk").read_text()).families[family]
+    built, prefixes, evaluated = [], set(), []
+    operator, evaluate = fam._operator, fam._evaluate
+    monkeypatch.setattr(fam, "_operator", lambda prefix: built.append(prefix) or operator(prefix))
+    monkeypatch.setattr(fam, "_evaluate",
+                        lambda keys: evaluated.append(keys) or evaluate(keys))
+    monkeypatch.setattr(fam, "bracket", lambda args, bracket=fam.bracket: prefixes.add(
+        fam._keys(args[:-1])) or bracket(args))
+    assert check_leibniz(fam, trials=20).passed
+    # each sample brackets one prefix against bc, b and c
+    assert len(set(built)) == len(built) and set(built) <= prefixes
+    assert len(prefixes) <= 20 and len(built) < len(evaluated)
 
 
 class TestMasterVectorField:
@@ -1258,6 +1303,34 @@ def test_every_hamiltonian_bracket_is_the_chain_of_its_inputs(base, kind, s, see
         warm.bracket(inputs[:m])
     assert warm.bracket(inputs) == got
     assert warm.bracket(inputs).truncation_order is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=base_charts(), kind=st.sampled_from(["even", "odd"]), s=st.integers(-1, 2),
+       seed=st.integers(0, 2 ** 32), arity=st.integers(1, 4))
+def test_a_prefix_operator_brackets_every_last_input_as_the_chain(base, kind, s, seed, arity):
+    ct = cotangent_of(base, kind, s)
+    rng = random.Random(seed)
+    master = random_master(ct, rng, None, fiber=(arity, arity), max_degree=arity + 1)
+    prefix = [random_function(base, rng) for _ in range(arity - 1)]
+    b, c, d = [random_function(base, rng) for _ in range(3)]
+    # the Leibniz shape, one prefix against bc, b and c, then one more input
+    warm = HamiltonianFamily(master, ct)
+    for last in (b * c, b, c, d):
+        want = iterated_bracket(master, prefix + [last], ct)
+        if warm.epsilon == 0:
+            want = want * reversion_sign([parity_of(f) for f in prefix + [last]])
+        # a cold family builds the operator for this bracket; the warm one
+        # built it for the first bracket and reads it again
+        cold = HamiltonianFamily(master, ct)
+        for fam in (cold, warm):
+            got = fam.bracket(prefix + [last])
+            assert got == want and format_series(got) == format_series(want)
+        # the operator's last step builds only rows that end in a coordinate
+        # the last input uses, as a walk over its gradient would
+        used = {var.index for var in base.variables if not last.left_derivative(var).is_zero}
+        assert {key[-1] for key in cold._table if len(key) == arity} <= used
+    assert len(warm._operators) == 1
 
 
 # A P-infinity master on a base with an odd coordinate: [P, P] = 0, and its

@@ -354,6 +354,14 @@ def test_an_odd_variable_needs_a_generator():
     assert identity_check(x * x, x ** 2, trials=5, generators=0).passed
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_an_identity_check_needs_a_trial(trials):
+    # no trial run would report "no counterexample" for any pair of series
+    x = Series.variable(X)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        identity_check(x, 2 * x, trials=trials)
+
+
 def test_drawn_assignment_misses_an_unbound_variable():
     drawn = random_assignment([XI1, X], 3, random.Random(1))
     with pytest.raises(MissingBinding):
