@@ -405,7 +405,8 @@ class HamiltonianFamily(BracketFamily):
     sign rule of `_derived_at_origin`, so that Jacobi plans read P-infinity
     brackets as they read Q brackets.  The last input enters no sign (its
     share in the reversion sign is 0, and sigma reads the inputs before it),
-    so the operator does not depend on it.
+    so the operator does not depend on it, and its parity is never read: a
+    bracket is additive in its last input, homogeneous or not.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
     part, so the fiber degree of the exact master is the family's arity bound.
@@ -426,8 +427,8 @@ class HamiltonianFamily(BracketFamily):
         self._pool_size = pool_size
         self._coordinates = [Series.variable(var) for var in ct.base.variables]
         self._table: Dict[Tuple[int, ...], _TableRow] = {}
-        # input key -> (parity, ((a, df/dx^a) for each nonzero one))
-        self._gradients: Dict[int, Tuple[int, Tuple[Tuple[int, Series], ...]]] = {}
+        # input key -> ((a, df/dx^a) for each nonzero one)
+        self._gradients: Dict[int, Tuple[Tuple[int, Series], ...]] = {}
         self._parities = [var.parity for var in ct.base.variables]
         # prefix keys -> (its live `_Path`s, its components V_a read so far,
         # by index a); the paths are dropped once every V_a is read
@@ -454,14 +455,13 @@ class HamiltonianFamily(BracketFamily):
             row = self._table[coordinates] = _TableRow(chain, chain.fiber_degrees(), value, scale)
         return row
 
-    def _gradient(self, key: int) -> Tuple[int, Tuple[Tuple[int, Series], ...]]:
+    def _gradient(self, key: int) -> Tuple[Tuple[int, Series], ...]:
         found = self._gradients.get(key)
         if found is None:
             f = self._inputs[key]
-            parity = 0 if f.is_zero else f.bigrading().parity
-            found = self._gradients[key] = (parity, tuple([
+            found = self._gradients[key] = tuple([
                 (var.index, d) for var in self.ct.base.variables
-                if not (d := f.left_derivative(var)).is_zero]))
+                if not (d := f.left_derivative(var)).is_zero])
         return found
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
@@ -475,7 +475,7 @@ class HamiltonianFamily(BracketFamily):
         if not paths and not components:  # no path is live
             return Series.zero()
         terms = []
-        for a, gradient in self._gradient(keys[-1])[1]:
+        for a, gradient in self._gradient(keys[-1]):
             component = components.get(a)
             if component is None:
                 component = components[a] = self._component(paths, a)
@@ -497,8 +497,12 @@ class HamiltonianFamily(BracketFamily):
         for i, key in enumerate(prefix):
             if not paths:
                 break
-            parity, gradients = self._gradient(key)
+            # only an input before the last one has a parity that enters a
+            # sign, so only those must be homogeneous
+            f = self._inputs[key]
+            parity = 0 if f.is_zero else f.bigrading().parity
             parities.append(parity)
+            gradients = self._gradient(key)
             left = n - i - 1  # the fiber degree a live row of this step has
             step = []
             for coordinates, product, negative, drift in paths:

@@ -25,11 +25,24 @@ below fiber degree j, and raises ``NonConvergent`` if it does not.  The
 reported iteration count is still that of the loop that stops when neither
 y nor q moves: if k is the first index with y_k = y*, that loop stops at
 pass k + 1 when q_{k+1} = q_k and at pass k + 2 otherwise, and both cases
-are read off the passes already run.  The result is
+are read off the passes already run.
 
-    f(x) = g(y) + S(x, q) - y^i q_i
+The pullback is the value f = g(y) + S_t(x, q) - y^i q_i at the fixed point,
+with S_t = S0 + linear + t tail, and t set to 1 at the end.  It is not
+computed from that formula.  f is stationary in y and q, so along t it moves
+only where S_t depends on t and where y^i q_i is not q_i y^i:
 
-with t set to 1 at the end; intermediate t-graded data is kept for the
+    t df/dt = t tail(q*) + sum_i c_i (E q*_i) y*_i,
+    f(0)    = S0 + g(phi) + sum_i c_i q*_i(0) phi_i,
+
+with phi = y_0, E multiplying the fiber-degree-k part of a series by k, and
+c_i = (-1)^{yt_i} - (-1)^{yt_i qt_i}.  The t^0 line is left-derivative Euler,
+linear(q) = q_i d(linear)/dq_i.  In the even kind qt_i = yt_i, so every c_i
+is 0; in the odd kind qt_i = yt_i + 1, so c_i is -2 for an odd y^i and 0 for
+an even one.  Both lines are exact identities of series in t, and the
+degree-k part of each reads y* and q* only through degree k, so f is
+f(0) plus 1/k times the degree-k part of the rate for k = 1..order, with no
+g(y*) and no products y*_i q*_i.  The t-graded data is kept for the
 intertwining check, whose residual is only meaningful up to the computed
 insertion order.
 """
@@ -37,6 +50,7 @@ insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
@@ -215,11 +229,24 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     # would stop after this pass if q_prev = q* already, else one pass later
     iterations = passes if q_cur == q_prev else passes + 1
 
-    s_t = phi.S.fiber_slice(0, 0) + linear + t * tail
-    f = Series.sum([g.substitute(y_cur), s_t.substitute(q_cur)]
-                   + [-(y_cur[y_var] * q_cur[phi.momentum(y_var)])
-                      for y_var in phi.target.variables]).truncate(order)
+    # f is stationary in y and q, so f(0) and the rate t df/dt give it whole
+    # (see the module docstring)
+    start = [phi.S.fiber_slice(0, 0), g.substitute(seeds)]
+    rate = [(t * tail).substitute(q_cur)]
+    for y_var in phi.target.variables:
+        q_var = phi.momentum(y_var)
+        if y_var.parity and not q_var.parity:  # c_i = -2; every other c_i is 0
+            q_star = q_cur[q_var]
+            start.append(-2 * (q_star.fiber_slice(0, 0) * seeds[y_var]))
+            rate.append(-2 * (_by_degree(q_star, order, lambda k: k) * y_cur[y_var]))
+    f = Series.sum(start + [_by_degree(Series.sum(rate), order,
+                                       lambda k: Fraction(1, k))]).truncate(order)
     return f, y_cur, q_cur, iterations
+
+
+def _by_degree(series: Series, order: int, scale) -> Series:
+    """The sum of scale(k) times the fiber-degree-k part, for k = 1..order."""
+    return Series.sum([scale(k) * series.fiber_slice(k, k) for k in range(1, order + 1)])
 
 
 def _drop_insertions(series: Series) -> Series:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedkernel import homotopy
 from gradedkernel.cli import Flags, Task, derive_brackets_report, parse_problem, run
-from gradedkernel.errors import ChartMismatch, GradingMismatch
+from gradedkernel.errors import ChartMismatch, GradingMismatch, InhomogeneousSeries
 from gradedkernel.geometry import (
     Chart,
     VectorField,
@@ -1331,6 +1331,35 @@ def test_a_prefix_operator_brackets_every_last_input_as_the_chain(base, kind, s,
         used = {var.index for var in base.variables if not last.left_derivative(var).is_zero}
         assert {key[-1] for key in cold._table if len(key) == arity} <= used
     assert len(warm._operators) == 1
+
+
+def sinf_family_and_coordinates():
+    """``master_sinf``'s family FH, and its base coordinates x and xi."""
+    fam = parse_problem((CORPUS / "master_sinf.gk").read_text()).families["FH"]
+    return fam, [Series.variable(var) for var in fam.ct.base.variables]
+
+
+@pytest.mark.parametrize("prefix", [(), (0,), (0, 1), (1, 1), (1, 0)],
+                         ids=["none", "x", "x-xi", "xi-xi", "xi-x"])
+def test_a_hamiltonian_bracket_is_additive_in_an_inhomogeneous_last_input(prefix):
+    # the last input's parity enters no sign, so it need not have one
+    fam, coordinates = sinf_family_and_coordinates()
+    x, xi = coordinates
+    head = [coordinates[i] for i in prefix]
+    got = fam.bracket(head + [x + xi])
+    assert got == fam.bracket(head + [x]) + fam.bracket(head + [xi])
+    assert got == HamiltonianFamily(fam.master, fam.ct).bracket(head + [x + xi])
+    if prefix == (0,):
+        assert got == -1  # {x, x} + {x, xi}
+
+
+def test_a_hamiltonian_bracket_refuses_an_inhomogeneous_earlier_input():
+    # an earlier input's parity enters the signs of the later steps
+    fam, (x, xi) = sinf_family_and_coordinates()
+    with pytest.raises(InhomogeneousSeries):
+        fam.bracket([x + xi, x])
+    with pytest.raises(InhomogeneousSeries):
+        fam.bracket([x, x + xi, x])
 
 
 # A P-infinity master on a base with an odd coordinate: [P, P] = 0, and its

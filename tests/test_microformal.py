@@ -3,12 +3,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedkernel import microformal
 from gradedkernel.cli import parse_problem
 from gradedkernel.errors import ChartMismatch, GradingMismatch, NonConvergent
 from gradedkernel.geometry import Chart, shifted_cotangent
-from gradedkernel.graded_core import GradedVariable, Series
+from gradedkernel.graded_core import Bigrading, GradedVariable, Series, monomial_bigrading
 from gradedkernel.microformal import (
     _INSERTION,
     ThickMorphism,
@@ -20,6 +21,7 @@ from gradedkernel.microformal import (
     support,
     validate_thick,
 )
+from gradedkernel.sampling import enumerate_monomials
 
 from helpers import thick_corpus
 
@@ -497,3 +499,147 @@ def test_pullback_checks_the_valuation_on_every_pass(monkeypatch):
     with pytest.raises(NonConvergent,
                        match="did not stabilize: pass 1 moved y below fiber degree 1;"):
         pullback(phi, V(y) ** 2, 3)
+
+
+# -- the value read off the insertion rate ---------------------------------------
+
+def stationary_value(phi, g, order, y_star, q_star):
+    """g(y*) + S_t(q*) - sum_i y*_i q*_i at the order: the pullback's value as
+    defined, with every product multiplied out."""
+    t = V(_INSERTION)
+    s_t = phi.S.fiber_slice(0, 0) + phi.S.fiber_slice(1, 1) + t * phi.S.fiber_slice(2)
+    return Series.sum([g.substitute(y_star), s_t.substitute(q_star)]
+                      + [-(y_star[y_var] * q_star[phi.momentum(y_var)])
+                         for y_var in phi.target.variables]).truncate(order)
+
+
+def assert_value_is_stationary(phi, g, order):
+    f, y_star, q_star, _ = microformal._pullback_graded(phi, g, order)
+    want = stationary_value(phi, g, order, y_star, q_star)
+    assert f == want and str(f) == str(want)
+    assert f.truncation_order == want.truncation_order
+    return f, y_star, q_star
+
+
+COEFFICIENTS = (1, -1, 2, -3, HALF, Fraction(-2, 3))
+
+
+@st.composite
+def thick_draws(draw):
+    """A thick morphism of either kind between charts of 1 to 3 coordinates
+    of any parity, the odd kind's target with an odd one, and an admissible
+    g.  Weights and the shift are 0 in half the draws, where every monomial
+    of the kind's parity fits.  S has up to two terms of fiber degree 0, a
+    linear one per momentum and one to three of degree 2 or 3, and g one to
+    three nonconstant ones, all of the kind's parity and weight s, where any
+    fit."""
+    kind = draw(st.sampled_from(["even", "odd"]))
+    weighted = draw(st.booleans())
+
+    def weight():
+        return draw(st.integers(-1, 1)) if weighted else 0
+
+    def chart(prefix, name, first_parity):
+        return Chart.build([(f"{prefix}0", first_parity, weight())]
+                           + [(f"{prefix}{i}", draw(st.integers(0, 1)), weight())
+                              for i in range(1, draw(st.integers(1, 3)))], name)
+
+    shift = weight()
+    # an odd g needs an odd target coordinate
+    source = chart("x", "M1", draw(st.integers(0, 1)))
+    target = chart("y", "M2", 1 if kind == "odd" else draw(st.integers(0, 1)))
+    momenta = conjugate_momenta(target, shift, kind)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    grade = Bigrading(0 if kind == "even" else 1, shift)
+
+    def terms(variables, fits, fewest, most):
+        fitting = [m for m in enumerate_monomials(variables, 3)
+                   if monomial_bigrading(m) == grade and fits(dict(m))]
+        chosen = rng.sample(fitting, min(len(fitting), rng.randint(fewest, most)))
+        return [Series({m: rng.choice(COEFFICIENTS)}) for m in chosen]
+
+    def fiber(m):
+        return sum(e for v, e in m.items() if v.fiber_degree)
+
+    pairs = source.variables + momenta
+    s = Series.sum(terms(pairs, lambda m: not fiber(m), 0, 2)
+                   + [term for q in momenta
+                      for term in terms(pairs, lambda m: fiber(m) == m.get(q) == 1, 1, 1)]
+                   + terms(pairs, lambda m: fiber(m) >= 2, 1, 3))
+    g = Series.sum(terms(target.variables, bool, 1, 3))
+    return ThickMorphism(source, target, shift, kind, s), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=thick_draws(), order=st.integers(0, 5),
+       s_order=st.none() | st.integers(0, 4), g_order=st.none() | st.integers(0, 4))
+def test_the_value_is_the_stationary_value(case, order, s_order, g_order):
+    # a truncated S or g bounds the value's truncation order as it bounds
+    # the formula's
+    phi, g = case
+    if s_order is not None:
+        phi = ThickMorphism(phi.source, phi.target, phi.shift, phi.kind, phi.S.truncate(s_order))
+    assert_value_is_stationary(phi, g if g_order is None else g.truncate(g_order), order)
+
+
+def odd_kind_case(target_coordinates):
+    """An odd-kind morphism from (x, xi) with S0, linear terms and a tail."""
+    n1 = Chart.build([("x", 0, 0), ("xi", 1, 0)], "N1")
+    n2 = Chart.build(target_coordinates, "N2")
+    x, xi = (V(v) for v in n1.variables)
+    ys = [V(v) for v in conjugate_momenta(n2, 0, "odd")]
+    if len(ys) == 1:
+        # eta odd, ys_eta even: g = 5 eta, so q* = 5 and only t^0 has a c_i term
+        eta, = (V(v) for v in n2.variables)
+        s = x * xi + xi * ys[0] + x * xi * ys[0] ** 2
+        return ThickMorphism(n1, n2, 0, "odd", s), 5 * eta
+    # y even with ys_y odd, eta odd with ys_eta even: q*_eta = y* moves with t
+    y, eta = (V(v) for v in n2.variables)
+    s = (x * xi + x * ys[0] + xi * ys[1] + ys[0] * ys[1] + xi * ys[1] ** 2
+         - HALF * x * ys[0] * ys[1] ** 2)
+    return ThickMorphism(n1, n2, 0, "odd", s), y * eta + 2 * y ** 2 * eta - 3 * eta
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_an_odd_target_coordinate_of_the_odd_kind_has_c_minus_2(order):
+    phi, g = odd_kind_case([("eta", 1, 0)])
+    f, _, _ = assert_value_is_stationary(phi, g, order)
+    x, xi = (V(v) for v in phi.source.variables)
+    # f_0 = S0 + g(phi) - 2 q*_0 phi = x xi - 5 xi + 10 xi; f_1 = t tail(5)
+    assert microformal._drop_insertions(f) == x * xi + 5 * xi + (25 * x * xi if order else 0)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_an_even_target_coordinate_of_the_odd_kind_has_c_0(order):
+    phi, g = odd_kind_case([("y", 0, 0), ("eta", 1, 0)])
+    f, _, q_star = assert_value_is_stationary(phi, g, order)
+    y, eta = phi.target.variables
+    assert y.parity == 0 and phi.momentum(y).parity == 1
+    if order:
+        # so the rate's term c_eta (E q*_eta) y*_eta is not zero
+        assert q_star[phi.momentum(eta)].fiber_degree() > 0
+    assert microformal._drop_insertions(f) == reference_pullback(phi, g, order)[0]
+
+
+# The monomial pairs of the products of one order-3 pullback of the benchmark's
+# draw 1, counted as the benchmark's tracer counts them: |a| |b| per product
+# and |a| per scaling by a rational.  The passes make 84,093 of them.  With f
+# computed as g(y*) + S_t(q*) - y*_i q*_i the value made 85,864 more; read off
+# the insertion rate it makes 25,676
+PULLBACK_PAIRS = 109_769
+
+
+def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch):
+    phi, g = cubic_draw(1)
+    pairs = []
+    mul = Series.__mul__
+
+    def counted(a, b):
+        out = mul(a, b)
+        if out is not NotImplemented:
+            pairs.append(len(a._terms) * (len(b._terms) if isinstance(b, Series) else 1))
+        return out
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    assert pullback(phi, g, 3).iterations == 5
+    assert sum(pairs) <= PULLBACK_PAIRS
