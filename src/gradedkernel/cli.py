@@ -557,6 +557,8 @@ def _bigrade_report(name: str, series: Series) -> Report:
 
 
 def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
+    if arity < 0:
+        raise ValueError("a bracket listing needs an arity of at least 0")
     report = Report(f"nonzero brackets to arity {arity}")
     pool = fam.pool()
     if isinstance(fam, HamiltonianFamily):

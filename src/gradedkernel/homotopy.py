@@ -51,7 +51,8 @@ since the master equation itself is meaningful either way.  Every epsilon = 0
 family, Q or Hamiltonian, carries the parity reversion sign of its inputs
 (`_reversion_sign_odd`) in its brackets, which is the form the Jacobi plans'
 epsilon = 0 signs assume.  The last input of a Hamiltonian bracket enters
-none of its signs, which is why its prefix's operator can be built once.
+none of its signs, which is why its prefix's operator can be built once;
+every earlier input enters them by its parity, so it must be homogeneous.
 """
 
 from __future__ import annotations
@@ -171,12 +172,6 @@ class _TableRow(NamedTuple):
     chain: Series  # (...(H, x^{a_1}), ..., x^{a_i}) on the whole chart
     degrees: FrozenSet[int]  # the fiber degrees of the chain's terms
     value: Series  # the chain at zero fiber variables: the table entry T_a
-    scale: Optional[Fraction]  # T_a as a rational, where it is a constant
-
-
-# a table path live through a Hamiltonian bracket's prefix: (coordinates, the
-# gradients' product or None for none, whether subtracted, the drift)
-_Path = Tuple[Tuple[int, ...], Optional[Series], bool, int]
 
 
 def constant_field(u: GradedVariable, chart: Chart, sig: ShiftSignature,
@@ -329,11 +324,11 @@ class BracketFamily:
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
         raise NotImplementedError
 
-    def jacobi_sum(self, elements: Sequence[Series], parities: Tuple[int, ...],
-                   n: int) -> Series:
-        """The n-th higher Jacobi sum of ``elements``; see `jacobiator`."""
+    def jacobi_sum(self, elements: Sequence[Series], parities: Tuple[int, ...]) -> Series:
+        """The higher Jacobi sum of ``elements``, of arity their number; see `jacobiator`."""
         # interned first, since that is where an input's chart is checked
         keys = self._keys(elements)
+        n = len(keys)
         plan = self._plans.get((n, parities))
         if plan is None:
             # a term's inner bracket has arity |first|, its outer 1 + |second|
@@ -391,10 +386,9 @@ class HamiltonianFamily(BracketFamily):
     table is built lazily, one canonical bracket per coordinate tuple, from
     the chain of its longest prefix (`_row`).  The bracket is a derivation
     in its last input: ``{f_1, ..., f_{n-1}, .} = sum_a V_a d/dx^a``, an
-    operator built once per prefix of keys (`_operator`) by a walk over the
-    tuples whose chains still have terms of the fiber degree it needs.  Its
-    ``V_a`` is read when a last input first has a nonzero ``df_n/dx^a``
-    (`_component`).  Each input's gradient is computed once per key.  A
+    operator built whole once per prefix of keys (`_operator`), by one walk
+    over the tuples whose chains still have terms of the fiber degree it
+    needs.  Each input's gradient is computed once per key.  A
     step's sign ``s1(a, Ft)`` is ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft``
     (odd kind), and ``Ft`` is the running parity
     ``H~ + sum_{j<i} (f~_j + kappa)``, with kappa the bracket's own parity;
@@ -406,7 +400,8 @@ class HamiltonianFamily(BracketFamily):
     brackets as they read Q brackets.  The last input enters no sign (its
     share in the reversion sign is 0, and sigma reads the inputs before it),
     so the operator does not depend on it, and its parity is never read: a
-    bracket is additive in its last input, homogeneous or not.
+    bracket is additive in its last input, homogeneous or not.  Every earlier
+    input must be homogeneous, whatever the other inputs are.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
     part, so the fiber degree of the exact master is the family's arity bound.
@@ -430,9 +425,8 @@ class HamiltonianFamily(BracketFamily):
         # input key -> ((a, df/dx^a) for each nonzero one)
         self._gradients: Dict[int, Tuple[Tuple[int, Series], ...]] = {}
         self._parities = [var.parity for var in ct.base.variables]
-        # prefix keys -> (its live `_Path`s, its components V_a read so far,
-        # by index a); the paths are dropped once every V_a is read
-        self._operators: Dict[Tuple[int, ...], Tuple[List[_Path], Dict[int, Series]]] = {}
+        # prefix keys -> its operator's nonzero components V_a, by index a
+        self._operators: Dict[Tuple[int, ...], Dict[int, Series]] = {}
         self.arity_bound = master.fiber_degree()  # each step lowers it by one
 
     def _interned(self, f: Series) -> Series:
@@ -449,10 +443,8 @@ class HamiltonianFamily(BracketFamily):
         if row is None:
             chain = self.master if not coordinates else canonical_bracket(
                 self._row(coordinates[:-1]).chain, self._coordinates[coordinates[-1]], self.ct)
-            value = chain.fiber_slice(0, 0)
-            terms = value.items()
-            scale = terms[0][1] if len(terms) == 1 and not terms[0][0] else None
-            row = self._table[coordinates] = _TableRow(chain, chain.fiber_degrees(), value, scale)
+            row = self._table[coordinates] = _TableRow(chain, chain.fiber_degrees(),
+                                                       chain.fiber_slice(0, 0))
         return row
 
     def _gradient(self, key: int) -> Tuple[Tuple[int, Series], ...]:
@@ -471,40 +463,26 @@ class HamiltonianFamily(BracketFamily):
         operator = self._operators.get(keys[:-1])
         if operator is None:
             operator = self._operators[keys[:-1]] = self._operator(keys[:-1])
-        paths, components = operator
-        if not paths and not components:  # no path is live
+        if not operator:  # no last input's gradient is needed
             return Series.zero()
-        terms = []
-        for a, gradient in self._gradient(keys[-1]):
-            component = components.get(a)
-            if component is None:
-                component = components[a] = self._component(paths, a)
-                if len(components) == len(self._parities):
-                    paths.clear()  # every component is read
-            if not component.is_zero:
-                terms.append(component * gradient)
-        return Series.sum(terms)
+        return Series.sum([operator[a] * gradient for a, gradient in self._gradient(keys[-1])
+                           if a in operator])
 
-    def _operator(self, prefix: Tuple[int, ...]) -> Tuple[List[_Path], Dict[int, Series]]:
-        """The `_Path`s live through ``prefix`` for a bracket one input
-        longer, and no components yet.  The drift is the sum over j < i of
-        f~_j + zt_{a_j}, the running parity of the inputs less that of the
-        coordinates.  An input's gradient is read only while a path is live."""
-        n = len(prefix) + 1
+    def _operator(self, prefix: Tuple[int, ...]) -> Dict[int, Series]:
+        """The nonzero V_a of ``{f_1, ..., f_{n-1}, .}``, by index a.  A path
+        live through the prefix is (coordinates, the gradients' product or None
+        for none, whether subtracted, the drift), the drift being the sum over
+        j < i of f~_j + zt_{a_j}.  Each live path meets the row of every
+        coordinate a at fiber degree 0."""
         kappa = 1 - self.epsilon
-        parities = []
-        paths: List[_Path] = [((), None, False, 0)]
-        for i, key in enumerate(prefix):
-            if not paths:
-                break
-            # only an input before the last one has a parity that enters a
-            # sign, so only those must be homogeneous
-            f = self._inputs[key]
-            parity = 0 if f.is_zero else f.bigrading().parity
-            parities.append(parity)
-            gradients = self._gradient(key)
-            left = n - i - 1  # the fiber degree a live row of this step has
-            step = []
+        # every earlier input's parity enters a sign, so each must be homogeneous
+        parities = [0 if (f := self._inputs[key]).is_zero else f.bigrading().parity
+                    for key in prefix]
+        paths = [((), None, self.epsilon == 0 and _reversion_sign_odd(parities + [0]), 0)]
+        # a row a path reaches must have terms of fiber degree ``left``, one
+        # per step still to come
+        for left, key, parity in zip(range(len(prefix), 0, -1), prefix, parities):
+            gradients, step = self._gradient(key), []
             for coordinates, product, negative, drift in paths:
                 for a, gradient in gradients:
                     reached = coordinates + (a,)
@@ -515,29 +493,20 @@ class HamiltonianFamily(BracketFamily):
                         zt = self._parities[a]
                         step.append((reached, factor, negative ^ bool((zt + kappa) * drift % 2),
                                      drift + parity + zt))
+            if not step:
+                return {}
             paths = step
-        if paths and self.epsilon == 0 and _reversion_sign_odd(parities + [0]):
-            paths = [(coordinates, product, not negative, drift)
-                     for coordinates, product, negative, drift in paths]
-        return paths, {}
-
-    def _component(self, paths: List[_Path], a: int) -> Series:
-        """V_a, the coefficient of d/dx^a in the operator of these paths."""
-        kappa = 1 - self.epsilon
-        terms = []
+        terms: Dict[int, List[Series]] = {}
         for coordinates, product, negative, drift in paths:
-            row = self._row(coordinates + (a,))
-            if 0 not in row.degrees:
-                continue
-            flipped = negative ^ bool((self._parities[a] + kappa) * drift % 2)
-            if product is None:
-                terms.append(-row.value if flipped else row.value)
-            elif row.scale is not None:
-                terms.append(product * (-row.scale if flipped else row.scale))
-            else:
-                term = row.value * product
-                terms.append(-term if flipped else term)
-        return Series.sum(terms)
+            for a, zt in enumerate(self._parities):
+                row = self._row(coordinates + (a,))
+                if 0 not in row.degrees:
+                    continue
+                term = row.value if product is None else row.value * product
+                flipped = negative ^ bool((zt + kappa) * drift % 2)
+                terms.setdefault(a, []).append(-term if flipped else term)
+        return {a: component for a, parts in terms.items()
+                if not (component := Series.sum(parts)).is_zero}
 
     def _new_pool(self):
         rng = random.Random(self._pool_seed)
@@ -744,9 +713,11 @@ def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]],
     plan for ``n`` and those parities (`jacobi_plan`) on the inputs' keys,
     passes each inner bracket to the outer one by its key, and adds the
     terms of each sign in one sum, subtracting the negative sum once rather
-    than negating term by term.
+    than negating term by term.  ``n`` must be the number of inputs.
     """
-    return fam.jacobi_sum([e for e, _ in inputs], tuple([p for _, p in inputs]), n)
+    if n != len(inputs):
+        raise ValueError(f"an arity-{n} Jacobi sum needs {n} inputs, not {len(inputs)}")
+    return fam.jacobi_sum([e for e, _ in inputs], tuple([p for _, p in inputs]))
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +726,8 @@ def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]],
 
 def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY) -> Report:
     """Evaluate every higher Jacobi identity up to arity n_max on pool tuples."""
+    if n_max < 0:
+        raise ValueError("a Jacobi check needs an arity of at least 0")
     report = Report(f"higher Jacobi identities to arity {n_max}")
     if fam.jacobi_note:
         report.info("jacobi-convention", notes=fam.jacobi_note)
@@ -774,6 +747,8 @@ def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY) -> Repor
 def check_weights_parities(fam: BracketFamily, sig: ShiftSignature,
                            n_max: int = DEFAULT_ARITY) -> Report:
     """Check bracket weights 2-n+k(n-1) and parities eps(n+1)+n on pool tuples."""
+    if n_max < 0:
+        raise ValueError("a weight and parity check needs an arity of at least 0")
     report = Report(f"bracket weights and parities to arity {n_max} "
                     f"(eps={sig.epsilon}, k={sig.k})")
     for picked, labels in pool_tuples(fam.pool(), n_max):

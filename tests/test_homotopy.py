@@ -558,6 +558,18 @@ JACOBI_FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("name", ["sinf", "broken-jacobi"])
+@pytest.mark.parametrize("check", [
+    lambda fam: check_higher_jacobi(fam, -1),
+    lambda fam: check_weights_parities(fam, fam.signature, -1),
+    lambda fam: derive_brackets_report(fam, -1),
+], ids=["jacobi", "weights", "derive"])
+def test_a_bracket_check_needs_a_nonnegative_arity(check, name):
+    # a negative arity would check no identity at all, and pass
+    with pytest.raises(ValueError, match="an arity of at least 0"):
+        check(JACOBI_FAMILIES[name]())
+
+
 def unshuffle_loop_jacobiator(fam, inputs, n):
     """Reference: the Jacobi sum with each unshuffle's sign worked out inside
     the loop and the terms added one at a time."""
@@ -614,6 +626,16 @@ class TestJacobiPlans:
             assert got == unshuffle_loop_jacobiator(reference, inputs, 3)
             nonzero += not got.is_zero
         assert nonzero
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_jacobi_sum_takes_as_many_inputs_as_its_arity(self, n):
+        # an arity of 2 would leave e3 out and read 0, though the arity-3
+        # sum of (e1, e2, e3) is -4*e1
+        fam = JACOBI_FAMILIES["broken-jacobi"]()
+        inputs = [(element, parity) for _, element, parity, _ in fam.pool()]
+        with pytest.raises(ValueError, match=f"arity-{n} Jacobi sum needs {n} inputs, not 3"):
+            jacobiator(fam, inputs, n)
+        assert jacobiator(fam, inputs, 3) == fam.basis.vector([(0, -4)])
 
     @pytest.mark.parametrize("name, arity", [("sinf", 4), ("pinf", 4), ("lie2", 4),
                                              ("odd-q", 4), ("broken-jacobi", 3)])
@@ -1314,22 +1336,31 @@ def test_a_prefix_operator_brackets_every_last_input_as_the_chain(base, kind, s,
     master = random_master(ct, rng, None, fiber=(arity, arity), max_degree=arity + 1)
     prefix = [random_function(base, rng) for _ in range(arity - 1)]
     b, c, d = [random_function(base, rng) for _ in range(3)]
-    # the Leibniz shape, one prefix against bc, b and c, then one more input
     warm = HamiltonianFamily(master, ct)
-    for last in (b * c, b, c, d):
+
+    def chain(last):
         want = iterated_bracket(master, prefix + [last], ct)
         if warm.epsilon == 0:
             want = want * reversion_sign([parity_of(f) for f in prefix + [last]])
+        return want
+
+    # the Leibniz shape, one prefix against bc, b and c, then one more input
+    for last in (b * c, b, c, d):
+        want = chain(last)
         # a cold family builds the operator for this bracket; the warm one
         # built it for the first bracket and reads it again
         cold = HamiltonianFamily(master, ct)
         for fam in (cold, warm):
             got = fam.bracket(prefix + [last])
             assert got == want and format_series(got) == format_series(want)
-        # the operator's last step builds only rows that end in a coordinate
-        # the last input uses, as a walk over its gradient would
-        used = {var.index for var in base.variables if not last.left_derivative(var).is_zero}
-        assert {key[-1] for key in cold._table if len(key) == arity} <= used
+    # the operator holds exactly the nonzero V_a, each the bracket of the
+    # prefix with the coordinate x^a
+    operator, = warm._operators.values()
+    for var in base.variables:
+        x = Series.variable(var)
+        want = chain(x)
+        assert operator.get(var.index, Series.zero()) == want == warm.bracket(prefix + [x])
+        assert (var.index in operator) is not want.is_zero
     assert len(warm._operators) == 1
 
 
@@ -1354,12 +1385,15 @@ def test_a_hamiltonian_bracket_is_additive_in_an_inhomogeneous_last_input(prefix
 
 
 def test_a_hamiltonian_bracket_refuses_an_inhomogeneous_earlier_input():
-    # an earlier input's parity enters the signs of the later steps
+    # an earlier input's parity enters the signs of the later steps, so it is
+    # refused whatever the other inputs are, also where no table path
+    # reaches it (the last three)
     fam, (x, xi) = sinf_family_and_coordinates()
-    with pytest.raises(InhomogeneousSeries):
-        fam.bracket([x + xi, x])
-    with pytest.raises(InhomogeneousSeries):
-        fam.bracket([x, x + xi, x])
+    one = Series.one()
+    for inputs in ([x + xi, x], [x, x + xi, x], [xi, xi, x + xi, x], [one, x + xi, x],
+                   [x, x, x, x + xi, x]):
+        with pytest.raises(InhomogeneousSeries):
+            fam.bracket(inputs)
 
 
 # A P-infinity master on a base with an odd coordinate: [P, P] = 0, and its
