@@ -32,7 +32,7 @@ from .geometry import (
     shifted_anticotangent,
     shifted_cotangent,
 )
-from .graded_core import GradedVariable, Series, format_series
+from .graded_core import EXPONENT_BOUND, GradedVariable, Series, format_series
 from .homotopy import (
     DEFAULT_ARITY,
     BracketFamily,
@@ -521,6 +521,9 @@ def _task_arguments(problem: ProblemFile, task: Task,
             raise ProblemSyntaxError(f"{key} must be nonnegative, got {value}", task.line)
         if key == "trials" and value < 1:  # no trial run is no evidence
             raise ProblemSyntaxError(f"trials must be at least 1, got {value}", task.line)
+        if key == "order" and value > EXPONENT_BOUND:  # no key holds a higher degree
+            raise ProblemSyntaxError(f"order must be at most {EXPONENT_BOUND}, got {value}",
+                                     task.line)
     values = [_resolve(problem, kind, name, task.line)
               for (_, kind), name in zip(positional, task.args)]
     return values, options
@@ -528,7 +531,8 @@ def _task_arguments(problem: ProblemFile, task: Task,
 
 def check_task_options(problem: ProblemFile, flags: Flags) -> None:
     """Reject, at the task's line, a task with bad options, a negative one, no
-    trials, or an argument that names nothing of the kind the task needs."""
+    trials, an order past ``EXPONENT_BOUND``, or an argument that names
+    nothing of the kind the task needs."""
     for task in problem.tasks:
         _task_arguments(problem, task, flags)
 

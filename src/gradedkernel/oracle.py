@@ -7,19 +7,24 @@ of the symbolic kernel (bitmask-keyed multivectors, merge signs computed from
 generator indices), so agreement between the two paths is evidence of
 correctness rather than of shared code.
 
-``identity_check`` compiles each side of an identity once.  A term ``p/q m``
-becomes an integer start, a pad and the positions of ``m``'s factors among
-the check's variables in ``key`` order, each position repeated by its
-exponent.  ``random_assignment`` draws every rational as an integer
-(numerator, denominator) pair and keeps the pairs.  A trial scales them by
-the lcm of their denominators and evaluates both sides on integer blade
-dicts, read from a list by position, so each side is its value times one
-known nonzero integer, the same for both.  An assignment builds its
-``Fraction`` values only when they are read, which in a check happens only
-for a failure's report.  ``evaluate`` compiles its series in the same way
-but multiplies ``GrassmannElement``s of integers, and divides once at the
-end.  The trials and ``GrassmannElement.__mul__`` share one product of blade
-dicts.
+``identity_check`` compiles the difference ``lhs - rhs`` once, from each
+side's own integer terms, never from the kernel's ``Series`` subtraction.  A
+term ``p/q m`` becomes an integer start, a pad and the positions of ``m``'s
+factors among the check's variables in ``key`` order, each position repeated
+by its exponent.  Both sides share one scale and one top, so terms at equal
+positions subtract start from start, and a zero start drops.
+``random_assignment`` draws every rational as an integer (numerator,
+denominator) pair and keeps the pairs.  A trial scales them by the lcm of
+their denominators and evaluates the difference on integer blade dicts, read
+from a list by position, so it gets the difference's value times one known
+nonzero integer.  Every trial draws its assignment, but one whose difference
+has no term, as for an identity that the kernel already writes as two equal
+series, evaluates nothing.  An assignment builds its ``Fraction`` values only
+when they are read, which in a check happens only for a failure's report,
+where each side is evaluated on its own.  ``evaluate`` compiles its series
+in the same way but multiplies ``GrassmannElement``s of integers, and divides
+once at the end.  The trials and ``GrassmannElement.__mul__`` share one
+product of blade dicts.
 
 ``identity_check`` never proves an identity; it reports "no counterexample
 in N trials" with the seed that produced the trials.
@@ -389,9 +394,10 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
                    seed: int = 0) -> Report:
     """Compare two series at random assignments; disagreements become failures.
 
-    Both sides are compiled once and compared on integers, scaled by the same
-    nonzero integer; only a disagreement is evaluated rationally, for the
-    report.
+    ``lhs - rhs`` is compiled once, from each side's integer terms, and a
+    trial evaluates it on integers; only a nonzero value is evaluated
+    rationally, side by side, for the report.  A difference with no term
+    is zero at every assignment, so its trials only draw.
     """
     if trials < 1:
         raise ValueError("an identity check needs at least 1 trial")
@@ -400,13 +406,22 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
     rng = random.Random(seed)
     variables = _in_key_order(lhs.variables() | rhs.variables())
     _, _, (left, right) = _integer_terms(variables, lhs, rhs)
+    # both sides share one scale and one top, so equal positions have equal pads
+    starts: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    for sign, terms in ((1, left), (-1, right)):
+        for start, pad, positions in terms:
+            starts[pad, positions] = starts.get((pad, positions), 0) + sign * start
+    difference = [(start, pad, positions) for (pad, positions), start in starts.items() if start]
     report = Report(f"oracle identity check (seed {seed}, {trials} trials, "
                     f"{generators} generators)")
     failures = 0
     for trial in range(trials):
+        # an empty difference still draws: trial k's assignment is the seed's k-th
         assignment = random_assignment(variables, generators, rng)
+        if not difference:
+            continue
         factor, values = assignment._integer_values()
-        if _integer_value(left, values, factor) != _integer_value(right, values, factor):
+        if _integer_value(difference, values, factor):
             failures += 1
             report.fail("oracle-trial", location=f"trial {trial}",
                         expected=str(evaluate(rhs, assignment)),

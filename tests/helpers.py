@@ -31,14 +31,15 @@ def announce(line):
     ANNOUNCEMENTS.append(line)
 
 
-def run_gk(*args):
+def run_gk(*args, timeout=None):
     """``python -m gradedkernel.cli *args`` in a child process, with this
     checkout's ``src`` first on its PYTHONPATH: pytest's ``pythonpath``
-    setting reaches only the test process itself."""
+    setting reaches only the test process itself.  A child still running
+    after ``timeout`` seconds is killed and raises ``TimeoutExpired``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "gradedkernel.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def vector(basis, coeffs=None):

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedkernel.cli import Flags, Task, main, parse_problem, render_json, run, run_task
+from gradedkernel.cli import (
+    Flags,
+    Task,
+    check_task_options,
+    main,
+    parse_problem,
+    render_json,
+    run,
+    run_task,
+)
 from gradedkernel.errors import GradingMismatch, ProblemSyntaxError, UnknownNameError
 from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import _REGISTRY, EXPONENT_BOUND
@@ -179,11 +188,11 @@ EXPLICIT_PROBLEM = (
 )
 
 
-def assert_usage_error(tmp_path, text, line, *flags):
+def assert_usage_error(tmp_path, text, line, *flags, timeout=None):
     """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
     problem = tmp_path / "task.gk"
     problem.write_text(text, encoding="utf-8")
-    proc = run_gk(str(problem), *flags)
+    proc = run_gk(str(problem), *flags, timeout=timeout)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"line {line}" in proc.stderr
@@ -215,6 +224,26 @@ class TestTaskArguments:
     def test_negative_order_flag(self, tmp_path):
         stderr = self.run_task_line(tmp_path, "task pullback Phi g", "--order", "-1")
         assert "got -1" in stderr
+
+    def test_an_order_past_the_exponent_bound(self, tmp_path):
+        # y* is a series with a term at every degree, so this pullback would
+        # run until killed; no key holds a degree past the bound
+        text = ("manifold A\n  var a even 0\nend\nmanifold B\n  var b even 0\nend\n"
+                "function g on B = b^2\n"
+                "thick P source A target B shift 0 kind even = a * q_b + q_b^2\n")
+        start = time.perf_counter()
+        stderr = assert_usage_error(tmp_path, text + "task pullback P g order 100000000000\n",
+                                    9, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert f"order must be at most {EXPONENT_BOUND}, got 100000000000" in stderr
+        stderr = assert_usage_error(tmp_path, text + "task pullback P g\n", 9,
+                                    "--order", str(EXPONENT_BOUND + 1), timeout=10)
+        assert f"got {EXPONENT_BOUND + 1}" in stderr
+        # the bound itself is an order, on the task line or by the flag; the
+        # options are checked without running the pullback
+        at_bound = parse_problem(text + f"task pullback P g order {EXPONENT_BOUND}\n"
+                                 "task pullback P g\n")
+        check_task_options(at_bound, Flags(order=EXPONENT_BOUND))
 
     def test_hj_missing_arguments(self, tmp_path):
         stderr = self.run_task_line(tmp_path, "task check-hj Phi")

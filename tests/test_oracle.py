@@ -5,16 +5,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedkernel import oracle
 from gradedkernel.errors import MissingBinding, ParityViolation
 from gradedkernel.graded_core import GradedVariable, Series
 from gradedkernel.oracle import (
     Assignment,
     GrassmannElement,
+    _in_key_order,
+    _integer_terms,
+    _integer_value,
     _odd_above,
     evaluate,
     identity_check,
     random_assignment,
+    suggested_generator_count,
 )
+from gradedkernel.report import Report
 
 XI1 = GradedVariable("xi1", 1, 0, 0, 0)
 XI2 = GradedVariable("xi2", 1, 0, 0, 1)
@@ -165,18 +171,21 @@ EVEN_VARS, ODD_VARS = (X, Y), (XI1, XI2, XI3)
 
 
 @st.composite
+def monomials(draw):
+    """A monomial of total degree 0 to 7 with a small rational."""
+    term = Series.constant(draw(RATIONALS))
+    for var in EVEN_VARS:
+        term = term * Series.variable(var) ** draw(st.integers(0, 2))
+    for var in ODD_VARS:
+        if draw(st.booleans()):
+            term = term * Series.variable(var)
+    return term
+
+
+@st.composite
 def series(draw):
     """A sum of up to five monomials of total degree 0 to 7 with small rationals."""
-    total = Series.zero()
-    for _ in range(draw(st.integers(0, 5))):
-        term = Series.constant(draw(RATIONALS))
-        for var in EVEN_VARS:
-            term = term * Series.variable(var) ** draw(st.integers(0, 2))
-        for var in ODD_VARS:
-            if draw(st.booleans()):
-                term = term * Series.variable(var)
-        total = total + term
-    return total
+    return Series.sum(draw(st.lists(monomials(), max_size=5)))
 
 
 @st.composite
@@ -458,3 +467,100 @@ class TestEdgeTerms:
         s = even ** 2 * odd + Fraction(1, 3) * odd
         assert assert_check_matches_reference(s, odd * even * even + odd / 3, 3).passed
         assert not assert_check_matches_reference(s, odd * even + odd / 3, 3).passed
+
+
+# ---------------------------------------------------------------------------
+# the compiled difference against the two-sided loop
+# ---------------------------------------------------------------------------
+
+def two_sided_check(lhs, rhs, trials, generators, seed):
+    """``identity_check`` as written when every trial evaluated both sides on
+    integers and compared them."""
+    if generators is None:
+        generators = suggested_generator_count(lhs, rhs)
+    rng = random.Random(seed)
+    variables = _in_key_order(lhs.variables() | rhs.variables())
+    _, _, (left, right) = _integer_terms(variables, lhs, rhs)
+    report = Report(f"oracle identity check (seed {seed}, {trials} trials, "
+                    f"{generators} generators)")
+    failures = 0
+    for trial in range(trials):
+        assignment = random_assignment(variables, generators, rng)
+        factor, values = assignment._integer_values()
+        if _integer_value(left, values, factor) != _integer_value(right, values, factor):
+            failures += 1
+            report.fail("oracle-trial", location=f"trial {trial}",
+                        expected=str(evaluate(rhs, assignment)),
+                        actual=str(evaluate(lhs, assignment)),
+                        notes=assignment.describe())
+            if failures >= 5:
+                report.info("oracle-trial", notes="further disagreements suppressed")
+                break
+    if failures == 0:
+        report.ok("oracle-agreement",
+                  notes=f"no counterexample in {trials} trials")
+    return report
+
+
+@st.composite
+def odd_series(draw):
+    """A sum of one to three monomials, each with one or three odd variables."""
+    total = Series.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = Series.constant(draw(RATIONALS)) * x ** draw(st.integers(0, 2))
+        for var in draw(st.sampled_from([(XI1,), (XI2,), (XI3,), ODD_VARS])):
+            term = term * Series.variable(var)
+        total = total + term
+    return total
+
+
+@st.composite
+def identity_pairs(draw):
+    """Equal pairs, odd products commuted with either sign, pairs that differ
+    by one monomial, and pairs with one zero side."""
+    kind = draw(st.sampled_from(["equal", "commuted", "monomial", "zero"]))
+    if kind == "commuted":
+        u, v = draw(odd_series()), draw(odd_series())
+        return u * v, v * u * draw(st.sampled_from([1, -1]))
+    a, b, c = draw(series()), draw(series()), draw(series())
+    if kind == "equal":
+        return a * (b + c), a * b + a * c
+    if kind == "monomial":
+        return a * b, a * b + draw(monomials())
+    return draw(st.permutations([a * b + c, Series.zero()]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=identity_pairs(), trials=st.integers(1, 40),
+       generators=st.none() | st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_the_difference_reports_as_the_two_sided_loop(pair, trials, generators, seed):
+    # one or two generators are too few for three odd variables to get one each
+    lhs, rhs = pair
+    got = identity_check(lhs, rhs, trials=trials, generators=generators, seed=seed)
+    want = two_sided_check(lhs, rhs, trials, generators, seed)
+    assert got.passed == want.passed
+    assert got.title == want.title
+    assert [e.to_json() for e in got.entries] == [e.to_json() for e in want.entries]
+    assert [e.to_text() for e in got.entries] == [e.to_text() for e in want.entries]
+
+
+def counting(monkeypatch, name):
+    """Replace ``oracle.name`` by a wrapper that counts its calls."""
+    original = getattr(oracle, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, wrapper)
+    return calls
+
+
+def test_a_true_identity_draws_every_trial_and_multiplies_nothing(monkeypatch):
+    products = counting(monkeypatch, "_product")
+    draws = counting(monkeypatch, "random_assignment")
+    lhs = xi1 * xi2 * x ** 2 + Fraction(2, 3) * x * xi1
+    rhs = -(xi2 * xi1) * x * x + xi1 * x * Fraction(2, 3)
+    assert identity_check(lhs, rhs, trials=9, generators=3, seed=5).passed
+    assert (len(products), len(draws)) == (0, 9)
