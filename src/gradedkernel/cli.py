@@ -503,6 +503,26 @@ _TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]],
 }
 
 
+# the most pool tuples, over arities 0 to n, that a check-jacobi or
+# check-weights task may enumerate: arity 8 on a pool of 5 is 488,281 of them
+TUPLE_BOUND = 1_000_000
+# the most trials that an oracle-verify or check-leibniz task may ask for
+TRIALS_BOUND = 100_000
+
+
+def _tuple_count(pool_size: int, arity: int) -> int:
+    """The number of tuples of length 0 to ``arity`` from a pool of
+    ``pool_size``, counted one arity at a time, or the first partial count
+    past ``TUPLE_BOUND``."""
+    total, tuples = 0, 1
+    for _ in range(arity + 1):
+        total += tuples
+        tuples *= pool_size
+        if total > TUPLE_BOUND or not tuples:
+            break
+    return total
+
+
 def _task_arguments(problem: ProblemFile, task: Task,
                     flags: Flags) -> Tuple[List[object], Dict[str, int]]:
     """A task's positional arguments, resolved, and its integer options.
@@ -521,17 +541,27 @@ def _task_arguments(problem: ProblemFile, task: Task,
             raise ProblemSyntaxError(f"{key} must be nonnegative, got {value}", task.line)
         if key == "trials" and value < 1:  # no trial run is no evidence
             raise ProblemSyntaxError(f"trials must be at least 1, got {value}", task.line)
+        if key == "trials" and value > TRIALS_BOUND:
+            raise ProblemSyntaxError(f"trials must be at most {TRIALS_BOUND}, got {value}",
+                                     task.line)
         if key == "order" and value > EXPONENT_BOUND:  # no key holds a higher degree
             raise ProblemSyntaxError(f"order must be at most {EXPONENT_BOUND}, got {value}",
                                      task.line)
     values = [_resolve(problem, kind, name, task.line)
               for (_, kind), name in zip(positional, task.args)]
+    if task.command in ("check-jacobi", "check-weights"):
+        pool_size = len(values[0].pool())
+        if _tuple_count(pool_size, options["arity"]) > TUPLE_BOUND:
+            raise ProblemSyntaxError(
+                f"arity {options['arity']} on a pool of {pool_size} makes more than "
+                f"{TUPLE_BOUND} tuples to check", task.line)
     return values, options
 
 
 def check_task_options(problem: ProblemFile, flags: Flags) -> None:
     """Reject, at the task's line, a task with bad options, a negative one, no
-    trials, an order past ``EXPONENT_BOUND``, or an argument that names
+    trials or more than ``TRIALS_BOUND``, an order past ``EXPONENT_BOUND``, a
+    check of more than ``TUPLE_BOUND`` pool tuples, or an argument that names
     nothing of the kind the task needs."""
     for task in problem.tasks:
         _task_arguments(problem, task, flags)

@@ -669,8 +669,10 @@ def _reversion_sign_odd(parities: Sequence[int]) -> bool:
 
 def pool_tuples(pool: Sequence[Tuple[str, Series, int, int]],
                 n_max: int) -> Iterable[Tuple[Tuple, str]]:
-    """Every tuple of pool entries of length 0..n_max, with its labels joined."""
-    for n in range(n_max + 1):
+    """Every tuple of pool entries of length 0..n_max, with its labels joined.
+
+    An empty pool has only the empty tuple, whatever ``n_max`` is."""
+    for n in range(n_max + 1 if pool else 1):
         for picked in itertools.product(pool, repeat=n):
             yield picked, ", ".join(label for label, _, _, _ in picked)
 

@@ -14,10 +14,14 @@ factors among the check's variables in ``key`` order, each position repeated
 by its exponent.  Both sides share one scale and one top, so terms at equal
 positions subtract start from start, and a zero start drops.
 ``random_assignment`` draws every rational as an integer (numerator,
-denominator) pair and keeps the pairs.  A trial scales them by the lcm of
-their denominators and evaluates the difference on integer blade dicts, read
-from a list by position, so it gets the difference's value times one known
-nonzero integer.  Every trial draws its assignment, but one whose difference
+denominator) pair and keeps the pairs.  It reads its integers straight from
+``rng.getrandbits`` words, in the order in which ``random.Random``'s
+``choice``, ``randint`` and ``sample`` read them, so a seed gives the same
+assignments, and leaves the generator in the same state, as those calls;
+the tests compare ``getstate()`` after every draw.  A trial scales the pairs
+by the lcm of their denominators and evaluates the difference on integer
+blade dicts, read from a list by position, so it gets the difference's value
+times one known nonzero integer.  Every trial draws its assignment, but one whose difference
 has no term, as for an identity that the kernel already writes as two equal
 series, evaluates nothing.  An assignment builds its ``Fraction`` values only
 when they are read, which in a check happens only for a failure's report,
@@ -35,7 +39,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import MissingBinding, ParityViolation
 from .graded_core import GradedVariable, Monomial, Series
@@ -251,7 +256,7 @@ class Assignment:
 
 def _in_key_order(variables: Iterable[GradedVariable]) -> List[GradedVariable]:
     """Distinct variables by ``key``; parity and weight order those that share one."""
-    return sorted(set(variables), key=lambda v: (v.key, v.parity, v.weight))
+    return sorted(set(variables), key=attrgetter("key", "parity", "weight"))
 
 
 # A series compiled against a list of variables: the term p/q * m of total degree d becomes
@@ -345,6 +350,14 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
     enough generators each odd variable gets its own, which is what makes
     sign errors visible.  Even variables get a scalar plus, sometimes, a
     two-generator term.
+
+    The integers are read from ``rng.getrandbits`` words in the order in
+    which ``random.Random``'s ``choice``, ``randint`` and ``sample`` read
+    them: a word of ``n``'s bit length, redrawn while it is ``n`` or more,
+    picks below ``n``.  So the assignment, and ``rng``'s state after it, are
+    those of the ``random.Random`` calls, as the tests check with
+    ``getstate()``.  Past ``_POOL_SAMPLE_MAX`` generators ``sample`` changes
+    its method, so it is called there.
     """
     variables = _in_key_order(variables)
     odd = [i for i, var in enumerate(variables) if var.parity]
@@ -352,31 +365,78 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
         raise ValueError("generator count must be nonnegative")
     if odd and not generator_count:
         raise ValueError(f"odd variable {variables[odd[0]].name} needs at least one generator")
-    indices = list(range(generator_count))
-    if len(odd) <= generator_count:
-        chosen = rng.sample(indices, len(odd))
+    getrandbits = rng.getrandbits
+    if len(odd) > generator_count:
+        chosen = [_below(getrandbits, generator_count) for _ in odd]
     else:
-        chosen = [rng.choice(indices) for _ in odd]
+        chosen = _sample(rng, generator_count, len(odd))
     pairs: List[Dict[int, _Pair]] = [{} for _ in variables]
     for position, idx in zip(odd, chosen):
-        pairs[position][1 << idx] = _random_rational(rng)
+        pairs[position][1 << idx] = _random_rational(getrandbits)
     for position, var in enumerate(variables):
         if var.parity:
             continue
         parts = pairs[position]
-        parts[0] = _random_rational(rng)
+        parts[0] = _random_rational(getrandbits)
         if generator_count >= 2 and rng.random() < 0.5:
-            i, j = rng.sample(indices, 2)
-            parts[1 << i | 1 << j] = _random_rational(rng)
+            i, j = _pair(rng, generator_count)
+            parts[1 << i | 1 << j] = _random_rational(getrandbits)
     return Assignment._drawn(generator_count, variables, pairs)
+
+
+# random.Random.sample swaps picks out of a pool of the population when it has
+# at most this many members; past it, it may keep a set of picks instead
+_POOL_SAMPLE_MAX = 21
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.choice(range(n))``, for ``n >= 1``."""
+    width = n.bit_length()
+    pick = getrandbits(width)
+    while pick >= n:
+        pick = getrandbits(width)
+    return pick
+
+
+def _sample(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``.  Up to ``_POOL_SAMPLE_MAX`` each pick
+    takes a pool slot, and the pool's last unpicked member fills it."""
+    if n > _POOL_SAMPLE_MAX:
+        return rng.sample(range(n), k)
+    getrandbits = rng.getrandbits
+    pool = list(range(n))
+    picks = []
+    for left in range(n, n - k, -1):
+        slot = _below(getrandbits, left)
+        picks.append(pool[slot])
+        pool[slot] = pool[left - 1]
+    return picks
+
+
+def _pair(rng: random.Random, n: int) -> Tuple[int, int]:
+    """``_sample(rng, n, 2)``, unrolled: the second pick's pool holds ``n - 1``
+    in the first pick's slot."""
+    if n > _POOL_SAMPLE_MAX:
+        return tuple(rng.sample(range(n), 2))
+    getrandbits = rng.getrandbits
+    first = _below(getrandbits, n)
+    second = _below(getrandbits, n - 1)
+    return first, n - 1 if second == first else second
 
 
 _NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
 
 
-def _random_rational(rng: random.Random) -> _Pair:
-    numerator = rng.choice(_NUMERATORS)
-    return numerator, rng.randint(1, 9)
+def _random_rational(getrandbits: Callable[[int], int]) -> _Pair:
+    """``(rng.choice(_NUMERATORS), rng.randint(1, 9))``: a 5-bit word below 18
+    and a 4-bit word below 9."""
+    index = getrandbits(5)
+    while index >= 18:
+        index = getrandbits(5)
+    denominator = getrandbits(4)
+    while denominator >= 9:
+        denominator = getrandbits(4)
+    return _NUMERATORS[index], denominator + 1
 
 
 def suggested_generator_count(*series: Series) -> int:

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedkernel.cli import (
+    TRIALS_BOUND,
+    TUPLE_BOUND,
     Flags,
     Task,
+    _tuple_count,
     check_task_options,
     main,
     parse_problem,
@@ -188,6 +191,12 @@ EXPLICIT_PROBLEM = (
 )
 
 
+def corpus_declarations(stem):
+    """A corpus file without its task lines."""
+    return "".join(line + "\n" for line in (CORPUS / f"{stem}.gk").read_text().splitlines()
+                   if not line.startswith("task"))
+
+
 def assert_usage_error(tmp_path, text, line, *flags, timeout=None):
     """Run gk on ``text``; it must exit 2 naming ``line``, without a traceback."""
     problem = tmp_path / "task.gk"
@@ -244,6 +253,51 @@ class TestTaskArguments:
         at_bound = parse_problem(text + f"task pullback P g order {EXPONENT_BOUND}\n"
                                  "task pullback P g\n")
         check_task_options(at_bound, Flags(order=EXPONENT_BOUND))
+
+    def test_a_tuple_count_past_the_bound(self, tmp_path):
+        # check-jacobi would enumerate 5^0 + ... + 5^n tuples of master_sinf's
+        # pool of 5 and keep an entry for each, until memory ran out
+        text = corpus_declarations("master_sinf")
+        line = text.count("\n") + 1
+        start = time.perf_counter()
+        stderr = assert_usage_error(
+            tmp_path, text + "task check-jacobi FH arity 99999999999999999999\n", line,
+            timeout=10)
+        assert time.perf_counter() - start < 1
+        assert (f"arity 99999999999999999999 on a pool of 5 makes more than {TUPLE_BOUND}"
+                in stderr)
+        stderr = assert_usage_error(tmp_path, text + "task check-weights FH\n", line,
+                                    "--arity", "9", timeout=10)
+        assert "arity 9 on a pool of 5" in stderr
+        # arity 8 is 488,281 tuples: admitted, on the task line or by the flag
+        at_bound = parse_problem(text + "task check-jacobi FH arity 8\n"
+                                 "task check-weights FH\n")
+        check_task_options(at_bound, Flags(arity=8))
+
+    def test_a_tuple_count_is_counted_one_arity_at_a_time(self):
+        assert _tuple_count(5, 8) == 488_281
+        assert _tuple_count(2, 0) == 1
+        assert _tuple_count(1, 10) == 11
+        assert _tuple_count(0, 10 ** 20) == 1
+        # the count stops at its first partial sum past the bound
+        assert _tuple_count(5, 10 ** 20) == 2_441_406
+        assert _tuple_count(10 ** 30, 10 ** 20) == 1 + 10 ** 30
+
+    @pytest.mark.parametrize("stem, task, line", [
+        ("oracle_verify", "task oracle-verify a b", 12),
+        ("master_sinf", "task check-leibniz FH", 17),
+    ])
+    def test_trials_past_the_bound(self, tmp_path, stem, task, line):
+        text = (CORPUS / f"{stem}.gk").read_text()
+        lines = text.splitlines()
+        assert lines[line - 1].startswith(task + " trials ")
+        lines[line - 1] = task + " trials 1000000000000"
+        start = time.perf_counter()
+        stderr = assert_usage_error(tmp_path, "\n".join(lines) + "\n", line, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert f"trials must be at most {TRIALS_BOUND}, got 1000000000000" in stderr
+        lines[line - 1] = f"{task} trials {TRIALS_BOUND}"
+        check_task_options(parse_problem("\n".join(lines)), Flags())
 
     def test_hj_missing_arguments(self, tmp_path):
         stderr = self.run_task_line(tmp_path, "task check-hj Phi")

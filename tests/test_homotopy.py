@@ -570,6 +570,18 @@ def test_a_bracket_check_needs_a_nonnegative_arity(check, name):
         check(JACOBI_FAMILIES[name]())
 
 
+def test_an_empty_pool_has_only_the_empty_tuple():
+    # an explicit family on a space with no basis has an empty pool; its
+    # checks enumerate no arity past 0, however high the arity asked for
+    problem = parse_problem("space S\nend\nfamily F explicit S eps 0 k 0\nend\n")
+    family = problem.families["F"]
+    assert family.pool() == []
+    assert list(homotopy.pool_tuples([], 10 ** 20)) == [((), "")]
+    for report in (check_higher_jacobi(family, 10 ** 20),
+                   check_weights_parities(family, family.signature, 10 ** 20)):
+        assert [entry.location for entry in report.entries] == ["n=0"]
+
+
 def unshuffle_loop_jacobiator(fam, inputs, n):
     """Reference: the Jacobi sum with each unshuffle's sign worked out inside
     the loop and the terms added one at a time."""

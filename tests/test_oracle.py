@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedkernel import oracle
 from gradedkernel.errors import MissingBinding, ParityViolation
+from gradedkernel.expr import parse_series
 from gradedkernel.graded_core import GradedVariable, Series
 from gradedkernel.oracle import (
     Assignment,
@@ -326,26 +328,74 @@ def fraction_rational(rng):
 
 @st.composite
 def graded_variables(draw):
-    """0-5 odd and 0-3 even variables, their indices in any order."""
-    n_odd, n_even = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    """0-8 odd and 0-3 even variables, their indices in any order."""
+    n_odd, n_even = draw(st.integers(0, 8)), draw(st.integers(0, 3))
     indices = draw(st.permutations(range(n_odd + n_even)))
     parities = [1] * n_odd + [0] * n_even
     return [GradedVariable(f"{'xi' if parity else 'x'}{index}", parity, 0, 0, index)
             for parity, index in zip(parities, indices)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(variables=graded_variables(), generator_count=st.integers(1, 6),
-       seed=st.integers(0, 2 ** 32))
-def test_integer_draws_follow_the_fraction_stream(variables, generator_count, seed):
+def assert_draws_follow_the_fraction_stream(variables, generator_count, seed, draws=3):
     rng, fraction_rng = random.Random(seed), random.Random(seed)
-    for _ in range(3):
+    for _ in range(draws):
         drawn = random_assignment(variables, generator_count, rng)
         expected = fraction_random_assignment(variables, generator_count, fraction_rng)
         assert drawn.describe() == expected.describe()
         for var in variables:
             assert drawn[var] == expected[var]
         assert rng.getstate() == fraction_rng.getstate()
+
+
+# up to 21 generators, random.Random.sample swaps picks out of a pool; past 21
+# it keeps a set of picks for few of them, and random_assignment calls it
+@settings(max_examples=200, deadline=None)
+@given(variables=graded_variables(),
+       generator_count=st.one_of(st.integers(1, 6), st.integers(19, 40)),
+       seed=st.integers(0, 2 ** 32))
+def test_integer_draws_follow_the_fraction_stream(variables, generator_count, seed):
+    assert_draws_follow_the_fraction_stream(variables, generator_count, seed)
+
+
+def odd_and_even(n_odd, n_even):
+    return ([GradedVariable(f"xi{j}", 1, 0, 0, j) for j in range(n_odd)]
+            + [GradedVariable(f"x{j}", 0, 0, 0, n_odd + j) for j in range(n_even)])
+
+
+@pytest.mark.parametrize("n_odd, n_even, generator_count", [
+    (3, 2, 22), (5, 1, 30), (7, 2, 30), (0, 3, 64),  # sample called, past 21
+    (2, 2, 21), (6, 1, 21),                          # the last pool-swap count
+    (5, 1, 2), (8, 0, 3), (4, 2, 1),                 # more odd variables: choice
+    (1, 2, 1), (0, 3, 1),                            # a single generator
+], ids=lambda value: str(value))
+def test_every_draw_branch_follows_the_fraction_stream(n_odd, n_even, generator_count):
+    for seed in range(25):
+        assert_draws_follow_the_fraction_stream(odd_and_even(n_odd, n_even),
+                                                generator_count, seed, draws=4)
+
+
+# false identities, as (lhs, rhs, generators, seed, trials), over every draw
+# branch: the suggested count, one generator, more odd variables than
+# generators, and 24 and 30 generators
+FALSE_IDENTITIES = [
+    ("xi1 * xi2", "xi2 * xi1", None, 3, 20),
+    ("x * y + xi1 + xi2", "y * x + xi2", 1, 8, 12),
+    ("xi1 * xi2 + x * xi3", "xi2 * xi1 + xi3 * x", 2, 13, 30),
+    ("x^2 * xi1 * xi3 + 2 * x * y * xi1 * xi3", "x^2 * xi1 * xi3 + x * y * xi1 * xi3", 24, 21, 10),
+    ("x * xi1 * xi2 * xi3", "x * xi2 * xi1 * xi3", 30, 34, 6),
+]
+
+
+def test_failing_reports_keep_their_bytes():
+    names = {var.name: var for var in (XI1, XI2, X, XI3, Y)}
+    digest = hashlib.sha256()
+    for lhs, rhs, generators, seed, trials in FALSE_IDENTITIES:
+        report = identity_check(parse_series(lhs, names), parse_series(rhs, names),
+                                trials=trials, generators=generators, seed=seed)
+        assert len(report.failures()) == 5
+        digest.update(report.to_text().encode())
+    assert digest.hexdigest() == (
+        "89f90577cd8fc7d73def593d83d3ad1fb8ba5f4fa86f979fd5409aa9d057125b")
 
 
 def test_an_odd_variable_needs_a_generator():
