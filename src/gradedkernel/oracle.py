@@ -254,9 +254,12 @@ class Assignment:
                         for parts in self._pairs]
 
 
+_KEY_ORDER = attrgetter("key", "parity", "weight")
+
+
 def _in_key_order(variables: Iterable[GradedVariable]) -> List[GradedVariable]:
     """Distinct variables by ``key``; parity and weight order those that share one."""
-    return sorted(set(variables), key=attrgetter("key", "parity", "weight"))
+    return sorted(set(variables), key=_KEY_ORDER)
 
 
 # A series compiled against a list of variables: the term p/q * m of total degree d becomes
@@ -379,7 +382,7 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
         parts = pairs[position]
         parts[0] = _random_rational(getrandbits)
         if generator_count >= 2 and rng.random() < 0.5:
-            i, j = _pair(rng, generator_count)
+            i, j = _sample(rng, generator_count, 2)
             parts[1 << i | 1 << j] = _random_rational(getrandbits)
     return Assignment._drawn(generator_count, variables, pairs)
 
@@ -411,17 +414,6 @@ def _sample(rng: random.Random, n: int, k: int) -> List[int]:
         picks.append(pool[slot])
         pool[slot] = pool[left - 1]
     return picks
-
-
-def _pair(rng: random.Random, n: int) -> Tuple[int, int]:
-    """``_sample(rng, n, 2)``, unrolled: the second pick's pool holds ``n - 1``
-    in the first pick's slot."""
-    if n > _POOL_SAMPLE_MAX:
-        return tuple(rng.sample(range(n), 2))
-    getrandbits = rng.getrandbits
-    first = _below(getrandbits, n)
-    second = _below(getrandbits, n - 1)
-    return first, n - 1 if second == first else second
 
 
 _NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
