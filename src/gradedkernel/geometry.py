@@ -279,7 +279,7 @@ def is_homological(q: VectorField) -> bool:
 def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
     """The canonical Poisson (kind=even) or Schouten (kind=odd) bracket.
 
-    Requires homogeneous, untruncated arguments; the result has weight
+    Requires homogeneous arguments; the result has weight
     w(F)+w(G)-s and parity Ft+Gt (plus 1 for the odd kind).
 
     An argument of fiber degree 0, such as a base function, has no fiber
@@ -287,8 +287,6 @@ def canonical_bracket(f: Series, g: Series, ct: CotangentChart) -> Series:
     """
     for argument in (f, g):
         check_uses_only(argument, ct.variables, "bracket argument uses variables not on the chart")
-        if argument.truncation_order is not None:
-            raise GradingMismatch("bracket arguments must be exact series, not truncated ones")
     if f.is_zero or g.is_zero:
         return Series.zero()
     f_parity = f.bigrading().parity

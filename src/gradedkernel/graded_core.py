@@ -61,7 +61,7 @@ Coefficients are integer numerators over one positive denominator ``_den``
 per series, reduced after every operation so that ``gcd(_den, every
 numerator) == 1``.  That form is canonical, so equal series have equal term
 dicts and equal denominators.  The public constructor also drops zero
-coefficients and terms above the truncation order.  ``Series._trusted``
+coefficients.  ``Series._trusted``
 skips all checks; it is only called on dicts built inside this module that
 already satisfy them, and the dict is never mutated afterwards, so series
 may share it.
@@ -267,30 +267,22 @@ def _overflow(key: int) -> ExponentOverflow:
     return ExponentOverflow(f"a product has fiber degree above {EXPONENT_BOUND}")
 
 
-def _min_trunc(*orders: Optional[int]) -> Optional[int]:
-    present = [o for o in orders if o is not None]
-    return min(present) if present else None
-
-
 class Series:
     """A finite sum of exact-rational terms over canonical monomials.
 
-    ``truncation_order`` is the maximal total fiber degree retained; ``None``
-    means the series is exact.  Instances are immutable.
+    Every series is exact: it has the terms it lists and no others.
+    Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_den", "_trunc", "_hash", "_rows", "_grade")
+    __slots__ = ("_terms", "_den", "_hash", "_rows", "_grade")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None,
-                 truncation_order: Optional[int] = None):
+    def __init__(self, terms: Optional[Mapping[Monomial, Rational]] = None):
         kept = []
         for monomial, coeff in (terms or {}).items():
             coeff = _frac(coeff)
             if coeff == 0:
                 continue
             key, flip = _encode(monomial)
-            if truncation_order is not None and key & _FIBER > truncation_order:
-                continue
             kept.append((key, -coeff if flip else coeff))
         # each coefficient is in lowest terms, so over the lcm of the
         # denominators the numerators have no common factor with it
@@ -298,39 +290,37 @@ class Series:
         self._terms = {key: coeff.numerator * (den // coeff.denominator)
                        for key, coeff in kept}
         self._den = den
-        self._trunc = truncation_order
         self._hash = self._rows = self._grade = None
 
     @classmethod
-    def _trusted(cls, terms: dict, den: int, truncation_order: Optional[int]) -> "Series":
+    def _trusted(cls, terms: dict, den: int) -> "Series":
         """Wrap a dict that already meets the invariants in the module docstring."""
         series = cls.__new__(cls)
         series._terms = terms
         series._den = den
-        series._trunc = truncation_order
         series._hash = series._rows = series._grade = None
         return series
 
     @classmethod
-    def _reduced(cls, terms: dict, den: int, truncation_order: Optional[int]) -> "Series":
+    def _reduced(cls, terms: dict, den: int) -> "Series":
         """``_trusted`` after dividing out the common factor of ``den`` and ``terms``."""
         if den != 1:
             common = gcd(den, *terms.values())
             if common != 1:
                 den //= common
                 terms = {k: n // common for k, n in terms.items()}
-        return cls._trusted(terms, den, truncation_order)
+        return cls._trusted(terms, den)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation_order: Optional[int] = None) -> "Series":
-        return cls._trusted({}, 1, truncation_order)
+    def zero(cls) -> "Series":
+        return cls._trusted({}, 1)
 
     @classmethod
     def constant(cls, value: Rational) -> "Series":
         value = _frac(value)
-        return cls._trusted({0: value.numerator} if value else {}, value.denominator, None)
+        return cls._trusted({0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def one(cls) -> "Series":
@@ -345,18 +335,15 @@ class Series:
             return cls.one()
         if var.parity and exponent > 1:
             return cls.zero()
-        return cls._trusted({_encode(((var, exponent),))[0]: 1}, 1, None)
+        return cls._trusted({_encode(((var, exponent),))[0]: 1}, 1)
 
     @classmethod
     def sum(cls, terms: Sequence["Series"]) -> "Series":
         """The sum of ``terms``, accumulated in one dict over a common denominator."""
-        trunc = _min_trunc(*[t._trunc for t in terms])
         den = lcm(*[t._den for t in terms])
         out: Optional[dict] = None
         for term in terms:
             part = term._terms
-            if trunc is not None and term._trunc != trunc:
-                part = {k: n for k, n in part.items() if k & _FIBER <= trunc}
             scale = den // term._den
             if out is None:
                 out = dict(part) if scale == 1 else {k: n * scale for k, n in part.items()}
@@ -368,13 +355,9 @@ class Series:
                     out[key] = total
                 else:
                     del out[key]
-        return cls._reduced(out or {}, den, trunc)
+        return cls._reduced(out or {}, den)
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def truncation_order(self) -> Optional[int]:
-        return self._trunc
 
     @property
     def is_zero(self) -> bool:
@@ -521,8 +504,7 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series._trusted({k: -n for k, n in self._terms.items()}, self._den,
-                               self._trunc)
+        return Series._trusted({k: -n for k, n in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Series":
         other = _coerce(other)
@@ -540,19 +522,23 @@ class Series:
         if isinstance(other, (int, Fraction)):
             c = _frac(other)
             if c == 0:
-                return Series.zero(self._trunc)
+                return Series.zero()
             if c == 1:
                 return self
             return Series._reduced({k: n * c.numerator for k, n in self._terms.items()},
-                                   self._den * c.denominator, self._trunc)
+                                   self._den * c.denominator)
         if not isinstance(other, Series):
             return NotImplemented
-        trunc = _min_trunc(self._trunc, other._trunc)
+        return self._times(other, None)
+
+    def _times(self, other: "Series", order: Optional[int]) -> "Series":
+        """``(self * other).truncate(order)``, or the whole product if ``order``
+        is None, building no term past ``order``."""
         # a product's fiber degree is the sum of its factors' degrees, so with
         # both sides in ascending degree each row stops at the first pair past
         # the order, before that pair is merged; with no order, no two stored
         # degrees reach the budget
-        budget = 2 * EXPONENT_BOUND if trunc is None else trunc
+        budget = 2 * EXPONENT_BOUND if order is None else order
         odd = _REGISTRY.odd_bits
         right = other._product_rows()
         out: dict = {}
@@ -585,7 +571,7 @@ class Series:
         for key in out:
             if key & guards:
                 raise _overflow(key)
-        return Series._reduced(out, self._den * other._den, trunc)
+        return Series._reduced(out, self._den * other._den)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -621,12 +607,9 @@ class Series:
     # -- calculus ----------------------------------------------------------
 
     def left_derivative(self, var: GradedVariable) -> "Series":
-        trunc = self._trunc
-        if trunc is not None and var.fiber_degree:
-            trunc = max(trunc - 1, 0)
         slot = _REGISTRY.slots.get(var)
         if slot is None:
-            return Series.zero(trunc)
+            return Series.zero()
         shift, mask = slot.shift, slot.mask
         step = (1 << shift) + var.fiber_degree
         # the odd factors in fields below var's, each passed with a sign
@@ -638,22 +621,25 @@ class Series:
                 if before and (key & before).bit_count() & 1:
                     n = -n
                 out[key - step] = n * exp
-        return Series._reduced(out, self._den, trunc)
+        return Series._reduced(out, self._den)
 
-    def substitute(self, bindings: Mapping[GradedVariable, "Series"]) -> "Series":
-        """Replace every bound variable by its value, all at once.
+    def substitute(self, bindings: Mapping[GradedVariable, "Series"],
+                   order: Optional[int] = None) -> "Series":
+        """Replace every bound variable by its value, all at once; with an
+        ``order``, the result is cut at that fiber degree.
 
         The terms are grouped by bound part ``b``: with ``key = sign * u * b``,
         the coefficient series ``C_b`` collects ``sign * n * u``, and the result
         is the sum of ``C_b`` times the values' powers over ``b``'s factors in
-        field order.  ``C_b`` goes first in that chain: it carries the
-        unbound part's fiber degree, so every later product already prunes
-        what that degree pushes past the truncation order.  With ``C_b`` last,
-        the powers' products would build those terms and only the last
-        product would drop them.  A constant ``C_b``, and the power of every
-        binding that is a constant, are folded in as a rational scale, with no
-        product.  A variable that no series has used occurs in no key, so only
-        its binding's truncation order matters.
+        field order.  Fiber degrees are nonnegative and add in a product, so
+        no term past ``order`` contributes to one below it: the values are cut
+        at ``order``, an unbound part past it is skipped, and every product
+        builds nothing past it.  ``C_b`` goes first in that chain: it carries
+        the unbound part's fiber degree, so every later product already
+        prunes what that degree pushes past the order.  A constant ``C_b``,
+        and the power of every binding that is a constant, are folded in as a
+        rational scale, with no product.  A variable that no series has used
+        occurs in no key, so its binding is never read.
         """
         normalized = {}
         for var, value in bindings.items():
@@ -663,9 +649,10 @@ class Series:
                     f"binding for {var.name} must be zero or homogeneous of "
                     f"{var.bigrading}")
             normalized[var] = value
-        trunc = _min_trunc(self._trunc, *(v._trunc for v in normalized.values()))
-        if trunc is not None:
-            normalized = {var: value.truncate(trunc) for var, value in normalized.items()}
+        if order is not None:
+            if order < 0:
+                raise ValueError("substitution order must be nonnegative")
+            normalized = {var: value.truncate(order) for var, value in normalized.items()}
         # bound variable -> (numerator, denominator) of a constant binding
         constants = {var: (value._terms.get(0, 0), value._den)
                      for var, value in normalized.items() if value._terms.keys() <= {0}}
@@ -690,7 +677,7 @@ class Series:
                 group = groups[part] = (factors, fiber, flip, {})
             factors, fiber, flip, coefficients = group
             rest = key - part - fiber
-            if trunc is not None and rest & _FIBER > trunc:
+            if order is not None and rest & _FIBER > order:
                 continue
             # key = sign * rest * part, with the sign of that product
             if flip and (rest & flip).bit_count() & 1:
@@ -709,7 +696,7 @@ class Series:
             if len(coefficients) == 1 and 0 in coefficients:
                 n, piece = coefficients[0], None
             else:
-                n, piece = 1, Series._trusted(coefficients, 1, trunc)
+                n, piece = 1, Series._trusted(coefficients, 1)
             d = 1
             for var, exp in factors:
                 constant = constants.get(var)
@@ -721,9 +708,9 @@ class Series:
                     continue
                 cached = powers.setdefault(var, [normalized[var]])
                 while len(cached) < exp:
-                    cached.append(cached[-1] * normalized[var])
+                    cached.append(cached[-1]._times(normalized[var], order))
                 factor = cached[exp - 1]
-                piece = factor if piece is None else piece * factor
+                piece = factor if piece is None else piece._times(factor, order)
                 if piece.is_zero:
                     break
             if not n:
@@ -743,32 +730,28 @@ class Series:
                     out[k] = total
                 else:
                     del out[k]
-        return Series._reduced(out, self._den * den, trunc)
+        return Series._reduced(out, self._den * den)
 
-    def _kept(self, keep, truncation_order: Optional[int]) -> "Series":
-        """The terms whose fiber degree passes ``keep``, at ``truncation_order``."""
+    def _kept(self, keep) -> "Series":
+        """The terms whose fiber degree passes ``keep``; ``self`` if that is all."""
         terms = {k: n for k, n in self._terms.items() if keep(k & _FIBER)}
         if len(terms) == len(self._terms):
-            return Series._trusted(self._terms, self._den, truncation_order)
-        return Series._reduced(terms, self._den, truncation_order)
+            return self
+        return Series._reduced(terms, self._den)
 
     def truncate(self, order: int) -> "Series":
-        """The terms up to fiber degree ``order``; a series truncated at or
-        below ``order`` is returned as it is, as its missing terms stay unknown."""
+        """The terms up to fiber degree ``order``; ``self`` if that is all."""
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        if self._trunc is not None and self._trunc <= order:
+        if self.fiber_degree() <= order:
             return self
-        return self._kept(lambda degree: degree <= order, order)
-
-    def without_truncation(self) -> "Series":
-        return Series._trusted(self._terms, self._den, None)
+        return self._kept(lambda degree: degree <= order)
 
     def fiber_slice(self, low: int, high: Optional[int] = None) -> "Series":
         """The terms of fiber degree ``low`` to ``high``, or from ``low`` up if
-        ``high`` is None; the truncation order is kept."""
+        ``high`` is None."""
         top = float("inf") if high is None else high
-        return self._kept(lambda degree: low <= degree <= top, self._trunc)
+        return self._kept(lambda degree: low <= degree <= top)
 
     # -- formatting ----------------------------------------------------------
 

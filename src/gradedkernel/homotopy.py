@@ -14,8 +14,7 @@ A bracket family can come from three sources:
 * ``ExplicitFamily`` - a table of structure constants, stored graded
   symmetrized (epsilon = 1) or antisymmetrized (epsilon = 0).
 
-Every family takes and returns exact `Series`: the brackets are polynomial
-identities, so a truncated input or master raises GradingMismatch.  A
+Every family takes and returns `Series`, and every series is exact.  A
 vector of a graded space is a series linear in the space's basis variables
 (`SpaceBasis.coordinates` reads it back).  A family interns each input to
 an integer key and caches every bracket it evaluates under the tuple of its
@@ -243,8 +242,7 @@ class BracketFamily:
     interned to a key or a cached bracket value, is also keyed by its
     identity, which stays its own while the family lives, so a pool entry
     or an inner bracket fed back as an input is looked up with no hashing of
-    its value.  Other inputs are looked up by value, and refused if they are
-    truncated, as a truncated copy of a held one is.  ``jacobi_sum`` reads
+    its value.  Other inputs are looked up by value.  ``jacobi_sum`` reads
     the cache by these keys directly, and has a value it does not find
     evaluated by ``bracket``.  The pool is built once, so every check on a
     family passes the same objects, and the Jacobi plans (`jacobi_plan`) are
@@ -305,8 +303,6 @@ class BracketFamily:
 
     def _key(self, element: Series) -> int:
         """The key of an input that has no key by identity."""
-        if element.truncation_order is not None:
-            raise GradingMismatch("bracket inputs must be exact series, not truncated ones")
         interned = self._interned(element)
         key = self._key_by_value.setdefault(interned, len(self._inputs))
         if key == len(self._inputs):
@@ -404,7 +400,7 @@ class HamiltonianFamily(BracketFamily):
     input must be homogeneous, whatever the other inputs are.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
-    part, so the fiber degree of the exact master is the family's arity bound.
+    part, so the fiber degree of the master is the family's arity bound.
     """
 
     jacobi_note = ("function-family identities use the bracket form of the "
@@ -413,8 +409,6 @@ class HamiltonianFamily(BracketFamily):
 
     def __init__(self, master: Series, ct: CotangentChart,
                  pool_seed: int = 11, pool_size: int = 5):
-        if master.truncation_order is not None:
-            raise GradingMismatch("a master must be an exact series, not a truncated one")
         super().__init__(1 if ct.kind == KIND_EVEN else 0, 1 - ct.shift)
         self.master = master
         self.ct = ct
@@ -835,7 +829,7 @@ def check_master(obj: Union[VectorField, Series],
         return report
     if ct is None:
         raise ChartMismatch("a master function needs its cotangent chart")
-    residual = canonical_bracket(obj, obj, ct)  # refuses a truncated master, zero or not
+    residual = canonical_bracket(obj, obj, ct)
     report = Report(f"master check on {ct.name}")
     if obj.is_zero:
         report.ok("master-equation", expected="0", actual="0", notes="zero master")

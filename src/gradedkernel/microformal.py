@@ -15,7 +15,7 @@ which makes the iteration contract t-adically and terminate exactly at any
 requested order.
 
 Write y_0 for the seeds (the linear part of S) and let pass j compute
-q_j = dg(y_{j-1}) and y_j = Y(q_j), everything truncated at the order.  As
+q_j = dg(y_{j-1}) and y_j = Y(q_j), each substitution cut at the order.  As
 y -> seeds + t G(y) is a t-adic contraction, y_j - y* has t-valuation at
 least j + 1, so y_order = y*, and y_j = y_{j-1} exactly when y_{j-1} = y*.
 The loop therefore stops at the first pass with y_j = y_{j-1}, or after
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
 from .geometry import Chart, CotangentChart, KIND_EVEN, check_uses_only, conjugate_variables
@@ -65,8 +65,8 @@ from .report import Report
 
 DEFAULT_ORDER = 4
 
-# insertion counter: even, weightless, fiber degree 1 so series truncation
-# counts insertions once the momenta have been substituted away
+# insertion counter: even, weightless, fiber degree 1 so a substitution's
+# order counts insertions once the momenta have been substituted away
 _INSERTION = GradedVariable("_t", 0, 0, fiber_degree=1, index=10 ** 6)
 
 
@@ -208,12 +208,12 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     q_prev: Dict[GradedVariable, Series] = {}
     for passes in range(1, order + 2):
         q_cur = {
-            phi.momentum(y_var): dg[y_var].substitute(y_cur).truncate(order)
+            phi.momentum(y_var): dg[y_var].substitute(y_cur, order)
             for y_var in phi.target.variables}
         if passes > order:
             break  # y_cur is y_order, which is y*
         y_next = {
-            y_var: y_map[y_var].substitute(q_cur).truncate(order)
+            y_var: y_map[y_var].substitute(q_cur, order)
             for y_var in phi.target.variables}
         # y_j - y_{j-1} has t-valuation at least j
         below = passes - 1
@@ -232,25 +232,25 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
     # f is stationary in y and q, so f(0) and the rate t df/dt give it whole
     # (see the module docstring)
     start = [phi.S.fiber_slice(0, 0), g.substitute(seeds)]
-    rate = [(t * tail).substitute(q_cur)]
+    rate = [(t * tail).substitute(q_cur, order)]
     for y_var in phi.target.variables:
         q_var = phi.momentum(y_var)
         if y_var.parity and not q_var.parity:  # c_i = -2; every other c_i is 0
             q_star = q_cur[q_var]
             start.append(-2 * (q_star.fiber_slice(0, 0) * seeds[y_var]))
             rate.append(-2 * (_by_degree(q_star, order, lambda k: k) * y_cur[y_var]))
-    f = Series.sum(start + [_by_degree(Series.sum(rate), order,
-                                       lambda k: Fraction(1, k))]).truncate(order)
+    f = Series.sum(start + [_by_degree(Series.sum(rate), order, lambda k: Fraction(1, k))])
     return f, y_cur, q_cur, iterations
 
 
 def _by_degree(series: Series, order: int, scale) -> Series:
     """The sum of scale(k) times the fiber-degree-k part, for k = 1..order."""
-    return Series.sum([scale(k) * series.fiber_slice(k, k) for k in range(1, order + 1)])
+    return Series.sum([scale(k) * series.fiber_slice(k, k)
+                       for k in sorted(series.fiber_degrees()) if 1 <= k <= order])
 
 
 def _drop_insertions(series: Series) -> Series:
-    return series.substitute({_INSERTION: Series.one()}).without_truncation()
+    return series.substitute({_INSERTION: Series.one()})
 
 
 def pullback(phi: ThickMorphism, g: Series, order: int = DEFAULT_ORDER) -> PullbackResult:
@@ -283,17 +283,19 @@ def pullback_expansion_oracle(phi: ThickMorphism, g: Series) -> Series:
 def _master_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
                   h2: Series, ct2: CotangentChart, generator: Series,
                   y_values: Mapping[GradedVariable, Series],
-                  q_values: Mapping[GradedVariable, Series]) -> Tuple[Series, Series]:
-    """H1(x, d(generator)/dx) and H2(y, q): H1's momenta bound to the
-    generator's x-derivatives, and each target coordinate y of H2 bound to
-    ``y_values[y]`` and its momentum to ``q_values`` at ``phi.momentum(y)``."""
+                  q_values: Mapping[GradedVariable, Series],
+                  order: Optional[int] = None) -> Tuple[Series, Series]:
+    """H1(x, d(generator)/dx) and H2(y, q), cut at fiber degree ``order``:
+    H1's momenta bound to the generator's x-derivatives, and each target
+    coordinate y of H2 bound to ``y_values[y]`` and its momentum to
+    ``q_values`` at ``phi.momentum(y)``."""
     lhs = h1.substitute({ct1.conjugate(x_var): generator.left_derivative(x_var)
-                         for x_var in phi.source.variables})
+                         for x_var in phi.source.variables}, order)
     target_bindings: Dict[GradedVariable, Series] = {}
     for y_var in phi.target.variables:
         target_bindings[y_var] = y_values[y_var]
         target_bindings[ct2.conjugate(y_var)] = q_values[phi.momentum(y_var)]
-    return lhs, h2.substitute(target_bindings)
+    return lhs, h2.substitute(target_bindings, order)
 
 
 def _hj_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
@@ -359,7 +361,7 @@ def check_intertwining(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
     k = _check_hj_setup(phi, h1, ct1, h2, ct2)
     residual_order = max(order - 1, 0)
     f_t, y_t, q_t, iterations = _pullback_graded(phi, g, order)
-    lhs, rhs = _master_sides(phi, h1, ct1, h2, ct2, f_t, y_t, q_t)
+    lhs, rhs = _master_sides(phi, h1, ct1, h2, ct2, f_t, y_t, q_t, order)
     residual = (lhs - rhs).truncate(residual_order)
     report = Report(f"intertwining residual (s = {phi.shift}, k = {k}, "
                     f"insertion order {residual_order})")

@@ -254,6 +254,22 @@ class TestTaskArguments:
                                  "task pullback P g\n")
         check_task_options(at_bound, Flags(order=EXPONENT_BOUND))
 
+    def test_a_terminating_pullback_at_a_high_order_ends_at_once(self, tmp_path):
+        # y* = 2 + x and q* = 1 after two passes; the value reads only the
+        # fiber degrees its series have, not every degree up to the order
+        problem = tmp_path / "task.gk"
+        problem.write_text(
+            "manifold A\n  var x even 0\nend\nmanifold B\n  var y even 0\nend\n"
+            "function g on B = y\n"
+            "thick Phi source A target B shift 0 kind even = x * q_y + q_y^2\n"
+            "task pullback Phi g order 1000000\n", encoding="utf-8")
+        start = time.perf_counter()
+        proc = run_gk(str(problem), timeout=10)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 0, proc.stderr
+        assert "pullback-iterations  (2)" in proc.stdout
+        assert "f = 1 + x" in proc.stdout
+
     def test_a_tuple_count_past_the_bound(self, tmp_path):
         # check-jacobi would enumerate 5^0 + ... + 5^n tuples of master_sinf's
         # pool of 5 and keep an entry for each, until memory ran out

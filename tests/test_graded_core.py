@@ -158,10 +158,11 @@ class TestSubstitute:
             V(X).substitute({X: V(XI1)})
 
     def test_truncated_binding_truncates_unbound_terms(self):
-        # q stays unbound; the binding's order still truncates q^2 away
-        out = (V(Q) ** 2 + V(X)).substitute({X: (V(X) + V(Q)).truncate(1)})
+        # q stays unbound; the order cuts the binding and q^2 alike
+        out = (V(Q) ** 2 + V(X)).substitute({X: V(X) + V(Q) + V(Q) ** 2}, 1)
         assert out == V(X) + V(Q)
-        assert out.truncation_order == 1
+        with pytest.raises(ValueError):
+            V(X).substitute({}, -1)
 
     def test_simultaneous(self):
         # x -> xi1 would alias if applied sequentially; bindings are parallel
@@ -176,29 +177,32 @@ class TestTruncate:
     def test_drops_high_fiber_degree(self):
         s = Series.one() + V(Q) + V(Q) * V(Q) * Fraction(1, 2)
         assert s.truncate(1) == Series.one() + V(Q)
-        assert s.truncate(1).truncation_order == 1
 
     def test_noop_at_high_order(self):
         s = Series.one() + V(Q)
-        assert s.truncate(10) == s
+        assert s.truncate(10) is s
 
     def test_zero(self):
         assert Series.zero().truncate(3).is_zero
 
     def test_truncated_multiplication(self):
-        s = (Series.one() + V(Q)).truncate(1)
-        assert s * s == (Series.one() + 2 * V(Q)).truncate(1)
+        # a truncated series is exact: it multiplies as the terms it kept
+        s = (Series.one() + V(Q) + V(Q) ** 2).truncate(1)
+        assert s * s == Series.one() + 2 * V(Q) + V(Q) ** 2
 
     def test_fiber_derivative_lowers_order(self):
         s = (V(Q) ** 2).truncate(2)
-        assert s.left_derivative(Q).truncation_order == 1
+        assert s.left_derivative(Q) == 2 * V(Q)
+        assert s.left_derivative(Q).fiber_degree() == 1
 
     def test_truncating_upward_keeps_the_lower_order(self):
-        # q^3 is gone at order 2, so the series cannot be exact through order 5
+        # q^3 is gone at order 2, and truncating at 5 does not bring it back
         s = (V(Q) + V(Q) ** 3).truncate(2).truncate(5)
-        assert s == V(Q) and s.truncation_order == 2
-        square = s * s
-        assert square == V(Q) ** 2 and square.truncation_order == 2
+        assert s == V(Q)
+        assert s * s == V(Q) ** 2
+
+    def test_a_cut_factor_keeps_the_degree_its_partner_lifts(self):
+        assert V(Q) * (Series.one() + V(Q)).truncate(0) == V(Q)
 
 
 @st.composite
@@ -292,11 +296,10 @@ def test_bigrade_of_product_adds(ab, cd):
                                                 ga.weight + gb.weight)
 
 
-# -- the truncated product and substitution against a naive reference ----------
+# -- the product and substitution against a naive reference --------------------
 
 PI = GradedVariable("pi", 1, 0, 1, 1)
 MIXED = [X, XI1, XI2, Q, PI]
-TRUNCATIONS = st.one_of(st.none(), st.integers(0, 3))
 
 
 def factors_of(monomial):
@@ -316,24 +319,24 @@ def monomials(draw, max_degree, variables=MIXED):
 
 
 @st.composite
-def truncated_series(draw, max_terms=3, max_degree=9, variables=MIXED):
+def mixed_series(draw, max_terms=3, max_degree=9, variables=MIXED):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
         terms[draw(monomials(max_degree, variables))] = coeff
-    return Series(terms, draw(TRUNCATIONS))
+    return Series(terms)
 
 
 @st.composite
 def binding_for(draw, var, variables=MIXED):
-    """Zero, or a series homogeneous of ``var``'s bigrading, maybe truncated."""
+    """Zero, or a series homogeneous of ``var``'s bigrading."""
     products = (normalize_product(list(factors)) for n in range(3)
                 for factors in itertools.combinations_with_replacement(variables, n))
     pool = [t.monomial for t in products
             if not t.is_zero and monomial_bigrading(t.monomial) == var.bigrading]
     chosen = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
     terms = {m: Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 2))) for m in chosen}
-    return Series(terms, draw(TRUNCATIONS))
+    return Series(terms)
 
 
 @st.composite
@@ -343,22 +346,15 @@ def bindings(draw):
     return {var: draw(binding_for(var)) for var in bound}
 
 
-def min_order(*orders):
-    present = [o for o in orders if o is not None]
-    return min(present) if present else None
-
-
-def naive_sum(products, order):
+def naive_sum(products):
     """Sum ``coeff * factors`` over (coeff, factor list) pairs, by sorting each list."""
     out = {}
     for coeff, factors in products:
         term = normalize_product(factors)
         if term.is_zero:
             continue
-        if order is not None and monomial_fiber_degree(term.monomial) > order:
-            continue
         out[term.monomial] = out.get(term.monomial, Fraction(0)) + coeff * term.coefficient
-    return Series(out, order)
+    return Series(out)
 
 
 def naive_left_derivative(series, var):
@@ -374,28 +370,24 @@ def naive_left_derivative(series, var):
     return Series(out)
 
 
-def assert_invariants(series):
-    order = series.truncation_order
+def assert_invariants(series, order=None):
     for monomial, coeff in series.items():
         assert isinstance(coeff, Fraction) and coeff != 0
         assert order is None or monomial_fiber_degree(monomial) <= order
 
 
 @settings(max_examples=300, deadline=None)
-@given(truncated_series(), truncated_series())
+@given(mixed_series(), mixed_series())
 def test_product_matches_naive(a, b):
-    order = min_order(a.truncation_order, b.truncation_order)
     product = a * b
     expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
-                          for ma, ca in a.items() for mb, cb in b.items()), order)
+                          for ma, ca in a.items() for mb, cb in b.items()))
     assert product == expected
-    assert product.truncation_order == order
     assert_invariants(product)
 
 
 def naive_substitute(s, bound):
     """Expand every factor of every term into its binding's terms, or itself."""
-    order = min_order(s.truncation_order, *(v.truncation_order for v in bound.values()))
     products = []
     for monomial, coeff in s.items():
         choices = [bound[var].items() if var in bound else [(((var, 1),), Fraction(1))]
@@ -407,42 +399,48 @@ def naive_substitute(s, bound):
                 value *= c
                 factors += factors_of(m)
             products.append((value, factors))
-    return naive_sum(products, order)
+    return naive_sum(products)
 
 
 def assert_substitute_matches_naive(s, bound):
     result = s.substitute(bound)
-    expected = naive_substitute(s, bound)
-    assert result == expected
-    assert result.truncation_order == expected.truncation_order
+    assert result == naive_substitute(s, bound)
     assert_invariants(result)
 
 
+def assert_order_cuts_substitute(s, bound):
+    """substitute's order is the whole substitution's truncation, for
+    order None and 0..4."""
+    exact = s.substitute(bound)
+    for order in (None, 0, 1, 2, 3, 4):
+        cut = s.substitute(bound, order)
+        assert cut == (exact if order is None else exact.truncate(order))
+        assert_invariants(cut, order)
+
+
 @settings(max_examples=300, deadline=None)
-@given(truncated_series(max_degree=4), bindings())
+@given(mixed_series(max_degree=4), bindings())
 def test_substitute_matches_naive(s, bound):
     assert_substitute_matches_naive(s, bound)
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series(), truncated_series(), st.sampled_from(MIXED), st.integers(0, 3))
+@given(mixed_series(), mixed_series(), st.sampled_from(MIXED), st.integers(0, 3))
 def test_results_keep_invariants(a, b, var, order):
-    for result in (a + b, a - b, -a, a * Fraction(2, 3), a * 0, a.truncate(order),
-                   a.left_derivative(var), a.without_truncation(),
-                   a.fiber_slice(order), a.fiber_slice(0, order)):
+    for result in (a + b, a - b, -a, a * Fraction(2, 3), a * 0,
+                   a.left_derivative(var), a.fiber_slice(order), a.fiber_slice(0, order)):
         assert_invariants(result)
-    assert (a + b).truncation_order == min_order(a.truncation_order, b.truncation_order)
+    assert_invariants(a.truncate(order), order)
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series(), st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4)))
+@given(mixed_series(), st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4)))
 def test_fiber_slice_matches_filter(s, low, high):
     def kept(monomial):
         degree = sum(exp for var, exp in monomial if var.fiber_degree)
         return low <= degree and (high is None or degree <= high)
     sliced = s.fiber_slice(low, high)
     assert sliced.items() == [(m, c) for m, c in s.items() if kept(m)]
-    assert sliced.truncation_order == s.truncation_order
 
 
 # names through which a module would read or build monomial tuples directly
@@ -509,11 +507,11 @@ def test_variables_differ_in_each_field():
 # -- the packed representation -------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series())
+@given(mixed_series())
 def test_items_round_trip_in_canonical_order(s):
     items = s.items()
-    rebuilt = Series(dict(items), s.truncation_order)
-    assert rebuilt == s and rebuilt.truncation_order == s.truncation_order
+    rebuilt = Series(dict(items))
+    assert rebuilt == s
     sort_keys = [tuple((var.key, exp) for var, exp in monomial) for monomial, _ in items]
     assert sort_keys == sorted(sort_keys)
     for monomial, _ in items:
@@ -522,7 +520,7 @@ def test_items_round_trip_in_canonical_order(s):
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series(), st.integers(1, 12), st.integers(1, 12))
+@given(mixed_series(), st.integers(1, 12), st.integers(1, 12))
 def test_equal_series_through_different_denominators(s, p, q):
     scaled = (s * Fraction(p, q)) * Fraction(q, p)
     split = s * Fraction(1, q) + s * Fraction(q - 1, q)
@@ -547,11 +545,10 @@ def test_products_match_naive_when_registered_out_of_canonical_order(data):
         Series.variable(var)
     shifts = [_REGISTRY.slots[var].shift for var in ETA]
     assert shifts[2] < shifts[0] < shifts[1]
-    a = data.draw(truncated_series(variables=LATE))
-    b = data.draw(truncated_series(variables=LATE))
-    order = min_order(a.truncation_order, b.truncation_order)
+    a = data.draw(mixed_series(variables=LATE))
+    b = data.draw(mixed_series(variables=LATE))
     expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
-                          for ma, ca in a.items() for mb, cb in b.items()), order)
+                          for ma, ca in a.items() for mb, cb in b.items()))
     assert a * b == expected
     for var in LATE:
         assert a.left_derivative(var) == naive_left_derivative(a, var)
@@ -564,7 +561,7 @@ def test_monomial_tuples_keep_their_signs_when_registered_out_of_canonical_order
     # first, so reading and writing its tuple changes the sign
     for var in (ETA[2], ZETA, ETA[0], ETA[1]):
         Series.variable(var)
-    s = data.draw(truncated_series(max_terms=6, variables=LATE))
+    s = data.draw(mixed_series(max_terms=6, variables=LATE))
     for monomial, coeff in s.items():
         assert s.coefficient(monomial) == coeff
         product = functools.reduce(operator.mul, map(V, factors_of(monomial)), Series.one())
@@ -591,24 +588,23 @@ def register_chi_out_of_order():
 
 
 @st.composite
-def grouped_bindings(draw):
-    """Each of GROUPED and NEVER left free, or bound to zero, to a constant
-    where its bigrading allows one, or to a series of its bigrading."""
+def grouped_bindings(draw, variables=GROUPED):
+    """Each of ``variables`` and NEVER left free, or bound to zero, to a
+    constant where its bigrading allows one, or to a series of its bigrading
+    over ``variables``."""
     bound = {}
-    for var in GROUPED + [NEVER]:
+    for var in variables + [NEVER]:
         kinds = ["free", "zero", "series"]
         if var.bigrading == Bigrading(0, 0):
             kinds.append("constant")
         kind = draw(st.sampled_from(kinds))
         if kind == "zero":
-            bound[var] = Series.zero(draw(TRUNCATIONS))
+            bound[var] = Series.zero()
         elif kind == "constant":
-            value = Series.constant(Fraction(draw(st.sampled_from([-2, -1, 1, 3])),
-                                             draw(st.integers(1, 3))))
-            order = draw(TRUNCATIONS)
-            bound[var] = value if order is None else value.truncate(order)
+            bound[var] = Series.constant(Fraction(draw(st.sampled_from([-2, -1, 1, 3])),
+                                                  draw(st.integers(1, 3))))
         elif kind == "series":
-            bound[var] = draw(binding_for(var, GROUPED))
+            bound[var] = draw(binding_for(var, variables))
     return bound
 
 
@@ -617,8 +613,17 @@ def grouped_bindings(draw):
 def test_grouped_substitute_matches_naive(data):
     # up to 8 terms, so that one bound part carries several unbound ones
     register_chi_out_of_order()
-    s = data.draw(truncated_series(max_terms=8, max_degree=4, variables=GROUPED))
+    s = data.draw(mixed_series(max_terms=8, max_degree=4, variables=GROUPED))
     assert_substitute_matches_naive(s, data.draw(grouped_bindings()))
+    assert NEVER not in _REGISTRY.slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_series(max_terms=6, max_degree=6), grouped_bindings(MIXED))
+def test_substitute_at_an_order_is_the_truncated_substitution(s, bound):
+    # odd, even and fiber variables, each free or bound to zero, a constant
+    # (x and q, whose bigrading allows one) or a series; NEVER has no field
+    assert_order_cuts_substitute(s, bound)
     assert NEVER not in _REGISTRY.slots
 
 
@@ -636,7 +641,7 @@ def grouped_example():
         ((X, 2), (W, 1), (Q, 1), (PI, 1)): 5,
         ((W, 2),): 2,
         (): -1,
-    }, 3)
+    })
 
 
 GROUPED_CASES = {
@@ -657,6 +662,7 @@ def test_grouped_substitute_cases(case):
     s = grouped_example()
     bound = GROUPED_CASES[case]()
     assert_substitute_matches_naive(s, bound)
+    assert_order_cuts_substitute(s, bound)
     assert NEVER not in _REGISTRY.slots
     if not bound:
         assert s.substitute(bound) == s
@@ -671,14 +677,13 @@ def test_substitute_makes_one_product_per_bound_part(monkeypatch):
                 for a in range(10) for b in range(5) for e in range(4)})
     assert len(s.items()) == 200
     products = []
-    mul = Series.__mul__
+    times = Series._times
 
-    def counted(self, other):
-        if isinstance(other, Series):
-            products.append((self, other))
-        return mul(self, other)
+    def counted(self, other, order):
+        products.append((self, other))
+        return times(self, other, order)
 
-    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "_times", counted)
     result = s.substitute({tau: Series.one()})
     monkeypatch.undo()
     # one product per bound part tau^1..tau^3 (tau^0 needs none), and two
@@ -688,7 +693,7 @@ def test_substitute_makes_one_product_per_bound_part(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series(), st.sampled_from(MIXED))
+@given(mixed_series(), st.sampled_from(MIXED))
 def test_left_derivative_matches_naive(s, var):
     assert s.left_derivative(var) == naive_left_derivative(s, var)
 
@@ -725,14 +730,14 @@ def test_product_rows_follow_a_later_odd_registration():
     assert omega2 not in _REGISTRY.slots
     b = Series({((omega1, 1), (omega3, 1)): 2, ((omega1, 1),): -1,
                 ((X, 1), (omega3, 1)): Fraction(1, 3)})
-    assert V(XI1) * b == naive_sum(((c, [XI1] + factors_of(m)) for m, c in b.items()), None)
-    assert b * V(XI1) == naive_sum(((c, factors_of(m) + [XI1]) for m, c in b.items()), None)
+    assert V(XI1) * b == naive_sum(((c, [XI1] + factors_of(m)) for m, c in b.items()))
+    assert b * V(XI1) == naive_sum(((c, factors_of(m) + [XI1]) for m, c in b.items()))
     # omega2's field is above omega3's, but it sorts between omega1 and omega3
     a = V(omega2) + V(X) * V(omega2)
     assert _REGISTRY.slots[omega2].shift > _REGISTRY.slots[omega3].shift
     for left, right in ((a, b), (b, a)):
         expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
-                              for ma, ca in left.items() for mb, cb in right.items()), None)
+                              for ma, ca in left.items() for mb, cb in right.items()))
         assert left * right == expected
 
 
@@ -754,14 +759,13 @@ def test_constant_bindings_make_no_products(monkeypatch):
     bound = {W: Series.constant(Fraction(-3, 2)), Q: Series.one(), X: Series.zero()}
     expected = naive_substitute(s, bound)
     products = []
-    mul = Series.__mul__
+    times = Series._times
 
-    def counted(self, other):
-        if isinstance(other, Series):
-            products.append((self, other))
-        return mul(self, other)
+    def counted(self, other, order):
+        products.append((self, other))
+        return times(self, other, order)
 
-    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "_times", counted)
     result = s.substitute(bound)
     monkeypatch.undo()
     assert not products
@@ -801,7 +805,7 @@ def formatted_series(draw):
     for _ in range(draw(st.integers(0, 6))):
         terms[draw(monomials(5))] = Fraction(draw(st.integers(-40, 40)),
                                              draw(st.integers(1, 12)))
-    return Series(terms, draw(TRUNCATIONS))
+    return Series(terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -812,7 +816,7 @@ def test_format_matches_the_fraction_formatter(s, scale):
 
 
 @settings(max_examples=200, deadline=None)
-@given(truncated_series(), st.sets(st.sampled_from(MIXED + [NEVER])))
+@given(mixed_series(), st.sets(st.sampled_from(MIXED + [NEVER])))
 def test_uses_only_matches_the_variable_set(s, allowed):
     # NEVER has no field, so allowing it or not changes nothing
     assert s.uses_only(allowed) == (s.variables() <= allowed)

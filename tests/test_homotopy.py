@@ -326,16 +326,6 @@ class TestHamiltonianFamilies:
         bad = check_master(V(p), ct)
         assert not bad.passed
 
-    def test_check_master_refuses_a_truncated_master(self):
-        chart = Chart.build([("x", 0, 0), ("xi", 1, -1)], "M")
-        ct = shifted_cotangent(chart, 0)
-        p, pi = (V(var) for var in ct.fiber)
-        H = p * pi + p * p * pi
-        assert check_master(H, ct).passed and check_master(Series.zero(), ct).passed
-        for cut in (H.truncate(2), H.truncate(3), Series.zero(2), Series.zero(0)):
-            with pytest.raises(GradingMismatch, match="exact series"):
-                check_master(cut, ct)
-
     def test_master_equation_failure_reported(self):
         # H = x p_xi + xi p_x corresponds to Q = x d/dxi + xi d/dx, which has
         # [Q,Q] != 0, so (H,H) != 0
@@ -489,44 +479,6 @@ class TestBracketCaches:
             fresh = HamiltonianFamily(master, ct).bracket(args)
             want = iterated_bracket(master, args, ct)
             assert got == fresh == want
-            assert got.truncation_order is fresh.truncation_order is want.truncation_order is None
-
-    def test_a_truncated_copy_of_a_held_input_is_refused(self):
-        # Series equality ignores the truncation order, so a copy would share
-        # the exact input's key if inputs were looked up by value alone
-        master, ct, inputs = HAMILTONIAN_CASES[0]
-        square, xi = inputs[2], inputs[1]
-        assert iterated_bracket(master, [square, xi], ct) == -2 * V(ct.base.variables[0])
-        for fam in (HamiltonianFamily(master, ct), lie2_family()[0]):
-            exact, other = (square, xi) if fam.epsilon else (
-                element for _, element, _, _ in fam.pool())
-            value = fam.bracket([exact, other])
-            if fam.epsilon:
-                assert value == iterated_bracket(master, [exact, other], ct)
-            assert value.truncation_order is None
-            copy = exact.truncate(0)
-            assert copy == exact and copy is not exact and copy.truncation_order == 0
-            for args in ([copy, other], [other, copy], [copy]):
-                with pytest.raises(GradingMismatch, match="exact series"):
-                    fam.bracket(args)
-            assert fam.bracket([exact, other]) is value and len(fam._inputs) == 2
-
-    def test_a_truncated_input_is_refused(self):
-        for name, order in itertools.product(["sinf", "pinf", "lie2", "broken-jacobi"],
-                                             [0, 1, 2]):
-            fam = JACOBI_FAMILIES[name]()
-            pool = [element for _, element, _, _ in fam.pool()]
-            cut = pool[0].truncate(order)
-            for args in ([cut], [pool[1], cut], [cut, cut, pool[0]]):
-                with pytest.raises(GradingMismatch, match="exact series"):
-                    fam.bracket(args)
-                with pytest.raises(GradingMismatch, match="exact series"):
-                    jacobiator(fam, [(a, 0) for a in args], len(args))
-            # past the arity bound too, where the plan brackets nothing
-            n = 2 * fam.arity_bound
-            with pytest.raises(GradingMismatch, match="exact series"):
-                jacobiator(fam, [(cut, 0)] * n, n)
-            assert not fam._values
 
     @settings(max_examples=40, deadline=None)
     @given(calls=st.lists(st.lists(st.integers(0, 1), max_size=4), max_size=12))
@@ -624,8 +576,6 @@ class TestJacobiPlans:
         got = jacobiator(fam, inputs, n)
         want = unshuffle_loop_jacobiator(JACOBI_FAMILIES[name](), inputs, n)
         assert got == want and str(got) == str(want)
-        assert getattr(got, "truncation_order", None) == \
-            getattr(want, "truncation_order", None)
 
     def test_broken_jacobi_residuals_match(self):
         fam = JACOBI_FAMILIES["broken-jacobi"]()
@@ -746,16 +696,6 @@ class TestArityBounds:
             full = homotopy.jacobi_plan(n, parities, fam.epsilon)
             assert plan == full if n < 3 else len(plan) < len(full)
 
-    def test_a_truncated_master_is_refused(self):
-        # a master cut at fiber degree 2 knows nothing of the arity-3
-        # brackets, which are not zero on the exact one
-        fam = parse_problem((CORPUS / "master_sinf.gk").read_text()).families["FH"]
-        f1, f2, f3 = (element for _, element, _, _ in fam.pool()[:3])
-        assert format_series(fam.bracket([f1, f2, f3])) == "-120 * x * xi - 80 * xi"
-        for order in (0, 2, 3, 4):
-            with pytest.raises(GradingMismatch, match="exact series"):
-                HamiltonianFamily(fam.master.truncate(order), fam.ct)
-
     @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -770,7 +710,6 @@ class TestArityBounds:
             got = jacobiator(fam, inputs, n)
             want = unshuffle_loop_jacobiator(reference, inputs, n)
             assert got == want and str(got) == str(want)
-            assert got.truncation_order is want.truncation_order is None
 
     @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
     def test_the_tuples_a_bound_skips_bracket_to_zero(self, name):
@@ -812,7 +751,6 @@ def test_iterated_bracket_equals_the_full_stencil_fold(case, picks):
     want = want.fiber_slice(0, 0)
     got = iterated_bracket(master, args, ct)
     assert got == want and str(got) == str(want)
-    assert got.truncation_order is want.truncation_order is None
 
 
 def test_an_input_equal_to_a_held_one_is_not_held():
@@ -1329,14 +1267,12 @@ def test_every_hamiltonian_bracket_is_the_chain_of_its_inputs(base, kind, s, see
     if fam.epsilon == 0:
         want = want * reversion_sign([parity_of(f) for f in inputs])
     assert got == want and format_series(got) == format_series(want)
-    assert got.truncation_order is want.truncation_order is None
     # a second family, bracketing every prefix first, reads its table the
     # same way from a table that is already partly built
     warm = HamiltonianFamily(master, ct)
     for m in range(arity + 1):
         warm.bracket(inputs[:m])
     assert warm.bracket(inputs) == got
-    assert warm.bracket(inputs).truncation_order is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -365,9 +365,7 @@ def test_identity_pullback_idempotent():
 def term_by_term_substitute(series, bindings):
     """Substitution term by term over ``items()``: each term is the product of
     its factors' images, an unbound factor staying a one-term series."""
-    orders = [o for o in [series.truncation_order] + [v.truncation_order for v in bindings.values()]
-              if o is not None]
-    pieces = [Series.zero(min(orders) if orders else None)]
+    pieces = [Series.zero()]
     for monomial, coeff in series.items():
         piece = Series.constant(coeff)
         for var, exp in monomial:
@@ -406,7 +404,7 @@ def reference_pullback(phi, g, order):
         f = f - y_cur[y_var] * q_cur[phi.momentum(y_var)]
 
     def drop(series):
-        return term_by_term_substitute(series, {_INSERTION: Series.one()}).without_truncation()
+        return term_by_term_substitute(series, {_INSERTION: Series.one()})
 
     return (drop(f.truncate(order)), {v: drop(s) for v, s in y_cur.items()},
             {v: drop(s) for v, s in q_cur.items()}, iterations)
@@ -517,7 +515,6 @@ def assert_value_is_stationary(phi, g, order):
     f, y_star, q_star, _ = microformal._pullback_graded(phi, g, order)
     want = stationary_value(phi, g, order, y_star, q_star)
     assert f == want and str(f) == str(want)
-    assert f.truncation_order == want.truncation_order
     return f, y_star, q_star
 
 
@@ -574,8 +571,8 @@ def thick_draws(draw):
 @given(case=thick_draws(), order=st.integers(0, 5),
        s_order=st.none() | st.integers(0, 4), g_order=st.none() | st.integers(0, 4))
 def test_the_value_is_the_stationary_value(case, order, s_order, g_order):
-    # a truncated S or g bounds the value's truncation order as it bounds
-    # the formula's
+    # a truncated S or g is a shorter exact input, for which the value is
+    # still the formula's
     phi, g = case
     if s_order is not None:
         phi = ThickMorphism(phi.source, phi.target, phi.shift, phi.kind, phi.S.truncate(s_order))
@@ -622,8 +619,8 @@ def test_an_even_target_coordinate_of_the_odd_kind_has_c_0(order):
 
 
 # The monomial pairs of the products of one order-3 pullback of the benchmark's
-# draw 1, counted as the benchmark's tracer counts them: |a| |b| per product
-# and |a| per scaling by a rational.  The passes make 84,093 of them.  With f
+# draw 1: |a| |b| per product, those inside substitute included, and |a| per
+# scaling by a rational.  The passes make 84,093 of them.  With f
 # computed as g(y*) + S_t(q*) - y*_i q*_i the value made 85,864 more; read off
 # the insertion rate it makes 25,676
 PULLBACK_PAIRS = 109_769
@@ -632,14 +629,19 @@ PULLBACK_PAIRS = 109_769
 def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch):
     phi, g = cubic_draw(1)
     pairs = []
-    mul = Series.__mul__
+    mul, times = Series.__mul__, Series._times
 
-    def counted(a, b):
+    def scaled(a, b):
         out = mul(a, b)
-        if out is not NotImplemented:
-            pairs.append(len(a._terms) * (len(b._terms) if isinstance(b, Series) else 1))
+        if out is not NotImplemented and not isinstance(b, Series):
+            pairs.append(len(a._terms))
         return out
 
-    monkeypatch.setattr(Series, "__mul__", counted)
+    def multiplied(a, b, order):
+        pairs.append(len(a._terms) * len(b._terms))
+        return times(a, b, order)
+
+    monkeypatch.setattr(Series, "__mul__", scaled)
+    monkeypatch.setattr(Series, "_times", multiplied)
     assert pullback(phi, g, 3).iterations == 5
     assert sum(pairs) <= PULLBACK_PAIRS
