@@ -503,8 +503,9 @@ _TASKS: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Dict[str, Optional[int]],
 }
 
 
-# the most pool tuples, over arities 0 to n, that a check-jacobi or
-# check-weights task may enumerate: arity 8 on a pool of 5 is 488,281 of them
+# the most pool tuples, over arities 0 to n, that a check-jacobi,
+# check-weights or derive-brackets task may enumerate: arity 8 on a pool of 5
+# is 488,281 of them
 TUPLE_BOUND = 1_000_000
 # the most trials that an oracle-verify or check-leibniz task may ask for
 TRIALS_BOUND = 100_000
@@ -549,9 +550,13 @@ def _task_arguments(problem: ProblemFile, task: Task,
                                      task.line)
     values = [_resolve(problem, kind, name, task.line)
               for (_, kind), name in zip(positional, task.args)]
-    if task.command in ("check-jacobi", "check-weights"):
-        pool_size = len(values[0].pool())
-        if _tuple_count(pool_size, options["arity"]) > TUPLE_BOUND:
+    if task.command in ("check-jacobi", "check-weights", "derive-brackets"):
+        family = values[0]
+        pool_size = len(family.pool())
+        arity = options["arity"]
+        if task.command == "derive-brackets":  # its listing stops at the arity bound
+            arity = min(arity, family.arity_bound)
+        if _tuple_count(pool_size, arity) > TUPLE_BOUND:
             raise ProblemSyntaxError(
                 f"arity {options['arity']} on a pool of {pool_size} makes more than "
                 f"{TUPLE_BOUND} tuples to check", task.line)
@@ -561,8 +566,8 @@ def _task_arguments(problem: ProblemFile, task: Task,
 def check_task_options(problem: ProblemFile, flags: Flags) -> None:
     """Reject, at the task's line, a task with bad options, a negative one, no
     trials or more than ``TRIALS_BOUND``, an order past ``EXPONENT_BOUND``, a
-    check of more than ``TUPLE_BOUND`` pool tuples, or an argument that names
-    nothing of the kind the task needs."""
+    check or listing of more than ``TUPLE_BOUND`` pool tuples, or an argument
+    that names nothing of the kind the task needs."""
     for task in problem.tasks:
         _task_arguments(problem, task, flags)
 

@@ -16,8 +16,9 @@ A bracket family can come from three sources:
 
 Every family takes and returns `Series`, and every series is exact.  A
 vector of a graded space is a series linear in the space's basis variables
-(`SpaceBasis.coordinates` reads it back).  A family interns each input to
-an integer key and caches every bracket it evaluates under the tuple of its
+(`SpaceBasis.coordinates` reads it back).  A family keys each input by its
+value, keeps one record of it per key (a vector's coordinates, a function's
+gradient), and caches every bracket it evaluates under the tuple of its
 inputs' keys (see `BracketFamily`).
 
 The checkers (`check_higher_jacobi`, `check_weights_parities`,
@@ -56,14 +57,13 @@ every earlier input enters them by its parity, so it must be homogeneous.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import ChartMismatch, GradingMismatch
 from .geometry import (
@@ -161,8 +161,12 @@ class SpaceBasis(Chart):
 
 
 # one term of a Jacobi sum: (first block, second block, whether it is
-# subtracted), each block a bit mask of input positions
-PlanTerm = Tuple[int, int, bool]
+# subtracted), each block its input positions, ascending
+PlanTerm = Tuple[Tuple[int, ...], Tuple[int, ...], bool]
+
+# a family's record of an input, by key: (index, coefficient) pairs, which
+# are a vector's coordinates or a base function's nonzero df/dx^a
+Interned = Tuple[Tuple[int, Union[Fraction, Series]], ...]
 
 
 class _TableRow(NamedTuple):
@@ -236,13 +240,11 @@ class BracketFamily:
     A family interns every input it is given to an integer key the first
     time it sees it, and caches every bracket value under the tuple of its
     inputs' keys; ``bracket`` computes a missing value with ``_evaluate``.
-    Equal inputs share a key; ``_interned`` says what "equal" means for the
-    family's elements, and ``_interned_as`` keeps, by key, what each input
-    was interned as.  An object the family holds, the first input
-    interned to a key or a cached bracket value, is also keyed by its
-    identity, which stays its own while the family lives, so a pool entry
-    or an inner bracket fed back as an input is looked up with no hashing of
-    its value.  Other inputs are looked up by value.  ``jacobi_sum`` reads
+    An input is keyed by its value: a `Series` hashes once and compares
+    exactly, so equal inputs share a key, and an input the family holds (a
+    pool entry, or an inner bracket fed back) matches its own entry by
+    identity.  ``_interned`` checks a new input and returns the family's one
+    record of it, which ``_interned_as`` keeps by key.  ``jacobi_sum`` reads
     the cache by these keys directly, and has a value it does not find
     evaluated by ``bracket``.  The pool is built once, so every check on a
     family passes the same objects, and the Jacobi plans (`jacobi_plan`) are
@@ -262,9 +264,8 @@ class BracketFamily:
         self.epsilon = epsilon
         self.k = k
         self._inputs: List[Series] = []  # key -> the first input interned to it
-        self._interned_as: List[Hashable] = []  # key -> what that input was interned as
-        self._key_by_value: Dict[Hashable, int] = {}
-        self._key_by_id: Dict[int, int] = {}  # only objects the family holds
+        self._interned_as: List[Interned] = []  # key -> the family's record of that input
+        self._key_of: Dict[Series, int] = {}
         self._values: Dict[Tuple[int, ...], Series] = {}
         self._plans: Dict[Tuple[int, Tuple[int, ...]], Tuple[PlanTerm, ...]] = {}
         self._pool_cache: Optional[List[Tuple[str, Series, int, int]]] = None
@@ -297,25 +298,21 @@ class BracketFamily:
         """A bracket value or Jacobi residual as the reports write it."""
         return format_series(value)
 
-    def _interned(self, element: Series) -> Hashable:
-        """What equal inputs share; raises on an input the family cannot take."""
+    def _interned(self, element: Series) -> Interned:
+        """The family's record of a new input; raises on one it cannot take."""
         raise NotImplementedError
 
     def _key(self, element: Series) -> int:
-        """The key of an input that has no key by identity."""
-        interned = self._interned(element)
-        key = self._key_by_value.setdefault(interned, len(self._inputs))
-        if key == len(self._inputs):
+        key = self._key_of.get(element)
+        if key is None:
+            interned = self._interned(element)
+            key = self._key_of[element] = len(self._inputs)
             self._inputs.append(element)
             self._interned_as.append(interned)
-            self._key_by_id[id(element)] = key
         return key
 
     def _keys(self, elements: Sequence[Series]) -> Tuple[int, ...]:
-        keys = list(map(self._key_by_id.get, map(id, elements)))
-        if None in keys:
-            keys = [self._key(e) if key is None else key for e, key in zip(elements, keys)]
-        return tuple(keys)
+        return tuple([self._key(element) for element in elements])
 
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
         raise NotImplementedError
@@ -330,30 +327,22 @@ class BracketFamily:
             # a term's inner bracket has arity |first|, its outer 1 + |second|
             plan = self._plans[(n, parities)] = tuple([
                 term for term in jacobi_plan(n, parities, self.epsilon)
-                if not self.vanishes(term[0].bit_count())
-                and not self.vanishes(1 + term[1].bit_count())])
+                if not self.vanishes(len(term[0])) and not self.vanishes(1 + len(term[1]))])
         if not plan:
             return Series.zero()
-        values, inputs, key_by_id = self._values, self._inputs, self._key_by_id
-        # the blocks the plan reads, each the inputs' keys at the positions
-        # in its bit mask, in ascending position
-        positions = _mask_positions(n)
+        values, inputs = self._values, self._inputs
         added: List[Series] = []
         subtracted: List[Series] = []
         for first, second, negative in plan:
             # a value missing from the cache is evaluated by `bracket`, on the
             # inputs held under its keys, which caches it under the same keys
-            block = tuple([keys[j] for j in positions[first]])
+            block = tuple([keys[j] for j in first])
             inner = values.get(block)
             if inner is None:
                 inner = self.bracket([inputs[key] for key in block])
             if inner.is_zero:
                 continue
-            inner_key = key_by_id.get(id(inner))
-            if inner_key is None:
-                # the value cache holds inner, so its identity stays its own
-                inner_key = key_by_id[id(inner)] = self._key(inner)
-            block = (inner_key, *[keys[j] for j in positions[second]])
+            block = (self._key(inner), *[keys[j] for j in second])
             outer = values.get(block)
             if outer is None:
                 outer = self.bracket([inputs[key] for key in block])
@@ -384,20 +373,21 @@ class HamiltonianFamily(BracketFamily):
     in its last input: ``{f_1, ..., f_{n-1}, .} = sum_a V_a d/dx^a``, an
     operator built whole once per prefix of keys (`_operator`), by one walk
     over the tuples whose chains still have terms of the fiber degree it
-    needs.  Each input's gradient is computed once per key.  A
-    step's sign ``s1(a, Ft)`` is ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft``
-    (odd kind), and ``Ft`` is the running parity
-    ``H~ + sum_{j<i} (f~_j + kappa)``, with kappa the bracket's own parity;
-    sigma moves each step's sign from the coordinates' running parity to the
-    inputs'.  The master's parity and kappa cancel in that move, so sigma
-    reads only the inputs' parities and the coordinates'.  For epsilon = 0
-    the bracket also carries the parity reversion sign of the inputs, the
-    sign rule of `_derived_at_origin`, so that Jacobi plans read P-infinity
-    brackets as they read Q brackets.  The last input enters no sign (its
-    share in the reversion sign is 0, and sigma reads the inputs before it),
-    so the operator does not depend on it, and its parity is never read: a
-    bracket is additive in its last input, homogeneous or not.  Every earlier
-    input must be homogeneous, whatever the other inputs are.
+    needs.  Each input's gradient is computed once, when it is interned: it
+    is the family's record of that input.  A step's sign ``s1(a, Ft)`` is
+    ``zt_a Ft`` (even kind) or ``(zt_a + 1) Ft`` (odd kind), and ``Ft`` is
+    the running parity ``H~ + sum_{j<i} (f~_j + kappa)``, with kappa the
+    bracket's own parity; sigma moves each step's sign from the coordinates'
+    running parity to the inputs'.  The master's parity and kappa cancel in
+    that move, so sigma reads only the inputs' parities and the
+    coordinates'.  For epsilon = 0 the bracket also carries the parity
+    reversion sign of the inputs, the sign rule of `_derived_at_origin`, so
+    that Jacobi plans read P-infinity brackets as they read Q brackets.  The
+    last input enters no sign (its share in the reversion sign is 0, and
+    sigma reads the inputs before it), so the operator does not depend on
+    it, and its parity is never read: a bracket is additive in its last
+    input, homogeneous or not.  Every earlier input must be homogeneous,
+    whatever the other inputs are.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
     part, so the fiber degree of the master is the family's arity bound.
@@ -416,20 +406,20 @@ class HamiltonianFamily(BracketFamily):
         self._pool_size = pool_size
         self._coordinates = [Series.variable(var) for var in ct.base.variables]
         self._table: Dict[Tuple[int, ...], _TableRow] = {}
-        # input key -> ((a, df/dx^a) for each nonzero one)
-        self._gradients: Dict[int, Tuple[Tuple[int, Series], ...]] = {}
         self._parities = [var.parity for var in ct.base.variables]
         # prefix keys -> its operator's nonzero components V_a, by index a
         self._operators: Dict[Tuple[int, ...], Dict[int, Series]] = {}
         self.arity_bound = master.fiber_degree()  # each step lowers it by one
 
-    def _interned(self, f: Series) -> Series:
+    def _interned(self, f: Series) -> Interned:
+        """The gradient of ``f``: (a, df/dx^a) for each nonzero one."""
         if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
         # checked at interning, since a Jacobi plan cut at the arity bound
         # may bracket an input in no step at all
         check_uses_only(f, self.ct.variables, "bracket argument uses variables not on the chart")
-        return f
+        return tuple([(var.index, d) for var in self.ct.base.variables
+                      if not (d := f.left_derivative(var)).is_zero])
 
     def _row(self, coordinates: Tuple[int, ...]) -> "_TableRow":
         """The table row of a coordinate tuple, bracketed from its prefix's chain."""
@@ -441,15 +431,6 @@ class HamiltonianFamily(BracketFamily):
                                                        chain.fiber_slice(0, 0))
         return row
 
-    def _gradient(self, key: int) -> Tuple[Tuple[int, Series], ...]:
-        found = self._gradients.get(key)
-        if found is None:
-            f = self._inputs[key]
-            found = self._gradients[key] = tuple([
-                (var.index, d) for var in self.ct.base.variables
-                if not (d := f.left_derivative(var)).is_zero])
-        return found
-
     def _evaluate(self, keys: Tuple[int, ...]) -> Series:
         """{f_1, ..., f_n}_H: the prefix's operator applied to f_n."""
         if not keys:
@@ -457,10 +438,10 @@ class HamiltonianFamily(BracketFamily):
         operator = self._operators.get(keys[:-1])
         if operator is None:
             operator = self._operators[keys[:-1]] = self._operator(keys[:-1])
-        if not operator:  # no last input's gradient is needed
+        if not operator:
             return Series.zero()
-        return Series.sum([operator[a] * gradient for a, gradient in self._gradient(keys[-1])
-                           if a in operator])
+        gradient = self._interned_as[keys[-1]]
+        return Series.sum([operator[a] * d for a, d in gradient if a in operator])
 
     def _operator(self, prefix: Tuple[int, ...]) -> Dict[int, Series]:
         """The nonzero V_a of ``{f_1, ..., f_{n-1}, .}``, by index a.  A path
@@ -476,7 +457,7 @@ class HamiltonianFamily(BracketFamily):
         # a row a path reaches must have terms of fiber degree ``left``, one
         # per step still to come
         for left, key, parity in zip(range(len(prefix), 0, -1), prefix, parities):
-            gradients, step = self._gradient(key), []
+            gradients, step = self._interned_as[key], []
             for coordinates, product, negative, drift in paths:
                 for a, gradient in gradients:
                     reached = coordinates + (a,)
@@ -674,12 +655,12 @@ def pool_tuples(pool: Sequence[Tuple[str, Series, int, int]],
 def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm, ...]:
     """The terms of the n-th higher Jacobi sum, one per (r, n-r)-unshuffle.
 
-    Each term is (first block, second block, negative), the blocks as bit
-    masks of input positions.  For epsilon = 0 the sign is (-1)^{r s}
-    sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul sign.  It
-    depends only on n, the inputs' parities and epsilon.  This is the full
-    plan; `BracketFamily.jacobi_sum` drops from it the terms with a bracket
-    that the family's ``arity_bound`` makes vanish.
+    Each term is (first block, second block, negative), the blocks as the
+    input positions that `unshuffles` yields.  For epsilon = 0 the sign is
+    (-1)^{r s} sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul
+    sign.  It depends only on n, the inputs' parities and epsilon.  This is
+    the full plan; `BracketFamily.jacobi_sum` drops from it the terms with a
+    bracket that the family's ``arity_bound`` makes vanish.
     """
     plan = []
     for r in range(n + 1):
@@ -690,29 +671,19 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
                 sign *= sgn
                 if (r * (n - r)) % 2:
                     sign = -sign
-            plan.append((sum(1 << j for j in first), sum(1 << j for j in second),
-                         sign < 0))
+            plan.append((first, second, sign < 0))
     return tuple(plan)
 
 
-@functools.lru_cache(maxsize=16)
-def _mask_positions(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The positions in each bit mask of n positions, ascending, by mask."""
-    return tuple(tuple(j for j in range(n) if mask >> j & 1) for mask in range(1 << n))
-
-
-def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]],
-               n: int) -> Series:
-    """The n-th higher Jacobi sum over (r, n-r)-unshuffles.
+def jacobiator(fam: BracketFamily, inputs: Sequence[Tuple[Series, int]]) -> Series:
+    """The n-th higher Jacobi sum over (r, n-r)-unshuffles, n the number of inputs.
 
     ``inputs`` pairs each element with its parity.  The family replays its
-    plan for ``n`` and those parities (`jacobi_plan`) on the inputs' keys,
+    plan for n and those parities (`jacobi_plan`) on the inputs' keys,
     passes each inner bracket to the outer one by its key, and adds the
     terms of each sign in one sum, subtracting the negative sum once rather
-    than negating term by term.  ``n`` must be the number of inputs.
+    than negating term by term.
     """
-    if n != len(inputs):
-        raise ValueError(f"an arity-{n} Jacobi sum needs {n} inputs, not {len(inputs)}")
     return fam.jacobi_sum([e for e, _ in inputs], tuple([p for _, p in inputs]))
 
 
@@ -729,7 +700,7 @@ def check_higher_jacobi(fam: BracketFamily, n_max: int = DEFAULT_ARITY) -> Repor
         report.info("jacobi-convention", notes=fam.jacobi_note)
     for picked, labels in pool_tuples(fam.pool(), n_max):
         n = len(picked)
-        residual = jacobiator(fam, [(element, parity) for _, element, parity, _ in picked], n)
+        residual = jacobiator(fam, [(element, parity) for _, element, parity, _ in picked])
         location = f"n={n} ({labels})" if n else "n=0"
         if residual.is_zero:
             report.ok("jacobi", location=location)

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import ChartMismatch, GradingMismatch, NonConvergent
 from .geometry import Chart, CotangentChart, KIND_EVEN, check_uses_only, conjugate_variables
@@ -284,7 +284,7 @@ def _master_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
                   h2: Series, ct2: CotangentChart, generator: Series,
                   y_values: Mapping[GradedVariable, Series],
                   q_values: Mapping[GradedVariable, Series],
-                  order: Optional[int] = None) -> Tuple[Series, Series]:
+                  order: int) -> Tuple[Series, Series]:
     """H1(x, d(generator)/dx) and H2(y, q), cut at fiber degree ``order``:
     H1's momenta bound to the generator's x-derivatives, and each target
     coordinate y of H2 bound to ``y_values[y]`` and its momentum to
@@ -299,11 +299,11 @@ def _master_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
 
 
 def _hj_sides(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
-              h2: Series, ct2: CotangentChart) -> Tuple[Series, Series]:
+              h2: Series, ct2: CotangentChart, order: int) -> Tuple[Series, Series]:
     y_values = {y_var: (-1 if y_var.parity else 1) * phi.S.left_derivative(phi.momentum(y_var))
                 for y_var in phi.target.variables}
     q_values = {q_var: Series.variable(q_var) for q_var in map(phi.momentum, phi.target.variables)}
-    return _master_sides(phi, h1, ct1, h2, ct2, phi.S, y_values, q_values)
+    return _master_sides(phi, h1, ct1, h2, ct2, phi.S, y_values, q_values, order)
 
 
 def _check_hj_setup(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
@@ -340,8 +340,8 @@ def check_hamilton_jacobi(phi: ThickMorphism, h1: Series, ct1: CotangentChart,
         report.record(master.passed, "hj-master", location=name,
                       notes="; ".join(e.to_text() for e in master.failures()) or
                       "master equation and weight hold")
-    lhs, rhs = _hj_sides(phi, h1, ct1, h2, ct2)
-    residual = (lhs - rhs).truncate(order)
+    lhs, rhs = _hj_sides(phi, h1, ct1, h2, ct2, order)
+    residual = lhs - rhs
     shown = format_series(residual)
     report.record(residual.is_zero, "hj-residual",
                   location=f"order {order}",

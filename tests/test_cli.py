@@ -290,6 +290,25 @@ class TestTaskArguments:
                                  "task check-weights FH\n")
         check_task_options(at_bound, Flags(arity=8))
 
+    def test_a_bracket_listing_past_the_bound(self, tmp_path):
+        # a master of fiber degree 12 has brackets to arity 12, and listing
+        # them would bracket every one of the 5^0 + ... + 5^12 pool tuples
+        text = ("manifold M\n  var x even 0\nend\ncotangent CT base M shift 0\n"
+                "function H on CT = p_x^12\nfamily FH fromhamiltonian H\n"
+                "task derive-brackets FH arity 12\n")
+        start = time.perf_counter()
+        stderr = assert_usage_error(tmp_path, text, 7, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert f"arity 12 on a pool of 5 makes more than {TUPLE_BOUND}" in stderr
+        # the listing stops at the family's arity bound, so any arity is
+        # admitted on master_sinf, whose bound of 3 leaves 156 tuples
+        problem = tmp_path / "listing.gk"
+        problem.write_text(corpus_declarations("master_sinf")
+                           + "task derive-brackets FH arity 99999999999999999999\n")
+        proc = run_gk(str(problem), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert _tuple_count(5, 3) == 156
+
     def test_a_tuple_count_is_counted_one_arity_at_a_time(self):
         assert _tuple_count(5, 8) == 488_281
         assert _tuple_count(2, 0) == 1

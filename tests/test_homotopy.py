@@ -573,7 +573,7 @@ class TestJacobiPlans:
         # depend on the pattern alone
         parities = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         inputs = [(pool[i][1], parity) for i, parity in zip(picks, parities)]
-        got = jacobiator(fam, inputs, n)
+        got = jacobiator(fam, inputs)
         want = unshuffle_loop_jacobiator(JACOBI_FAMILIES[name](), inputs, n)
         assert got == want and str(got) == str(want)
 
@@ -584,7 +584,7 @@ class TestJacobiPlans:
         nonzero = 0
         for picked in itertools.product(pool, repeat=3):
             inputs = [(element, parity) for _, element, parity, _ in picked]
-            got = jacobiator(fam, inputs, 3)
+            got = jacobiator(fam, inputs)
             assert got == unshuffle_loop_jacobiator(reference, inputs, 3)
             nonzero += not got.is_zero
         assert nonzero
@@ -592,12 +592,13 @@ class TestJacobiPlans:
     @pytest.mark.parametrize("n", [2, 4])
     def test_a_jacobi_sum_takes_as_many_inputs_as_its_arity(self, n):
         # an arity of 2 would leave e3 out and read 0, though the arity-3
-        # sum of (e1, e2, e3) is -4*e1
+        # sum of (e1, e2, e3) is -4*e1; n inputs make the arity-n sum
         fam = JACOBI_FAMILIES["broken-jacobi"]()
         inputs = [(element, parity) for _, element, parity, _ in fam.pool()]
-        with pytest.raises(ValueError, match=f"arity-{n} Jacobi sum needs {n} inputs, not 3"):
-            jacobiator(fam, inputs, n)
-        assert jacobiator(fam, inputs, 3) == fam.basis.vector([(0, -4)])
+        assert jacobiator(fam, inputs) == fam.basis.vector([(0, -4)])
+        picked = list(itertools.islice(itertools.cycle(inputs), n))
+        reference = JACOBI_FAMILIES["broken-jacobi"]()
+        assert jacobiator(fam, picked) == unshuffle_loop_jacobiator(reference, picked, n)
 
     @pytest.mark.parametrize("name, arity", [("sinf", 4), ("pinf", 4), ("lie2", 4),
                                              ("odd-q", 4), ("broken-jacobi", 3)])
@@ -707,7 +708,7 @@ class TestArityBounds:
         # every parity pattern: each has its own plan, cut on its own
         for parities in itertools.product((0, 1), repeat=n):
             inputs = [(pool[i], parity) for i, parity in zip(picks, parities)]
-            got = jacobiator(fam, inputs, n)
+            got = jacobiator(fam, inputs)
             want = unshuffle_loop_jacobiator(reference, inputs, n)
             assert got == want and str(got) == str(want)
 
@@ -736,7 +737,7 @@ class TestArityBounds:
         stray = V(Chart.build([("u", 0, 0)], "N").variables[0])
         # at arity 6 a fiber degree of 3 leaves no term of the plan
         with pytest.raises(ChartMismatch, match="not on the chart: u"):
-            jacobiator(fam, [(stray, 0)] * 6, 6)
+            jacobiator(fam, [(stray, 0)] * 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,16 +754,27 @@ def test_iterated_bracket_equals_the_full_stencil_fold(case, picks):
     assert got == want and str(got) == str(want)
 
 
-def test_an_input_equal_to_a_held_one_is_not_held():
-    fam = JACOBI_FAMILIES["sinf"]()
+@pytest.mark.parametrize("name", ["sinf", "lie2", "broken-jacobi"])
+def test_an_input_equal_to_a_held_one_is_not_held(monkeypatch, name):
+    # a family keys an input by its value: an equal copy gets the held key
+    # and is neither interned nor appended
+    fam = JACOBI_FAMILIES[name]()
+    interned = []
+    original = fam._interned
+    monkeypatch.setattr(fam, "_interned", lambda e: interned.append(e) or original(e))
     f = fam.pool()[1][1]
     value = fam.bracket([f, f])
-    held = len(fam._key_by_id)
+    key_of, inputs = dict(fam._key_of), list(fam._inputs)
     for _ in range(20):
         copy = f + Series.zero()
-        assert copy is not f
+        assert copy is not f and copy == f
+        assert fam._keys([copy]) == (key_of[f],)
         assert fam.bracket([copy, copy]) is value
-    assert len(fam._key_by_id) == held
+    assert fam._key_of == key_of and len(fam._inputs) == len(inputs)
+    assert all(a is b for a, b in zip(fam._inputs, inputs))
+    # one interning per distinct value, in key order
+    assert len(interned) == len(fam._inputs)
+    assert all(a is b for a, b in zip(interned, fam._inputs))
 
 
 def canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, arity):
@@ -1403,7 +1415,7 @@ def assert_square_identity(fam, square, inputs, n_max):
     for n in range(n_max + 1):
         for picked in itertools.product(inputs, repeat=n):
             elements = [element for element, _ in picked]
-            got = jacobiator(fam, list(picked), n)
+            got = jacobiator(fam, list(picked))
             assert got == square.bracket(elements), [str(e) for e in elements]
 
 
