@@ -18,17 +18,21 @@ denominator) pair and keeps the pairs.  It reads its integers straight from
 ``rng.getrandbits`` words, in the order in which ``random.Random``'s
 ``choice``, ``randint`` and ``sample`` read them, so a seed gives the same
 assignments, and leaves the generator in the same state, as those calls;
-the tests compare ``getstate()`` after every draw.  A trial scales the pairs
-by the lcm of their denominators and evaluates the difference on integer
-blade dicts, read from a list by position, so it gets the difference's value
-times one known nonzero integer.  Every trial draws its assignment, but one whose difference
-has no term, as for an identity that the kernel already writes as two equal
-series, evaluates nothing.  An assignment builds its ``Fraction`` values only
-when they are read, which in a check happens only for a failure's report,
-where each side is evaluated on its own.  ``evaluate`` compiles its series
-in the same way but multiplies ``GrassmannElement``s of integers, and divides
-once at the end.  The trials and ``GrassmannElement.__mul__`` share one
-product of blade dicts.
+the tests compare ``getstate()`` after every draw.  A check builds its key
+order once, a ``_KeyOrder`` that also holds the positions of its odd and of
+its even variables, and passes it to every trial's draw, so no draw sorts or
+scans its variables.  A trial scales the pairs by the lcm of their
+denominators and evaluates the difference on integer blade dicts, read from a
+list by position, so it gets the difference's value times one known nonzero
+integer.  Every trial draws its assignment, but one whose difference has no
+term, as for an identity that the kernel already writes as two equal series,
+evaluates nothing.  An assignment builds its ``Fraction`` values only when
+they are read, which in a check happens only for a failure's report, where
+each side is evaluated on its own.  ``evaluate`` compiles its series in the
+same way, once per key order, which keeps what it compiled, so a check
+compiles each side of its failures' reports once.  It multiplies
+``GrassmannElement``s of integers, and divides once at the end.  The trials
+and ``GrassmannElement.__mul__`` share one product of blade dicts.
 
 ``identity_check`` never proves an identity; it reports "no counterexample
 in N trials" with the seed that produced the trials.
@@ -40,7 +44,7 @@ import random
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import MissingBinding, ParityViolation
 from .graded_core import GradedVariable, Monomial, Series
@@ -59,14 +63,21 @@ class GrassmannElement:
 
     def __init__(self, generator_count: int,
                  parts: Optional[Mapping[Iterable[int], Fraction]] = None):
-        """``parts`` maps collections of generator indices, such as frozensets,
-        to coefficients."""
+        """``parts`` maps collections of distinct generator indices, such as
+        frozensets, to coefficients."""
         self.generator_count = generator_count
         clean: Dict[int, Fraction] = {}
         for subset, coeff in (parts or {}).items():
+            mask = 0
+            for index in subset:
+                if not 0 <= index < generator_count:
+                    raise ValueError(f"generator index {index} out of range")
+                if mask >> index & 1:
+                    raise ValueError(f"generator index {index} repeated in a blade")
+                mask |= 1 << index
             coeff = Fraction(coeff)
             if coeff:
-                clean[sum(1 << i for i in set(subset))] = coeff
+                clean[mask] = coeff
         self._parts = clean
 
     @classmethod
@@ -195,9 +206,9 @@ _Pair = Tuple[int, int]
 class Assignment:
     """A parity-respecting map from graded variables to Grassmann elements.
 
-    It keeps its variables in a list and each value as a blade dict of
-    integer pairs.  One made by ``random_assignment`` builds its elements
-    only when they are first read.
+    It keeps its variables in key order, as a ``_KeyOrder``, and each value
+    as a blade dict of integer pairs in that order.  One made by
+    ``random_assignment`` builds its elements only when they are first read.
     """
 
     __slots__ = ("generator_count", "_variables", "_pairs", "_values")
@@ -207,17 +218,22 @@ class Assignment:
         self.generator_count = generator_count
         self._values = dict(values)
         for var, element in self._values.items():
+            if element.generator_count != generator_count:
+                raise ValueError(
+                    f"variable {var.name} assigned an element of "
+                    f"{element.generator_count} generators, not {generator_count}")
             parity = element.parity()
             if not element.is_zero and parity != var.parity:
                 raise ParityViolation(
                     f"variable {var.name} (parity {var.parity}) assigned an "
                     f"element of parity {parity}")
-        self._variables = list(self._values)
-        self._pairs = [{m: (c.numerator, c.denominator) for m, c in element._parts.items()}
-                       for element in self._values.values()]
+        self._variables = _in_key_order(self._values)
+        self._pairs = [{m: (c.numerator, c.denominator)
+                        for m, c in self._values[var]._parts.items()}
+                       for var in self._variables]
 
     @classmethod
-    def _drawn(cls, generator_count: int, variables: List[GradedVariable],
+    def _drawn(cls, generator_count: int, variables: "_KeyOrder",
                pairs: List[Dict[int, _Pair]]) -> "Assignment":
         """Trusted constructor: ``pairs[i]`` is the parity-respecting value of ``variables[i]``."""
         assignment = object.__new__(cls)
@@ -257,9 +273,36 @@ class Assignment:
 _KEY_ORDER = attrgetter("key", "parity", "weight")
 
 
-def _in_key_order(variables: Iterable[GradedVariable]) -> List[GradedVariable]:
-    """Distinct variables by ``key``; parity and weight order those that share one."""
-    return sorted(set(variables), key=_KEY_ORDER)
+class _KeyOrder(tuple):
+    """Distinct variables by ``key``, with the positions of the odd ones
+    (``odd``) and of the even ones (``even``), and each series compiled
+    against them so far (``compiled``)."""
+
+    def __new__(cls, variables: Iterable[GradedVariable]) -> "_KeyOrder":
+        order = super().__new__(cls, sorted(set(variables), key=_KEY_ORDER))
+        order.odd = tuple([i for i, var in enumerate(order) if var.parity])
+        order.even = tuple([i for i, var in enumerate(order) if not var.parity])
+        order.compiled = {}
+        return order
+
+    def compile(self, series: Series) -> Tuple[int, int, "_IntegerTerms"]:
+        """``series``' scale, top and integer terms, compiled on first use."""
+        compiled = self.compiled.get(series)
+        if compiled is None:
+            scale, top, (terms,) = _integer_terms(self, series)
+            compiled = self.compiled[series] = scale, top, terms
+        return compiled
+
+
+def _in_key_order(variables: Iterable[GradedVariable]) -> _KeyOrder:
+    """Distinct variables by ``key``; parity and weight order those that share one.
+
+    A ``_KeyOrder`` comes back as it is, so a check that builds one passes it
+    to every draw and evaluation, and sorts its variables once.
+    """
+    if isinstance(variables, _KeyOrder):
+        return variables
+    return _KeyOrder(variables)
 
 
 # A series compiled against a list of variables: the term p/q * m of total degree d becomes
@@ -269,7 +312,7 @@ def _in_key_order(variables: Iterable[GradedVariable]) -> List[GradedVariable]:
 _IntegerTerms = List[Tuple[int, int, Tuple[int, ...]]]
 
 
-def _integer_terms(variables: List[GradedVariable],
+def _integer_terms(variables: Sequence[GradedVariable],
                    *series: Series) -> Tuple[int, int, List[_IntegerTerms]]:
     """``scale``, ``top`` and each series' integer terms, over all the series at once.
 
@@ -325,11 +368,12 @@ def _integer_value(terms: _IntegerTerms, values: List[Dict[int, int]],
 def evaluate(series: Series, assignment: Assignment) -> GrassmannElement:
     """Substitute and multiply in the Grassmann algebra.
 
-    The series is compiled against the assignment's variables and its terms
-    are multiplied out as ``GrassmannElement``s of integers, scaled as in a
-    trial; one division at the end gives the exact value.
+    The series is compiled against the assignment's variables, once per
+    key order, and its terms are multiplied out as ``GrassmannElement``s of
+    integers, scaled as in a trial; one division at the end gives the exact
+    value.
     """
-    scale, top, (terms,) = _integer_terms(assignment._variables, series)
+    scale, top, terms = assignment._variables.compile(series)
     factor, values = assignment._integer_values()
     n = assignment.generator_count
     elements = [GrassmannElement._of(n, value) for value in values]
@@ -361,30 +405,32 @@ def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
     those of the ``random.Random`` calls, as the tests check with
     ``getstate()``.  Past ``_POOL_SAMPLE_MAX`` generators ``sample`` changes
     its method, so it is called there.
+
+    ``variables`` is put in key order by ``_in_key_order``, which returns a
+    ``_KeyOrder`` unchanged: a check builds its order once and passes it to
+    every draw, which reads the odd and even positions off it.
     """
-    variables = _in_key_order(variables)
-    odd = [i for i, var in enumerate(variables) if var.parity]
+    order = _in_key_order(variables)
+    odd = order.odd
     if generator_count < 0:
         raise ValueError("generator count must be nonnegative")
     if odd and not generator_count:
-        raise ValueError(f"odd variable {variables[odd[0]].name} needs at least one generator")
+        raise ValueError(f"odd variable {order[odd[0]].name} needs at least one generator")
     getrandbits = rng.getrandbits
     if len(odd) > generator_count:
         chosen = [_below(getrandbits, generator_count) for _ in odd]
     else:
         chosen = _sample(rng, generator_count, len(odd))
-    pairs: List[Dict[int, _Pair]] = [{} for _ in variables]
+    pairs: list = [None] * len(order)  # every position is set below
     for position, idx in zip(odd, chosen):
-        pairs[position][1 << idx] = _random_rational(getrandbits)
-    for position, var in enumerate(variables):
-        if var.parity:
-            continue
-        parts = pairs[position]
-        parts[0] = _random_rational(getrandbits)
-        if generator_count >= 2 and rng.random() < 0.5:
+        pairs[position] = {1 << idx: _random_rational(getrandbits)}
+    pairable, uniform = generator_count >= 2, rng.random
+    for position in order.even:
+        parts = pairs[position] = {0: _random_rational(getrandbits)}
+        if pairable and uniform() < 0.5:
             i, j = _sample(rng, generator_count, 2)
             parts[1 << i | 1 << j] = _random_rational(getrandbits)
-    return Assignment._drawn(generator_count, variables, pairs)
+    return Assignment._drawn(generator_count, order, pairs)
 
 
 # random.Random.sample swaps picks out of a pool of the population when it has

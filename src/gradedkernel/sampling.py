@@ -47,10 +47,12 @@ def bucket_by_bigrading(monomials: Iterable[Monomial]) -> Dict[Bigrading, List[M
     return buckets
 
 
+_SMALL_NUMERATORS = tuple(n for n in range(-6, 7) if n != 0)
+_SMALL_DENOMINATORS = (1, 1, 1, 2, 3)
+
+
 def small_rational(rng: random.Random) -> Fraction:
-    numerator = rng.choice([n for n in range(-6, 7) if n != 0])
-    denominator = rng.choice([1, 1, 1, 2, 3])
-    return Fraction(numerator, denominator)
+    return Fraction(rng.choice(_SMALL_NUMERATORS), rng.choice(_SMALL_DENOMINATORS))
 
 
 @lru_cache(maxsize=64)

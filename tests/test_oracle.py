@@ -350,11 +350,22 @@ def assert_draws_follow_the_fraction_stream(variables, generator_count, seed, dr
 # up to 21 generators, random.Random.sample swaps picks out of a pool; past 21
 # it keeps a set of picks for few of them, and random_assignment calls it
 @settings(max_examples=200, deadline=None)
-@given(variables=graded_variables(),
+@given(variables=graded_variables(), data=st.data(),
        generator_count=st.one_of(st.integers(1, 6), st.integers(19, 40)),
        seed=st.integers(0, 2 ** 32))
-def test_integer_draws_follow_the_fraction_stream(variables, generator_count, seed):
-    assert_draws_follow_the_fraction_stream(variables, generator_count, seed)
+def test_integer_draws_follow_the_fraction_stream(variables, data, generator_count, seed):
+    # an unsorted list, a set and a list with repeats, each also through the
+    # key order built from it, which is built once and then passed as it is
+    repeated = variables + (data.draw(st.lists(st.sampled_from(variables), max_size=4))
+                            if variables else [])
+    for given_as in (variables, set(variables), repeated):
+        order = _in_key_order(given_as)
+        assert _in_key_order(order) is order
+        assert list(order) == sorted(set(variables), key=lambda v: v.key)
+        assert [order[i] for i in order.odd] == [v for v in order if v.parity]
+        assert [order[i] for i in order.even] == [v for v in order if not v.parity]
+        assert_draws_follow_the_fraction_stream(given_as, generator_count, seed)
+        assert_draws_follow_the_fraction_stream(order, generator_count, seed)
 
 
 def odd_and_even(n_odd, n_even):
@@ -614,3 +625,65 @@ def test_a_true_identity_draws_every_trial_and_multiplies_nothing(monkeypatch):
     rhs = -(xi2 * xi1) * x * x + xi1 * x * Fraction(2, 3)
     assert identity_check(lhs, rhs, trials=9, generators=3, seed=5).passed
     assert (len(products), len(draws)) == (0, 9)
+
+
+# ---------------------------------------------------------------------------
+# the key order: built once per check, and drawn from as any collection is
+# ---------------------------------------------------------------------------
+
+def test_a_check_puts_its_variables_in_key_order_once(monkeypatch):
+    key_order = oracle._KEY_ORDER
+    keys = []
+
+    def counted(var):
+        keys.append(var)
+        return key_order(var)
+
+    monkeypatch.setattr(oracle, "_KEY_ORDER", counted)
+    lhs = xi1 * xi2 * x ** 2 + Fraction(2, 3) * x * xi1
+    assert identity_check(lhs, -(xi2 * xi1) * x * x + xi1 * x * Fraction(2, 3),
+                          trials=9, generators=3, seed=5).passed
+    assert len(keys) == 3
+    # a false one: its reports evaluate on the check's order, and sort nothing more
+    keys.clear()
+    report = identity_check(xi1 * xi2 * x, xi2 * xi1 * x, trials=9, generators=3, seed=5)
+    assert len(report.failures()) == 5
+    assert len(keys) == 3
+
+
+def test_a_false_check_compiles_three_times(monkeypatch):
+    compiles = counting(monkeypatch, "_integer_terms")
+    evaluations = counting(monkeypatch, "evaluate")
+    report = identity_check(xi1 * xi2 * x, xi2 * xi1 * x, trials=9, generators=3, seed=5)
+    assert len(report.failures()) == 5
+    # the difference once, then each side once for all five reports
+    assert (len(compiles), len(evaluations)) == (3, 10)
+
+
+def test_a_hand_built_assignment_keeps_its_values_in_key_order():
+    values = {X: GrassmannElement.scalar(3, 2), XI2: gen(3, 0), XI1: gen(3, 1).scaled(-1)}
+    assignment = Assignment(3, values)
+    assert list(assignment._variables) == [XI1, XI2, X]
+    assert assignment._pairs == [{0b010: (-1, 1)}, {0b001: (1, 1)}, {0: (2, 1)}]
+    s = xi1 * xi2 * x
+    assert evaluate(s, assignment) == (gen(3, 0) * gen(3, 1)).scaled(2)
+    assert evaluate(s, Assignment(3, dict(reversed(values.items())))) == evaluate(s, assignment)
+
+
+@pytest.mark.parametrize("parts, message", [
+    ({(5,): 1}, "generator index 5 out of range"),
+    ({(-1,): 1}, "generator index -1 out of range"),
+    ({(0, 2): 3}, "generator index 2 out of range"),
+    ({(0, 0): 1}, "generator index 0 repeated"),
+    ({(1, 0, 1): 0}, "generator index 1 repeated"),
+])
+def test_a_blade_off_the_generators_is_refused(parts, message):
+    with pytest.raises(ValueError, match=message):
+        GrassmannElement(2, parts)
+
+
+def test_an_element_of_another_generator_count_is_refused():
+    with pytest.raises(ValueError, match="variable xi1 assigned an element of 5 generators, not 2"):
+        Assignment(2, {XI1: GrassmannElement(5, {(4,): 1})})
+    with pytest.raises(ValueError, match="variable x assigned an element of 1 generators"):
+        Assignment(2, {XI2: gen(2, 1), X: GrassmannElement.scalar(1, 3)})
