@@ -606,11 +606,9 @@ def derive_brackets_report(fam: BracketFamily, arity: int) -> Report:
                         notes=f"{series} (parity {parity}, weight {weight})")
     sig = fam.signature
     count = 0
-    for picked, labels in pool_tuples(pool, arity):
-        if fam.vanishes(len(picked)):
-            break  # the tuples come by arity, so every later one vanishes too
-        value = fam.bracket([element for _, element, _, _ in picked])
-        if value.is_zero:
+    for picked, labels in pool_tuples(pool, min(arity, fam.arity_bound)):
+        if fam.vanishes(len(picked)) or (
+                value := fam.bracket([element for _, element, _, _ in picked])).is_zero:
             continue
         count += 1
         annotation = (f"weight shift {sig.bracket_weight(len(picked))}, "

@@ -29,12 +29,12 @@ failures.  A higher Jacobi sum replays a plan: its unshuffle terms with
 their signs, which depend only on the arity, the inputs' parities and
 epsilon, so a family builds each plan once (`jacobi_plan`) and every tuple
 with that parity pattern reuses it.  A family's plan leaves out the terms
-whose inner or outer bracket has arity above the family's arity bound, where
-every bracket is zero.  Each term's inner bracket goes into the outer one by
-its key.  The terms of each sign are added in one sum, and the sum of the
-negative ones is subtracted once.  Every tuple still gets its own sum: none
-is inferred from another by graded symmetry, since the sums are also what
-catches a symmetry error in a family's brackets.
+whose inner or outer bracket has an arity outside the family's arity
+support, where every bracket is zero.  Each term's inner bracket goes into
+the outer one by its key.  The terms of each sign are added in one sum, and
+the sum of the negative ones is subtracted once.  Every tuple still gets its
+own sum: none is inferred from another by graded symmetry, since the sums
+are also what catches a symmetry error in a family's brackets.
 
 `assemble_vector_field` goes the other way, from an explicit table back to
 a generating field.  Each Taylor term of a field reaches exactly one table
@@ -250,14 +250,14 @@ class BracketFamily:
     family passes the same objects, and the Jacobi plans (`jacobi_plan`) are
     kept per family too, by arity and parity pattern.
 
-    ``arity_bound`` is an arity above which every bracket of the family is
-    zero, read off its generator or table; `vanishes` reads it.  A plan
-    leaves out the terms whose inner or outer bracket vanishes so, since
-    they add nothing to the sum, and the checks take such a bracket as zero
-    without evaluating it.
+    ``arities`` is the arity support: the arities at which a bracket of the
+    family can be nonzero, read off its generator or table (``arity_bound``
+    is its top).  `vanishes` reads it.  A plan leaves out the terms whose
+    inner or outer bracket vanishes so, since they add nothing to the sum,
+    and the checks take such a bracket as zero without evaluating it.
     """
 
-    arity_bound: int
+    arities: FrozenSet[int]
     jacobi_note = ""  # the Jacobi sums' convention, which `check_higher_jacobi` reports
 
     def __init__(self, epsilon: int, k: int):
@@ -281,9 +281,13 @@ class BracketFamily:
             value = self._values[keys] = self._evaluate(keys)
         return value
 
+    @property
+    def arity_bound(self) -> int:
+        return max(self.arities, default=0)
+
     def vanishes(self, n: int) -> bool:
-        """Whether every bracket of arity ``n`` is zero by ``arity_bound``."""
-        return n > self.arity_bound
+        """Whether every bracket of arity ``n`` is zero by the arity support."""
+        return n not in self.arities
 
     def pool(self) -> List[Tuple[str, Series, int, int]]:
         """Labeled homogeneous inputs as (label, element, parity, weight)."""
@@ -390,7 +394,7 @@ class HamiltonianFamily(BracketFamily):
     whatever the other inputs are.
 
     Every term of an arity-n bracket comes from the master's fiber-degree-n
-    part, so the fiber degree of the master is the family's arity bound.
+    part, so the master's fiber degrees are the family's arity support.
     """
 
     jacobi_note = ("function-family identities use the bracket form of the "
@@ -409,13 +413,13 @@ class HamiltonianFamily(BracketFamily):
         self._parities = [var.parity for var in ct.base.variables]
         # prefix keys -> its operator's nonzero components V_a, by index a
         self._operators: Dict[Tuple[int, ...], Dict[int, Series]] = {}
-        self.arity_bound = master.fiber_degree()  # each step lowers it by one
+        self.arities = master.fiber_degrees()  # each step lowers them by one
 
     def _interned(self, f: Series) -> Interned:
         """The gradient of ``f``: (a, df/dx^a) for each nonzero one."""
         if f.fiber_degree():
             raise GradingMismatch("derived bracket inputs must be base functions")
-        # checked at interning, since a Jacobi plan cut at the arity bound
+        # checked at interning, since a Jacobi plan cut to the arity support
         # may bracket an input in no step at all
         check_uses_only(f, self.ct.variables, "bracket argument uses variables not on the chart")
         return tuple([(var.index, d) for var in self.ct.base.variables
@@ -526,7 +530,7 @@ class ExplicitFamily(BracketFamily):
                     "provided permutations disagreed")
             if not average.is_zero:
                 self.table[key] = average
-        self.arity_bound = max(map(len, self.table), default=0)
+        self.arities = frozenset(map(len, self.table))
 
     def _label(self, indices: Sequence[int]) -> str:
         return ", ".join(self.basis[i].name for i in indices)
@@ -660,7 +664,7 @@ def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm
     (-1)^{r s} sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul
     sign.  It depends only on n, the inputs' parities and epsilon.  This is
     the full plan; `BracketFamily.jacobi_sum` drops from it the terms with a
-    bracket that the family's ``arity_bound`` makes vanish.
+    bracket of an arity outside the family's arity support.
     """
     plan = []
     for r in range(n + 1):

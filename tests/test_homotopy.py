@@ -628,6 +628,15 @@ def three_arity_family():
     return HamiltonianFamily(x * pi + p * pi + p * p * pi, ct)
 
 
+def gapped_family():
+    """A Hamiltonian family whose master has terms of fiber degree 1 and 3
+    only, so its arity support {1, 3} has a hole at 2 below its top."""
+    master, ct, _ = HAMILTONIAN_CASES[0]
+    x = V(ct.base.variables[0])
+    p, pi = (V(v) for v in ct.fiber)
+    return HamiltonianFamily(x * pi + p * p * pi, ct)
+
+
 def not_homological_q_family():
     """Q = y1 y2 d/dy1 + y1^2 d/dy2, with [Q, Q] != 0."""
     sig = ShiftSignature(1, 0)
@@ -645,6 +654,7 @@ CUT_FAMILIES = {
     "sinf": JACOBI_FAMILIES["sinf"],
     "pinf": JACOBI_FAMILIES["pinf"],
     "sinf-three-arities": three_arity_family,
+    "sinf-gapped": gapped_family,
     "broken-jacobi": JACOBI_FAMILIES["broken-jacobi"],
     "q-not-homological": not_homological_q_family,
 }
@@ -665,37 +675,51 @@ def cut_inputs(fam):
 
 
 class TestArityBounds:
-    """A family's arity bound, and the Jacobi plans cut at it."""
+    """A family's arity support, and the Jacobi plans cut to it."""
 
     @pytest.mark.parametrize("name, bound", [
         ("sinf", 3), ("pinf", 2), ("lie2", 2), ("odd-q", 2), ("broken-jacobi", 2),
         ("reversed-lie2", 2)])
     def test_each_family_reads_its_bound_off_its_generator(self, name, bound):
-        assert JACOBI_FAMILIES[name]().arity_bound == bound
+        # each of these has brackets at every arity from 2 to its bound
+        fam = JACOBI_FAMILIES[name]()
+        assert fam.arities == set(range(2, bound + 1)) and fam.arity_bound == bound
 
     def test_bounds_of_families_with_brackets_of_several_arities(self):
-        assert three_arity_family().arity_bound == 3
-        assert not_homological_q_family().arity_bound == 2
+        assert three_arity_family().arities == {1, 2, 3}
+        assert gapped_family().arities == {1, 3}
+        assert not_homological_q_family().arities == {2}
         sig = ShiftSignature(1, 0)
         basis = SpaceBasis.build([("e1", 0, 1), ("e2", 1, 0)])
         u, w = basis.chart(sig).variables
         q = VectorField(basis.chart(sig), {u: V(w) + V(u) ** 3 * V(w)}, 1, 1)
-        assert QFamily(q, basis, sig).arity_bound == 4
+        assert QFamily(q, basis, sig).arities == {1, 4}
         e1 = vector(basis, {0: 1})
         table = {(): e1, (0, 0, 1, 0, 0): e1, (1, 1, 0, 0, 0, 0): e1}
         # the key with a repeated odd entry is zero in a symmetric table
-        assert ExplicitFamily(basis, 1, 0, table).arity_bound == 5
-        assert ExplicitFamily(basis, 1, 0, {}).arity_bound == 0
+        assert ExplicitFamily(basis, 1, 0, table).arities == {0, 5}
+        empty = ExplicitFamily(basis, 1, 0, {})
+        assert empty.arities == set() and empty.arity_bound == 0
 
-    def test_a_plan_is_cut_only_past_the_bound(self):
-        master, ct, _ = HAMILTONIAN_CASES[0]
-        fam = HamiltonianFamily(master, ct)
-        assert fam.arity_bound == 3
-        check_higher_jacobi(fam, 5)
-        assert {n for n, _ in fam._plans} == set(range(6))
-        for (n, parities), plan in fam._plans.items():
-            full = homotopy.jacobi_plan(n, parities, fam.epsilon)
-            assert plan == full if n < 3 else len(plan) < len(full)
+    def test_a_plan_is_cut_only_outside_the_support(self):
+        # a plan is the full plan less the terms that read an arity outside
+        # the support, inner |first| or outer 1 + |second|; with every arity
+        # from 0 to 3 in the support, that is the full plan up to arity 2
+        basis = SpaceBasis.build([("e1", 0, 0)])
+        e1 = vector(basis, {0: 1})
+        whole = ExplicitFamily(basis, 1, 0, {(0,) * n: e1 for n in range(4)})
+        for fam, full_below in ((whole, 3), (JACOBI_FAMILIES["sinf"](), 0),
+                                (gapped_family(), 0)):
+            for n in range(6):
+                for parities in itertools.product((0, 1), repeat=n):
+                    fam.jacobi_sum([Series.zero()] * n, parities)
+            assert {n for n, _ in fam._plans} == set(range(6))
+            for (n, parities), plan in fam._plans.items():
+                full = homotopy.jacobi_plan(n, parities, fam.epsilon)
+                assert plan == tuple([term for term in full if len(term[0]) in fam.arities
+                                      and 1 + len(term[1]) in fam.arities])
+                read = {len(first) for first, _, _ in full} | {1 + len(s) for _, s, _ in full}
+                assert (plan == full) == (read <= fam.arities) == (n < full_below)
 
     @pytest.mark.parametrize("name", sorted(CUT_FAMILIES))
     @settings(max_examples=100, deadline=None)
@@ -717,19 +741,35 @@ class TestArityBounds:
         fam = CUT_FAMILIES[name]()
         n = fam.arity_bound + 1
         report = check_weights_parities(fam, fam.signature, n)
-        skipped = [e for e in report.entries if e.location.startswith(f"n={n} ")]
-        assert len(skipped) == len(fam.pool()) ** n
-        assert all(e.status == "pass" and e.notes == "bracket vanishes" for e in skipped)
-        assert fam.vanishes(n) and not any(len(keys) == n for keys in fam._values)
+        # every arity outside the support, below the top or past it, is
+        # reported as vanishing without its bracket being evaluated
+        outside = [m for m in range(n + 1) if fam.vanishes(m)]
+        assert n in outside and outside == [m for m in range(n + 1) if m not in fam.arities]
+        for m in outside:
+            skipped = [e for e in report.entries
+                       if e.location == f"n={m}" or e.location.startswith(f"n={m} ")]
+            assert len(skipped) == len(fam.pool()) ** m
+            assert all(e.status == "pass" and e.notes == "bracket vanishes" for e in skipped)
+            assert not any(len(keys) == m for keys in fam._values)
         derived = CUT_FAMILIES[name]()
         derive_brackets_report(derived, n + 1)
-        assert max(map(len, derived._values)) == n - 1
+        assert set(map(len, derived._values)) == derived.arities
         pool = [element for _, element, _, _ in fam.pool()]
         inputs = cut_inputs(fam)
-        rng = random.Random(n)
-        for picks in itertools.chain(itertools.product(pool, repeat=n),
-                                     ([rng.choice(inputs) for _ in range(n)] for _ in range(200))):
-            assert fam.bracket(list(picks)).is_zero
+        for m in outside:
+            rng = random.Random(m)
+            for picks in itertools.chain(
+                    itertools.product(pool, repeat=m),
+                    ([rng.choice(inputs) for _ in range(m)] for _ in range(200))):
+                assert fam.bracket(list(picks)).is_zero
+
+    def test_a_listing_runs_past_an_arity_outside_the_support(self):
+        fam = gapped_family()
+        report = derive_brackets_report(fam, 3)
+        listed = [e.location for e in report.entries if e.check_id == "bracket"]
+        arities = {location.count(",") + 1 if location != "[]" else 0 for location in listed}
+        assert arities == {1, 3}
+        assert not any(len(keys) in (0, 2) for keys in fam._values)
 
     def test_an_input_off_the_chart_is_rejected_past_the_bound(self):
         master, ct, _ = HAMILTONIAN_CASES[0]
@@ -799,8 +839,9 @@ def canonical_brackets_of_a_jacobi_check(monkeypatch, stem, family, arity):
 # A family brackets the master with coordinate functions only, once per
 # coordinate tuple its table reads (`HamiltonianFamily._row`).  FH made
 # 248 and FP 42 when each bracket was a chain over its inputs; FP made 167
-# before its plans were cut at its master's fiber degree, 2
-@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 12),
+# before its plans were cut at its master's fiber degree, 2; FH made 12
+# before its plans were cut to its master's fiber degrees, 2 and 3
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 6),
                                                  ("master_pinf", "FP", 6)])
 def test_jacobi_check_makes_a_fixed_number_of_canonical_brackets(monkeypatch, stem,
                                                                  family, count):
@@ -830,10 +871,12 @@ def operators_of_a_jacobi_check(monkeypatch, stem, family, arity):
 
 
 # A bracket is its prefix's operator applied to its last input, and a family
-# builds one operator per prefix of keys: FH evaluates 249 brackets from 43
-# operators, and FP 43 from 8 (measured when operators came in)
-@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 43),
-                                                 ("master_pinf", "FP", 8)])
+# builds one operator per prefix of keys: FH evaluated 249 brackets from 43
+# operators, and FP 43 from 8, when operators came in and plans were cut
+# only past the arity bound.  Cut to the support, a plan to arity 3 keeps
+# only the terms that nest two binary brackets, so every prefix is one key
+@pytest.mark.parametrize("stem, family, count", [("master_sinf", "FH", 17),
+                                                 ("master_pinf", "FP", 7)])
 def test_jacobi_check_builds_a_fixed_number_of_operators(monkeypatch, stem, family, count):
     built = operators_of_a_jacobi_check(monkeypatch, stem, family, 3)
     assert len(set(built)) == len(built) == count
