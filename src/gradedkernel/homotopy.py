@@ -28,8 +28,8 @@ that is not homological has a table, whose Jacobi check reports the
 failures.  A higher Jacobi sum replays a plan: its unshuffle terms with
 their signs, which depend only on the arity, the inputs' parities and
 epsilon, so a family builds each plan once (`jacobi_plan`) and every tuple
-with that parity pattern reuses it.  A family's plan leaves out the terms
-whose inner or outer bracket has an arity outside the family's arity
+with that parity pattern reuses it.  A family's plan never builds the
+terms whose inner or outer bracket has an arity outside the family's arity
 support, where every bracket is zero.  Each term's inner bracket goes into
 the outer one by its key.  The terms of each sign are added in one sum, and
 the sum of the negative ones is subtracted once.  Every tuple still gets its
@@ -62,8 +62,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Container, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import ChartMismatch, GradingMismatch
 from .geometry import (
@@ -113,6 +113,8 @@ class SpaceBasis(Chart):
         return len(self.variables)
 
     def __getitem__(self, index: int) -> GradedVariable:
+        if not 0 <= index < len(self.variables):
+            raise ValueError(f"basis index {index} out of range")
         return self.variables[index]
 
     def parity_reversed(self) -> "SpaceBasis":
@@ -142,7 +144,7 @@ class SpaceBasis(Chart):
 
     def vector(self, coordinates: Iterable[Tuple[int, Fraction]]) -> Series:
         """The vector with these (basis index, coefficient) pairs."""
-        return Series({((self.variables[i], 1),): c for i, c in coordinates})
+        return Series({((self[i], 1),): c for i, c in coordinates})
 
     def coordinates(self, vector: Series,
                     what: str = "bracket inputs") -> Tuple[Tuple[int, Fraction], ...]:
@@ -252,7 +254,7 @@ class BracketFamily:
 
     ``arities`` is the arity support: the arities at which a bracket of the
     family can be nonzero, read off its generator or table (``arity_bound``
-    is its top).  `vanishes` reads it.  A plan leaves out the terms whose
+    is its top).  `vanishes` reads it.  A plan never builds the terms whose
     inner or outer bracket vanishes so, since they add nothing to the sum,
     and the checks take such a bracket as zero without evaluating it.
     """
@@ -328,10 +330,8 @@ class BracketFamily:
         n = len(keys)
         plan = self._plans.get((n, parities))
         if plan is None:
-            # a term's inner bracket has arity |first|, its outer 1 + |second|
-            plan = self._plans[(n, parities)] = tuple([
-                term for term in jacobi_plan(n, parities, self.epsilon)
-                if not self.vanishes(len(term[0])) and not self.vanishes(1 + len(term[1]))])
+            plan = self._plans[(n, parities)] = jacobi_plan(n, parities, self.epsilon,
+                                                            self.arities)
         if not plan:
             return Series.zero()
         values, inputs = self._values, self._inputs
@@ -656,18 +656,22 @@ def pool_tuples(pool: Sequence[Tuple[str, Series, int, int]],
             yield picked, ", ".join(label for label, _, _, _ in picked)
 
 
-def jacobi_plan(n: int, parities: Sequence[int], epsilon: int) -> Tuple[PlanTerm, ...]:
+def jacobi_plan(n: int, parities: Sequence[int], epsilon: int,
+                arities: Container[int]) -> Tuple[PlanTerm, ...]:
     """The terms of the n-th higher Jacobi sum, one per (r, n-r)-unshuffle.
 
     Each term is (first block, second block, negative), the blocks as the
     input positions that `unshuffles` yields.  For epsilon = 0 the sign is
     (-1)^{r s} sgn(sigma) Koszul(sigma); for epsilon = 1 just the Koszul
-    sign.  It depends only on n, the inputs' parities and epsilon.  This is
-    the full plan; `BracketFamily.jacobi_sum` drops from it the terms with a
-    bracket of an arity outside the family's arity support.
+    sign.  It depends only on n, the inputs' parities and epsilon.  A term's
+    inner bracket has arity r and its outer 1 + n - r, and no unshuffle is
+    built for an r with either outside ``arities``, a family's arity support.
+    ``range(n + 2)`` gives the full plan.
     """
     plan = []
     for r in range(n + 1):
+        if r not in arities or 1 + n - r not in arities:
+            continue
         for first, second in unshuffles(n, r):
             sgn, koszul = permutation_signs(first + second, parities)
             sign = koszul

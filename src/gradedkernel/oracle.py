@@ -7,12 +7,13 @@ of the symbolic kernel (bitmask-keyed multivectors, merge signs computed from
 generator indices), so agreement between the two paths is evidence of
 correctness rather than of shared code.
 
-``identity_check`` compiles the difference ``lhs - rhs`` once, from each
-side's own integer terms, never from the kernel's ``Series`` subtraction.  A
-term ``p/q m`` becomes an integer start, a pad and the positions of ``m``'s
+A series is compiled once per key order (``_KeyOrder.compile``): a term
+``p/q m`` becomes an integer start, a pad and the positions of ``m``'s
 factors among the check's variables in ``key`` order, each position repeated
-by its exponent.  Both sides share one scale and one top, so terms at equal
-positions subtract start from start, and a zero start drops.
+by its exponent.  ``identity_check`` compiles each side once and assembles
+``lhs - rhs`` from the two, never from the kernel's ``Series`` subtraction:
+it brings both to one scale and one top, so terms at equal positions
+subtract start from start, and a zero start drops.
 ``random_assignment`` draws every rational as an integer (numerator,
 denominator) pair and keeps the pairs.  It reads its integers straight from
 ``rng.getrandbits`` words, in the order in which ``random.Random``'s
@@ -21,18 +22,16 @@ assignments, and leaves the generator in the same state, as those calls;
 the tests compare ``getstate()`` after every draw.  A check builds its key
 order once, a ``_KeyOrder`` that also holds the positions of its odd and of
 its even variables, and passes it to every trial's draw, so no draw sorts or
-scans its variables.  A trial scales the pairs by the lcm of their
-denominators and evaluates the difference on integer blade dicts, read from a
-list by position, so it gets the difference's value times one known nonzero
-integer.  Every trial draws its assignment, but one whose difference has no
-term, as for an identity that the kernel already writes as two equal series,
-evaluates nothing.  An assignment builds its ``Fraction`` values only when
-they are read, which in a check happens only for a failure's report, where
-each side is evaluated on its own.  ``evaluate`` compiles its series in the
-same way, once per key order, which keeps what it compiled, so a check
-compiles each side of its failures' reports once.  It multiplies
-``GrassmannElement``s of integers, and divides once at the end.  The trials
-and ``GrassmannElement.__mul__`` share one product of blade dicts.
+scans its variables.  There is one evaluator, ``_integer_value``: it scales
+the pairs by the lcm of their denominators and multiplies integer
+``GrassmannElement``s read from a list by position, so it gets a value times
+one known nonzero integer.  A trial runs it on the difference.  Every trial
+draws its assignment, but one whose difference has no term, as for an
+identity that the kernel already writes as two equal series, evaluates
+nothing.  An assignment builds its ``Fraction`` values only when they are
+read, which in a check happens only for a failure's report.  There
+``evaluate`` runs the same evaluator on each side's compilation and divides
+once, so a false check compiles twice, once per side.
 
 ``identity_check`` never proves an identity; it reports "no counterexample
 in N trials" with the seed that produced the trials.
@@ -262,11 +261,12 @@ class Assignment:
         pieces = sorted(f"{v.name} -> {e}" for v, e in self.values.items())
         return "; ".join(pieces)
 
-    def _integer_values(self) -> Tuple[int, List[Dict[int, int]]]:
+    def _integer_values(self) -> Tuple[int, List[GrassmannElement]]:
         """``factor``, the lcm of the denominators, and each variable's value
-        times ``factor``, in the order of ``_variables``."""
+        times ``factor``, an integer element, in the order of ``_variables``."""
         factor = lcm(*[q for parts in self._pairs for _, q in parts.values()])
-        return factor, [{m: p * (factor // q) for m, (p, q) in parts.items()}
+        return factor, [GrassmannElement._of(self.generator_count,
+                                             {m: p * (factor // q) for m, (p, q) in parts.items()})
                         for parts in self._pairs]
 
 
@@ -289,8 +289,7 @@ class _KeyOrder(tuple):
         """``series``' scale, top and integer terms, compiled on first use."""
         compiled = self.compiled.get(series)
         if compiled is None:
-            scale, top, (terms,) = _integer_terms(self, series)
-            compiled = self.compiled[series] = scale, top, terms
+            compiled = self.compiled[series] = _integer_terms(self, series)
         return compiled
 
 
@@ -313,25 +312,24 @@ _IntegerTerms = List[Tuple[int, int, Tuple[int, ...]]]
 
 
 def _integer_terms(variables: Sequence[GradedVariable],
-                   *series: Series) -> Tuple[int, int, List[_IntegerTerms]]:
-    """``scale``, ``top`` and each series' integer terms, over all the series at once.
+                   series: Series) -> Tuple[int, int, _IntegerTerms]:
+    """``series``' scale, top and integer terms.
 
-    A variable of a series that is not in ``variables`` raises MissingBinding.
+    A variable of ``series`` that is not in ``variables`` raises MissingBinding.
     """
     position = {var: i for i, var in enumerate(variables)}
-    items = [s.items() for s in series]
+    terms = series.items()
     scale, top = 1, 0
-    for terms in items:
-        for monomial, coeff in terms:
-            scale = lcm(scale, coeff.denominator)
-            top = max(top, _degree(monomial))
-            for var, _ in monomial:
-                if var not in position:
-                    raise MissingBinding(f"no assignment for variable {var.name}")
-    return scale, top, [[(coeff.numerator * (scale // coeff.denominator),
-                          top - _degree(monomial),
-                          tuple([position[var] for var, exp in monomial for _ in range(exp)]))
-                         for monomial, coeff in terms] for terms in items]
+    for monomial, coeff in terms:
+        scale = lcm(scale, coeff.denominator)
+        top = max(top, _degree(monomial))
+        for var, _ in monomial:
+            if var not in position:
+                raise MissingBinding(f"no assignment for variable {var.name}")
+    return scale, top, [(coeff.numerator * (scale // coeff.denominator),
+                         top - _degree(monomial),
+                         tuple([position[var] for var, exp in monomial for _ in range(exp)]))
+                        for monomial, coeff in terms]
 
 
 def _degree(monomial: Monomial) -> int:
@@ -341,26 +339,25 @@ def _degree(monomial: Monomial) -> int:
 _UNIT = {0: 1}
 
 
-def _integer_value(terms: _IntegerTerms, values: List[Dict[int, int]],
+def _integer_value(terms: _IntegerTerms, values: List[GrassmannElement],
                    factor: int) -> Dict[int, int]:
     """``scale * factor ** top`` times the value of the series ``terms`` came from.
 
-    ``values`` are the variables' values times ``factor``.  A term
-    ``(start, pad, positions)`` is the product of its factors' values, each
-    of which carries one ``factor``, times ``start * factor ** pad``.
+    ``values`` are the variables' integer elements, their values times
+    ``factor``.  A term ``(start, pad, positions)`` is the product of its
+    factors' values, each carrying one ``factor``, times ``start * factor ** pad``.
     """
     total: Dict[int, int] = {}
     for start, pad, positions in terms:
         if positions:
             piece = values[positions[0]]
             for position in positions[1:]:
-                piece = _product(piece, values[position])
-                if not piece:
-                    break
+                piece = piece * values[position]
+            parts = piece._parts
         else:
-            piece = _UNIT
+            parts = _UNIT
         scale = start * factor ** pad
-        for mask, c in piece.items():
+        for mask, c in parts.items():
             total[mask] = total.get(mask, 0) + scale * c
     return {m: c for m, c in total.items() if c}
 
@@ -368,25 +365,15 @@ def _integer_value(terms: _IntegerTerms, values: List[Dict[int, int]],
 def evaluate(series: Series, assignment: Assignment) -> GrassmannElement:
     """Substitute and multiply in the Grassmann algebra.
 
-    The series is compiled against the assignment's variables, once per
-    key order, and its terms are multiplied out as ``GrassmannElement``s of
-    integers, scaled as in a trial; one division at the end gives the exact
-    value.
+    The series is compiled once per key order and evaluated on integers as
+    in a trial (`_integer_value`); one division gives the exact value.
     """
     scale, top, terms = assignment._variables.compile(series)
     factor, values = assignment._integer_values()
-    n = assignment.generator_count
-    elements = [GrassmannElement._of(n, value) for value in values]
-    total: Dict[int, int] = {}
-    for start, pad, positions in terms:
-        piece = elements[positions[0]] if positions else GrassmannElement._of(n, _UNIT)
-        for position in positions[1:]:
-            piece = piece * elements[position]
-        scale_term = start * factor ** pad
-        for mask, c in piece._parts.items():
-            total[mask] = total.get(mask, 0) + scale_term * c
     whole = scale * factor ** top
-    return GrassmannElement._of(n, {m: Fraction(c, whole) for m, c in total.items() if c})
+    return GrassmannElement._of(assignment.generator_count,
+                                {m: Fraction(c, whole)
+                                 for m, c in _integer_value(terms, values, factor).items()})
 
 
 def random_assignment(variables: Iterable[GradedVariable], generator_count: int,
@@ -492,10 +479,10 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
                    seed: int = 0) -> Report:
     """Compare two series at random assignments; disagreements become failures.
 
-    ``lhs - rhs`` is compiled once, from each side's integer terms, and a
-    trial evaluates it on integers; only a nonzero value is evaluated
-    rationally, side by side, for the report.  A difference with no term
-    is zero at every assignment, so its trials only draw.
+    Each side is compiled once, and ``lhs - rhs`` is assembled from the two;
+    a trial evaluates it on integers, and only a nonzero value is evaluated
+    rationally, side by side, from the same compilations, for the report.
+    A difference with no term is zero at every assignment, so its trials only draw.
     """
     if trials < 1:
         raise ValueError("an identity check needs at least 1 trial")
@@ -503,12 +490,15 @@ def identity_check(lhs: Series, rhs: Series, trials: int = 100,
         generators = suggested_generator_count(lhs, rhs)
     rng = random.Random(seed)
     variables = _in_key_order(lhs.variables() | rhs.variables())
-    _, _, (left, right) = _integer_terms(variables, lhs, rhs)
-    # both sides share one scale and one top, so equal positions have equal pads
+    (scale_l, top_l, left), (scale_r, top_r, right) = map(variables.compile, (lhs, rhs))
+    # each side's starts are brought to the common scale, and its pads to the common top
+    scale, top = lcm(scale_l, scale_r), max(top_l, top_r)
     starts: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for sign, terms in ((1, left), (-1, right)):
+    for multiplier, shift, terms in ((scale // scale_l, top - top_l, left),
+                                     (-(scale // scale_r), top - top_r, right)):
         for start, pad, positions in terms:
-            starts[pad, positions] = starts.get((pad, positions), 0) + sign * start
+            key = pad + shift, positions
+            starts[key] = starts.get(key, 0) + multiplier * start
     difference = [(start, pad, positions) for (pad, positions), start in starts.items() if start]
     report = Report(f"oracle identity check (seed {seed}, {trials} trials, "
                     f"{generators} generators)")

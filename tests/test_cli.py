@@ -290,6 +290,20 @@ class TestTaskArguments:
                                  "task check-weights FH\n")
         check_task_options(at_bound, Flags(arity=8))
 
+    def test_a_high_arity_check_builds_only_the_supported_plan_terms(self, tmp_path):
+        # support {2}: only n=3 has Jacobi terms, and every other arity's
+        # plan is empty; building all 2^n unshuffles before dropping them
+        # took 1.3 s at arity 16, about five times as long per arity past it
+        problem = tmp_path / "task.gk"
+        problem.write_text(
+            "space V\n  basis e1 even 0\nend\n"
+            "family G explicit V eps 1 k 0\n  bracket e1 e1 = e1\nend\n"
+            "task check-jacobi G arity 40\n", encoding="utf-8")
+        proc = run_gk(str(problem), timeout=10)
+        assert proc.returncode == 1, proc.stderr
+        assert "[FAIL] jacobi  n=3 (e1, e1, e1)  expected 0, got 3*e1" in proc.stdout
+        assert "summary: 40 passed, 1 failed [FAIL]" in proc.stdout
+
     def test_a_bracket_listing_past_the_bound(self, tmp_path):
         # a master of fiber degree 12 has brackets to arity 12, and listing
         # them would bracket every one of the 5^0 + ... + 5^12 pool tuples

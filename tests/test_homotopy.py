@@ -113,6 +113,20 @@ class TestSpaceBasis:
         with pytest.raises(ValueError, match="duplicate variable name e1"):
             SpaceBasis.build([("e1", 0, 0), ("e2", 1, 0), ("e1", 0, 1)])
 
+    @pytest.mark.parametrize("index", [-1, 1, 5])
+    def test_an_index_outside_the_basis_is_refused(self, index):
+        # -1 used to read the last basis vector, and a table entry at it was
+        # stored where no bracket reads it, yet counted in the arity support
+        basis = SpaceBasis.build([("e1", 0, 0)])
+        e1 = vector(basis, {0: 1})
+        message = f"basis index {index} out of range"
+        with pytest.raises(ValueError, match=message):
+            basis.vector([(index, 1)])
+        with pytest.raises(ValueError, match=message):
+            ExplicitFamily(basis, 0, 0, {(index, 0): e1})
+        with pytest.raises(ValueError, match=message):
+            ExplicitFamily(basis, 1, 0, {(0, index): e1})
+
     @pytest.mark.parametrize("homological", [True, False])
     def test_qfamily_rejects_a_wrongly_graded_coordinate(self, homological):
         # xi2 should be odd of weight 1 on PiV[1]; the chart is checked
@@ -606,9 +620,9 @@ class TestJacobiPlans:
         built = []
         jacobi_plan = homotopy.jacobi_plan
 
-        def counted(n, parities, epsilon):
+        def counted(n, parities, epsilon, arities):
             built.append((n, tuple(parities), epsilon))
-            return jacobi_plan(n, parities, epsilon)
+            return jacobi_plan(n, parities, epsilon, arities)
 
         monkeypatch.setattr(homotopy, "jacobi_plan", counted)
         fam = JACOBI_FAMILIES[name]()
@@ -715,7 +729,7 @@ class TestArityBounds:
                     fam.jacobi_sum([Series.zero()] * n, parities)
             assert {n for n, _ in fam._plans} == set(range(6))
             for (n, parities), plan in fam._plans.items():
-                full = homotopy.jacobi_plan(n, parities, fam.epsilon)
+                full = homotopy.jacobi_plan(n, parities, fam.epsilon, range(n + 2))
                 assert plan == tuple([term for term in full if len(term[0]) in fam.arities
                                       and 1 + len(term[1]) in fam.arities])
                 read = {len(first) for first, _, _ in full} | {1 + len(s) for _, s, _ in full}
