@@ -46,16 +46,20 @@ where monomial tuples cross the boundary, in ``_encode`` and ``_decoded``,
 with the sign of one inversion count over a term's odd factors.
 
 A series is immutable, so it builds the rows a product walks, ``(fiber
-degree, key, numerator, sign mask)`` in ascending fiber degree, once, on its
-first product, and computes its bigrading once.
+degree, key, numerator, odd part, sign mask)`` in ascending fiber degree,
+once, on its first product, and computes its bigrading once.  Every product
+runs one loop, ``_times_into``, which adds into the caller's dict.
 
 Substitution splits each key with one mask into a bound part, the fields of
 the bound variables plus their share of the fiber degree, and an unbound
 part, and the key is the product of the two under the same rule.  The
 unbound parts of all terms with one bound part ride along as a single
 coefficient series, so a substitution costs one product chain per distinct
-bound monomial, not one product per factor of every term.  A binding whose
-value is a constant joins the chain as a rational scale, with no product.
+bound monomial, not one product per factor of every term, and the chain's
+last product adds into the result.  A binding whose value is a constant
+joins the chain as a rational scale, with no product.  ``substitute_all``
+substitutes several series in one call, and multiplies a bound monomial
+that two of them share with a constant coefficient once.
 
 Coefficients are integer numerators over one positive denominator ``_den``
 per series, reduced after every operation so that ``gcd(_den, every
@@ -69,6 +73,7 @@ may share it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -341,21 +346,14 @@ class Series:
     def sum(cls, terms: Sequence["Series"]) -> "Series":
         """The sum of ``terms``, accumulated in one dict over a common denominator."""
         den = lcm(*[t._den for t in terms])
-        out: Optional[dict] = None
+        out: dict = {}
         for term in terms:
-            part = term._terms
-            scale = den // term._den
-            if out is None:
+            part, scale = term._terms, den // term._den
+            if out:
+                _add_into(out, part, scale)
+            else:
                 out = dict(part) if scale == 1 else {k: n * scale for k, n in part.items()}
-                continue
-            get = out.get
-            for key, n in part.items():
-                total = get(key, 0) + n * scale
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return cls._reduced(out or {}, den)
+        return cls._reduced(out, den)
 
     # -- inspection --------------------------------------------------------
 
@@ -485,11 +483,11 @@ class Series:
     # -- arithmetic --------------------------------------------------------
 
     def _product_rows(self) -> list:
-        """``(fiber degree, key, numerator, sign mask)`` for every term, in
-        ascending fiber degree, built on first use."""
+        """``(fiber degree, key, numerator, odd part, sign mask)`` for every
+        term, in ascending fiber degree, built on first use."""
         if self._rows is None:
             odd = _REGISTRY.odd_bits
-            rows = [(k & _FIBER, k, n, _sign_mask(k) if k & odd else 0)
+            rows = [(k & _FIBER, k, n, (odd_part := k & odd), _sign_mask(k) if odd_part else 0)
                     for k, n in self._terms.items()]
             rows.sort(key=itemgetter(0))
             self._rows = rows
@@ -534,23 +532,30 @@ class Series:
     def _times(self, other: "Series", order: Optional[int]) -> "Series":
         """``(self * other).truncate(order)``, or the whole product if ``order``
         is None, building no term past ``order``."""
+        out: dict = {}
+        self._times_into(out, other, order, 1)
+        return Series._reduced(out, self._den * other._den)
+
+    def _times_into(self, out: dict, other: "Series", order: Optional[int],
+                    scale: int) -> None:
+        """Add ``scale`` times the numerators of ``self * other``, over
+        ``self._den * other._den`` and cut at ``order``, into ``out``."""
         # a product's fiber degree is the sum of its factors' degrees, so with
         # both sides in ascending degree each row stops at the first pair past
         # the order, before that pair is merged; with no order, no two stored
         # degrees reach the budget
         budget = 2 * EXPONENT_BOUND if order is None else order
-        odd = _REGISTRY.odd_bits
         right = other._product_rows()
-        out: dict = {}
         get = out.get
-        for degree_a, ka, na, flip in self._product_rows():
+        for degree_a, ka, na, odd_a, flip in self._product_rows():
             room = budget - degree_a
             if room < 0:
                 break
-            for degree_b, kb, nb, _ in right:
+            na *= scale
+            for degree_b, kb, nb, odd_b, _ in right:
                 if degree_b > room:
                     break
-                if ka & kb & odd:
+                if odd_a & odd_b:
                     continue
                 value = na * nb
                 if flip and (kb & flip).bit_count() & 1:
@@ -566,12 +571,12 @@ class Series:
                     else:
                         del out[key]
         # an exponent past the bound sets its field's guard bit without
-        # carrying, so one check of the surviving keys finds it
+        # carrying, so one check of the surviving keys finds it; a key that
+        # an earlier call left in ``out`` has none
         guards = _REGISTRY.guards
         for key in out:
             if key & guards:
                 raise _overflow(key)
-        return Series._reduced(out, self._den * other._den)
 
     def __rmul__(self, other) -> "Series":
         if isinstance(other, (int, Fraction)):
@@ -625,21 +630,31 @@ class Series:
 
     def substitute(self, bindings: Mapping[GradedVariable, "Series"],
                    order: Optional[int] = None) -> "Series":
-        """Replace every bound variable by its value, all at once; with an
-        ``order``, the result is cut at that fiber degree.
+        """Every bound variable replaced by its value, all at once, and cut at
+        ``order`` if one is given: ``substitute_all`` of one series."""
+        return Series.substitute_all([self], bindings, order)[0]
+
+    @staticmethod
+    def substitute_all(series: Sequence["Series"],
+                       bindings: Mapping[GradedVariable, "Series"],
+                       order: Optional[int] = None) -> List["Series"]:
+        """``s.substitute(bindings, order)`` for each ``s`` of ``series``, with
+        the bindings checked and cut once.
 
         The terms are grouped by bound part ``b``: with ``key = sign * u * b``,
         the coefficient series ``C_b`` collects ``sign * n * u``, and the result
         is the sum of ``C_b`` times the values' powers over ``b``'s factors in
-        field order.  Fiber degrees are nonnegative and add in a product, so
-        no term past ``order`` contributes to one below it: the values are cut
-        at ``order``, an unbound part past it is skipped, and every product
-        builds nothing past it.  ``C_b`` goes first in that chain: it carries
+        field order, the last product of that chain added into the result.
+        Fiber degrees are nonnegative and add in a product, so no term past
+        ``order`` contributes to one below it: the values are cut at
+        ``order``, an unbound part past it is skipped, and every product
+        builds nothing past it.  ``C_b`` goes first in the chain: it carries
         the unbound part's fiber degree, so every later product already
         prunes what that degree pushes past the order.  A constant ``C_b``,
         and the power of every binding that is a constant, are folded in as a
-        rational scale, with no product.  A variable that no series has used
-        occurs in no key, so its binding is never read.
+        rational scale, with no product, and a ``b`` whose ``C_b`` is constant
+        in two or more groups is multiplied out once.  A variable that no
+        series has used occurs in no key, so its binding is never read.
         """
         normalized = {}
         for var, value in bindings.items():
@@ -658,79 +673,90 @@ class Series:
                      for var, value in normalized.items() if value._terms.keys() <= {0}}
         bound_slots = sorted((slot.shift, slot.mask, slot.var)
                              for slot in map(_REGISTRY.slots.get, normalized) if slot)
-        bound = 0
-        for shift, mask, _ in bound_slots:
-            bound |= mask << shift
+        bound = sum(mask << shift for shift, mask, _ in bound_slots)  # disjoint fields
         odd = _REGISTRY.odd_bits
-        # bound part -> (its factors in field order, {unbound key: numerator});
-        # the bound part carries its own share of the fiber degree
-        groups: dict = {}
-        for key, n in self._terms.items():
-            part = key & bound
-            group = groups.get(part)
-            if group is None:
-                factors = [(var, (part >> shift) & mask) for shift, mask, var in bound_slots
-                           if (part >> shift) & mask]
-                fiber = sum(exp for var, exp in factors if var.fiber_degree)
-                # rest * part = (-1) ** (|rest| |part|) part * rest
-                flip = _sign_mask(part) ^ (odd if (part & odd).bit_count() & 1 else 0)
-                group = groups[part] = (factors, fiber, flip, {})
-            factors, fiber, flip, coefficients = group
-            rest = key - part - fiber
-            if order is not None and rest & _FIBER > order:
-                continue
-            # key = sign * rest * part, with the sign of that product
-            if flip and (rest & flip).bit_count() & 1:
-                n = -n
-            coefficients[rest] = n
+        # per series: bound part -> (its factors in field order, their share
+        # of the fiber degree, the sign mask, {unbound key: numerator})
+        grouped = []
+        for s in series:
+            groups: dict = {}
+            for key, n in s._terms.items():
+                part = key & bound
+                group = groups.get(part)
+                if group is None:
+                    factors = [(var, (part >> shift) & mask) for shift, mask, var in bound_slots
+                               if (part >> shift) & mask]
+                    fiber = sum(exp for var, exp in factors if var.fiber_degree)
+                    # rest * part = (-1) ** (|rest| |part|) part * rest
+                    flip = _sign_mask(part) ^ (odd if (part & odd).bit_count() & 1 else 0)
+                    group = groups[part] = (factors, fiber, flip, {})
+                factors, fiber, flip, coefficients = group
+                rest = key - part - fiber
+                if order is not None and rest & _FIBER > order:
+                    continue
+                # key = sign * rest * part, with the sign of that product
+                if flip and (rest & flip).bit_count() & 1:
+                    n = -n
+                coefficients[rest] = n
+            grouped.append(groups)
+        # bound part -> the number of groups whose C_b is constant
+        uses = Counter(part for groups in grouped
+                       for part, group in groups.items() if group[3].keys() == {0})
         # bound variable -> [value, value^2, ...], each power the one below
         # times the binding
         powers: dict = {}
-        # out holds numerators over den, the lcm of the pieces' denominators
-        out: dict = {}
-        den = 1
-        for factors, _, _, coefficients in groups.values():
-            if not coefficients:
-                continue
-            # the group's value is n / d times piece, or n / d if piece is None
-            if len(coefficients) == 1 and 0 in coefficients:
-                n, piece = coefficients[0], None
-            else:
-                n, piece = 1, Series._trusted(coefficients, 1)
-            d = 1
-            for var, exp in factors:
-                constant = constants.get(var)
-                if constant is not None:
-                    n *= constant[0] ** exp
-                    d *= constant[1] ** exp
-                    if not n:
-                        break
+        # bound part -> the product of its values, once two groups with a
+        # constant C_b use it
+        shared: dict = {}
+        results = []
+        for s, groups in zip(series, grouped):
+            # out holds numerators over den, the lcm of the pieces' denominators
+            out: dict = {}
+            den = 1
+            for part, (factors, _, _, coefficients) in groups.items():
+                if not coefficients:
                     continue
-                cached = powers.setdefault(var, [normalized[var]])
-                while len(cached) < exp:
-                    cached.append(cached[-1]._times(normalized[var], order))
-                factor = cached[exp - 1]
-                piece = factor if piece is None else piece._times(factor, order)
-                if piece.is_zero:
-                    break
-            if not n:
-                continue
-            if piece is None:
-                piece = Series.one()
-            d *= piece._den
-            if den % d:
-                common = lcm(den, d)
-                out = {k: v * (common // den) for k, v in out.items()}
-                den = common
-            scale = n * (den // d)
-            get = out.get
-            for k, v in piece._terms.items():
-                total = get(k, 0) + v * scale
-                if total:
-                    out[k] = total
+                # the group is n / d times the product of values
+                n, d, values = 1, 1, []
+                for var, exp in factors:
+                    if var in constants:
+                        n *= constants[var][0] ** exp
+                        d *= constants[var][1] ** exp
+                    elif n:
+                        cached = powers.setdefault(var, [normalized[var]])
+                        while len(cached) < exp:
+                            cached.append(cached[-1]._times(normalized[var], order))
+                        values.append(cached[exp - 1])
+                if not n:
+                    continue
+                if len(coefficients) > 1 or 0 not in coefficients:
+                    values = [Series._trusted(coefficients, 1)] + values
                 else:
-                    del out[k]
-        return Series._reduced(out, self._den * den)
+                    n *= coefficients[0]
+                    if len(values) > 1 and uses[part] > 1:
+                        if part not in shared:
+                            product = values[0]
+                            for value in values[1:]:
+                                product = product._times(value, order)
+                            shared[part] = product
+                        values = [shared[part]]
+                # every value but the last is multiplied out, and the last
+                # product adds into out
+                piece = values[0] if values else Series.one()
+                for value in values[1:-1]:
+                    piece = piece._times(value, order)
+                last = values[-1] if len(values) > 1 else None
+                d *= piece._den * (last._den if last else 1)
+                if den % d:
+                    common = lcm(den, d)
+                    out = {k: v * (common // den) for k, v in out.items()}
+                    den = common
+                if last is None:
+                    _add_into(out, piece._terms, n * (den // d))
+                else:
+                    piece._times_into(out, last, order, n * (den // d))
+            results.append(Series._reduced(out, s._den * den))
+        return results
 
     def _kept(self, keep) -> "Series":
         """The terms whose fiber degree passes ``keep``; ``self`` if that is all."""
@@ -760,6 +786,17 @@ class Series:
 
     def __repr__(self) -> str:
         return f"Series({format_series(self)})"
+
+
+def _add_into(out: dict, terms: Mapping[int, int], scale: int) -> None:
+    """Add ``scale`` times ``terms`` into ``out``, dropping what cancels."""
+    get = out.get
+    for key, n in terms.items():
+        total = get(key, 0) + n * scale
+        if total:
+            out[key] = total
+        else:
+            del out[key]
 
 
 def _coerce(value) -> "Series":

@@ -15,9 +15,10 @@ which makes the iteration contract t-adically and terminate exactly at any
 requested order.
 
 Write y_0 for the seeds (the linear part of S) and let pass j compute
-q_j = dg(y_{j-1}) and y_j = Y(q_j), each substitution cut at the order.  As
-y -> seeds + t G(y) is a t-adic contraction, y_j - y* has t-valuation at
-least j + 1, so y_order = y*, and y_j = y_{j-1} exactly when y_{j-1} = y*.
+q_j = dg(y_{j-1}) and y_j = Y(q_j).  Each half-pass is one substitution of
+every target, cut at the order.  As y -> seeds + t G(y) is a t-adic
+contraction, y_j - y* has t-valuation at least j + 1, so y_order = y*, and
+y_j = y_{j-1} exactly when y_{j-1} = y*.
 The loop therefore stops at the first pass with y_j = y_{j-1}, or after
 pass ``order`` with only the half-pass q_{order+1} = dg(y_order); it never
 computes y* twice more.  Every pass also checks that y_j - y_{j-1} vanishes
@@ -200,21 +201,17 @@ def _pullback_graded(phi: ThickMorphism, g: Series, order: int):
         sign = -1 if y_var.parity else 1
         seeds[y_var] = sign * linear.left_derivative(q_var)
         y_map[y_var] = seeds[y_var] + (t * (sign * tail.left_derivative(q_var)))
-    dg = {y_var: g.left_derivative(y_var) for y_var in phi.target.variables}
+    dg = {phi.momentum(y_var): g.left_derivative(y_var) for y_var in phi.target.variables}
 
     # pass j computes q_j = dg(y_{j-1}) and y_j = Y(q_j), from y_0 = seeds;
     # it stops once y_{j-1} = y* is proven (see the module docstring)
     y_cur = dict(seeds)
     q_prev: Dict[GradedVariable, Series] = {}
     for passes in range(1, order + 2):
-        q_cur = {
-            phi.momentum(y_var): dg[y_var].substitute(y_cur, order)
-            for y_var in phi.target.variables}
+        q_cur = dict(zip(dg, Series.substitute_all(list(dg.values()), y_cur, order)))
         if passes > order:
             break  # y_cur is y_order, which is y*
-        y_next = {
-            y_var: y_map[y_var].substitute(q_cur, order)
-            for y_var in phi.target.variables}
+        y_next = dict(zip(y_map, Series.substitute_all(list(y_map.values()), q_cur, order)))
         # y_j - y_{j-1} has t-valuation at least j
         below = passes - 1
         if any(y_next[y_var].fiber_slice(0, below) != y_cur[y_var].fiber_slice(0, below)

@@ -772,6 +772,90 @@ def test_constant_bindings_make_no_products(monkeypatch):
     assert result == expected
 
 
+
+# -- one substitution of several series ---------------------------------------------
+
+@st.composite
+def sharing_substitutions(draw):
+    """Bindings over MIXED, as grouped_bindings draws them, and 1-4 series
+    whose terms come from one pool of monomials, so that they share bound
+    parts; the pool holds monomials over the bound variables alone, whose
+    C_b is a constant."""
+    bound = draw(grouped_bindings(MIXED))
+    pool = draw(st.lists(monomials(4), min_size=1, max_size=3))
+    bound_only = [var for var in MIXED if var in bound]
+    if bound_only:
+        pool += draw(st.lists(monomials(4, bound_only), min_size=1, max_size=3))
+    series = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {m: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+                 for m in draw(st.lists(st.sampled_from(pool), max_size=4))}
+        series.append(Series(terms) + draw(mixed_series(max_terms=2, max_degree=4)))
+    return series, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(sharing_substitutions(), st.one_of(st.none(), st.integers(0, 4)))
+def test_substitute_all_is_each_series_substituted(case, order):
+    # odd and even variables, each free or bound to zero, a constant or a
+    # series, and bound parts that several series use with a constant C_b
+    series, bound = case
+    results = Series.substitute_all(series, bound, order)
+    assert len(results) == len(series)
+    for s, result in zip(series, results):
+        expected = naive_substitute(s, bound)
+        assert result == (expected if order is None else expected.truncate(order))
+        assert_invariants(result, order)
+
+
+Y = GradedVariable("y", 0, 0, 0, 70)
+Z = GradedVariable("z", 0, 0, 0, 71)
+
+
+def test_an_overflow_in_a_last_product_that_adds_into_the_result_raises():
+    with pytest.raises(ExponentOverflow, match="z to a power"):
+        (V(X) * V(Y)).substitute({X: Series.variable(Z, EXPONENT_BOUND), Y: V(Z)})
+
+
+def test_an_overflow_raises_though_a_later_group_would_cancel_it():
+    # x y and x w both become z^(EXPONENT_BOUND + 1), with opposite signs
+    with pytest.raises(ExponentOverflow, match="z to a power"):
+        (V(X) * V(Y) - V(X) * V(W)).substitute(
+            {X: Series.variable(Z, EXPONENT_BOUND), Y: V(Z), W: V(Z)})
+
+
+def test_a_q_half_pass_multiplies_a_shared_bound_monomial_once(monkeypatch):
+    # q_1 = dg(y_0) of the pullback-cubic benchmark's draw 1, whose seeds
+    # y_0 are the linear part of S: dg/dy1 and dg/dy2 both carry y2 y3
+    rng = random.Random(1)
+
+    def coefficient():
+        return Fraction(rng.choice([n for n in range(-5, 6) if n]), rng.randint(1, 3))
+
+    xs = [GradedVariable(f"x{i}", 0, 0, 0, i - 1) for i in (1, 2, 3)]
+    ys = [GradedVariable(f"y{i}", 0, 0, 0, i - 1) for i in (1, 2, 3)]
+    y1, y2, y3 = map(V, ys)
+    g = Series.sum([coefficient() * y1 ** 3, coefficient() * y1 * y2 * y3,
+                    coefficient() * y2 ** 2 * y3])
+    seeds = {y: coefficient() * V(x) for y, x in zip(ys, xs)}
+    dg = [g.left_derivative(y) for y in ys]
+    products = []
+    times_into = Series._times_into
+
+    def counted(self, out, other, order, scale):
+        products.append((self, other))
+        return times_into(self, out, other, order, scale)
+
+    monkeypatch.setattr(Series, "_times_into", counted)
+    together = Series.substitute_all(dg, seeds, 3)
+    made_together = len(products)
+    apart = [s.substitute(seeds, 3) for s in dg]
+    monkeypatch.undo()
+    # y1^2, y2^2, y1 y3, y1 y2 and y2 y3 once, against y2 y3 once per call
+    assert (made_together, len(products) - made_together) == (5, 6)
+    assert together == apart
+
+
 # -- formatting from numerators ----------------------------------------------------
 
 def format_series_by_fractions(series):

@@ -362,15 +362,20 @@ def test_identity_pullback_idempotent():
 
 # -- the pullback against a reference Picard loop -------------------------------
 
-def term_by_term_substitute(series, bindings):
+def term_by_term_substitute(series, bindings, order=None):
     """Substitution term by term over ``items()``: each term is the product of
-    its factors' images, an unbound factor staying a one-term series."""
+    its factors' images, an unbound factor staying a one-term series.  With
+    an ``order``, each product is truncated there as it is made, which is
+    exact because fiber degrees are nonnegative and add."""
+    def cut(piece):
+        return piece if order is None else piece.truncate(order)
+
     pieces = [Series.zero()]
     for monomial, coeff in series.items():
         piece = Series.constant(coeff)
         for var, exp in monomial:
             image = bindings.get(var)
-            piece = piece * (Series({((var, exp),): 1}) if image is None else image ** exp)
+            piece = cut(piece * (Series({((var, exp),): 1}) if image is None else image ** exp))
         pieces.append(piece)
     return Series.sum(pieces)
 
@@ -389,9 +394,9 @@ def reference_pullback(phi, g, order):
     dg = {y_var: g.left_derivative(y_var) for y_var in targets}
     y_cur, q_cur = dict(seeds), {}
     for iterations in range(1, order + 4):
-        q_next = {phi.momentum(y_var): term_by_term_substitute(dg[y_var], y_cur).truncate(order)
+        q_next = {phi.momentum(y_var): term_by_term_substitute(dg[y_var], y_cur, order)
                   for y_var in targets}
-        y_next = {y_var: term_by_term_substitute(y_map[y_var], q_next).truncate(order)
+        y_next = {y_var: term_by_term_substitute(y_map[y_var], q_next, order)
                   for y_var in targets}
         if y_next == y_cur and q_next == q_cur:
             break
@@ -399,7 +404,7 @@ def reference_pullback(phi, g, order):
     else:
         pytest.fail("the reference loop did not stabilize")
     s_t = phi.S.fiber_slice(0, 0) + linear + t * tail
-    f = term_by_term_substitute(g, y_cur) + term_by_term_substitute(s_t, q_cur)
+    f = term_by_term_substitute(g, y_cur, order) + term_by_term_substitute(s_t, q_cur, order)
     for y_var in targets:
         f = f - y_cur[y_var] * q_cur[phi.momentum(y_var)]
 
@@ -620,16 +625,18 @@ def test_an_even_target_coordinate_of_the_odd_kind_has_c_0(order):
 
 # The monomial pairs of the products of one order-3 pullback of the benchmark's
 # draw 1: |a| |b| per product, those inside substitute included, and |a| per
-# scaling by a rational.  The passes make 84,093 of them.  With f
-# computed as g(y*) + S_t(q*) - y*_i q*_i the value made 85,864 more; read off
-# the insertion rate it makes 25,676
-PULLBACK_PAIRS = 109_769
+# scaling by a rational.  Every product runs through _times_into.  The passes
+# made 84,093 of them.  With f computed as g(y*) + S_t(q*) - y*_i q*_i the
+# value made 85,864 more; read off the insertion rate it made 25,676, for
+# 109,769 in all.  A half-pass that substitutes every target in one call, and
+# multiplies a bound monomial that two targets share once, makes 97,543
+PULLBACK_PAIRS = 97_543
 
 
 def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch):
     phi, g = cubic_draw(1)
     pairs = []
-    mul, times = Series.__mul__, Series._times
+    mul, times_into = Series.__mul__, Series._times_into
 
     def scaled(a, b):
         out = mul(a, b)
@@ -637,11 +644,11 @@ def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch)
             pairs.append(len(a._terms))
         return out
 
-    def multiplied(a, b, order):
+    def multiplied(a, out, b, order, scale):
         pairs.append(len(a._terms) * len(b._terms))
-        return times(a, b, order)
+        return times_into(a, out, b, order, scale)
 
     monkeypatch.setattr(Series, "__mul__", scaled)
-    monkeypatch.setattr(Series, "_times", multiplied)
+    monkeypatch.setattr(Series, "_times_into", multiplied)
     assert pullback(phi, g, 3).iterations == 5
     assert sum(pairs) <= PULLBACK_PAIRS
