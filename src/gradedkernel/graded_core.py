@@ -42,13 +42,18 @@ field above an odd factor of ``b``.  Every odd field below one of ``a``'s
 was registered before it, so the mask depends on ``a``'s key alone.
 ``Series.__mul__`` holds this one sign rule of products, and the parser
 builds each term as a product of its factors.  Canonical order is used only
-where monomial tuples cross the boundary, in ``_encode`` and ``_decoded``,
-with the sign of one inversion count over a term's odd factors.
+where terms leave or enter a key: in ``_encode`` and ``_decoded``, where
+monomial tuples cross the boundary, and in ``format_series``, which writes
+each term's names straight off its key fields with no monomial tuple.  Each
+applies the sign of one inversion count over a term's odd factors.
 
 A series is immutable, so it builds the rows a product walks, ``(fiber
 degree, key, numerator, odd part, sign mask)`` in ascending fiber degree,
 once, on its first product, and computes its bigrading once.  Every product
-runs one loop, ``_times_into``, which adds into the caller's dict.
+runs one loop, ``_times_into``, which adds into the caller's dict.  The
+terms of an even homogeneous series commute, so its square (``s`` times
+``s`` itself) walks each unordered pair of rows once, with the numerator
+doubled off the diagonal; every other product walks every pair.
 
 Substitution splits each key with one mask into a bound part, the fields of
 the bound variables plus their share of the fiber degree, and an unbound
@@ -59,7 +64,10 @@ bound monomial, not one product per factor of every term, and the chain's
 last product adds into the result.  A binding whose value is a constant
 joins the chain as a rational scale, with no product.  ``substitute_all``
 substitutes several series in one call, and multiplies a bound monomial
-that two of them share with a constant coefficient once.
+that two of them share with a constant coefficient once.  ``at_one`` sets
+one even weightless variable to 1 in a single pass over the keys: it drops
+the variable's field and its share of the fiber degree, and adds the
+numerators of keys that meet.
 
 Coefficients are integer numerators over one positive denominator ``_den``
 per series, reduced after every operation so that ``gcd(_den, every
@@ -539,20 +547,39 @@ class Series:
     def _times_into(self, out: dict, other: "Series", order: Optional[int],
                     scale: int) -> None:
         """Add ``scale`` times the numerators of ``self * other``, over
-        ``self._den * other._den`` and cut at ``order``, into ``out``."""
+        ``self._den * other._den`` and cut at ``order``, into ``out``.
+
+        The square of an even homogeneous series walks each unordered pair of
+        rows once: row ``i`` meets the rows after it with its numerator
+        doubled, and itself once unless it has odd bits, which square to zero.
+        """
         # a product's fiber degree is the sum of its factors' degrees, so with
         # both sides in ascending degree each row stops at the first pair past
         # the order, before that pair is merged; with no order, no two stored
         # degrees reach the budget
         budget = 2 * EXPONENT_BOUND if order is None else order
         right = other._product_rows()
+        square = other is self and self.is_homogeneous(0)
         get = out.get
-        for degree_a, ka, na, odd_a, flip in self._product_rows():
+        for i, (degree_a, ka, na, odd_a, flip) in enumerate(self._product_rows()):
             room = budget - degree_a
             if room < 0:
                 break
+            rows = right
+            if square:
+                if room < degree_a:
+                    break  # every pair left has a row of degree degree_a or more
+                if not odd_a:
+                    key = ka + ka
+                    total = get(key, 0) + na * na * scale
+                    if total:
+                        out[key] = total
+                    else:
+                        del out[key]
+                rows = right[i + 1:]
+                na += na
             na *= scale
-            for degree_b, kb, nb, odd_b, _ in right:
+            for degree_b, kb, nb, odd_b, _ in rows:
                 if degree_b > room:
                     break
                 if odd_a & odd_b:
@@ -656,14 +683,7 @@ class Series:
         in two or more groups is multiplied out once.  A variable that no
         series has used occurs in no key, so its binding is never read.
         """
-        normalized = {}
-        for var, value in bindings.items():
-            value = _coerce_strict(value)
-            if not value.is_zero and not value.is_homogeneous(var.parity, var.weight):
-                raise GradingMismatch(
-                    f"binding for {var.name} must be zero or homogeneous of "
-                    f"{var.bigrading}")
-            normalized[var] = value
+        normalized = {var: _checked_binding(var, value) for var, value in bindings.items()}
         if order is not None:
             if order < 0:
                 raise ValueError("substitution order must be nonnegative")
@@ -758,6 +778,29 @@ class Series:
             results.append(Series._reduced(out, s._den * den))
         return results
 
+    def at_one(self, var: GradedVariable) -> "Series":
+        """``self.substitute({var: Series.one()})``, in one pass over the keys:
+        each key loses ``var``'s field and its share of the fiber degree, and
+        the numerators of keys that meet add.  An even variable has no sign
+        to pass, and an odd or weighted one refuses the constant 1 as
+        ``substitute`` does."""
+        _checked_binding(var, Series.one())
+        slot = _REGISTRY.slots.get(var)
+        if slot is None:
+            return self
+        shift, mask, fiber = slot.shift, slot.mask, var.fiber_degree
+        out: dict = {}
+        get = out.get
+        for key, n in self._terms.items():
+            exp = (key >> shift) & mask
+            key -= (exp << shift) + exp * fiber
+            total = get(key, 0) + n
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return Series._reduced(out, self._den)
+
     def _kept(self, keep) -> "Series":
         """The terms whose fiber degree passes ``keep``; ``self`` if that is all."""
         terms = {k: n for k, n in self._terms.items() if keep(k & _FIBER)}
@@ -814,32 +857,49 @@ def _coerce_strict(value) -> "Series":
     return coerced
 
 
-def format_monomial(monomial: Monomial) -> str:
-    if not monomial:
-        return "1"
-    parts = []
-    for var, exp in monomial:
-        parts.append(var.name if exp == 1 else f"{var.name}^{exp}")
-    return " * ".join(parts)
+def _checked_binding(var: GradedVariable, value) -> "Series":
+    """``value`` as a series, if a substitution may bind ``var`` to it."""
+    value = _coerce_strict(value)
+    if not value.is_zero and not value.is_homogeneous(var.parity, var.weight):
+        raise GradingMismatch(
+            f"binding for {var.name} must be zero or homogeneous of {var.bigrading}")
+    return value
 
 
 def format_series(series: Series) -> str:
     """Render in the interchange grammar; output re-parses to an equal series."""
     if series.is_zero:
         return "0"
+    fields = [(position, slot.shift, slot.mask, slot.var.parity, slot.var.name)
+              for position, slot in enumerate(series._slots())]
+    rows = []
+    for key, n in series._terms.items():
+        order = []
+        names = []
+        flips = seen = 0
+        for position, shift, mask, odd, name in fields:
+            exp = (key >> shift) & mask
+            if exp:
+                order += (position, exp)
+                names.append(name if exp == 1 else f"{name}^{exp}")
+                if odd:
+                    flips += (seen >> shift).bit_count()
+                    seen |= 1 << shift
+        rows.append((order, " * ".join(names), -n if flips & 1 else n))
+    rows.sort(key=itemgetter(0))
     den = series._den
     chunks = []
-    for monomial, n in series._decoded():
+    for _, factors, n in rows:
         # |n| / den in lowest terms, written as str(Fraction) writes it
         common = gcd(n, den)
         top, bottom = abs(n) // common, den // common
         magnitude = str(top) if bottom == 1 else f"{top}/{bottom}"
-        if not monomial:
+        if not factors:
             body = magnitude
         elif top == bottom == 1:
-            body = format_monomial(monomial)
+            body = factors
         else:
-            body = f"{magnitude} * {format_monomial(monomial)}"
+            body = f"{magnitude} * {factors}"
         if not chunks:
             chunks.append(body if n > 0 else f"-{body}")
         else:

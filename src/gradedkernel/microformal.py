@@ -29,9 +29,10 @@ pass k + 1 when q_{k+1} = q_k and at pass k + 2 otherwise, and both cases
 are read off the passes already run.
 
 The pullback is the value f = g(y) + S_t(x, q) - y^i q_i at the fixed point,
-with S_t = S0 + linear + t tail, and t set to 1 at the end.  It is not
-computed from that formula.  f is stationary in y and q, so along t it moves
-only where S_t depends on t and where y^i q_i is not q_i y^i:
+with S_t = S0 + linear + t tail, and t set to 1 at the end by
+``Series.at_one``, one pass over the keys.  It is not computed from that
+formula.  f is stationary in y and q, so along t it moves only where S_t
+depends on t and where y^i q_i is not q_i y^i:
 
     t df/dt = t tail(q*) + sum_i c_i (E q*_i) y*_i,
     f(0)    = S0 + g(phi) + sum_i c_i q*_i(0) phi_i,
@@ -247,7 +248,7 @@ def _by_degree(series: Series, order: int, scale) -> Series:
 
 
 def _drop_insertions(series: Series) -> Series:
-    return series.substitute({_INSERTION: Series.one()})
+    return series.at_one(_INSERTION)
 
 
 def pullback(phi: ThickMorphism, g: Series, order: int = DEFAULT_ORDER) -> PullbackResult:

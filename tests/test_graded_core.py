@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gradedkernel
 from gradedkernel import oracle
@@ -677,13 +677,13 @@ def test_substitute_makes_one_product_per_bound_part(monkeypatch):
                 for a in range(10) for b in range(5) for e in range(4)})
     assert len(s.items()) == 200
     products = []
-    times = Series._times
+    times_into = Series._times_into
 
-    def counted(self, other, order):
+    def counted(self, out, other, order, scale):
         products.append((self, other))
-        return times(self, other, order)
+        return times_into(self, out, other, order, scale)
 
-    monkeypatch.setattr(Series, "_times", counted)
+    monkeypatch.setattr(Series, "_times_into", counted)
     result = s.substitute({tau: Series.one()})
     monkeypatch.undo()
     # one product per bound part tau^1..tau^3 (tau^0 needs none), and two
@@ -759,13 +759,13 @@ def test_constant_bindings_make_no_products(monkeypatch):
     bound = {W: Series.constant(Fraction(-3, 2)), Q: Series.one(), X: Series.zero()}
     expected = naive_substitute(s, bound)
     products = []
-    times = Series._times
+    times_into = Series._times_into
 
-    def counted(self, other, order):
+    def counted(self, out, other, order, scale):
         products.append((self, other))
-        return times(self, other, order)
+        return times_into(self, out, other, order, scale)
 
-    monkeypatch.setattr(Series, "_times", counted)
+    monkeypatch.setattr(Series, "_times_into", counted)
     result = s.substitute(bound)
     monkeypatch.undo()
     assert not products
@@ -854,6 +854,91 @@ def test_a_q_half_pass_multiplies_a_shared_bound_monomial_once(monkeypatch):
     # y1^2, y2^2, y1 y3, y1 y2 and y2 y3 once, against y2 y3 once per call
     assert (made_together, len(products) - made_together) == (5, 6)
     assert together == apart
+
+
+# -- squares ------------------------------------------------------------------------
+
+# even terms of weight 0, 1 and 2 over MIXED: x^a q^b times one of these odd parts
+EVEN_ODD_PARTS = {0: [[]], 1: [[XI1, PI], [XI2, PI]], 2: [[XI1, XI2]]}
+
+
+@st.composite
+def even_homogeneous_series(draw):
+    """Up to 6 terms of one even bigrading; weights 1 and 2 carry odd bits."""
+    odd_parts = EVEN_ODD_PARTS[draw(st.integers(0, 2))]
+    products = [(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))),
+                 [X] * draw(st.integers(0, 3)) + [Q] * draw(st.integers(0, 3))
+                 + draw(st.sampled_from(odd_parts)))
+                for _ in range(draw(st.integers(0, 6)))]
+    return naive_sum(products)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_series(max_terms=6), even_homogeneous_series()),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_a_square_is_the_product_of_two_equal_copies(s, order):
+    # mixed series are odd, inhomogeneous or zero as often as even: their
+    # squares take the full walk and must not raise
+    copy = Series(dict(s.items()))
+    assert copy is not s and copy == s
+    square = s._times(s, order)
+    assert square == s._times(copy, order)
+    expected = naive_sum(((ca * cb, factors_of(ma) + factors_of(mb))
+                          for ma, ca in s.items() for mb, cb in s.items()))
+    assert square == (expected if order is None else expected.truncate(order))
+    assert_invariants(square, order)
+
+
+class CountingDict(dict):
+    """A product accumulator that counts the lookups of its keys."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_a_square_looks_up_each_unordered_pair_once():
+    # n = 6 even terms with no odd bits; another series of m = 4 terms
+    s = Series.sum([Fraction(a + 1, b + 1) * V(X) ** a * V(Q) ** b
+                    for a in range(3) for b in range(2)])
+    other = Series.sum([Fraction(1 - a, 2) * V(X) ** a for a in range(4) if a != 1])
+    other += V(Q) ** 3
+    n, m = len(s.items()), len(other.items())
+    assert (n, m) == (6, 4)
+    for right, lookups in ((s, n * (n + 1) // 2), (Series(dict(s.items())), n * n),
+                           (other, n * m)):
+        out = CountingDict()
+        s._times_into(out, right, None, 1)
+        assert out.lookups == lookups
+        assert Series._reduced(dict(out), s._den * right._den) == s._times(right, None)
+
+
+# -- setting a variable to one ---------------------------------------------------------
+
+UNREGISTERED = GradedVariable("unregistered", 0, 0, 1, 80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_series(max_terms=6), st.sampled_from([Q, X, W, UNREGISTERED]))
+@example(V(Q) * V(X) - V(X) + V(PI), Q)
+def test_at_one_is_a_substitution_of_one(s, var):
+    # q is a fiber-degree variable, w occurs in no MIXED series, and
+    # UNREGISTERED in no series at all
+    result = s.at_one(var)
+    assert result == s.substitute({var: Series.one()})
+    assert_invariants(result)
+    assert UNREGISTERED not in _REGISTRY.slots
+
+
+@pytest.mark.parametrize("var", [PI, XI1, GradedVariable("weighted", 0, 2, 0, 81)])
+def test_at_one_refuses_an_odd_or_weighted_variable(var):
+    with pytest.raises(GradingMismatch) as refused:
+        (V(X) + 1).at_one(var)
+    with pytest.raises(GradingMismatch) as substituted:
+        (V(X) + 1).substitute({var: Series.one()})
+    assert str(refused.value) == str(substituted.value)
 
 
 # -- formatting from numerators ----------------------------------------------------

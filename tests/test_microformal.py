@@ -624,13 +624,15 @@ def test_an_even_target_coordinate_of_the_odd_kind_has_c_0(order):
 
 
 # The monomial pairs of the products of one order-3 pullback of the benchmark's
-# draw 1: |a| |b| per product, those inside substitute included, and |a| per
-# scaling by a rational.  Every product runs through _times_into.  The passes
-# made 84,093 of them.  With f computed as g(y*) + S_t(q*) - y*_i q*_i the
-# value made 85,864 more; read off the insertion rate it made 25,676, for
-# 109,769 in all.  A half-pass that substitutes every target in one call, and
-# multiplies a bound monomial that two targets share once, makes 97,543
-PULLBACK_PAIRS = 97_543
+# draw 1: |a| |b| per product, those inside substitute included, |a| (|a| + 1) / 2
+# per square of an even homogeneous series, and |a| per scaling by a rational.
+# Every product runs through _times_into.  The passes made 84,093 of them.
+# With f computed as g(y*) + S_t(q*) - y*_i q*_i the value made 85,864 more;
+# read off the insertion rate it made 25,676, for 109,769 in all.  A
+# half-pass that substitutes every target in one call, and multiplies a bound
+# monomial that two targets share once, made 97,543, counting a square as
+# |a|^2 pairs; a square that walks each unordered pair once makes 82,284
+PULLBACK_PAIRS = 82_284
 
 
 def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch):
@@ -645,7 +647,9 @@ def test_an_order_3_pullback_makes_a_fixed_number_of_monomial_pairs(monkeypatch)
         return out
 
     def multiplied(a, out, b, order, scale):
-        pairs.append(len(a._terms) * len(b._terms))
+        n = len(a._terms)
+        square = b is a and a.is_homogeneous(0)
+        pairs.append(n * (n + 1) // 2 if square else n * len(b._terms))
         return times_into(a, out, b, order, scale)
 
     monkeypatch.setattr(Series, "__mul__", scaled)
